@@ -19,7 +19,6 @@ see the same synthetic data, so they produce identical fitted values.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,8 @@ from ..devcomp import (
 )
 from ..ir import SlotRef
 from ..pulse import CalibrationDataset, LiteralUs
-from ..rpc import TAG_PARAMS, TAG_RESULTS
 from ..qpu import ExecutionTrace, execute
-from ..rpc import HostEndpoint, Params, RendezvousCell, Sentinel, serve_host_with_worker
+from ..rpc import TAG_PARAMS, TAG_RESULTS, Params, RendezvousCell, Sentinel, run_session
 from .accounting import RunCosts, costs_from
 
 __all__ = [
@@ -252,21 +250,6 @@ def run_calibration(
 
     binary = build_sweep_partial(prep_us=prep_us, detect_us=detect_us)
     log.record(binary, cost_model, kind="partial", label="sweep")
-    endpoint, handle = HostEndpoint.in_process()
-    vm_out: dict = {}
-
-    def vm_main() -> None:
-        try:
-            vm_out["trace"] = execute(
-                binary,
-                endpoint=handle,
-                run_seed=run_seed,
-                initial_slots=list(sweep_slots(plan[0], calib)),
-                rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
-                cost_only=True,
-            )
-        except BaseException as exc:
-            vm_out["error"] = exc
 
     # Slots for experiment k+1 depend on fits applied through experiment k,
     # so the worker interleaves analysis with the parameter stream.
@@ -278,15 +261,18 @@ def run_calibration(
                 parameter_buffer.put(Params(sweep_slots(plan[k + 1], calib)))
         parameter_buffer.put(Sentinel())
 
-    vm_thread = threading.Thread(target=vm_main, name="kernel-vm", daemon=True)
-    vm_thread.start()
-    serve = serve_host_with_worker(endpoint, worker)
-    vm_thread.join()
-    if "error" in vm_out:
-        raise vm_out["error"]
-    if serve.worker_error is not None:
-        raise serve.worker_error
+    trace, _ = run_session(
+        lambda handle: execute(
+            binary,
+            endpoint=handle,
+            run_seed=run_seed,
+            initial_slots=list(sweep_slots(plan[0], calib)),
+            rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
+            cost_only=True,
+        ),
+        worker,
+    )
     return CalibrationReport(
-        mode, len(plan), costs_from(log, [vm_out["trace"]]),
+        mode, len(plan), costs_from(log, [trace]),
         calib.version - version_before, fitted, len(binary.instructions),
     )

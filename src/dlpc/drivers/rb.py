@@ -14,7 +14,6 @@ its one compile covers the whole experiment.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from ..devcomp import CompileLog, CostModel, compile_full, compile_pool
 from ..ir import Circuit, op
 from ..pulse import CalibrationDataset, lower_to_pulses
 from ..qpu import ExecutionTrace, execute
-from ..rpc import CircuitBlock, HostEndpoint, RendezvousCell, Sentinel, serve_host_with_worker
+from ..rpc import CircuitBlock, RendezvousCell, Sentinel, run_session
 from ..transpile import transpile
 from .accounting import RunCosts, costs_from
 
@@ -187,22 +186,6 @@ def run_rb(
             blocks, shots, prep_us=calib.prep_us, detect_us=calib.detect_us, n_qubits=1
         )
         log.record(binary, cost_model, kind="pool", label="clifford-pool")
-        endpoint, handle = HostEndpoint.in_process()
-        vm_out: dict = {}
-
-        def vm_main() -> None:
-            try:
-                vm_out["trace"] = execute(
-                    binary,
-                    endpoint=handle,
-                    run_seed=run_seed,
-                    initial_circuits=[plan[0].elements],
-                    depolarizing=depolarizing,
-                    rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
-                )
-            except BaseException as exc:
-                vm_out["error"] = exc
-
         collected = []
 
         def worker(results_buffer: RendezvousCell, parameter_buffer: RendezvousCell) -> None:
@@ -213,16 +196,19 @@ def run_rb(
                     parameter_buffer.put(CircuitBlock((plan[k + 1].elements,)))
             parameter_buffer.put(Sentinel())
 
-        vm_thread = threading.Thread(target=vm_main, name="kernel-vm", daemon=True)
-        vm_thread.start()
-        serve = serve_host_with_worker(endpoint, worker)
-        vm_thread.join()
-        if "error" in vm_out:
-            raise vm_out["error"]
-        if serve.worker_error is not None:
-            raise serve.worker_error
+        trace, _ = run_session(
+            lambda handle: execute(
+                binary,
+                endpoint=handle,
+                run_seed=run_seed,
+                initial_circuits=[plan[0].elements],
+                depolarizing=depolarizing,
+                rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
+            ),
+            worker,
+        )
         counts = collected
-        all_traces = [vm_out["trace"]]
+        all_traces = [trace]
 
     survivals = tuple(survival(c) for c in counts)
     by_length: dict[int, list[float]] = {}

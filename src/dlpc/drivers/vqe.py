@@ -13,7 +13,6 @@ what makes their cost accounting directly comparable.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,7 +29,7 @@ from ..ir import (
 )
 from ..pulse import CalibrationDataset, PulseSchedule, lower_to_pulses
 from ..qpu import ExecutionTrace, execute
-from ..rpc import HostEndpoint, Results, ServeReport, serve_host_with_worker
+from ..rpc import Results, ServeReport, run_session
 from ..transpile import transpile
 from .accounting import RunCosts, costs_from
 from .optimizers import OptResult, nelder_mead, optimizer_worker
@@ -228,36 +227,6 @@ def run_vqe(
     binary = compile_partial(scheds, problem.shots, n_qubits=nq)
     log.record(binary, cost_model, kind="partial", label="streamed")
 
-    if transport == "memory":
-        endpoint, handle = HostEndpoint.in_process()
-        port = None
-    elif transport == "socket":
-        listener, port = HostEndpoint.socket_listener()
-        endpoint = handle = None
-    else:
-        raise ValueError(f"transport must be 'memory' or 'socket', got {transport!r}")
-
-    vm_out: dict = {}
-
-    def vm_main() -> None:
-        try:
-            vm_out["trace"] = execute(
-                binary,
-                endpoint=handle if port is None else HostEndpoint.connect_kernel(port),
-                run_seed=run_seed,
-                initial_slots=list(problem.x0),
-                depolarizing=depolarizing,
-                rabi_truth=rabi_truth,
-                rpc_roundtrip_us=roundtrip_us,
-            )
-        except BaseException as exc:  # reported from the caller thread
-            vm_out["error"] = exc
-
-    vm_thread = threading.Thread(target=vm_main, name="kernel-vm", daemon=True)
-    vm_thread.start()
-    if endpoint is None:
-        endpoint = HostEndpoint.accept(listener)
-
     results: list[OptResult] = []
 
     def run_opt(evaluate) -> OptResult:
@@ -268,14 +237,19 @@ def run_vqe(
 
         return nelder_mead(recording, problem.x0, max_evals=problem.max_evals)
 
-    serve = serve_host_with_worker(endpoint, optimizer_worker(run_opt, to_energy, results))
-    vm_thread.join()
-
-    if "error" in vm_out:
-        raise vm_out["error"]
-    if serve.worker_error is not None:
-        raise serve.worker_error
-    trace: ExecutionTrace = vm_out["trace"]
+    trace, serve = run_session(
+        lambda handle: execute(
+            binary,
+            endpoint=handle,
+            run_seed=run_seed,
+            initial_slots=list(problem.x0),
+            depolarizing=depolarizing,
+            rabi_truth=rabi_truth,
+            rpc_roundtrip_us=roundtrip_us,
+        ),
+        optimizer_worker(run_opt, to_energy, results),
+        transport=transport,
+    )
     return VqeReport(
         mode=mode,
         result=results[0],

@@ -329,8 +329,6 @@ class _Vm:
             raise VmError("kernel ran off the end without HALT")
         if self.binary.mode is KernelMode.FULL:
             self._post_results()
-        if self.endpoint is not None:
-            self.endpoint.close()
         return self.trace
 
     def _post_results(self) -> None:
@@ -394,8 +392,10 @@ def execute(
     first_section offsets the sampling-stream key of the kernel's sections,
     so a single-section kernel run standalone can reproduce section j of a
     multi-section kernel bit for bit.
+
+    The endpoint stays open; ``rpc.run_session`` closes it however the run ends.
     """
-    vm = _Vm(
+    return _Vm(
         binary,
         endpoint=endpoint,
         run_seed=run_seed,
@@ -407,11 +407,4 @@ def execute(
         rpc_roundtrip_us=rpc_roundtrip_us,
         cost_only=cost_only,
         first_section=first_section,
-    )
-    try:
-        return vm.run()
-    except BaseException:
-        # A crashed kernel must not strand the host loop on a silent channel.
-        if endpoint is not None:
-            endpoint.close()
-        raise
+    ).run()

@@ -1,16 +1,27 @@
-"""Host-kernel boundary: framed binary messages and the two-buffer host loop.
+"""Host-kernel boundary: framed binary messages and the streamed-run session.
 
 Wire format: every frame is a u32 little-endian length (counting the tag byte),
 a u8 type tag, then the payload.  Reals are 8-byte little-endian IEEE-754;
 counts and indices are u32 little-endian.  SENTINEL is the five bytes
 ``01 00 00 00 02``.
 
-The host runs exactly two execution contexts against one kernel VM: the main
-context forwards kernel results into ResultsBuffer, blocks on ParameterBuffer,
-and relays the reply; the worker context (the optimizer) consumes results and
-produces PARAMS until it converges, then SENTINEL.  Both buffers are capacity-1
-rendezvous cells, so the control flow is strictly alternating and every message
-is delivered exactly once.
+``run_session`` is the one way to run a streamed kernel.  It connects the
+kernel's handle to the host over a transport ("memory": a pair of rendezvous
+cells; "socket": loopback TCP, bound, connected and accepted before any thread
+starts) and runs three execution contexts: the kernel on the ``kernel-vm``
+thread, the worker (the optimizer) on the ``host-worker`` thread, and the
+forwarding loop on the calling thread.  The loop puts each kernel result into
+the results buffer, takes the worker's reply (PARAMS, CIRCUIT_BLOCK, or
+SENTINEL) from the parameter buffer, and relays it to the kernel.  Both buffers
+are capacity-1 rendezvous cells, so the control flow is strictly alternating
+and every message is delivered exactly once.
+
+The session ends once a SENTINEL has been relayed or the kernel has ended.
+The kernel's handle is closed however the kernel ends, so the loop never waits
+on a silent channel, and a worker crash is relayed as a SENTINEL, so the kernel
+always terminates.  Every endpoint is closed and every thread joined before
+the session returns or raises; the kernel's error is raised first, then the
+worker's.
 
 The kernel never sends an explicit request frame for its synchronous fetch: the
 alternation means the next host-to-kernel frame is always the response.
@@ -23,13 +34,14 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Protocol, TypeVar
 
 __all__ = [
     "TAG_RESULTS",
     "TAG_PARAMS",
     "TAG_SENTINEL",
     "TAG_CIRCUIT_BLOCK",
+    "MAX_FRAME_BYTES",
     "RpcError",
     "FrameError",
     "ProtocolError",
@@ -44,11 +56,9 @@ __all__ = [
     "bits_to_key",
     "key_to_bits",
     "RendezvousCell",
-    "HostEndpoint",
     "KernelHandle",
     "ServeReport",
-    "serve_host",
-    "serve_host_with_worker",
+    "run_session",
 ]
 
 TAG_RESULTS = 0
@@ -57,6 +67,12 @@ TAG_SENTINEL = 2
 TAG_CIRCUIT_BLOCK = 3
 
 _POLL_S = 0.05
+
+# Largest length a socket peer may declare for one frame.  The biggest frame a
+# driver sends, a 12-qubit Results with three 4096-key sections, is about 98 KB.
+MAX_FRAME_BYTES = 1 << 24
+
+T = TypeVar("T")
 
 
 class RpcError(Exception):
@@ -176,7 +192,11 @@ def decode(frame: bytes) -> RpcMessage:
             section: dict[str, int] = {}
             for _ in range(n_entries):
                 key, n = r.take("<II")
+                if key >> n_qubits:
+                    raise ProtocolError(f"outcome key {key} out of range for {n_qubits} qubits")
                 section[key_to_bits(key, n_qubits)] = n
+            if len(section) != n_entries:
+                raise ProtocolError("duplicate outcome key in a results section")
             sections.append(section)
         r.done()
         return Results(iteration, n_qubits, tuple(sections))
@@ -286,6 +306,8 @@ class _SocketTransport:
     def recv(self) -> RpcMessage:
         prefix = _recv_exactly(self._sock, 4)
         (length,) = struct.unpack("<I", prefix)
+        if length > MAX_FRAME_BYTES:
+            raise FrameError(f"declared length {length} exceeds {MAX_FRAME_BYTES}")
         return decode(prefix + _recv_exactly(self._sock, length))
 
     def close(self) -> None:
@@ -301,7 +323,6 @@ class KernelHandle:
 
     def __init__(self, transport: _Transport) -> None:
         self._transport = transport
-        self._closed = False
 
     def post_results(self, m: Results) -> None:
         self._transport.send(m)
@@ -313,9 +334,7 @@ class KernelHandle:
         return reply
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._transport.close()
+        self._transport.close()
 
 
 @dataclass(slots=True)
@@ -326,106 +345,87 @@ class ServeReport:
     worker_error: BaseException | None = None
 
 
-class HostEndpoint:
-    """Main-side handle plus the results/parameter buffer pair."""
-
-    def __init__(self, transport: _Transport) -> None:
-        self.transport = transport
-        self.results_buffer = RendezvousCell()
-        self.parameter_buffer = RendezvousCell()
-
-    @classmethod
-    def in_process(cls) -> tuple[HostEndpoint, KernelHandle]:
-        kernel_to_host = RendezvousCell()
-        host_to_kernel = RendezvousCell()
-        host = cls(_CellTransport(host_to_kernel, kernel_to_host))
-        kernel = KernelHandle(_CellTransport(kernel_to_host, host_to_kernel))
-        return host, kernel
-
-    @classmethod
-    def socket_listener(cls) -> tuple[socket.socket, int]:
-        """Bind a loopback listener; pair with accept()/connect_kernel()."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        return listener, listener.getsockname()[1]
-
-    @classmethod
-    def accept(cls, listener: socket.socket) -> HostEndpoint:
-        conn, _ = listener.accept()
-        listener.close()
-        return cls(_SocketTransport(conn))
-
-    @staticmethod
-    def connect_kernel(port: int) -> KernelHandle:
-        sock = socket.create_connection(("127.0.0.1", port))
-        return KernelHandle(_SocketTransport(sock))
-
-    def close(self) -> None:
-        self.results_buffer.close()
-        self.parameter_buffer.close()
-        self.transport.close()
+def _transport_pair(transport: str) -> tuple[_Transport, KernelHandle]:
+    """The host's transport and the kernel's handle, already connected."""
+    if transport == "memory":
+        kernel_to_host, host_to_kernel = RendezvousCell(), RendezvousCell()
+        return (
+            _CellTransport(host_to_kernel, kernel_to_host),
+            KernelHandle(_CellTransport(kernel_to_host, host_to_kernel)),
+        )
+    if transport == "socket":
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            kernel_sock = socket.create_connection(listener.getsockname())
+            host_sock, _ = listener.accept()
+        return _SocketTransport(host_sock), KernelHandle(_SocketTransport(kernel_sock))
+    raise ValueError(f"transport must be 'memory' or 'socket', got {transport!r}")
 
 
-def serve_host_with_worker(
-    endpoint: HostEndpoint, worker: Callable[[RendezvousCell, RendezvousCell], None]
-) -> ServeReport:
-    """Run the forwarding loop with ``worker`` in its own context.
+def run_session(
+    kernel: Callable[[KernelHandle], T],
+    worker: Callable[[RendezvousCell, RendezvousCell], None],
+    *,
+    transport: str = "memory",
+) -> tuple[T, ServeReport]:
+    """Stream one kernel run; returns the kernel's result and the loop's report.
 
-    The worker reads from the results buffer and writes PARAMS, CIRCUIT_BLOCK,
-    or SENTINEL to the parameter buffer; the loop ends once a SENTINEL has been
-    relayed to the kernel.  A worker crash is converted into a SENTINEL so the
-    kernel always terminates, and the error is reported to the caller.
+    ``kernel(handle)`` posts results and awaits replies through the handle.
+    ``worker(results_buffer, parameter_buffer)`` takes results and puts
+    PARAMS, CIRCUIT_BLOCK, or SENTINEL.  Raises the kernel's error if the
+    kernel failed, else the worker's.
     """
+    host, handle = _transport_pair(transport)
+    results_buffer, parameter_buffer = RendezvousCell(), RendezvousCell()
     report = ServeReport()
+    kernel_out: dict = {}
+
+    def kernel_main() -> None:
+        try:
+            kernel_out["result"] = kernel(handle)
+        except BaseException as e:  # noqa: BLE001 - raised from the calling thread
+            kernel_out["error"] = e
+        finally:
+            handle.close()
 
     def worker_main() -> None:
         try:
-            worker(endpoint.results_buffer, endpoint.parameter_buffer)
+            worker(results_buffer, parameter_buffer)
         except ChannelClosed:
             pass  # session torn down under the worker; nothing to report
         except BaseException as e:  # noqa: BLE001 - must never strand the kernel
             report.worker_error = e
             try:
-                endpoint.parameter_buffer.put(Sentinel())
+                parameter_buffer.put(Sentinel())
             except ChannelClosed:
                 pass
 
-    t = threading.Thread(target=worker_main, name="host-worker", daemon=True)
-    t.start()
+    threads = [
+        threading.Thread(target=kernel_main, name="kernel-vm", daemon=True),
+        threading.Thread(target=worker_main, name="host-worker", daemon=True),
+    ]
+    for t in threads:
+        t.start()
     try:
         while True:
-            try:
-                msg = endpoint.transport.recv()
-            except ChannelClosed:
-                break
+            msg = host.recv()
             report.results_received += 1
-            endpoint.results_buffer.put(msg)
-            reply = endpoint.parameter_buffer.take()
-            endpoint.transport.send(reply)
+            results_buffer.put(msg)
+            reply = parameter_buffer.take()
+            host.send(reply)
             report.replies_sent += 1
             if isinstance(reply, Sentinel):
                 break
-        report.iterations = report.results_received
+    except ChannelClosed:
+        pass  # the kernel has ended; its result or error says how
     finally:
-        endpoint.results_buffer.close()
-        endpoint.parameter_buffer.close()
-        t.join()
-    return report
-
-
-def serve_host(
-    endpoint: HostEndpoint, objective: Callable[[Results], RpcMessage]
-) -> ServeReport:
-    """Spec-shaped entry: the worker is a pure results -> reply function."""
-
-    def worker(results: RendezvousCell, params: RendezvousCell) -> None:
-        while True:
-            r = results.take()
-            assert isinstance(r, Results)
-            reply = objective(r)
-            params.put(reply)
-            if isinstance(reply, Sentinel):
-                return
-
-    return serve_host_with_worker(endpoint, worker)
+        results_buffer.close()
+        parameter_buffer.close()
+        host.close()
+        for t in threads:
+            t.join()
+    report.iterations = report.results_received
+    if "error" in kernel_out:
+        raise kernel_out["error"]
+    if report.worker_error is not None:
+        raise report.worker_error
+    return kernel_out["result"], report

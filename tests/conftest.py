@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
+import pytest
 
 from dlpc.ir import Circuit, GateOp, op
+from dlpc.rpc import Sentinel
+
+SESSION_THREADS = ("kernel-vm", "host-worker")
 
 GATE_KINDS = ("RX", "RY", "RZ", "R", "XX", "CNOT")
 
@@ -42,3 +47,42 @@ def max_phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     phase = a[k] / b[k]
     phase /= abs(phase) if abs(phase) > 0 else 1.0
     return float(np.max(np.abs(a - phase * b)))
+
+
+@pytest.fixture(autouse=True)
+def no_session_thread_outlives_its_test():
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name in SESSION_THREADS]
+    assert not alive, f"session threads still alive after the test: {alive}"
+
+
+def run_within(seconds: float, fn):
+    """Call fn() on a daemon thread; fail if it is still running after seconds."""
+    out: dict = {}
+
+    def target() -> None:
+        try:
+            out["value"] = fn()
+        except BaseException as e:  # noqa: BLE001 - re-raised below
+            out["error"] = e
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"still running after {seconds}s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def objective_worker(objective):
+    """Session worker that answers each Results with objective(results)."""
+
+    def worker(results, params) -> None:
+        while True:
+            reply = objective(results.take())
+            params.put(reply)
+            if isinstance(reply, Sentinel):
+                return
+
+    return worker

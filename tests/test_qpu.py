@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 
 import pytest
+from conftest import objective_worker, run_within
 
 from dlpc.cliffords import compose, inverse, native_ops
 from dlpc.devcomp import (
@@ -22,15 +22,7 @@ from dlpc.devcomp import (
 from dlpc.ir import Circuit, SlotRef, op
 from dlpc.pulse import DEFAULT_RABI, CalibrationDataset, lower_to_pulses
 from dlpc.qpu import TooManyQubits, UninitializedSlot, VmError, execute
-from dlpc.rpc import (
-    CircuitBlock,
-    HostEndpoint,
-    Params,
-    ProtocolError,
-    Results,
-    Sentinel,
-    serve_host,
-)
+from dlpc.rpc import CircuitBlock, Params, ProtocolError, Results, Sentinel, run_session
 from dlpc.transpile import transpile
 
 
@@ -43,10 +35,16 @@ def _schedule(circuit: Circuit, calib: CalibrationDataset):
     return lower_to_pulses(transpile(circuit), calib)
 
 
-def _serve_in_thread(endpoint, objective):
-    t = threading.Thread(target=serve_host, args=(endpoint, objective), daemon=True)
-    t.start()
-    return t
+def _stream(binary, objective, **execute_kwargs):
+    """Execute a streamed kernel against objective; returns its trace."""
+    trace, _ = run_within(
+        10,
+        lambda: run_session(
+            lambda handle: execute(binary, endpoint=handle, **execute_kwargs),
+            objective_worker(objective),
+        ),
+    )
+    return trace
 
 
 def test_clock_additivity_example(calib):
@@ -121,11 +119,7 @@ def test_partial_kernel_iterates_until_sentinel(calib):
         nxt = r.iteration + 1
         return Params((xs[nxt],)) if nxt < len(xs) else Sentinel()
 
-    endpoint, handle = HostEndpoint.in_process()
-    t = _serve_in_thread(endpoint, objective)
-    trace = execute(k, endpoint=handle, initial_slots=[xs[0]], run_seed=7)
-    t.join(timeout=10)
-    assert not t.is_alive()
+    trace = _stream(k, objective, initial_slots=[xs[0]], run_seed=7)
     assert trace.n_iterations == len(xs)
     assert [r.iteration for r in trace.results] == [0, 1, 2]
     assert trace.rpc_us == pytest.approx(len(xs) * 2000.0)
@@ -148,10 +142,7 @@ def test_mode_equivalence_exact(calib):
         nxt = r.iteration + 1
         return Params((xs[nxt],)) if nxt < len(xs) else Sentinel()
 
-    endpoint, handle = HostEndpoint.in_process()
-    t = _serve_in_thread(endpoint, objective)
-    trace = execute(partial, endpoint=handle, initial_slots=[xs[0]], run_seed=seed)
-    t.join(timeout=10)
+    trace = _stream(partial, objective, initial_slots=[xs[0]], run_seed=seed)
 
     assert len(trace.results) == len(baseline)
     for got, want in zip(trace.results, baseline):
@@ -180,12 +171,7 @@ def test_pool_mode_equivalence_exact(calib):
             return CircuitBlock((tuple(circuits[nxt]),))
         return Sentinel()
 
-    endpoint, handle = HostEndpoint.in_process()
-    t = _serve_in_thread(endpoint, objective)
-    trace = execute(
-        pool, endpoint=handle, initial_circuits=[circuits[0]], run_seed=seed
-    )
-    t.join(timeout=10)
+    trace = _stream(pool, objective, initial_circuits=[circuits[0]], run_seed=seed)
 
     for i, seq in enumerate(circuits):
         ops = [g for idx in seq for g in native_ops(idx, 0)]
@@ -250,12 +236,8 @@ def test_wrong_reply_type_raises_protocol_error(calib):
     c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
     k = compile_partial(_schedule(c, calib), shots=10)
 
-    endpoint, handle = HostEndpoint.in_process()
-    t = _serve_in_thread(endpoint, lambda r: CircuitBlock(((0,),)))
     with pytest.raises(ProtocolError):
-        execute(k, endpoint=handle, initial_slots=[0.5])
-    t.join(timeout=10)
-    assert not t.is_alive()
+        _stream(k, lambda r: CircuitBlock(((0,),)), initial_slots=[0.5])
 
 
 def test_trace_json(calib):

@@ -1,29 +1,34 @@
-"""Wire format, rendezvous buffers, and host serving loop."""
+"""Wire format, rendezvous buffers, and the streamed-run session."""
 
 from __future__ import annotations
 
 import itertools
+import socket
+import struct
 import threading
 
 import pytest
+from conftest import SESSION_THREADS, objective_worker, run_within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlpc.rpc import (
+    MAX_FRAME_BYTES,
     ChannelClosed,
     CircuitBlock,
     FrameError,
-    HostEndpoint,
     Params,
     ProtocolError,
     RendezvousCell,
     Results,
+    RpcError,
     Sentinel,
+    _SocketTransport,
     bits_to_key,
     decode,
     encode,
     key_to_bits,
-    serve_host,
+    run_session,
 )
 
 
@@ -108,7 +113,53 @@ def test_encode_decode_roundtrip(m):
     assert decode(frame) == m
 
 
-def _scripted_kernel(handle, iterations: int, log: list):
+def _results_frame(n_qubits: int, section: list[tuple[int, int]]) -> bytes:
+    """One Results frame with a single section of raw (key, count) entries."""
+    payload = struct.pack("<IBI", 0, n_qubits, 1) + struct.pack("<I", len(section))
+    payload += b"".join(struct.pack("<II", key, n) for key, n in section)
+    return struct.pack("<I", len(payload) + 1) + bytes([0]) + payload
+
+
+def test_results_key_out_of_range_rejected():
+    # Key 5 is 101 in binary: it would truncate onto key 1 at two qubits.
+    with pytest.raises(ProtocolError, match="out of range"):
+        decode(_results_frame(2, [(1, 10), (5, 3)]))
+    assert decode(_results_frame(2, [(1, 10), (3, 3)])).counts == ({"10": 10, "11": 3},)
+
+
+def test_results_duplicate_key_rejected():
+    with pytest.raises(ProtocolError, match="duplicate"):
+        decode(_results_frame(2, [(1, 10), (1, 3)]))
+
+
+@settings(max_examples=300)
+@given(_messages, st.data())
+def test_malformed_frames_raise_only_rpc_errors(m, data):
+    frame = bytearray(encode(m))
+    if data.draw(st.booleans(), label="truncate"):
+        with pytest.raises(FrameError):
+            decode(bytes(frame[: data.draw(st.integers(0, len(frame) - 1), label="cut")]))
+    else:
+        bit = data.draw(st.integers(0, 8 * len(frame) - 1), label="bit")
+        frame[bit // 8] ^= 1 << (bit % 8)
+        try:
+            decode(bytes(frame))
+        except RpcError:
+            pass  # any other exception type fails the test
+
+
+def test_socket_frame_length_capped_before_payload_read():
+    widest = Results(0, 12, tuple({key_to_bits(k, 12): 1 for k in range(4096)} for _ in range(3)))
+    assert 100 * len(encode(widest)) < MAX_FRAME_BYTES
+    host, kernel = socket.socketpair()
+    with host, kernel:
+        host.settimeout(5)  # a payload read would time out, not raise FrameError
+        kernel.sendall(struct.pack("<I", MAX_FRAME_BYTES + 1))
+        with pytest.raises(FrameError, match="exceeds"):
+            _SocketTransport(host).recv()
+
+
+def _scripted_kernel(handle, iterations: int, log: list) -> None:
     """Stand-in for the VM's RPC tail: post results, block for the reply."""
     for i in range(iterations + 1):
         handle.post_results(Results(i, 1, ({"0": 1},)))
@@ -116,22 +167,23 @@ def _scripted_kernel(handle, iterations: int, log: list):
         log.append(reply)
         if isinstance(reply, Sentinel):
             break
-    handle.close()
 
 
-def _run_session(endpoint, kernel_handle, objective):
+def _run_session(objective, transport: str = "memory"):
     log: list = []
-    t = threading.Thread(target=_scripted_kernel, args=(kernel_handle, 100, log))
-    t.start()
-    report = serve_host(endpoint, objective)
-    t.join(timeout=10)
-    assert not t.is_alive()
+    _, report = run_within(
+        10,
+        lambda: run_session(
+            lambda handle: _scripted_kernel(handle, 100, log),
+            objective_worker(objective),
+            transport=transport,
+        ),
+    )
     return report, log
 
 
 def test_immediate_sentinel_means_one_iteration():
-    endpoint, kernel = HostEndpoint.in_process()
-    report, log = _run_session(endpoint, kernel, lambda r: Sentinel())
+    report, log = _run_session(lambda r: Sentinel())
     assert report.iterations == 1
     assert log == [Sentinel()]
 
@@ -144,8 +196,7 @@ def test_k_params_then_sentinel_means_k_plus_one_iterations():
         seen.append(r.iteration)
         return Params((float(len(seen)),)) if len(seen) <= k else Sentinel()
 
-    endpoint, kernel = HostEndpoint.in_process()
-    report, log = _run_session(endpoint, kernel, objective)
+    report, log = _run_session(objective)
     assert report.iterations == k + 1
     assert report.results_received == report.replies_sent == k + 1
     assert log[:-1] == [Params((float(i),)) for i in range(1, k + 1)]
@@ -156,9 +207,14 @@ def test_worker_exception_still_terminates_kernel():
     def objective(r: Results):
         raise RuntimeError("optimizer blew up")
 
-    endpoint, kernel = HostEndpoint.in_process()
-    report, log = _run_session(endpoint, kernel, objective)
-    assert isinstance(report.worker_error, RuntimeError)
+    log: list = []
+    with pytest.raises(RuntimeError, match="blew up"):
+        run_within(
+            10,
+            lambda: run_session(
+                lambda handle: _scripted_kernel(handle, 100, log), objective_worker(objective)
+            ),
+        )
     assert log == [Sentinel()]
 
 
@@ -166,20 +222,25 @@ def test_socket_transport_matches_in_process():
     def objective(r: Results):
         return Params((r.iteration + 0.5,)) if r.iteration < 3 else Sentinel()
 
-    endpoint, kernel = HostEndpoint.in_process()
-    _, log_mem = _run_session(endpoint, kernel, objective)
-
-    listener, port = HostEndpoint.socket_listener()
-    log_sock: list = []
-    t = threading.Thread(
-        target=lambda: _scripted_kernel(HostEndpoint.connect_kernel(port), 100, log_sock)
-    )
-    t.start()
-    report = serve_host(HostEndpoint.accept(listener), objective)
-    t.join(timeout=10)
-    assert not t.is_alive()
+    _, log_mem = _run_session(objective)
+    report, log_sock = _run_session(objective, transport="socket")
     assert log_sock == log_mem
     assert report.iterations == 4
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_kernel_failing_before_first_post_ends_session(transport):
+    def kernel(handle):
+        raise RuntimeError("kernel failed to start")
+
+    with pytest.raises(RuntimeError, match="failed to start"):
+        run_within(
+            10,
+            lambda: run_session(
+                kernel, objective_worker(lambda r: Sentinel()), transport=transport
+            ),
+        )
+    assert not [t for t in threading.enumerate() if t.name in SESSION_THREADS]
 
 
 def test_closed_cell_unblocks_waiters():
@@ -254,6 +315,5 @@ def test_exactly_once_accounting():
         def objective(r: Results, k=k):
             return Sentinel() if next(calls) > k else Params((0.0,))
 
-        endpoint, kernel = HostEndpoint.in_process()
-        report, log = _run_session(endpoint, kernel, objective)
+        report, log = _run_session(objective)
         assert report.results_received == report.replies_sent == len(log) == k + 1

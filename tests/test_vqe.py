@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
+from conftest import run_within
 
 from dlpc.devcomp import CostModel
 from dlpc.drivers.optimizers import nelder_mead, spsa
@@ -17,6 +21,7 @@ from dlpc.drivers.vqe import (
 )
 from dlpc.ir import Circuit, Hamiltonian, IrError, PauliTerm, SlotRef, op
 from dlpc.pulse import CalibrationDataset
+from dlpc.qpu import VM_QUBIT_LIMIT, TooManyQubits
 
 MODEL = CostModel(compile_a=0.35, compile_b=6.0e-3)
 
@@ -136,6 +141,30 @@ def test_socket_transport_matches_memory():
     )
     assert mem.trajectory == sock.trajectory
     assert mem.costs == sock.costs
+
+
+def test_socket_session_closes_both_sockets():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run_vqe(one_param_problem(), "dlpc", cost_model=MODEL, calib=_calib(), transport="socket")
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_streamed_run_too_wide_for_the_vm_raises_instead_of_hanging(transport):
+    nq = VM_QUBIT_LIMIT + 1
+    problem = VqeProblem(
+        Hamiltonian(nq, [PauliTerm(1.0, "Z" * nq)]),
+        Circuit(nq, [op("RY", 0, SlotRef(0))]),
+        (0.5,),
+        shots=10,
+        max_evals=3,
+    )
+    with pytest.raises(TooManyQubits):
+        run_within(
+            10, lambda: run_vqe(problem, "dlpc", cost_model=MODEL, transport=transport)
+        )
 
 
 def test_cost_totals_are_itemized_sums():
