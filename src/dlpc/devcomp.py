@@ -18,13 +18,11 @@ affine in the instruction count, including pool blocks.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from hashlib import blake2b
-from pathlib import Path
 from typing import Sequence
 
 from .ir import SlotRef
@@ -82,7 +80,6 @@ class Opcode(IntEnum):
     SET_PHASE = 2
     SET_AMP = 3
     PLAY = 4
-    DELAY = 5
     PREP = 6
     DETECT = 7
     LOOP_SHOTS = 8
@@ -106,7 +103,6 @@ _SCHEMES: dict[Opcode, tuple[str, ...]] = {
     Opcode.SET_PHASE: ("chan", "real"),
     Opcode.SET_AMP: ("chan", "real"),
     Opcode.PLAY: ("dur",),
-    Opcode.DELAY: ("f64",),
     Opcode.PREP: ("f64",),
     Opcode.DETECT: ("chan", "f64"),
     Opcode.LOOP_SHOTS: ("u32", "u32"),
@@ -115,6 +111,16 @@ _SCHEMES: dict[Opcode, tuple[str, ...]] = {
     Opcode.SELECT: ("u8",),
     Opcode.HALT: (),
     Opcode.FRAME_ROT: ("chan", "real"),
+}
+
+# Operand kind -> predicate every operand of that kind must satisfy.
+_OPERAND_OK = {
+    "chan": lambda a: isinstance(a, int) and 0 <= a <= 255,
+    "real": lambda a: isinstance(a, (float, int, SlotRef)),
+    "dur": lambda a: isinstance(a, (LiteralUs, SlotOverOmega)),
+    "f64": lambda a: isinstance(a, (float, int)),
+    "u8": lambda a: isinstance(a, int) and 0 <= a <= 255,
+    "u32": lambda a: isinstance(a, int) and 0 <= a < 2**32,
 }
 
 _TAG_LITERAL = 0
@@ -133,15 +139,7 @@ class Instr:
                 f"{self.op.name} takes {len(scheme)} operands, got {len(self.args)}"
             )
         for kind, arg in zip(scheme, self.args):
-            ok = {
-                "chan": lambda a: isinstance(a, int) and 0 <= a <= 255,
-                "real": lambda a: isinstance(a, (float, int, SlotRef)),
-                "dur": lambda a: isinstance(a, (LiteralUs, SlotOverOmega)),
-                "f64": lambda a: isinstance(a, (float, int)),
-                "u8": lambda a: isinstance(a, int) and 0 <= a <= 255,
-                "u32": lambda a: isinstance(a, int) and 0 <= a < 2**32,
-            }[kind](arg)
-            if not ok:
+            if not _OPERAND_OK[kind](arg):
                 raise CompileError(f"bad {kind} operand for {self.op.name}: {arg!r}")
 
 
@@ -165,59 +163,6 @@ def _encode_instr(i: Instr) -> bytes:
             else:
                 out.append(struct.pack("<Bd", _TAG_LITERAL, arg.value))
     return b"".join(out)
-
-
-def _decode_instr(r: "_ByteReader") -> Instr:
-    op = Opcode(r.u8())
-    args: list = []
-    for kind in _SCHEMES[op]:
-        if kind == "chan" or kind == "u8":
-            args.append(r.u8())
-        elif kind == "u32":
-            args.append(r.u32())
-        elif kind == "f64":
-            args.append(r.f64())
-        elif kind == "real":
-            args.append(SlotRef(r.u32()) if r.u8() == _TAG_SLOT else r.f64())
-        else:
-            if r.u8() == _TAG_SLOT:
-                args.append(SlotOverOmega(r.u32(), r.f64()))
-            else:
-                args.append(LiteralUs(r.f64()))
-    return Instr(op, tuple(args))
-
-
-class _ByteReader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def _take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise CompileError("truncated kernel binary")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
-
-    def u8(self) -> int:
-        return self._take("<B")[0]
-
-    def u16(self) -> int:
-        return self._take("<H")[0]
-
-    def u32(self) -> int:
-        return self._take("<I")[0]
-
-    def f64(self) -> float:
-        return self._take("<d")[0]
-
-    def raw(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CompileError("truncated kernel binary")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
 
 @dataclass(frozen=True)
@@ -297,24 +242,6 @@ class KernelBinary:
     @cached_property
     def content_hash(self) -> str:
         return blake2b(self.serialized, digest_size=8).hexdigest()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> KernelBinary:
-        r = _ByteReader(data)
-        if r.raw(8) != MAGIC:
-            raise CompileError("bad magic; not a kernel binary")
-        version = r.u16()
-        if version != FORMAT_VERSION:
-            raise CompileError(f"unsupported kernel format version {version}")
-        mode = KernelMode(r.u8())
-        n_qubits = r.u8()
-        n_slots = r.u32()
-        pairs = tuple((r.u8(), r.u8()) for _ in range(r.u8()))
-        blocks = tuple((r.u32(), r.u32()) for _ in range(r.u32()))
-        instrs = tuple(_decode_instr(r) for _ in range(r.u32()))
-        if r.pos != len(data):
-            raise CompileError("trailing bytes after kernel binary")
-        return cls(mode, n_qubits, n_slots, instrs, pairs, blocks)
 
 
 class _Emitter:
@@ -534,20 +461,6 @@ class CostModel:
             self.schedule_s,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "compile_a": self.compile_a,
-            "compile_b": self.compile_b,
-            "upload_base_s": self.upload_base_s,
-            "upload_per_byte_s": self.upload_per_byte_s,
-            "schedule_s": self.schedule_s,
-            "rpc_roundtrip_s": self.rpc_roundtrip_s,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> CostModel:
-        return cls(**d)
-
 
 @dataclass(frozen=True, slots=True)
 class CompileEvent:
@@ -558,10 +471,6 @@ class CompileEvent:
     compile_s: float
     upload_s: float
     schedule_s: float
-
-    @property
-    def overhead_s(self) -> float:
-        return self.compile_s + self.upload_s + self.schedule_s
 
 
 @dataclass(slots=True)
@@ -588,20 +497,3 @@ class CompileLog:
     @property
     def total_compile_s(self) -> float:
         return sum(e.compile_s for e in self.events)
-
-    @property
-    def total_overhead_s(self) -> float:
-        return sum(e.overhead_s for e in self.events)
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["index", "kind", "label", "n_instr", "size_bytes",
-                 "compile_s", "upload_s", "schedule_s"]
-            )
-            for i, e in enumerate(self.events):
-                w.writerow(
-                    [i, e.kind, e.label, e.n_instr, e.size_bytes,
-                     f"{e.compile_s:.9f}", f"{e.upload_s:.9f}", f"{e.schedule_s:.9f}"]
-                )

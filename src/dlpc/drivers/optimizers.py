@@ -23,7 +23,6 @@ from ..rpc import Params, RendezvousCell, Results, Sentinel
 __all__ = [
     "OptResult",
     "nelder_mead",
-    "spsa",
     "streaming_evaluate",
     "optimizer_worker",
 ]
@@ -59,37 +58,6 @@ def nelder_mead(
         options={"maxfev": max_evals, "xatol": xatol, "fatol": fatol},
     )
     return OptResult(tuple(float(v) for v in res.x), float(res.fun), int(res.nfev))
-
-
-def spsa(
-    evaluate: Evaluate,
-    x0: Sequence[float],
-    *,
-    n_steps: int,
-    seed: int,
-    a0: float = 0.2,
-    c0: float = 0.15,
-    alpha: float = 0.602,
-    gamma: float = 0.101,
-) -> OptResult:
-    """Simultaneous-perturbation descent: two evaluations per step.
-
-    Scales to many parameters where a simplex would need one vertex each;
-    perturbation signs come from a counter-based stream so runs replay exactly.
-    """
-    x = np.asarray(x0, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n_evals = 0
-    for k in range(n_steps):
-        ak = a0 / (k + 1) ** alpha
-        ck = c0 / (k + 1) ** gamma
-        delta = rng.choice((-1.0, 1.0), size=x.shape)
-        y_plus = float(evaluate(x + ck * delta))
-        y_minus = float(evaluate(x - ck * delta))
-        n_evals += 2
-        x = x - ak * (y_plus - y_minus) / (2.0 * ck) * (1.0 / delta)
-    fun = float(evaluate(x))
-    return OptResult(tuple(float(v) for v in x), fun, n_evals + 1)
 
 
 def streaming_evaluate(

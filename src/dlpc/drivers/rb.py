@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from ..cliffords import CLIFFORD_COUNT, compose, inverse, n_pulses, native_ops
-from ..devcomp import CompileLog, CostModel, compile_full, compile_pool
+from ..devcomp import CompileLog, CostModel, KernelBinary, compile_full, compile_pool
 from ..ir import Circuit, op
 from ..pulse import CalibrationDataset, lower_to_pulses
 from ..qpu import ExecutionTrace, execute
@@ -36,6 +36,7 @@ __all__ = [
     "RbCircuit",
     "DecayFit",
     "RbReport",
+    "clifford_pool",
     "random_circuits",
     "survival",
     "fit_decay",
@@ -78,6 +79,17 @@ def _sequence_schedule(circ: RbCircuit, calib: CalibrationDataset):
     ops = [g for e in circ.elements for g in native_ops(e, 0)]
     ops.append(op("MEASURE", ()))
     return lower_to_pulses(transpile(Circuit(1, ops)), calib)
+
+
+def clifford_pool(calib: CalibrationDataset, shots: int) -> KernelBinary:
+    """The 24-element single-qubit gate pool as one streamed kernel on qubit 0."""
+    blocks = [
+        lower_to_pulses(transpile(Circuit(1, list(native_ops(i, 0)))), calib)
+        for i in range(CLIFFORD_COUNT)
+    ]
+    return compile_pool(
+        blocks, shots, prep_us=calib.prep_us, detect_us=calib.detect_us, n_qubits=1
+    )
 
 
 def survival(counts: dict[str, int]) -> float:
@@ -178,13 +190,7 @@ def run_rb(
             counts.append(trace.results[0].counts[0])
         all_traces = traces
     else:
-        blocks = [
-            lower_to_pulses(transpile(Circuit(1, list(native_ops(i, 0)))), calib)
-            for i in range(CLIFFORD_COUNT)
-        ]
-        binary = compile_pool(
-            blocks, shots, prep_us=calib.prep_us, detect_us=calib.detect_us, n_qubits=1
-        )
+        binary = clifford_pool(calib, shots)
         log.record(binary, cost_model, kind="pool", label="clifford-pool")
         collected = []
 

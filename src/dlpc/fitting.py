@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 from scipy.optimize import minimize_scalar
 
-from .cliffords import CLIFFORD_COUNT, native_ops
-from .devcomp import CostModel, compile_full, compile_partial, compile_pool
+from .devcomp import CostModel, compile_full, compile_partial
 from .drivers.calibration import build_sweep_partial
-from .drivers.rb import RB_SHOTS
+from .drivers.rb import RB_SHOTS, clifford_pool
 from .drivers.vqe import one_param_problem, section_schedules
-from .ir import Circuit
-from .pulse import DEFAULT_RABI, CalibrationDataset, duration_of, lower_to_pulses
-from .transpile import transpile
+from .pulse import DEFAULT_RABI, CalibrationDataset, duration_of
 
 __all__ = ["CostAnchors", "FitResult", "ANCHORS", "fit_cost_model", "calibrated_dataset"]
 
@@ -66,25 +63,13 @@ class FitResult:
         }
 
 
-def _pool_instructions() -> int:
-    calib = CalibrationDataset.default(1)
-    blocks = [
-        lower_to_pulses(transpile(Circuit(1, list(native_ops(i, 0)))), calib)
-        for i in range(CLIFFORD_COUNT)
-    ]
-    pool = compile_pool(
-        blocks, RB_SHOTS, prep_us=calib.prep_us, detect_us=calib.detect_us, n_qubits=1
-    )
-    return pool.n_instr
-
-
 def _sweep_instructions() -> int:
     return build_sweep_partial(prep_us=1000.0, detect_us=2000.0).n_instr
 
 
 def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
     """Solve the compile line exactly, then least-squares the readout split."""
-    n_pool = _pool_instructions()
+    n_pool = clifford_pool(CalibrationDataset.default(1), RB_SHOTS).n_instr
     n_sweep = _sweep_instructions()
     compile_b = (anchors.sweep_compile_s - anchors.pool_compile_s) / (n_sweep - n_pool)
     compile_a = anchors.pool_compile_s - compile_b * n_pool

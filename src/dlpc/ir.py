@@ -16,7 +16,6 @@ Conventions, fixed for everything downstream:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,10 +39,6 @@ __all__ = [
     "gate_matrix",
     "statevector",
     "unitary",
-    "circuit_from_json",
-    "circuit_to_json",
-    "hamiltonian_from_json",
-    "hamiltonian_to_json",
 ]
 
 ORACLE_QUBIT_LIMIT = 10
@@ -330,71 +325,3 @@ def unitary(circuit: Circuit, slot_values: list[float] | None = None) -> np.ndar
         u = _apply_gate(u, gate_matrix(g.kind, vals), g.qubits, c.n_qubits)
     return u
 
-
-def _param_to_json(p: ParamValue) -> object:
-    return {"slot": p.index} if isinstance(p, SlotRef) else p.value
-
-
-def _param_from_json(x: object) -> ParamValue:
-    if isinstance(x, dict):
-        if "slot" not in x:
-            raise IrError(f"bad param object {x!r}")
-        return SlotRef(int(x["slot"]))
-    if isinstance(x, (int, float)):
-        return Literal(float(x))
-    raise IrError(f"bad param {x!r}")
-
-
-def circuit_to_json(c: Circuit) -> str:
-    ops = []
-    for g in c.ops:
-        d: dict[str, object] = {"kind": g.kind, "q": list(g.qubits)}
-        if len(g.params) == 1:
-            d["param"] = _param_to_json(g.params[0])
-        elif g.params:
-            d["params"] = [_param_to_json(p) for p in g.params]
-        if g.kind == "MEASURE":
-            d["basis"] = g.basis
-        ops.append(d)
-    return json.dumps({"n_qubits": c.n_qubits, "ops": ops}, indent=1)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise IrError(f"invalid circuit JSON: {e}") from e
-    try:
-        ops = []
-        for d in data["ops"]:
-            raw = [d["param"]] if "param" in d else d.get("params", [])
-            ops.append(
-                GateOp(
-                    str(d["kind"]),
-                    tuple(int(q) for q in d["q"]),
-                    tuple(_param_from_json(p) for p in raw),
-                    basis=str(d.get("basis", "Z")),
-                )
-            )
-        return Circuit(int(data["n_qubits"]), ops)
-    except (KeyError, TypeError) as e:
-        raise IrError(f"invalid circuit JSON: {e}") from e
-
-
-def hamiltonian_to_json(h: Hamiltonian) -> str:
-    return json.dumps(
-        {"n_qubits": h.n_qubits, "terms": [{"c": t.coefficient, "p": t.paulis} for t in h.terms]},
-        indent=1,
-    )
-
-
-def hamiltonian_from_json(text: str) -> Hamiltonian:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise IrError(f"invalid Hamiltonian JSON: {e}") from e
-    try:
-        terms = [PauliTerm(float(t["c"]), str(t["p"])) for t in data["terms"]]
-        return Hamiltonian(int(data["n_qubits"]), terms)
-    except (KeyError, TypeError) as e:
-        raise IrError(f"invalid Hamiltonian JSON: {e}") from e

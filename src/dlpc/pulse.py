@@ -19,10 +19,8 @@ kernel builders add the experiment scaffolding themselves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .ir import Literal, SlotRef
 from .transpile import MappedCircuit
@@ -43,9 +41,7 @@ __all__ = [
     "ScheduleItem",
     "PulseSchedule",
     "duration_of",
-    "eval_duration_us",
     "lower_to_pulses",
-    "structure_key",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -83,7 +79,7 @@ class QubitCalibration:
 
 @dataclass(slots=True)
 class CalibrationDataset:
-    """Persistent device calibration; ``version`` increases on every update."""
+    """Device calibration; ``version`` increases on every update."""
 
     qubits: dict[int, QubitCalibration]
     pairs: dict[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
@@ -139,50 +135,6 @@ class CalibrationDataset:
         self.pairs[key] = tuple(float(x) for x in params)
         self.version += 1
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "prep_us": self.prep_us,
-                "detect_us": self.detect_us,
-                "qubits": {
-                    str(q): {"omega": c.omega, "rabi": c.rabi, "phase": c.phase}
-                    for q, c in sorted(self.qubits.items())
-                },
-                "pairs": {f"{i}-{j}": list(p) for (i, j), p in sorted(self.pairs.items())},
-            },
-            indent=1,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> CalibrationDataset:
-        try:
-            data = json.loads(text)
-            qubits = {
-                int(q): QubitCalibration(d["omega"], d["rabi"], d.get("phase", 0.0))
-                for q, d in data["qubits"].items()
-            }
-            pairs = {}
-            for key, vals in data.get("pairs", {}).items():
-                i, j = key.split("-")
-                pairs[(int(i), int(j))] = tuple(float(x) for x in vals)
-            return cls(
-                qubits=qubits,
-                pairs=pairs,
-                version=int(data["version"]),
-                prep_us=float(data.get("prep_us", DEFAULT_PREP_US)),
-                detect_us=float(data.get("detect_us", DEFAULT_DETECT_US)),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as e:
-            raise InvalidCalibration(f"bad calibration document: {e}") from e
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> CalibrationDataset:
-        return cls.from_json(Path(path).read_text())
-
 
 @dataclass(frozen=True, slots=True)
 class LiteralUs:
@@ -209,14 +161,6 @@ def duration_of(theta: float, rabi: float) -> float:
     if rabi <= 0:
         raise InvalidCalibration(f"rabi must be > 0, got {rabi}")
     return (theta % TWO_PI) / rabi * 1e6
-
-
-def eval_duration_us(d: DurationExpr, slot_values: list[float] | None = None) -> float:
-    if isinstance(d, LiteralUs):
-        return d.value
-    if slot_values is None or d.slot >= len(slot_values):
-        raise PulseError(f"no value for duration slot {d.slot}")
-    return duration_of(slot_values[d.slot], d.rabi_snapshot)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,37 +207,6 @@ class PulseSchedule:
     @property
     def pulse_ops(self) -> list[PulseOp]:
         return [it for it in self.items if isinstance(it, PulseOp)]
-
-    def total_duration_us(self, slot_values: list[float] | None = None) -> float:
-        total = 0.0
-        for it in self.items:
-            if isinstance(it, PulseOp):
-                total += eval_duration_us(it.duration, slot_values)
-            elif isinstance(it, (Prep, Detect)):
-                total += it.duration_us
-        return total
-
-
-def structure_key(schedule: PulseSchedule) -> tuple:
-    """Schedule shape with numeric payloads stripped; slots keep their index.
-
-    Two lowerings of the same circuit structure under the same calibration agree
-    on this key regardless of literal parameter values.
-    """
-    parts = []
-    for it in schedule.items:
-        if isinstance(it, PulseOp):
-            dur = ("slot", it.duration.slot) if isinstance(it.duration, SlotOverOmega) else "lit"
-            amp = ("slot", it.amp.index) if isinstance(it.amp, SlotRef) else "lit"
-            parts.append(("pulse", it.channel, amp, dur))
-        elif isinstance(it, FramePhase):
-            angle = ("slot", it.angle.index) if isinstance(it.angle, SlotRef) else "lit"
-            parts.append(("frame", it.channel, angle))
-        elif isinstance(it, Prep):
-            parts.append(("prep",))
-        else:
-            parts.append(("detect",))
-    return tuple(parts)
 
 
 def _angle_value(p: Literal | SlotRef) -> float | SlotRef:

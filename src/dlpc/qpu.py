@@ -1,7 +1,7 @@
 """Kernel virtual machine: executes kernel binaries against a simulated device.
 
-Timing is simulated, not wall-clock: every pulse, delay, preparation, and
-readout advances the kernel clock by its programmed duration, a shot loop
+Timing is simulated, not wall-clock: every pulse, preparation, and readout
+advances the kernel clock by its programmed duration, a shot loop
 multiplies the body duration by the shot count, and a synchronous parameter
 fetch adds one RPC round trip.  Nothing else costs kernel time.
 
@@ -23,7 +23,6 @@ makes the two pipeline modes statistically identical run-for-run.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -97,28 +96,6 @@ class ExecutionTrace:
     busy_us: float = 0.0
     rpc_us: float = 0.0
     results: list[Results] = field(default_factory=list)
-
-    @property
-    def total_us(self) -> float:
-        return self.busy_us + self.rpc_us
-
-    @property
-    def busy_per_iteration_us(self) -> float:
-        return self.busy_us / self.n_iterations if self.n_iterations else 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_qubits": self.n_qubits,
-                "n_iterations": self.n_iterations,
-                "busy_us": self.busy_us,
-                "rpc_us": self.rpc_us,
-                "results": [
-                    {"iteration": r.iteration, "counts": list(r.counts)}
-                    for r in self.results
-                ],
-            }
-        )
 
 
 class _Vm:
@@ -278,8 +255,6 @@ class _Vm:
                 dur = self._duration_us(ins.args[0])
                 self._play(dur)
                 us += dur
-            elif op is Opcode.DELAY:
-                us += ins.args[0]
             elif op is Opcode.PREP:
                 if self.state is not None:
                     self.state = self._ground(self.binary.n_qubits)

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cliffords import CLIFFORD_COUNT, native_ops
-from ..devcomp import CostModel, KernelCost, compile_pool
-from ..ir import Circuit
-from ..pulse import CalibrationDataset, lower_to_pulses
-from ..transpile import transpile
+from ..devcomp import CostModel, KernelCost
+from ..drivers.rb import clifford_pool
+from ..pulse import CalibrationDataset
 
 __all__ = [
     "HORIZON_S",
@@ -111,15 +109,7 @@ class CloudWorkload:
 
 def standing_kernel_cost(cost_model: CostModel) -> KernelCost:
     """Price of rebuilding the resident gate-pool dispatch kernel."""
-    calib = CalibrationDataset.default(1)
-    blocks = [
-        lower_to_pulses(transpile(Circuit(1, list(native_ops(i, 0)))), calib)
-        for i in range(CLIFFORD_COUNT)
-    ]
-    pool = compile_pool(
-        blocks, 100, prep_us=calib.prep_us, detect_us=calib.detect_us, n_qubits=1
-    )
-    return cost_model.cost_of(pool)
+    return cost_model.cost_of(clifford_pool(CalibrationDataset.default(1), 100))
 
 
 @dataclass(slots=True)

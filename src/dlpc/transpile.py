@@ -1,8 +1,6 @@
 """Lowering to the device gate set: R(theta, phi), virtual RZ, and XX(chi).
 
-The device is all-to-all (trapped-ion style), so mapping is the identity
-permutation; the seed is threaded through so a future cost-aware layout pass
-stays reproducible, and it must never change the output for the same input.
+The device is all-to-all (trapped-ion style), so no qubit mapping is needed.
 
 Decompositions (application order, all exact up to global phase):
     RX(t)     -> R(t, 0)
@@ -12,102 +10,36 @@ Decompositions (application order, all exact up to global phase):
     MEASURE basis Y -> R(pi/2, 0) on every qubit, then a Z readout
 
 Literal angles are wrapped into [0, 2pi); slot-valued angles pass through
-untouched and are normalized at runtime.  ``structure_hash`` digests the op
-sequence with literal payloads masked, so it is shared by every parameter
-binding of the same circuit.
+untouched and are normalized at runtime.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 from .ir import Circuit, GateOp, IrError, Literal, ParamValue, SlotRef, op
 
 __all__ = [
     "UnsupportedGate",
-    "NativeGateSet",
-    "DEFAULT_GATE_SET",
-    "TranspileSeed",
     "MappedCircuit",
     "transpile",
-    "serialize_ops",
-    "structure_hash_of",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-NATIVE_KINDS = ("R", "RZ", "XX", "MEASURE")
-
-_KIND_TAG = {"R": 1, "RZ": 2, "XX": 3, "MEASURE": 4}
 
 
 class UnsupportedGate(IrError):
     """Gate kind the target gate set cannot express."""
 
 
-@dataclass(frozen=True, slots=True)
-class NativeGateSet:
-    single_qubit: tuple[str, ...] = ("R", "RZ")
-    two_qubit: tuple[str, ...] = ("XX",)
-
-
-DEFAULT_GATE_SET = NativeGateSet()
-
-
-@dataclass(frozen=True, slots=True)
-class TranspileSeed:
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise IrError(f"seed must fit in 64 bits, got {self.seed}")
-
-
 @dataclass(slots=True)
 class MappedCircuit:
     n_qubits: int
     native_ops: list[GateOp]
-    qubit_map: tuple[int, ...]  # logical index -> physical index
-    structure_hash: int
-
-    def serialize(self) -> bytes:
-        """Canonical bytes: n_qubits u8, qubit map u8s, then the op stream."""
-        head = struct.pack("<BB", self.n_qubits, len(self.qubit_map)) + bytes(self.qubit_map)
-        return head + serialize_ops(self.native_ops)
 
     def as_circuit(self) -> Circuit:
         return Circuit(self.n_qubits, list(self.native_ops))
-
-
-def serialize_ops(ops: list[GateOp], *, mask_literals: bool = False) -> bytes:
-    """Op stream encoding: kind tag u8, qubit indices u8, params as tag + payload.
-
-    Param tags: 0 = literal (f64 little-endian payload, dropped when masked),
-    1 = slot (u32 index).  Kind arity is fixed, so no length fields are needed.
-    """
-    out = bytearray()
-    for g in ops:
-        out.append(_KIND_TAG[g.kind])
-        for q in g.qubits:
-            out.append(q)
-        for p in g.params:
-            if isinstance(p, SlotRef):
-                out.append(1)
-                out += struct.pack("<I", p.index)
-            else:
-                out.append(0)
-                if not mask_literals:
-                    out += struct.pack("<d", p.value)
-    return bytes(out)
-
-
-def structure_hash_of(ops: list[GateOp]) -> int:
-    """64-bit digest of the op sequence, invariant under literal value changes."""
-    digest = hashlib.blake2b(serialize_ops(ops, mask_literals=True), digest_size=8)
-    return int.from_bytes(digest.digest(), "little")
 
 
 def _wrap(p: ParamValue) -> ParamValue:
@@ -116,24 +48,16 @@ def _wrap(p: ParamValue) -> ParamValue:
     return Literal(p.value % TWO_PI)
 
 
-def _lower_one(g: GateOp, gs: NativeGateSet) -> list[GateOp]:
+def _lower_one(g: GateOp) -> list[GateOp]:
     if g.kind == "MEASURE":
         return [g]
-    if g.kind in ("R", "RZ"):
-        if g.kind not in gs.single_qubit:
-            raise UnsupportedGate(f"{g.kind} not in gate set {gs.single_qubit}")
+    if g.kind in ("R", "RZ", "XX"):
         return [GateOp(g.kind, g.qubits, tuple(_wrap(p) for p in g.params))]
     if g.kind == "RX":
-        return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(0.0))), gs)
+        return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(0.0))))
     if g.kind == "RY":
-        return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(math.pi / 2))), gs)
-    if g.kind == "XX":
-        if "XX" not in gs.two_qubit:
-            raise UnsupportedGate(f"XX not in gate set {gs.two_qubit}")
-        return [GateOp("XX", g.qubits, tuple(_wrap(p) for p in g.params))]
+        return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(math.pi / 2))))
     if g.kind == "CNOT":
-        if "XX" not in gs.two_qubit:
-            raise UnsupportedGate("CNOT needs an XX entangler in the gate set")
         c, t = g.qubits
         return [
             op("R", c, math.pi / 2, 3 * math.pi / 2),
@@ -156,40 +80,11 @@ def _lower_measure(g: GateOp, n_qubits: int) -> list[GateOp]:
     return rotated + [GateOp("MEASURE", ())]
 
 
-def _literal(p: ParamValue) -> float | None:
-    return p.value if isinstance(p, Literal) else None
-
-
-def _merge_adjacent(ops: list[GateOp]) -> list[GateOp]:
-    """Fold consecutive same-qubit literal rotations (same kind, same phase)."""
-    out: list[GateOp] = []
-    for g in ops:
-        if out and g.kind in ("R", "RZ") and g.kind == out[-1].kind and g.qubits == out[-1].qubits:
-            prev = out[-1]
-            a, b = _literal(prev.params[0]), _literal(g.params[0])
-            same_phase = g.kind == "RZ" or prev.params[1] == g.params[1]
-            if a is not None and b is not None and same_phase:
-                theta = (a + b) % TWO_PI
-                if theta == 0.0:
-                    out.pop()
-                else:
-                    out[-1] = GateOp(g.kind, g.qubits, (Literal(theta),) + g.params[1:])
-                continue
-        out.append(g)
-    return out
-
-
-def transpile(
-    c: Circuit,
-    gs: NativeGateSet = DEFAULT_GATE_SET,
-    seed: TranspileSeed = TranspileSeed(0),
-    *,
-    merge_rotations: bool = False,
-) -> MappedCircuit:
-    """Lower ``c`` to native ops with an identity qubit map.
+def transpile(c: Circuit) -> MappedCircuit:
+    """Lower ``c`` to native ops; the all-to-all device needs no qubit mapping.
 
     Slots are preserved, never folded into literals.  Deterministic: the same
-    circuit and seed always produce byte-identical output.
+    circuit always produces the same op sequence.
     """
     if c.n_qubits > 255:
         raise IrError(f"register of {c.n_qubits} qubits exceeds the u8 encoding")
@@ -198,15 +93,5 @@ def transpile(
         if g.kind == "MEASURE":
             native.extend(_lower_measure(g, c.n_qubits))
         else:
-            native.extend(_lower_one(g, gs))
-    if merge_rotations:
-        native = _merge_adjacent(native)
-    # All layouts cost the same on all-to-all hardware, so every seed picks the
-    # identity permutation; the argument pins the signature for layout passes.
-    _ = seed
-    return MappedCircuit(
-        n_qubits=c.n_qubits,
-        native_ops=native,
-        qubit_map=tuple(range(c.n_qubits)),
-        structure_hash=structure_hash_of(native),
-    )
+            native.extend(_lower_one(g))
+    return MappedCircuit(n_qubits=c.n_qubits, native_ops=native)

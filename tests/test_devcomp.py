@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from dlpc.cliffords import native_ops
 from dlpc.devcomp import (
     ALL_CHANNELS,
     CompileError,
@@ -21,6 +20,7 @@ from dlpc.devcomp import (
     compile_partial,
     compile_pool,
 )
+from dlpc.drivers.rb import clifford_pool
 from dlpc.ir import Circuit, SlotRef, op
 from dlpc.pulse import (
     DEFAULT_RABI,
@@ -134,9 +134,9 @@ def test_full_kernel_rejects_rpc_and_slots():
 
 def test_binary_roundtrip_and_hash_stability(calib):
     k = compile_partial(_vqe_schedule(calib), shots=300)
-    rt = KernelBinary.from_bytes(k.serialized)
-    assert rt == k
-    assert rt.content_hash == k.content_hash
+    again = compile_partial(_vqe_schedule(calib), shots=300)
+    assert again.serialized == k.serialized
+    assert again.content_hash == k.content_hash
     assert k.size_bytes == len(k.serialized)
     assert k.serialized[:8] == b"DLPCQBIN"
 
@@ -151,17 +151,8 @@ def test_pair_channels_follow_single_qubit_block(calib):
     )
 
 
-def _clifford_pool(calib):
-    return [
-        lower_to_pulses(transpile(Circuit(1, list(native_ops(i, 0)))), calib)
-        for i in range(24)
-    ]
-
-
 def test_clifford_pool_kernel_shape(calib):
-    pool = compile_pool(
-        _clifford_pool(calib), 100, prep_us=calib.prep_us, detect_us=calib.detect_us
-    )
+    pool = clifford_pool(calib, 100)
     assert pool.mode is KernelMode.PARTIAL
     assert len(pool.blocks) == 24
     assert pool.n_instr == 86
@@ -185,9 +176,7 @@ def test_clifford_pool_kernel_shape(calib):
 
 
 def test_pool_blocks_count_toward_compile_cost(calib):
-    pool = compile_pool(
-        _clifford_pool(calib), 100, prep_us=calib.prep_us, detect_us=calib.detect_us
-    )
+    pool = clifford_pool(calib, 100)
     model = CostModel(compile_a=0.354, compile_b=0.006)
     assert model.compile_time(pool.n_instr) == pytest.approx(0.87, abs=1e-9)
 
@@ -209,7 +198,7 @@ def test_cost_model_examples(calib):
     assert cost.total == pytest.approx(cost.compile_s + cost.upload_s + 0.1)
 
 
-def test_compile_log_accounting(calib, tmp_path):
+def test_compile_log_accounting(calib):
     model = CostModel()
     log = CompileLog()
     k1 = compile_full(_vqe_schedule(calib), [0.1], shots=300)
@@ -220,11 +209,11 @@ def test_compile_log_accounting(calib, tmp_path):
     assert log.total_compile_s == pytest.approx(
         model.compile_time(k1.n_instr) + model.compile_time(k2.n_instr)
     )
-    out = tmp_path / "compiles.csv"
-    log.write_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("index,kind,label")
+    assert [(e.kind, e.label) for e in log.events] == [
+        ("compile_full", "iter-0"),
+        ("compile_partial", "setup"),
+    ]
+    assert [e.size_bytes for e in log.events] == [k1.size_bytes, k2.size_bytes]
 
 
 def test_amplitude_sweep_kernel_size():
@@ -247,8 +236,7 @@ def test_amplitude_sweep_kernel_size():
     assert k.n_instr == 141
     model = CostModel(compile_a=0.354, compile_b=0.006)
     assert model.compile_time(k.n_instr) == pytest.approx(1.20, abs=1e-9)
-    rt = KernelBinary.from_bytes(k.serialized)
-    assert rt == k
+    assert k.size_bytes == len(k.serialized)
 
 
 def test_loop_body_window_validated():
@@ -265,3 +253,19 @@ def test_resume_target_validated():
             KernelMode.PARTIAL, 1, 0,
             (Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 9)), Instr(Opcode.HALT, ())),
         )
+
+
+@pytest.mark.parametrize(
+    "op, args, bad",
+    [
+        (Opcode.SET_AMP, (256, 0.5), "chan"),
+        (Opcode.SET_AMP, (0, "0.5"), "real"),
+        (Opcode.PLAY, (2.5,), "dur"),
+        (Opcode.PREP, ("100",), "f64"),
+        (Opcode.RPC_ASYNC, (256,), "u8"),
+        (Opcode.LOOP_SHOTS, (2**32, 1), "u32"),
+    ],
+)
+def test_out_of_range_operand_rejected(op, args, bad):
+    with pytest.raises(CompileError, match=f"bad {bad} operand"):
+        Instr(op, args)

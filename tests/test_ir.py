@@ -15,13 +15,9 @@ from dlpc.ir import (
     OracleTooLarge,
     PauliTerm,
     SlotRef,
-    circuit_from_json,
-    circuit_to_json,
     exact_ground_energy,
     expectation_from_counts,
     gate_matrix,
-    hamiltonian_from_json,
-    hamiltonian_to_json,
     op,
     statevector,
     term_expectation,
@@ -97,18 +93,6 @@ def test_slots_and_binding():
         c.bound([0.0])
     with pytest.raises(IrError):
         statevector(c)
-
-
-def test_json_roundtrips():
-    c = Circuit(2, [op("R", 0, SlotRef(0), 1.5), op("CNOT", (0, 1)), op("MEASURE", (), basis="X")])
-    assert circuit_from_json(circuit_to_json(c)) == c
-    h = Hamiltonian(2, [PauliTerm(0.25, "XY"), PauliTerm(-1.0, "ZI")])
-    rt = hamiltonian_from_json(hamiltonian_to_json(h))
-    assert rt.n_qubits == h.n_qubits and rt.terms == h.terms
-    with pytest.raises(IrError):
-        circuit_from_json("{not json")
-    with pytest.raises(IrError):
-        circuit_from_json('{"ops": []}')
 
 
 def test_validation_rejects_malformed_input():

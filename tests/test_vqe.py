@@ -10,7 +10,7 @@ import pytest
 from conftest import run_within
 
 from dlpc.devcomp import CostModel
-from dlpc.drivers.optimizers import nelder_mead, spsa
+from dlpc.drivers.optimizers import nelder_mead
 from dlpc.drivers.vqe import (
     VqeProblem,
     measurement_sections,
@@ -49,17 +49,6 @@ def test_nelder_mead_budget_ends_noisy_search():
     # The simplex never meets 1e-7 tolerances against shot-scale noise, so the
     # budget is what stops it; scipy may finish the step in progress.
     assert 25 <= opt.n_evals <= 29
-
-
-def test_spsa_replays_exactly_and_descends():
-    def f(x):
-        return float((x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2)
-
-    a = spsa(f, [0.0, 0.0], n_steps=60, seed=11)
-    b = spsa(f, [0.0, 0.0], n_steps=60, seed=11)
-    assert a == b
-    assert a.n_evals == 2 * 60 + 1
-    assert f(np.asarray(a.x)) < f(np.asarray([0.0, 0.0]))
 
 
 def test_measurement_sections_group_by_basis_in_fixed_order():
