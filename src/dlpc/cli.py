@@ -3,10 +3,12 @@
 Each subcommand resolves its settings from (in rising precedence) built-in
 defaults, a JSON config file, and command-line flags, then writes three
 artifacts into the output directory: ``report.json`` with the full run
-record, ``runs.csv`` with one summary row per executed run, and a
-``fig_<subcommand>.csv`` data table shaped for plotting.  ``fit-costmodel``
-instead writes ``costmodel.json``, which any other subcommand's config can
-point at through its ``cost_model`` key.
+record, ``runs.csv`` with one itemized ``RunCosts`` row per executed run, and
+a ``fig_<subcommand>.csv`` data table shaped for plotting.  An optimus row
+sums the ledgers of every sample at one drift rate; a contour row prices one
+labeled machine in one mode.  ``fit-costmodel`` instead writes
+``costmodel.json``, which any other subcommand's config can point at through
+its ``cost_model`` key.
 
 Exit codes: 0 success, 2 configuration or usage error (nothing is written),
 1 runtime failure.
@@ -26,8 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from .devcomp import CostModel
-from .drivers.accounting import RunCosts
+from .devcomp import CostModel, RunCosts
 from .drivers.calibration import run_calibration
 from .drivers.rb import RB_CIRCUITS_PER_LENGTH, RB_LENGTHS, RB_SHOTS, run_rb
 from .drivers.vqe import VqeProblem, one_param_problem, run_vqe, two_param_problem
@@ -432,49 +433,29 @@ def _cmd_cloud(args, config: dict[str, Any], fit: FitResult, seed: int):
                     t_2q_us=t_2q,
                 )
                 per_mode[mode] = rep
-                runs.append(
-                    {
-                        "subcommand": "cloud",
-                        "mode": mode,
-                        "seed": seed,
-                        "label": cell,
-                        "n_compiles": rep.n_compiles,
-                        "compile_s": rep.compile_total_s,
-                        "upload_s": "",
-                        "schedule_s": "",
-                        "device_s": rep.exec_total_s,
-                        "rpc_s": "",
-                        "overhead_s": rep.compile_total_s,
-                        "total_s": rep.compile_total_s + rep.exec_total_s,
-                        "compile_fraction": rep.compile_total_s
-                        / (rep.compile_total_s + rep.exec_total_s),
-                    }
-                )
+                runs.append(_run_row("cloud", mode, seed, cell, rep.costs))
                 fig.append(
                     {
                         "distribution": dist,
                         "size_class": size,
                         "mode": mode,
-                        "n_compiles": rep.n_compiles,
-                        "compile_total_s": rep.compile_total_s,
-                        "compile_total_min": rep.compile_total_s / 60.0,
-                        "exec_total_s": rep.exec_total_s,
+                        "n_compiles": rep.costs.n_compiles,
+                        "compile_total_s": rep.costs.compile_s,
+                        "compile_total_min": rep.costs.compile_s / 60.0,
+                        "exec_total_s": rep.costs.device_s,
                         "makespan_s": rep.makespan_s,
                     }
                 )
             reports[cell] = {m: r.to_json_dict() for m, r in per_mode.items()}
             if args.mode == "both":
+                base, dlpc = per_mode["baseline"].costs, per_mode["dlpc"].costs
                 comparison[cell] = {
-                    "compile_s": {
-                        "baseline": per_mode["baseline"].compile_total_s,
-                        "dlpc": per_mode["dlpc"].compile_total_s,
-                    },
+                    "compile_s": {"baseline": base.compile_s, "dlpc": dlpc.compile_s},
                     "compile_count": {
-                        "baseline": per_mode["baseline"].n_compiles,
-                        "dlpc": per_mode["dlpc"].n_compiles,
+                        "baseline": base.n_compiles,
+                        "dlpc": dlpc.n_compiles,
                     },
-                    "compile_ratio": per_mode["dlpc"].compile_total_s
-                    / per_mode["baseline"].compile_total_s,
+                    "compile_ratio": dlpc.compile_s / base.compile_s,
                 }
 
     spec = {
@@ -529,21 +510,7 @@ def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
     for agg in aggregates:
         fig.append(agg.to_json_dict())
         runs.append(
-            {
-                "subcommand": "optimus",
-                "mode": agg.mode,
-                "seed": seed,
-                "label": f"drift={agg.drift_rate}",
-                "n_compiles": agg.mean_compile_count,
-                "compile_s": "",
-                "upload_s": "",
-                "schedule_s": "",
-                "device_s": "",
-                "rpc_s": "",
-                "overhead_s": "",
-                "total_s": agg.mean_total_s,
-                "compile_fraction": agg.mean_compile_fraction,
-            }
+            _run_row("optimus", agg.mode, seed, f"drift={agg.drift_rate}", agg.costs)
         )
     if args.mode == "both":
         for rate in drift_rates:
@@ -610,22 +577,9 @@ def _cmd_contour(args, config: dict[str, Any], fit: FitResult, seed: int):
                 }
             )
     runs = [
-        {
-            "subcommand": "contour",
-            "mode": "both",
-            "seed": seed,
-            "label": name,
-            "n_compiles": "",
-            "compile_s": "",
-            "upload_s": "",
-            "schedule_s": "",
-            "device_s": "",
-            "rpc_s": "",
-            "overhead_s": "",
-            "total_s": "",
-            "compile_fraction": point["dlpc_fraction"],
-        }
-        for name, point in rep.machines.items()
+        _run_row("contour", mode, seed, name, costs)
+        for name, per_mode in rep.machine_costs.items()
+        for mode, costs in per_mode.items()
     ]
     report = {
         "spec": {

@@ -52,7 +52,7 @@ __all__ = [
     "compile_partial",
     "compile_pool",
     "CostModel",
-    "KernelCost",
+    "RunCosts",
     "CompileEvent",
     "CompileLog",
 ]
@@ -427,14 +427,71 @@ def compile_pool(
 
 
 @dataclass(frozen=True, slots=True)
-class KernelCost:
-    compile_s: float
-    upload_s: float
-    schedule_s: float
+class RunCosts:
+    """Itemized simulated time of a run; a kernel's price is a one-compile run.
+
+    Ledgers add field-wise (``a + b``) and scale by repetition
+    (``n * costs``), so any run's bill is a sum of kernel prices plus its
+    device and RPC time.
+    """
+
+    n_compiles: int = 0
+    compile_s: float = 0.0
+    upload_s: float = 0.0
+    schedule_s: float = 0.0
+    device_s: float = 0.0
+    rpc_s: float = 0.0
+
+    def __add__(self, other: RunCosts) -> RunCosts:
+        return RunCosts(
+            self.n_compiles + other.n_compiles,
+            self.compile_s + other.compile_s,
+            self.upload_s + other.upload_s,
+            self.schedule_s + other.schedule_s,
+            self.device_s + other.device_s,
+            self.rpc_s + other.rpc_s,
+        )
+
+    def __rmul__(self, n: int) -> RunCosts:
+        return RunCosts(
+            n * self.n_compiles,
+            n * self.compile_s,
+            n * self.upload_s,
+            n * self.schedule_s,
+            n * self.device_s,
+            n * self.rpc_s,
+        )
 
     @property
-    def total(self) -> float:
-        return self.compile_s + self.upload_s + self.schedule_s
+    def overhead_s(self) -> float:
+        """Everything the device spends not running shots."""
+        return self.compile_s + self.upload_s + self.schedule_s + self.rpc_s
+
+    @property
+    def total_s(self) -> float:
+        return self.device_s + self.overhead_s
+
+    @property
+    def device_fraction(self) -> float:
+        return self.device_s / self.total_s
+
+    @property
+    def compile_fraction(self) -> float:
+        return self.compile_s / self.total_s
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n_compiles": self.n_compiles,
+            "compile_s": self.compile_s,
+            "upload_s": self.upload_s,
+            "schedule_s": self.schedule_s,
+            "device_s": self.device_s,
+            "rpc_s": self.rpc_s,
+            "overhead_s": self.overhead_s,
+            "total_s": self.total_s,
+            "device_fraction": self.device_fraction,
+            "compile_fraction": self.compile_fraction,
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -454,8 +511,10 @@ class CostModel:
     def upload_time(self, size_bytes: int) -> float:
         return self.upload_base_s + self.upload_per_byte_s * size_bytes
 
-    def cost_of(self, binary: KernelBinary) -> KernelCost:
-        return KernelCost(
+    def cost_of(self, binary: KernelBinary) -> RunCosts:
+        """Price of compiling, uploading and scheduling ``binary`` once."""
+        return RunCosts(
+            1,
             self.compile_time(binary.n_instr),
             self.upload_time(binary.size_bytes),
             self.schedule_s,

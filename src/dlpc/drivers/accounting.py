@@ -1,9 +1,12 @@
 """Cost roll-up shared by the experiment drivers.
 
-Wall-clock time in this stack is fully itemized: compile, upload, and
-schedule come from the compile log, device busy time and RPC stalls from the
-execution traces.  Total time is their sum by construction, so comparisons
-between pipeline modes never depend on a stopwatch.
+The ledger type, ``RunCosts``, lives in ``devcomp`` beside ``CostModel``: a
+kernel's price is a one-compile run, and a run's bill is a sum of such
+prices plus its device and RPC time.  Here the drivers' ledgers are built
+from what a run recorded: compile, upload, and schedule come from the
+compile log, device busy time and RPC stalls from the execution traces.
+Total time is their sum by construction, so comparisons between pipeline
+modes never depend on a stopwatch.
 
 Whenever two runs do equal device work, as the pipeline modes of one driver
 do, ``speedup(a, b)`` equals ``b.device_fraction / a.device_fraction``
@@ -13,54 +16,12 @@ device-fraction targets for the same run therefore constrain one number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from ..devcomp import CompileLog
+from ..devcomp import CompileLog, RunCosts
 from ..qpu import ExecutionTrace
 
 __all__ = ["RunCosts", "costs_from", "speedup"]
-
-
-@dataclass(frozen=True, slots=True)
-class RunCosts:
-    n_compiles: int
-    compile_s: float
-    upload_s: float
-    schedule_s: float
-    device_s: float
-    rpc_s: float
-
-    @property
-    def overhead_s(self) -> float:
-        """Everything the device spends not running shots."""
-        return self.compile_s + self.upload_s + self.schedule_s + self.rpc_s
-
-    @property
-    def total_s(self) -> float:
-        return self.device_s + self.overhead_s
-
-    @property
-    def device_fraction(self) -> float:
-        return self.device_s / self.total_s
-
-    @property
-    def compile_fraction(self) -> float:
-        return self.compile_s / self.total_s
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_compiles": self.n_compiles,
-            "compile_s": self.compile_s,
-            "upload_s": self.upload_s,
-            "schedule_s": self.schedule_s,
-            "device_s": self.device_s,
-            "rpc_s": self.rpc_s,
-            "overhead_s": self.overhead_s,
-            "total_s": self.total_s,
-            "device_fraction": self.device_fraction,
-            "compile_fraction": self.compile_fraction,
-        }
 
 
 def costs_from(log: CompileLog, traces: Iterable[ExecutionTrace]) -> RunCosts:

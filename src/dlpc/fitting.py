@@ -82,8 +82,8 @@ def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
     scheds = section_schedules(problem, calib)
     full = compile_full(scheds, list(problem.x0), problem.shots, n_qubits=1)
     partial = compile_partial(scheds, problem.shots, n_qubits=1)
-    oh_full = model.cost_of(full).total
-    oh_partial = model.cost_of(partial).total
+    oh_full = model.cost_of(full).total_s
+    oh_partial = model.cost_of(partial).total_s
     # Quote device time at the canonical pi/2 gate, like the anchors were.
     pulse_us = duration_of(math.pi / 2.0, DEFAULT_RABI)
     iters = anchors.amortize_iterations

@@ -33,6 +33,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, TypeVar
 
@@ -42,6 +43,7 @@ __all__ = [
     "TAG_SENTINEL",
     "TAG_CIRCUIT_BLOCK",
     "MAX_FRAME_BYTES",
+    "FRAME_TIMEOUT_S",
     "RpcError",
     "FrameError",
     "ProtocolError",
@@ -71,6 +73,11 @@ _POLL_S = 0.05
 # Largest length a socket peer may declare for one frame.  The biggest frame a
 # driver sends, a 12-qubit Results with three 4096-key sections, is about 98 KB.
 MAX_FRAME_BYTES = 1 << 24
+
+# Once the first byte of a socket frame has arrived, the rest of the frame must
+# arrive within this many seconds.  The wait for a first byte is unbounded: the
+# peer may be computing, and a dead peer closes the stream.
+FRAME_TIMEOUT_S = 10.0
 
 T = TypeVar("T")
 
@@ -278,11 +285,21 @@ class _CellTransport:
         self._rx.close()
 
 
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
+def _recv_exactly(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
+    """Read n bytes; with a deadline (monotonic clock), a stall raises FrameError."""
     buf = bytearray()
     while len(buf) < n:
         try:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    raise TimeoutError
+                sock.settimeout(remaining)
             chunk = sock.recv(n - len(buf))
+        except TimeoutError as e:
+            raise FrameError(
+                f"frame incomplete {FRAME_TIMEOUT_S}s after its first byte"
+            ) from e
         except OSError as e:
             raise ChannelClosed(f"socket error: {e}") from e
         if not chunk:
@@ -304,11 +321,17 @@ class _SocketTransport:
                 raise ChannelClosed(f"socket error: {e}") from e
 
     def recv(self) -> RpcMessage:
-        prefix = _recv_exactly(self._sock, 4)
-        (length,) = struct.unpack("<I", prefix)
-        if length > MAX_FRAME_BYTES:
-            raise FrameError(f"declared length {length} exceeds {MAX_FRAME_BYTES}")
-        return decode(prefix + _recv_exactly(self._sock, length))
+        first = _recv_exactly(self._sock, 1)
+        deadline = time.monotonic() + FRAME_TIMEOUT_S
+        try:
+            prefix = first + _recv_exactly(self._sock, 3, deadline)
+            (length,) = struct.unpack("<I", prefix)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(f"declared length {length} exceeds {MAX_FRAME_BYTES}")
+            payload = _recv_exactly(self._sock, length, deadline)
+        finally:
+            self._sock.settimeout(None)
+        return decode(prefix + payload)
 
     def close(self) -> None:
         try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, KernelCost
+from ..devcomp import CostModel, RunCosts
 from ..drivers.rb import clifford_pool
 from ..pulse import CalibrationDataset
 
@@ -107,7 +107,7 @@ class CloudWorkload:
         return np.maximum(counts, 1.0)
 
 
-def standing_kernel_cost(cost_model: CostModel) -> KernelCost:
+def standing_kernel_cost(cost_model: CostModel) -> RunCosts:
     """Price of rebuilding the resident gate-pool dispatch kernel."""
     return cost_model.cost_of(clifford_pool(CalibrationDataset.default(1), 100))
 
@@ -120,9 +120,7 @@ class CloudReport:
     seed: int
     n_jobs: int
     jobs_completed: int
-    n_compiles: int
-    compile_total_s: float
-    exec_total_s: float
+    costs: RunCosts  # device_s is the jobs' execution time
     makespan_s: float
     event_times: list[float]
     event_cumulative_s: list[float]
@@ -135,9 +133,9 @@ class CloudReport:
             "seed": self.seed,
             "n_jobs": self.n_jobs,
             "jobs_completed": self.jobs_completed,
-            "n_compiles": self.n_compiles,
-            "compile_total_s": self.compile_total_s,
-            "exec_total_s": self.exec_total_s,
+            "n_compiles": self.costs.n_compiles,
+            "compile_total_s": self.costs.compile_s,
+            "exec_total_s": self.costs.device_s,
             "makespan_s": self.makespan_s,
         }
 
@@ -160,6 +158,7 @@ def simulate_cloud(
     per_shot_us = prep_us + detect_us + gates[:, 0] * t_1q_us + gates[:, 1] * t_2q_us
     exec_s = workload.shots_per_job * per_shot_us * 1e-6
     kernel = standing_kernel_cost(cost_model)
+    rebuild_s = kernel.total_s
 
     n_day_ticks = math.ceil(workload.horizon_s / workload.recalib_period_s) - 1
     ticks = [(k + 1) * workload.recalib_period_s for k in range(n_day_ticks)]
@@ -182,11 +181,18 @@ def simulate_cloud(
         if recompile:
             n_compiles += 1
             compile_total += kernel.compile_s
-            service += kernel.total
+            service += rebuild_s
             event_times.append(start)
             event_cumulative.append(compile_total)
         free_at = start + service
 
+    costs = RunCosts(
+        n_compiles,
+        compile_total,  # the sum the event series ends on
+        n_compiles * kernel.upload_s,
+        n_compiles * kernel.schedule_s,
+        device_s=float(np.sum(exec_s)),
+    )
     return CloudReport(
         mode=mode,
         distribution=workload.distribution,
@@ -194,9 +200,7 @@ def simulate_cloud(
         seed=workload.seed,
         n_jobs=workload.n_jobs,
         jobs_completed=len(arrivals),
-        n_compiles=n_compiles,
-        compile_total_s=compile_total,
-        exec_total_s=float(np.sum(exec_s)),
+        costs=costs,
         makespan_s=free_at,
         event_times=event_times,
         event_cumulative_s=event_cumulative,

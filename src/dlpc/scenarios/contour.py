@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, compile_full, compile_partial
+from ..devcomp import CostModel, RunCosts, compile_full, compile_partial
 from ..pulse import CalibrationDataset
 from ..drivers.vqe import VqeProblem, section_schedules
 from ..ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
@@ -83,6 +83,7 @@ class ContourReport:
     baseline_fraction: np.ndarray
     dlpc_fraction: np.ndarray
     machines: dict[str, dict[str, float]]
+    machine_costs: dict[str, dict[str, RunCosts]]  # name -> mode -> ledger
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,23 +94,9 @@ class ContourReport:
         }
 
 
-def _fractions(
-    device_s: float,
-    n_iterations: int,
-    full_cost,
-    partial_cost,
-    rpc_roundtrip_s: float,
-) -> tuple[float, float]:
-    base_compile = n_iterations * full_cost.compile_s
-    base_total = n_iterations * full_cost.total + device_s
-    dlpc_compile = partial_cost.compile_s
-    dlpc_total = partial_cost.total + n_iterations * rpc_roundtrip_s + device_s
-    f_base = base_compile / base_total if base_total else 0.0
-    f_dlpc = dlpc_compile / dlpc_total if dlpc_total else 0.0
-    return f_base, f_dlpc
-
-
-def _ratio(f_base: float, f_dlpc: float) -> float:
+def _ratio(costs: dict[str, RunCosts]) -> float:
+    f_base = costs["baseline"].compile_fraction
+    f_dlpc = costs["dlpc"].compile_fraction
     if f_base == 0.0 and f_dlpc == 0.0:
         return 1.0  # nothing compiles in either pipeline: equal share
     return f_dlpc / f_base
@@ -138,47 +125,41 @@ def sweep_machines(
     partial = compile_partial(
         schedules, problem.shots, n_qubits=problem.ansatz.n_qubits
     )
-    full_cost = cost_model.cost_of(full)
-    partial_cost = cost_model.cost_of(partial)
+    # Both ledgers before any device time: the baseline rebuilds every
+    # iteration, the streaming kernel compiles once and pays an RPC per one.
+    base_kernels = iterations * cost_model.cost_of(full)
+    dlpc_kernel = cost_model.cost_of(partial) + RunCosts(
+        rpc_s=iterations * cost_model.rpc_roundtrip_s
+    )
 
     n_1q = sum(1 for g in problem.ansatz.ops if g.kind in ("R", "RY", "RX"))
     n_2q = sum(1 for g in problem.ansatz.ops if g.kind == "XX")
 
-    def device_seconds(t1: float, t2: float) -> float:
+    def ledgers(t1: float, t2: float) -> dict[str, RunCosts]:
         per_shot_us = n_1q * t1 + n_2q * t2
-        return iterations * problem.shots * per_shot_us * 1e-6
+        device = RunCosts(device_s=iterations * problem.shots * per_shot_us * 1e-6)
+        return {"baseline": base_kernels + device, "dlpc": dlpc_kernel + device}
 
     ratio = np.empty((len(grid_2q), len(grid_1q)))
     f_base_m = np.empty_like(ratio)
     f_dlpc_m = np.empty_like(ratio)
     for i, t2 in enumerate(grid_2q):
         for j, t1 in enumerate(grid_1q):
-            fb, fd = _fractions(
-                device_seconds(t1, t2),
-                iterations,
-                full_cost,
-                partial_cost,
-                cost_model.rpc_roundtrip_s,
-            )
-            f_base_m[i, j] = fb
-            f_dlpc_m[i, j] = fd
-            ratio[i, j] = _ratio(fb, fd)
+            costs = ledgers(t1, t2)
+            f_base_m[i, j] = costs["baseline"].compile_fraction
+            f_dlpc_m[i, j] = costs["dlpc"].compile_fraction
+            ratio[i, j] = _ratio(costs)
 
     machines = {}
+    machine_costs = {}
     for m in LABELED_MACHINES:
-        fb, fd = _fractions(
-            device_seconds(m.t_1q_us, m.t_2q_us),
-            iterations,
-            full_cost,
-            partial_cost,
-            cost_model.rpc_roundtrip_s,
-        )
+        costs = machine_costs[m.name] = ledgers(m.t_1q_us, m.t_2q_us)
         machines[m.name] = {
             "t_1q_us": m.t_1q_us,
             "t_2q_us": m.t_2q_us,
-            "baseline_fraction": fb,
-            "dlpc_fraction": fd,
-            "ratio": _ratio(fb, fd),
+            "baseline_fraction": costs["baseline"].compile_fraction,
+            "dlpc_fraction": costs["dlpc"].compile_fraction,
+            "ratio": _ratio(costs),
         }
 
     return ContourReport(
@@ -188,4 +169,5 @@ def sweep_machines(
         baseline_fraction=f_base_m,
         dlpc_fraction=f_dlpc_m,
         machines=machines,
+        machine_costs=machine_costs,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, KernelCost, compile_full, compile_partial
+from ..devcomp import CostModel, RunCosts, compile_full, compile_partial
 from ..ir import Hamiltonian, PauliTerm, Circuit, SlotRef, op
 from ..pulse import CalibrationDataset
 from ..qpu import execute
@@ -40,7 +40,6 @@ __all__ = [
     "OPTIMUS_GRAPH_NODES",
     "OptimusGraph",
     "SampleEvents",
-    "ModeTotals",
     "DriftAggregate",
     "OptimusReport",
     "bond_angle_problem",
@@ -54,6 +53,8 @@ OPTIMUS_SPSA_STEPS = 100
 OPTIMUS_SHOTS = 1000
 OPTIMUS_GRAPH_NODES = 12
 PROBE_COST_FRACTION = 0.1
+# The streaming pipeline's probe kernel and calibration kernel, compiled once.
+_STANDING_SWEEP_KERNELS = 2
 
 
 def bond_angle_problem(shots: int = OPTIMUS_SHOTS) -> VqeProblem:
@@ -155,32 +156,11 @@ def simulate_sample_events(
 
 
 @dataclass(frozen=True, slots=True)
-class ModeTotals:
-    mode: str
-    circuit_compiles: int
-    n_compiles: int
-    compile_s: float
-    overhead_s: float  # compile + upload + schedule + rpc
-    device_s: float
-    probe_s: float
-    cal_s: float
-    rpc_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.device_s + self.probe_s + self.cal_s + self.overhead_s
-
-    @property
-    def compile_fraction(self) -> float:
-        return self.compile_s / self.total_s if self.total_s else 0.0
-
-
-@dataclass(frozen=True, slots=True)
 class _KernelPrices:
-    circuit_full: KernelCost
-    circuit_partial: KernelCost
-    sweep_full: KernelCost
-    sweep_partial: KernelCost
+    circuit_full: RunCosts
+    circuit_partial: RunCosts
+    sweep_full: RunCosts
+    sweep_partial: RunCosts
     busy_eval_s: float
     rpc_roundtrip_s: float
 
@@ -209,58 +189,43 @@ def _prices(problem: VqeProblem, calib: CalibrationDataset, model: CostModel) ->
     )
 
 
+def _cal_seconds(events: SampleEvents, graph: OptimusGraph) -> float:
+    return sum(
+        graph.experiments_per_cal[n] * graph.t_experiment_s[n]
+        for n in events.calibrated_nodes
+    )
+
+
 def account_sample(
     events: SampleEvents, graph: OptimusGraph, mode: str, prices: _KernelPrices
-) -> ModeTotals:
-    """Roll one event trace into per-mode compile and time totals."""
+) -> RunCosts:
+    """Roll one event trace into the mode's ledger.
+
+    Probes and calibration experiments run on the device, so their time is
+    device time in both modes.
+    """
     if mode not in ("baseline", "dlpc"):
         raise ValueError(f"mode must be 'baseline' or 'dlpc', got {mode!r}")
     probe_s = sum(PROBE_COST_FRACTION * graph.t_experiment_s[n] for n in events.probed)
-    cal_nodes = events.calibrated_nodes
-    cal_s = sum(graph.experiments_per_cal[n] * graph.t_experiment_s[n] for n in cal_nodes)
-    n_cal_experiments = sum(graph.experiments_per_cal[n] for n in cal_nodes)
-    device_s = events.n_evals * prices.busy_eval_s
+    cal_s = _cal_seconds(events, graph)
+    n_sweeps = len(events.probed) + sum(
+        graph.experiments_per_cal[n] for n in events.calibrated_nodes
+    )
 
     if mode == "baseline":
-        circuit_compiles = events.n_evals
-        kernel_costs = (
-            events.n_evals * prices.circuit_full.total
-            + len(events.probed) * prices.sweep_full.total
-            + n_cal_experiments * prices.sweep_full.total
-        )
-        compile_s = (
-            events.n_evals * prices.circuit_full.compile_s
-            + len(events.probed) * prices.sweep_full.compile_s
-            + n_cal_experiments * prices.sweep_full.compile_s
-        )
-        n_compiles = events.n_evals + len(events.probed) + n_cal_experiments
-        rpc_s = 0.0
+        kernels = events.n_evals * prices.circuit_full + n_sweeps * prices.sweep_full
+        n_rpc = 0
     else:
         # the resident kernel is rebuilt as part of each calibration wrap-up,
         # so the next evaluation always starts hot
-        circuit_compiles = 1 + events.n_cal_events
-        n_compiles = circuit_compiles + 2  # plus probe and calibration kernels
-        kernel_costs = (
-            circuit_compiles * prices.circuit_partial.total
-            + 2 * prices.sweep_partial.total
+        kernels = (
+            (1 + events.n_cal_events) * prices.circuit_partial
+            + _STANDING_SWEEP_KERNELS * prices.sweep_partial
         )
-        compile_s = (
-            circuit_compiles * prices.circuit_partial.compile_s
-            + 2 * prices.sweep_partial.compile_s
-        )
-        n_rpc = events.n_evals + len(events.probed) + n_cal_experiments
-        rpc_s = n_rpc * prices.rpc_roundtrip_s
-
-    return ModeTotals(
-        mode=mode,
-        circuit_compiles=circuit_compiles,
-        n_compiles=n_compiles,
-        compile_s=compile_s,
-        overhead_s=kernel_costs + rpc_s,
-        device_s=device_s,
-        probe_s=probe_s,
-        cal_s=cal_s,
-        rpc_s=rpc_s,
+        n_rpc = events.n_evals + n_sweeps
+    return kernels + RunCosts(
+        device_s=events.n_evals * prices.busy_eval_s + probe_s + cal_s,
+        rpc_s=n_rpc * prices.rpc_roundtrip_s,
     )
 
 
@@ -275,6 +240,7 @@ class DriftAggregate:
     mean_compile_fraction: float
     stderr_compile_fraction: float
     mean_total_s: float
+    costs: RunCosts  # sum of the drift rate's sample ledgers
 
     def to_json_dict(self) -> dict:
         return {
@@ -340,40 +306,33 @@ def run_optimus(
     aggregates: list[DriftAggregate] = []
 
     for di, rate in enumerate(drift_rates):
-        per_mode: dict[str, dict[str, list[float]]] = {
-            m: {"cal": [], "count": [], "frac": [], "total": []}
-            for m in ("baseline", "dlpc")
-        }
+        ledgers: dict[str, list[RunCosts]] = {"baseline": [], "dlpc": []}
         for s in range(n_samples):
             graph = OptimusGraph.random(n_nodes, seed=seed * 100003 + s)
             events = simulate_sample_events(
                 graph, rate, n_evals=n_evals, seed=seed, sample=s
             )
             cal_events[di, s] = events.n_cal_events
-            for mode in ("baseline", "dlpc"):
-                totals = account_sample(events, graph, mode, prices)
-                per_mode[mode]["cal"].append(totals.cal_s)
-                per_mode[mode]["count"].append(totals.n_compiles)
-                per_mode[mode]["frac"].append(totals.compile_fraction)
-                per_mode[mode]["total"].append(totals.total_s)
-                if mode == "baseline":
-                    cal_s[di, s] = totals.cal_s
-                    base_compiles[di, s] = totals.n_compiles
-                else:
-                    dlpc_circuit[di, s] = totals.circuit_compiles
-        for mode in ("baseline", "dlpc"):
-            vals = {k: np.asarray(v) for k, v in per_mode[mode].items()}
+            cal_s[di, s] = _cal_seconds(events, graph)
+            for mode, samples in ledgers.items():
+                samples.append(account_sample(events, graph, mode, prices))
+            base_compiles[di, s] = ledgers["baseline"][-1].n_compiles
+            dlpc_circuit[di, s] = ledgers["dlpc"][-1].n_compiles - _STANDING_SWEEP_KERNELS
+        for mode, samples in ledgers.items():
+            count = np.array([c.n_compiles for c in samples])
+            frac = np.array([c.compile_fraction for c in samples])
             aggregates.append(
                 DriftAggregate(
                     drift_rate=rate,
                     mode=mode,
-                    mean_cal_s=float(vals["cal"].mean()),
-                    stderr_cal_s=_stderr(vals["cal"]),
-                    mean_compile_count=float(vals["count"].mean()),
-                    stderr_compile_count=_stderr(vals["count"]),
-                    mean_compile_fraction=float(vals["frac"].mean()),
-                    stderr_compile_fraction=_stderr(vals["frac"]),
-                    mean_total_s=float(vals["total"].mean()),
+                    mean_cal_s=float(cal_s[di].mean()),
+                    stderr_cal_s=_stderr(cal_s[di]),
+                    mean_compile_count=float(count.mean()),
+                    stderr_compile_count=_stderr(count),
+                    mean_compile_fraction=float(frac.mean()),
+                    stderr_compile_fraction=_stderr(frac),
+                    mean_total_s=float(np.mean([c.total_s for c in samples])),
+                    costs=sum(samples, RunCosts()),
                 )
             )
 

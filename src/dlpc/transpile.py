@@ -21,16 +21,11 @@ from dataclasses import dataclass
 from .ir import Circuit, GateOp, IrError, Literal, ParamValue, SlotRef, op
 
 __all__ = [
-    "UnsupportedGate",
     "MappedCircuit",
     "transpile",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-class UnsupportedGate(IrError):
-    """Gate kind the target gate set cannot express."""
 
 
 @dataclass(slots=True)
@@ -49,24 +44,21 @@ def _wrap(p: ParamValue) -> ParamValue:
 
 
 def _lower_one(g: GateOp) -> list[GateOp]:
-    if g.kind == "MEASURE":
-        return [g]
+    """Lower one unitary gate; ``ir.GateOp`` admits only kinds handled here."""
     if g.kind in ("R", "RZ", "XX"):
         return [GateOp(g.kind, g.qubits, tuple(_wrap(p) for p in g.params))]
     if g.kind == "RX":
         return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(0.0))))
     if g.kind == "RY":
         return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(math.pi / 2))))
-    if g.kind == "CNOT":
-        c, t = g.qubits
-        return [
-            op("R", c, math.pi / 2, 3 * math.pi / 2),
-            op("XX", (c, t), math.pi / 4),
-            op("R", c, math.pi / 2, math.pi / 2),
-            op("R", t, math.pi / 2, 0.0),
-            op("RZ", c, math.pi / 2),
-        ]
-    raise UnsupportedGate(f"no lowering rule for {g.kind!r}")
+    c, t = g.qubits  # CNOT
+    return [
+        op("R", c, math.pi / 2, 3 * math.pi / 2),
+        op("XX", (c, t), math.pi / 4),
+        op("R", c, math.pi / 2, math.pi / 2),
+        op("R", t, math.pi / 2, 0.0),
+        op("RZ", c, math.pi / 2),
+    ]
 
 
 _BASIS_ROTATION = {"X": (math.pi / 2, 3 * math.pi / 2), "Y": (math.pi / 2, 0.0)}

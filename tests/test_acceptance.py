@@ -286,10 +286,10 @@ def test_criterion_6_cloud_day(fit):
                 workload, "dlpc", cost_model=fit.cost_model,
                 prep_us=fit.prep_us, detect_us=fit.detect_us,
             )
-            base_hours.append(base.compile_total_s / 3600.0)
-            per_size[size] = dlpc.compile_total_s
+            base_hours.append(base.costs.compile_s / 3600.0)
+            per_size[size] = dlpc.costs.compile_s
             if size == "SMALL":
-                small_minutes.append(dlpc.compile_total_s / 60.0)
+                small_minutes.append(dlpc.costs.compile_s / 60.0)
         orderings.append(per_size["SMALL"] > per_size["MEDIUM"] > per_size["LARGE"])
     elapsed = time.perf_counter() - t0
 
@@ -535,7 +535,7 @@ def test_criterion_8g_cloud_dominance():
                               prep_us=1000.0, detect_us=2000.0)
         dlpc = simulate_cloud(workload, "dlpc", cost_model=model,
                               prep_us=1000.0, detect_us=2000.0)
-        assert dlpc.compile_total_s <= base.compile_total_s + 1e-9
+        assert dlpc.costs.compile_s <= base.costs.compile_s + 1e-9
         assert base.jobs_completed == dlpc.jobs_completed == workload.n_jobs
     CRIT8_ELAPSED["8g"] = elapsed = time.perf_counter() - t0
     _verdict("8g", True, "dlpc compile total never exceeds baseline on 100 random workloads",

@@ -248,3 +248,59 @@ def test_fig_csv_rows_match_report_trajectory(tmp_path, capsys):
     for row, point in zip(rows, trajectory):
         assert float(row["energy"]) == point["energy"]
         assert json.loads(row["params"]) == point["x"]
+
+
+# ------------------------------------------------------- every subcommand
+
+# A small run of each subcommand: (config, extra flags).
+SMALL_RUNS = {
+    "vqe": ({}, ("--iterations", "5", "--shots", "50")),
+    "calibrate": ({"n_qubits": 2}, ()),
+    "rb": ({"lengths": [2, 4], "per_length": 2, "shots": 50}, ()),
+    "cloud": ({"distributions": ["BURST"], "size_classes": ["SMALL"]}, ("--iterations", "300")),
+    "optimus": ({"n_samples": 2, "drift_rates": [0.0, 0.05]}, ("--iterations", "10")),
+    "contour": ({"t_1q_us": [1.0, 5.0], "t_2q_us": [150.0]}, ()),
+}
+
+
+def run_small(tmp_path, capsys, subcommand: str, out: Path) -> str:
+    config, flags = SMALL_RUNS[subcommand]
+    cfg = tmp_path / f"{subcommand}.json"
+    cfg.write_text(json.dumps(config))
+    code, stdout = run_cli(
+        capsys, subcommand, "--config", str(cfg), *flags, "--deterministic",
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    return stdout
+
+
+@pytest.mark.parametrize("subcommand", sorted(SMALL_RUNS))
+def test_every_runs_row_is_fully_itemized(tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
+    run_small(tmp_path, capsys, subcommand, out)
+    rows = read_csv(out / "runs.csv")
+    assert rows
+    for row in rows:
+        assert all(row[f] != "" for f in RUNS_FIELDS), row
+        assert int(row["n_compiles"]) >= 1
+        v = {f: float(row[f]) for f in RUNS_FIELDS[RUNS_FIELDS.index("compile_s"):]}
+        parts = v["compile_s"] + v["upload_s"] + v["schedule_s"] + v["rpc_s"]
+        assert v["overhead_s"] == pytest.approx(parts, rel=1e-12)
+        assert v["total_s"] == pytest.approx(v["device_s"] + v["overhead_s"], rel=1e-12)
+        assert v["compile_fraction"] == pytest.approx(
+            v["compile_s"] / v["total_s"], rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("subcommand", sorted(SMALL_RUNS))
+def test_every_subcommand_is_byte_deterministic(tmp_path, capsys, subcommand):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_small(tmp_path, capsys, subcommand, a) == run_small(
+        tmp_path, capsys, subcommand, b
+    )
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+

@@ -67,18 +67,28 @@ def test_single_job_compiles_once_in_both_modes(fitted):
     w = CloudWorkload("UNIFORM", "SMALL", n_jobs=1, seed=0)
     base = simulate_cloud(w, "baseline", **fitted)
     dlpc = simulate_cloud(w, "dlpc", **fitted)
-    assert base.n_compiles == 1
-    assert dlpc.n_compiles == 1
-    assert base.compile_total_s == dlpc.compile_total_s
+    assert base.costs.n_compiles == 1
+    assert dlpc.costs.n_compiles == 1
+    assert base.costs.compile_s == dlpc.costs.compile_s
 
 
 def test_baseline_compiles_every_job(fitted):
     w = CloudWorkload("BIMODAL", "MEDIUM", n_jobs=400, seed=3)
     base = simulate_cloud(w, "baseline", **fitted)
     kernel = standing_kernel_cost(fitted["cost_model"])
-    assert base.n_compiles == 400
-    assert base.compile_total_s == pytest.approx(400 * kernel.compile_s)
+    assert base.costs.n_compiles == 400
+    assert base.costs.compile_s == pytest.approx(400 * kernel.compile_s)
     assert base.jobs_completed == 400
+
+
+def test_every_rebuild_pays_upload_and_schedule(fitted):
+    w = CloudWorkload("BURST", "SMALL", n_jobs=600, seed=4)
+    kernel = standing_kernel_cost(fitted["cost_model"])
+    for mode in ("baseline", "dlpc"):
+        costs = simulate_cloud(w, mode, **fitted).costs
+        assert costs.upload_s == pytest.approx(costs.n_compiles * kernel.upload_s)
+        assert costs.schedule_s == pytest.approx(costs.n_compiles * kernel.schedule_s)
+        assert costs.rpc_s == 0.0
 
 
 def test_sparse_arrivals_drain_after_every_job(fitted):
@@ -86,15 +96,15 @@ def test_sparse_arrivals_drain_after_every_job(fitted):
     w = CloudWorkload("UNIFORM", "SMALL", n_jobs=20, seed=5)
     base = simulate_cloud(w, "baseline", **fitted)
     dlpc = simulate_cloud(w, "dlpc", **fitted)
-    assert dlpc.n_compiles == base.n_compiles == 20
-    assert dlpc.compile_total_s == base.compile_total_s
+    assert dlpc.costs.n_compiles == base.costs.n_compiles == 20
+    assert dlpc.costs.compile_s == base.costs.compile_s
 
 
 def test_saturated_queue_compiles_less(fitted):
     w = CloudWorkload("BURST", "LARGE", n_jobs=3000, shots_per_job=4000, seed=2)
     base = simulate_cloud(w, "baseline", **fitted)
     dlpc = simulate_cloud(w, "dlpc", **fitted)
-    assert dlpc.n_compiles < base.n_compiles // 10
+    assert dlpc.costs.n_compiles < base.costs.n_compiles // 10
 
 
 def test_compile_series_is_cumulative(fitted):
@@ -102,10 +112,10 @@ def test_compile_series_is_cumulative(fitted):
     rep = simulate_cloud(w, "dlpc", **fitted)
     times = np.array(rep.event_times)
     cum = np.array(rep.event_cumulative_s)
-    assert len(times) == rep.n_compiles
+    assert len(times) == rep.costs.n_compiles
     assert np.all(np.diff(times) >= 0)
     assert np.all(np.diff(cum) > 0)
-    assert cum[-1] == pytest.approx(rep.compile_total_s)
+    assert cum[-1] == pytest.approx(rep.costs.compile_s)
 
 
 def test_size_ordering_at_the_reference_workload(fitted):
@@ -113,7 +123,7 @@ def test_size_ordering_at_the_reference_workload(fitted):
         totals = []
         for size in SIZE_CLASSES:
             w = CloudWorkload(dist, size, n_jobs=CLOUD_JOBS // 4, seed=0)
-            totals.append(simulate_cloud(w, "dlpc", **fitted).compile_total_s)
+            totals.append(simulate_cloud(w, "dlpc", **fitted).costs.compile_s)
         assert totals[0] > totals[1] > totals[2], dist
 
 
@@ -134,7 +144,7 @@ def test_dlpc_never_compiles_more_than_baseline(dist, size, n_jobs, shots, seed)
     dlpc = simulate_cloud(
         w, "dlpc", cost_model=fit.cost_model, prep_us=fit.prep_us, detect_us=fit.detect_us
     )
-    assert dlpc.compile_total_s <= base.compile_total_s + 1e-9
+    assert dlpc.costs.compile_s <= base.costs.compile_s + 1e-9
     assert base.jobs_completed == dlpc.jobs_completed == n_jobs
 
 

@@ -9,6 +9,7 @@ from dlpc.devcomp import CostModel
 from dlpc.drivers.vqe import measurement_sections
 from dlpc.fitting import fit_cost_model
 from dlpc.scenarios.contour import (
+    CONTOUR_ITERATIONS,
     GRID_POINTS,
     LABELED_MACHINES,
     contour_problem,
@@ -80,6 +81,16 @@ def test_custom_grid_passthrough():
     )
     assert rep.ratio.shape == (3, 2)
     assert rep.to_json_dict()["t_1q_us"] == [1.0, 2.0]
+
+
+def test_labeled_machine_ledgers_give_their_fractions(report):
+    for name, point in report.machines.items():
+        base = report.machine_costs[name]["baseline"]
+        dlpc = report.machine_costs[name]["dlpc"]
+        assert base.compile_fraction == point["baseline_fraction"]
+        assert dlpc.compile_fraction == point["dlpc_fraction"]
+        assert base.device_s == dlpc.device_s
+        assert base.n_compiles == CONTOUR_ITERATIONS * dlpc.n_compiles == CONTOUR_ITERATIONS
 
 
 def test_report_serializes(report):

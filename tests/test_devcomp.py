@@ -15,6 +15,7 @@ from dlpc.devcomp import (
     KernelBinary,
     KernelMode,
     Opcode,
+    RunCosts,
     SlotArityError,
     compile_full,
     compile_partial,
@@ -195,7 +196,27 @@ def test_cost_model_examples(calib):
     assert m.schedule_s == pytest.approx(0.1)
     k = compile_full(_vqe_schedule(calib), [0.3], shots=10)
     cost = m.cost_of(k)
-    assert cost.total == pytest.approx(cost.compile_s + cost.upload_s + 0.1)
+    assert cost.total_s == pytest.approx(cost.compile_s + cost.upload_s + 0.1)
+
+
+def test_kernel_price_is_a_one_compile_ledger(calib):
+    m = CostModel()
+    k = compile_partial(_vqe_schedule(calib), shots=10)
+    cost = m.cost_of(k)
+    assert cost == RunCosts(
+        1, m.compile_time(k.n_instr), m.upload_time(k.size_bytes), m.schedule_s
+    )
+    assert cost.device_s == cost.rpc_s == 0.0
+
+
+def test_ledgers_add_fieldwise_and_scale_by_repetition():
+    a = RunCosts(1, 0.5, 0.25, 0.125, 2.0, 0.0)
+    b = RunCosts(rpc_s=0.375, device_s=1.0)
+    assert a + b == RunCosts(1, 0.5, 0.25, 0.125, 3.0, 0.375)
+    assert 3 * a == RunCosts(3, 1.5, 0.75, 0.375, 6.0, 0.0)
+    assert 0 * a == RunCosts()
+    assert sum([a, a, b], RunCosts()) == 2 * a + b
+    assert (a + b).total_s == 0.5 + 0.25 + 0.125 + 3.0 + 0.375
 
 
 def test_compile_log_accounting(calib):

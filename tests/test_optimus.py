@@ -106,6 +106,16 @@ def test_dlpc_circuit_compiles_track_calibration_events(report):
     assert report.cal_events[-1].sum() > 0
 
 
+def test_aggregate_ledger_sums_the_samples(report):
+    for di, rate in enumerate(report.drift_rates):
+        base = report.aggregate(rate, "baseline").costs
+        dlpc = report.aggregate(rate, "dlpc").costs
+        assert base.n_compiles == report.baseline_compiles[di].sum()
+        assert dlpc.n_compiles == (report.dlpc_circuit_compiles[di] + 2).sum()
+        assert base.device_s == pytest.approx(dlpc.device_s)
+        assert base.rpc_s == 0.0 < dlpc.rpc_s
+
+
 def test_calibration_time_and_compiles_increase_with_drift(report):
     cal = report.cal_s.mean(axis=1)
     compiles = report.baseline_compiles.mean(axis=1)
@@ -146,7 +156,7 @@ def test_sample_totals_close(model):
     for mode in ("baseline", "dlpc"):
         t = account_sample(ev, g, mode, prices)
         assert t.total_s == pytest.approx(
-            t.device_s + t.probe_s + t.cal_s + t.overhead_s
+            t.device_s + t.compile_s + t.upload_s + t.schedule_s + t.rpc_s
         )
         assert t.compile_s < t.overhead_s
         assert 0.0 < t.compile_fraction < 1.0

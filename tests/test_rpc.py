@@ -12,6 +12,7 @@ from conftest import SESSION_THREADS, objective_worker, run_within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlpc import rpc
 from dlpc.rpc import (
     MAX_FRAME_BYTES,
     ChannelClosed,
@@ -157,6 +158,31 @@ def test_socket_frame_length_capped_before_payload_read():
         kernel.sendall(struct.pack("<I", MAX_FRAME_BYTES + 1))
         with pytest.raises(FrameError, match="exceeds"):
             _SocketTransport(host).recv()
+
+
+@pytest.mark.parametrize("cut", ["two prefix bytes", "half the payload"])
+def test_socket_frame_stalled_midway_raises_frame_error(monkeypatch, cut):
+    monkeypatch.setattr(rpc, "FRAME_TIMEOUT_S", 0.2)
+    frame = encode(Results(0, 2, ({"00": 3, "11": 5},)))
+    sent = frame[:2] if cut == "two prefix bytes" else frame[: 4 + (len(frame) - 4) // 2]
+    host, kernel = socket.socketpair()
+    with host, kernel:
+        kernel.sendall(sent)  # and then nothing: the peer is alive but stalled
+        with pytest.raises(FrameError, match="incomplete"):
+            run_within(5, _SocketTransport(host).recv)
+
+
+def test_socket_waits_unbounded_for_a_first_byte(monkeypatch):
+    monkeypatch.setattr(rpc, "FRAME_TIMEOUT_S", 0.2)
+    frame = encode(Params((0.5,)))
+    host, kernel = socket.socketpair()
+    with host, kernel:
+        timer = threading.Timer(0.5, kernel.sendall, (frame,))
+        timer.start()
+        try:
+            assert run_within(5, _SocketTransport(host).recv) == Params((0.5,))
+        finally:
+            timer.join()
 
 
 def _scripted_kernel(handle, iterations: int, log: list) -> None:

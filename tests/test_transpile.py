@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from conftest import max_phase_aligned_deviation, random_circuit
-from dlpc.ir import Circuit, Literal, SlotRef, op, statevector, unitary
+from dlpc.ir import GATE_ARITY, Circuit, Literal, SlotRef, op, statevector, unitary
 from dlpc.transpile import transpile
 
 CNOT_DENSE = np.array(
@@ -13,6 +14,22 @@ CNOT_DENSE = np.array(
 
 def slot_indices(circuit_ops):
     return {p.index for g in circuit_ops for p in g.params if isinstance(p, SlotRef)}
+
+
+NATIVE_KINDS = {"R", "RZ", "XX", "MEASURE"}
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_ARITY))
+def test_every_input_kind_lowers_to_native_ops(kind):
+    n_qubits, n_params = GATE_ARITY[kind]
+    g = op(kind, tuple(range(n_qubits)), *[0.3 + 0.4 * k for k in range(n_params)])
+    c = Circuit(2, [g])
+    mc = transpile(c)
+    assert {h.kind for h in mc.native_ops} <= NATIVE_KINDS
+    deviation = max_phase_aligned_deviation(
+        unitary(mc.as_circuit()).reshape(-1), unitary(c).reshape(-1)
+    )
+    assert deviation < 1e-12
 
 
 def test_cnot_decomposes_to_one_xx_and_four_rotations():
