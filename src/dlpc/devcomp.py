@@ -126,6 +126,18 @@ _OPERAND_OK = {
 _TAG_LITERAL = 0
 _TAG_SLOT = 1
 
+# Encoded bytes per operand kind as (slot operand, literal operand), in the
+# formats _encode_instr packs; only "real" and "dur" differ by operand.
+_OPERAND_BYTES = {
+    "chan": (1, 1),
+    "u8": (1, 1),
+    "u32": (4, 4),
+    "f64": (8, 8),
+    "real": (struct.calcsize("<BI"), struct.calcsize("<Bd")),
+    "dur": (struct.calcsize("<BId"), struct.calcsize("<Bd")),
+}
+_HEADER_BYTES = len(MAGIC) + struct.calcsize("<HBBIBII")
+
 
 @dataclass(frozen=True, slots=True)
 class Instr:
@@ -163,6 +175,15 @@ def _encode_instr(i: Instr) -> bytes:
             else:
                 out.append(struct.pack("<Bd", _TAG_LITERAL, arg.value))
     return b"".join(out)
+
+
+def _instr_bytes(i: Instr) -> int:
+    """Length of ``_encode_instr(i)``, without encoding it."""
+    size = 1
+    for kind, arg in zip(_SCHEMES[i.op], i.args):
+        slot, literal = _OPERAND_BYTES[kind]
+        size += slot if isinstance(arg, (SlotRef, SlotOverOmega)) else literal
+    return size
 
 
 @dataclass(frozen=True)
@@ -235,9 +256,15 @@ class KernelBinary:
         parts.extend(_encode_instr(i) for i in self.instructions)
         return b"".join(parts)
 
-    @property
+    @cached_property
     def size_bytes(self) -> int:
-        return len(self.serialized)
+        """``len(serialized)``, counted from the operand layout instead of encoded."""
+        return (
+            _HEADER_BYTES
+            + 2 * len(self.pair_channels)
+            + 8 * len(self.blocks)
+            + sum(_instr_bytes(i) for i in self.instructions)
+        )
 
     @cached_property
     def content_hash(self) -> str:

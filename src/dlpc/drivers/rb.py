@@ -92,9 +92,10 @@ def clifford_pool(calib: CalibrationDataset, shots: int) -> KernelBinary:
     )
 
 
-def survival(counts: dict[str, int]) -> float:
+def survival(counts: dict[int, int]) -> float:
+    """Fraction of shots read out in the ground state, outcome key 0."""
     total = sum(counts.values())
-    return counts.get("0", 0) / total
+    return counts.get(0, 0) / total
 
 
 def p_oracle(depolarizing: float) -> float:

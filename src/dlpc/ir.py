@@ -8,10 +8,11 @@ Contents:
 - ``exact_ground_energy`` / ``statevector`` / ``unitary``: dense references used as oracles
 
 Conventions, fixed for everything downstream:
-- Pauli strings and measurement bitstrings are qubit-indexed left to right:
-  character ``i`` refers to qubit ``i`` (string position 0 is least significant).
+- Pauli strings are qubit-indexed left to right: character ``i`` refers to qubit ``i``.
 - Measuring X means conjugating by RY(-pi/2) before a Z readout; Y means RX(pi/2).
-- Counts map term index -> {bitstring: count}; bitstrings cover the full register.
+- Counts map term index -> {outcome key: count}.  An outcome key is an integer
+  covering the full register, with qubit q's readout on bit q, so a key is
+  also the outcome's state-vector index.
 """
 
 from __future__ import annotations
@@ -193,27 +194,24 @@ class Hamiltonian:
         return sum(abs(t.coefficient) for t in self.terms)
 
 
-def term_expectation(term: PauliTerm, counts: dict[str, int]) -> float:
+def term_expectation(term: PauliTerm, counts: dict[int, int]) -> float:
     """<P> from Z-readout counts taken after the term's basis rotations.
 
-    Eigenvalue of a bitstring is the product of (-1)^bit over the term's support.
+    The eigenvalue of an outcome is (-1) to the parity of its bits on the
+    term's support, so <P> = (even - odd) / total = (2 * even - total) / total.
     """
     total = sum(counts.values())
     if total <= 0:
         raise EmptyCounts(f"no shots recorded for term {term.paulis!r}")
-    acc = 0.0
-    for bits, n in counts.items():
-        if len(bits) != len(term.paulis):
-            raise IrError(f"bitstring {bits!r} does not match register {term.paulis!r}")
-        sign = 1.0
-        for q in term.support:
-            if bits[q] == "1":
-                sign = -sign
-        acc += sign * n
-    return acc / total
+    n = len(term.paulis)
+    if min(counts) < 0 or max(counts) >> n:
+        raise IrError(f"outcome key outside the {n}-qubit register of {term.paulis!r}")
+    mask = sum(1 << q for q in term.support)
+    even = sum(c for key, c in counts.items() if not (key & mask).bit_count() & 1)
+    return (2 * even - total) / total
 
 
-def expectation_from_counts(ham: Hamiltonian, counts_by_term: dict[int, dict[str, int]]) -> float:
+def expectation_from_counts(ham: Hamiltonian, counts_by_term: dict[int, dict[int, int]]) -> float:
     """Energy estimate: sum of c_i * <P_i>, one counts entry per term."""
     energy = 0.0
     for i, term in enumerate(ham.terms):
@@ -229,6 +227,8 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_EYE4 = np.eye(4, dtype=complex)
+_XX = np.kron(_PAULI_MATS["X"], _PAULI_MATS["X"])
 
 
 def _term_matrix(term: PauliTerm) -> np.ndarray:
@@ -268,8 +268,7 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
         return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex)
     if kind == "XX":
         (chi,) = params
-        x = _PAULI_MATS["X"]
-        return math.cos(chi) * np.eye(4, dtype=complex) - 1j * math.sin(chi) * np.kron(x, x)
+        return math.cos(chi) * _EYE4 - 1j * math.sin(chi) * _XX
     if kind == "CNOT":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -282,7 +281,18 @@ def _apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: 
 
     Qubit q lives on tensor axis n-1-q; extra trailing axes (unitary columns) ride along.
     The gate's most significant index bit corresponds to qubits[0].
+
+    A one-qubit gate goes through a (2^(n-q-1), 2, rest) view of the state.  It
+    hands ``np.dot`` the operand ``tensordot`` would build, a C-contiguous
+    (2, 2^(n-1) * columns) copy with qubit q's axis first and the others in
+    order, so the amplitudes come out bit for bit the same, only without
+    tensordot's axis bookkeeping.
     """
+    if len(qubits) == 1:
+        high = 2 ** (n - 1 - qubits[0])
+        operand = state.reshape(high, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        out = np.dot(mat, np.ascontiguousarray(operand))
+        return out.reshape(2, high, -1).transpose(1, 0, 2).reshape(state.shape)
     k = len(qubits)
     tensor = state.reshape([2] * n + list(state.shape[1:]))
     axes = [n - 1 - q for q in qubits]

@@ -48,7 +48,7 @@ from .rpc import (
     ProtocolError,
     Results,
     Sentinel,
-    key_to_bits,
+    key_to_bits,  # noqa: F401 - unused here, but perfbench's tracer wraps qpu.key_to_bits
 )
 
 __all__ = [
@@ -159,7 +159,9 @@ class _Vm:
 
         self.state = None if cost_only else self._ground(n)
         self.coherent = 1.0
-        self.sections: list[dict[str, int]] = []
+        # One section per DETECT: outcome key -> count, qubit q on bit q of the
+        # key; a one-channel DETECT reads its channel onto bit 0.
+        self.sections: list[dict[int, int]] = []
         self.first_section = int(first_section)
         self.section_idx = self.first_section
         self.loop_shots = 1
@@ -212,25 +214,20 @@ class _Vm:
     def _detect(self, channel: int, shots: int) -> None:
         n = self.binary.n_qubits
         if self.cost_only:
-            width = n if channel == ALL_CHANNELS else 1
-            self.sections.append({"0" * width: shots})
+            self.sections.append({0: shots})
         else:
             probs = np.abs(self.state) ** 2
             if channel != ALL_CHANNELS:
                 mask = (np.arange(2**n) >> channel) & 1
                 probs = np.array([probs[mask == 0].sum(), probs[mask == 1].sum()])
-                width = 1
-            else:
-                width = n
             probs = self.coherent * probs + (1.0 - self.coherent) / len(probs)
             cdf = np.cumsum(probs)
             cdf[-1] = 1.0
             rng = shot_rng(self.run_seed, self.iteration, self.section_idx)
             draws = np.searchsorted(cdf, rng.random(shots), side="right")
             hist = np.bincount(draws, minlength=len(probs))
-            self.sections.append(
-                {key_to_bits(k, width): int(c) for k, c in enumerate(hist) if c}
-            )
+            seen = np.flatnonzero(hist)
+            self.sections.append(dict(zip(seen.tolist(), hist[seen].tolist())))
         self.section_idx += 1
 
     def _exec_window(self, start: int, end: int, shots: int, depth: int = 0) -> float:

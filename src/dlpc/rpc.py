@@ -113,11 +113,16 @@ def key_to_bits(key: int, n_qubits: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Results:
-    """Outcome counts for one kernel iteration, one section per measured basis."""
+    """Outcome counts for one kernel iteration, one section per measured basis.
+
+    Each section maps an outcome key to its count; bit q of the key is qubit
+    q's readout (``bits_to_key`` and ``key_to_bits`` convert to and from
+    bitstrings).
+    """
 
     iteration: int
     n_qubits: int
-    counts: tuple[dict[str, int], ...]
+    counts: tuple[dict[int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,10 +149,8 @@ def encode(m: RpcMessage) -> bytes:
     if isinstance(m, Results):
         parts = [struct.pack("<IBI", m.iteration, m.n_qubits, len(m.counts))]
         for section in m.counts:
-            entries = sorted((bits_to_key(bits), n) for bits, n in section.items())
-            parts.append(struct.pack("<I", len(entries)))
-            for key, n in entries:
-                parts.append(struct.pack("<II", key, n))
+            flat = [v for entry in sorted(section.items()) for v in entry]
+            parts.append(struct.pack(f"<I{len(flat)}I", len(section), *flat))
         payload, tag = b"".join(parts), TAG_RESULTS
     elif isinstance(m, Params):
         payload = struct.pack("<I", len(m.values)) + struct.pack(f"<{len(m.values)}d", *m.values)
@@ -196,12 +199,11 @@ def decode(frame: bytes) -> RpcMessage:
         sections = []
         for _ in range(n_sections):
             (n_entries,) = r.take("<I")
-            section: dict[str, int] = {}
-            for _ in range(n_entries):
-                key, n = r.take("<II")
-                if key >> n_qubits:
-                    raise ProtocolError(f"outcome key {key} out of range for {n_qubits} qubits")
-                section[key_to_bits(key, n_qubits)] = n
+            flat = r.take(f"<{2 * n_entries}I")
+            section = dict(zip(flat[0::2], flat[1::2]))
+            top = max(section, default=0)
+            if top >> n_qubits:
+                raise ProtocolError(f"outcome key {top} out of range for {n_qubits} qubits")
             if len(section) != n_entries:
                 raise ProtocolError("duplicate outcome key in a results section")
             sections.append(section)

@@ -18,12 +18,13 @@ the kernel survives almost the whole day.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, RunCosts
+from ..devcomp import CostModel, KernelBinary, RunCosts
 from ..drivers.rb import clifford_pool
 from ..pulse import CalibrationDataset
 
@@ -107,9 +108,15 @@ class CloudWorkload:
         return np.maximum(counts, 1.0)
 
 
+@functools.cache
+def _standing_kernel() -> KernelBinary:
+    """The resident gate-pool dispatch kernel; it depends on no argument, so it is built once."""
+    return clifford_pool(CalibrationDataset.default(1), 100)
+
+
 def standing_kernel_cost(cost_model: CostModel) -> RunCosts:
     """Price of rebuilding the resident gate-pool dispatch kernel."""
-    return cost_model.cost_of(clifford_pool(CalibrationDataset.default(1), 100))
+    return cost_model.cost_of(_standing_kernel())
 
 
 @dataclass(slots=True)

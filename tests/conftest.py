@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from dlpc import qpu, rpc
 from dlpc.ir import Circuit, GateOp, op
 from dlpc.rpc import Sentinel
 
@@ -54,6 +55,18 @@ def no_session_thread_outlives_its_test():
     yield
     alive = [t.name for t in threading.enumerate() if t.name in SESSION_THREADS]
     assert not alive, f"session threads still alive after the test: {alive}"
+
+
+@pytest.fixture
+def bitstrings_forbidden(monkeypatch):
+    """Make every outcome-key/bitstring conversion raise for the test's duration."""
+
+    def forbidden(*args):
+        raise AssertionError("an outcome was converted to or from a bitstring")
+
+    monkeypatch.setattr(rpc, "key_to_bits", forbidden)
+    monkeypatch.setattr(rpc, "bits_to_key", forbidden)
+    monkeypatch.setattr(qpu, "key_to_bits", forbidden)
 
 
 def run_within(seconds: float, fn):

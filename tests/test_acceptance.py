@@ -34,7 +34,7 @@ from dlpc.drivers.vqe import (
 from dlpc.fitting import calibrated_dataset, fit_cost_model
 from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op, statevector, unitary
 from dlpc.pulse import CalibrationDataset
-from dlpc.rpc import CircuitBlock, Params, Results, Sentinel, decode, encode, key_to_bits
+from dlpc.rpc import CircuitBlock, Params, Results, Sentinel, decode, encode
 from dlpc.scenarios.cloud import (
     DISTRIBUTIONS,
     SIZE_CLASSES,
@@ -419,7 +419,7 @@ def _random_message(rng: np.random.Generator):
         size = int(rng.integers(0, 9))
         keys = rng.integers(0, 2**n, size=size)
         vals = rng.integers(0, 2**32, size=size)
-        counts.append({key_to_bits(int(k), n): int(v) for k, v in zip(keys, vals)})
+        counts.append({int(k): int(v) for k, v in zip(keys, vals)})
     return Results(int(rng.integers(0, 2**32)), n, tuple(counts))
 
 

@@ -21,8 +21,10 @@ from dlpc.devcomp import (
     compile_partial,
     compile_pool,
 )
-from dlpc.drivers.rb import clifford_pool
-from dlpc.ir import Circuit, SlotRef, op
+from dlpc.drivers.calibration import run_calibration
+from dlpc.drivers.rb import clifford_pool, run_rb
+from dlpc.drivers.vqe import VqeProblem, run_vqe, two_param_problem
+from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
 from dlpc.pulse import (
     DEFAULT_RABI,
     CalibrationDataset,
@@ -290,3 +292,33 @@ def test_resume_target_validated():
 def test_out_of_range_operand_rejected(op, args, bad):
     with pytest.raises(CompileError, match=f"bad {bad} operand"):
         Instr(op, args)
+
+
+def test_size_bytes_counts_the_serialized_bytes_of_every_driver_kernel(monkeypatch):
+    built: list[tuple[str, KernelBinary]] = []
+    record = CompileLog.record
+
+    def capture(self, binary, model, kind, label=""):
+        built.append((kind, binary))
+        return record(self, binary, model, kind, label)
+
+    monkeypatch.setattr(CompileLog, "record", capture)
+    model = CostModel()
+    pair = VqeProblem(
+        Hamiltonian(2, [PauliTerm(1.0, "ZZ"), PauliTerm(0.5, "XI")]),
+        Circuit(2, [op("RY", 0, SlotRef(0)), op("XX", (0, 1), 0.7), op("RZ", 1, SlotRef(1))]),
+        x0=(0.4, 0.2),
+        shots=20,
+        max_evals=4,
+    )
+    for problem in (two_param_problem(), pair):
+        for mode in ("baseline", "dlpc"):
+            run_vqe(problem, mode, cost_model=model)
+    for mode in ("baseline", "dlpc"):
+        run_rb(mode, cost_model=model, lengths=(2, 8), per_length=1, shots=10)
+        run_calibration(CalibrationDataset.default(2), mode, cost_model=model)
+    built.append(("pool", clifford_pool(CalibrationDataset.default(1), 100)))
+    assert {kind for kind, _ in built} == {"full", "partial", "pool"}
+    assert any(b.pair_channels for _, b in built) and any(b.blocks for _, b in built)
+    for kind, binary in built:
+        assert binary.size_bytes == len(binary.serialized), kind

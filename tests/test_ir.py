@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import max_phase_aligned_deviation, random_circuit
 from dlpc.ir import (
@@ -15,6 +17,7 @@ from dlpc.ir import (
     OracleTooLarge,
     PauliTerm,
     SlotRef,
+    _apply_gate,
     exact_ground_energy,
     expectation_from_counts,
     gate_matrix,
@@ -34,20 +37,60 @@ def test_ground_energy_oracle_values():
 
 
 def test_term_expectation_uses_left_to_right_qubit_indexing():
-    # character i of the bitstring is qubit i
-    assert term_expectation(PauliTerm(1.0, "ZI"), {"00": 3, "10": 1}) == pytest.approx(0.5)
-    assert term_expectation(PauliTerm(1.0, "IZ"), {"01": 2, "00": 2}) == pytest.approx(0.0)
-    assert term_expectation(PauliTerm(1.0, "ZZ"), {"11": 5}) == pytest.approx(1.0)
+    # character i of the Pauli string is qubit i, which is bit i of the outcome key
+    assert term_expectation(PauliTerm(1.0, "ZI"), {0: 3, 1: 1}) == pytest.approx(0.5)
+    assert term_expectation(PauliTerm(1.0, "IZ"), {2: 2, 0: 2}) == pytest.approx(0.0)
+    assert term_expectation(PauliTerm(1.0, "ZZ"), {3: 5}) == pytest.approx(1.0)
 
 
 def test_expectation_from_counts_combines_terms():
     h = Hamiltonian(1, [PauliTerm(2.0, "Z"), PauliTerm(-1.0, "X")])
-    counts = {0: {"0": 10}, 1: {"1": 10}}
+    counts = {0: {0: 10}, 1: {1: 10}}
     assert expectation_from_counts(h, counts) == pytest.approx(2.0 + 1.0)
     with pytest.raises(MissingMeasurement):
-        expectation_from_counts(h, {0: {"0": 1}})
+        expectation_from_counts(h, {0: {0: 1}})
     with pytest.raises(EmptyCounts):
         term_expectation(PauliTerm(1.0, "Z"), {})
+
+
+def test_term_expectation_rejects_keys_outside_the_register():
+    with pytest.raises(IrError, match="outside"):
+        term_expectation(PauliTerm(1.0, "ZI"), {0: 3, 4: 1})
+    with pytest.raises(IrError, match="outside"):
+        term_expectation(PauliTerm(1.0, "Z"), {2: 1})
+    with pytest.raises(IrError, match="outside"):
+        term_expectation(PauliTerm(1.0, "Z"), {-1: 1})
+    assert term_expectation(PauliTerm(1.0, "IZ"), {3: 1}) == -1.0
+
+
+def _apply_gate_tensordot(state, mat, qubits, n):
+    """Reference contraction: the tensordot form ``_apply_gate`` uses for every arity."""
+    k = len(qubits)
+    tensor = state.reshape([2] * n + list(state.shape[1:]))
+    axes = [n - 1 - q for q in qubits]
+    gate = mat.reshape([2] * (2 * k))
+    tensor = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
+    tensor = np.moveaxis(tensor, list(range(k)), axes)
+    return tensor.reshape(state.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_one_qubit_view_matches_tensordot_bit_for_bit(n, columns, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    for shape in ((2**n,), (2**n, columns)):
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for q in range(n):
+            got = _apply_gate(state, mat, (q,), n)
+            assert np.array_equal(got, _apply_gate_tensordot(state, mat, (q,), n))
+
+
+@given(st.floats(-20.0, 20.0))
+def test_xx_matrix_matches_kron_formula(chi):
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    want = math.cos(chi) * np.eye(4, dtype=complex) - 1j * math.sin(chi) * np.kron(x, x)
+    assert np.array_equal(gate_matrix("XX", (chi,)), want)
 
 
 def test_statevector_gate_identities():

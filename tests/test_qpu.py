@@ -71,7 +71,7 @@ def test_full_kernel_counts_match_statevector(calib):
     c = Circuit(1, [op("RY", 0, theta), op("MEASURE", ())])
     k = compile_full(_schedule(c, calib), [], shots=200_000)
     (counts,) = execute(k, run_seed=9).results[0].counts
-    p1 = counts.get("1", 0) / 200_000
+    p1 = counts.get(1, 0) / 200_000
     assert p1 == pytest.approx(0.25, abs=0.005)
 
 
@@ -82,7 +82,7 @@ def test_depolarizing_mixes_toward_uniform(calib):
     (counts,) = execute(k, run_seed=5, depolarizing=rho).results[0].counts
     f = 1 - 4 * rho / 3
     expected_p1 = (1 + f) / 2
-    assert counts["1"] / 50_000 == pytest.approx(expected_p1, abs=0.005)
+    assert counts[1] / 50_000 == pytest.approx(expected_p1, abs=0.005)
 
 
 def test_drift_changes_applied_angle(calib):
@@ -91,11 +91,11 @@ def test_drift_changes_applied_angle(calib):
     c = Circuit(1, [op("RX", 0, math.pi), op("MEASURE", ())])
     k = compile_full(_schedule(c, calib), [], shots=20_000)
     exact = execute(k, run_seed=3).results[0].counts[0]
-    assert exact == {"1": 20_000}
+    assert exact == {1: 20_000}
     drifted = execute(k, run_seed=3, rabi_truth=1.05 * DEFAULT_RABI).results[0].counts[0]
-    assert 0 < drifted.get("0", 0) < 1000
+    assert 0 < drifted.get(0, 0) < 1000
     expected = math.cos(1.05 * math.pi / 2) ** 2
-    assert drifted["0"] / 20_000 == pytest.approx(expected, abs=0.005)
+    assert drifted[0] / 20_000 == pytest.approx(expected, abs=0.005)
 
 
 def test_two_qubit_pair_pulse(calib):
@@ -103,8 +103,8 @@ def test_two_qubit_pair_pulse(calib):
     k = compile_full(_schedule(c, calib), [], shots=40_000)
     trace = execute(k, run_seed=11)
     (counts,) = trace.results[0].counts
-    assert set(counts) == {"00", "11"}
-    assert counts["11"] / 40_000 == pytest.approx(0.5, abs=0.01)
+    assert set(counts) == {0b00, 0b11}
+    assert counts[0b11] / 40_000 == pytest.approx(0.5, abs=0.01)
     # pair pulse holds for its full fixed duration
     assert trace.busy_us == pytest.approx(40_000 * (100.0 + 150.0 + 200.0))
 
@@ -177,7 +177,7 @@ def test_pool_mode_equivalence_exact(calib):
         assert trace.results[i] == want
     # every streamed sequence ends on the identity: survival is certain
     for r in trace.results:
-        assert r.counts[0] == {"0": 100}
+        assert r.counts[0] == {0: 100}
 
 
 def test_uninitialized_slot_raises():
@@ -215,7 +215,7 @@ def test_qubit_limit_enforced_and_stub_mode_allows(calib):
     with pytest.raises(TooManyQubits):
         execute(k)
     trace = execute(k, cost_only=True)
-    assert trace.results[0].counts[0] == {"0" * 14: 1}
+    assert trace.results[0].counts[0] == {0: 1}
     assert trace.busy_us == pytest.approx(300.0)
 
 
@@ -227,7 +227,7 @@ def test_cost_only_preserves_clock(calib):
     assert full.n_iterations == stub.n_iterations == 1
     assert sum(full.results[0].counts[0].values()) == 300
     assert stub.busy_us == full.busy_us
-    assert stub.results[0].counts[0] == {"0": 300}
+    assert stub.results[0].counts[0] == {0: 300}
 
 
 def test_wrong_reply_type_raises_protocol_error(calib):

@@ -107,5 +107,11 @@ def test_full_run_recovers_the_decay_oracle():
 
 
 def test_survival_counts_ground_fraction():
-    assert survival({"0": 75, "1": 25}) == 0.75
-    assert survival({"1": 10}) == 0.0
+    assert survival({0: 75, 1: 25}) == 0.75
+    assert survival({1: 10}) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dlpc"])
+def test_runs_carry_integer_outcome_keys(bitstrings_forbidden, mode):
+    report = run_rb(mode, cost_model=MODEL, run_seed=2, lengths=(2, 8), per_length=2, shots=50)
+    assert len(report.survivals) == 4

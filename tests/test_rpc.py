@@ -44,7 +44,7 @@ def test_params_frame_bytes():
 
 
 def test_results_roundtrip_with_sections():
-    m = Results(7, 2, ({"00": 180, "11": 120}, {"10": 300}))
+    m = Results(7, 2, ({0: 180, 3: 120}, {1: 300}))
     assert decode(encode(m)) == m
 
 
@@ -94,7 +94,7 @@ _messages = st.one_of(
             st.just(n),
             st.lists(
                 st.dictionaries(
-                    st.integers(0, 2**n - 1).map(lambda k: key_to_bits(k, n)),
+                    st.integers(0, 2**n - 1),
                     st.integers(0, 2**32 - 1),
                     max_size=4,
                 ),
@@ -125,7 +125,7 @@ def test_results_key_out_of_range_rejected():
     # Key 5 is 101 in binary: it would truncate onto key 1 at two qubits.
     with pytest.raises(ProtocolError, match="out of range"):
         decode(_results_frame(2, [(1, 10), (5, 3)]))
-    assert decode(_results_frame(2, [(1, 10), (3, 3)])).counts == ({"10": 10, "11": 3},)
+    assert decode(_results_frame(2, [(1, 10), (3, 3)])).counts == ({1: 10, 3: 3},)
 
 
 def test_results_duplicate_key_rejected():
@@ -150,7 +150,7 @@ def test_malformed_frames_raise_only_rpc_errors(m, data):
 
 
 def test_socket_frame_length_capped_before_payload_read():
-    widest = Results(0, 12, tuple({key_to_bits(k, 12): 1 for k in range(4096)} for _ in range(3)))
+    widest = Results(0, 12, tuple({k: 1 for k in range(4096)} for _ in range(3)))
     assert 100 * len(encode(widest)) < MAX_FRAME_BYTES
     host, kernel = socket.socketpair()
     with host, kernel:
@@ -163,7 +163,7 @@ def test_socket_frame_length_capped_before_payload_read():
 @pytest.mark.parametrize("cut", ["two prefix bytes", "half the payload"])
 def test_socket_frame_stalled_midway_raises_frame_error(monkeypatch, cut):
     monkeypatch.setattr(rpc, "FRAME_TIMEOUT_S", 0.2)
-    frame = encode(Results(0, 2, ({"00": 3, "11": 5},)))
+    frame = encode(Results(0, 2, ({0: 3, 3: 5},)))
     sent = frame[:2] if cut == "two prefix bytes" else frame[: 4 + (len(frame) - 4) // 2]
     host, kernel = socket.socketpair()
     with host, kernel:
@@ -188,7 +188,7 @@ def test_socket_waits_unbounded_for_a_first_byte(monkeypatch):
 def _scripted_kernel(handle, iterations: int, log: list) -> None:
     """Stand-in for the VM's RPC tail: post results, block for the reply."""
     for i in range(iterations + 1):
-        handle.post_results(Results(i, 1, ({"0": 1},)))
+        handle.post_results(Results(i, 1, ({0: 1},)))
         reply = handle.await_reply()
         log.append(reply)
         if isinstance(reply, Sentinel):

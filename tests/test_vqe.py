@@ -132,6 +132,14 @@ def test_socket_transport_matches_memory():
     assert mem.costs == sock.costs
 
 
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_streamed_run_carries_integer_outcome_keys(bitstrings_forbidden, transport):
+    report = run_vqe(
+        two_param_problem(), "dlpc", cost_model=MODEL, calib=_calib(), transport=transport
+    )
+    assert report.n_iterations == report.result.n_evals
+
+
 def test_socket_session_closes_both_sockets():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
