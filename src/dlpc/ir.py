@@ -17,6 +17,7 @@ Conventions, fixed for everything downstream:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -167,14 +168,14 @@ class Circuit:
 class PauliTerm:
     coefficient: float
     paulis: str  # one of IXYZ per qubit, character i = qubit i
+    # bit q set where qubit q carries a non-identity Pauli; derived from paulis
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.paulis or any(c not in "IXYZ" for c in self.paulis):
             raise IrError(f"bad Pauli string {self.paulis!r}")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.paulis) if c != "I")
+        mask = sum(1 << i for i, c in enumerate(self.paulis) if c != "I")
+        object.__setattr__(self, "mask", mask)
 
 
 @dataclass(slots=True)
@@ -206,7 +207,7 @@ def term_expectation(term: PauliTerm, counts: dict[int, int]) -> float:
     n = len(term.paulis)
     if min(counts) < 0 or max(counts) >> n:
         raise IrError(f"outcome key outside the {n}-qubit register of {term.paulis!r}")
-    mask = sum(1 << q for q in term.support)
+    mask = term.mask
     even = sum(c for key, c in counts.items() if not (key & mask).bit_count() & 1)
     return (2 * even - total) / total
 
@@ -276,30 +277,37 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     raise IrError(f"no dense matrix for {kind!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_plan(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """``(view, perm, split, inverse)`` shapes and axis orders for ``_apply_gate``."""
+    axes = [n - 1 - q for q in qubits]
+    ranked = [-1, *sorted(axes)]
+    # a merged run (2^0 = 1 when empty) before each target axis, then the rest
+    view = [d for lo, hi in zip(ranked, ranked[1:]) for d in (2 ** (hi - lo - 1), 2)] + [-1]
+    front = [2 * ranked.index(a) - 1 for a in axes]
+    perm = front + [i for i in range(len(view)) if i not in front]
+    inverse = [perm.index(i) for i in range(len(perm))]
+    return tuple(view), tuple(perm), tuple(view[i] for i in perm), tuple(inverse)
+
+
 def _apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a k-qubit gate to the given qubits of a state vector (or unitary columns).
 
     Qubit q lives on tensor axis n-1-q; extra trailing axes (unitary columns) ride along.
     The gate's most significant index bit corresponds to qubits[0].
 
-    A one-qubit gate goes through a (2^(n-q-1), 2, rest) view of the state.  It
-    hands ``np.dot`` the operand ``tensordot`` would build, a C-contiguous
-    (2, 2^(n-1) * columns) copy with qubit q's axis first and the others in
-    order, so the amplitudes come out bit for bit the same, only without
-    tensordot's axis bookkeeping.
+    Every arity takes one path, planned once per ``(qubits, n)``: view the
+    state as the target axes plus merged runs of the others (the lowest run
+    takes the columns), move the target axes to the front in ``qubits`` order
+    and reshape to ``(2^k, -1)``.  ``np.dot`` gets the operand, layout
+    included, that NumPy's tensor-dot contraction builds, so amplitudes are
+    bit for bit those of the reference contraction in the tests; the inverse
+    transpose puts the product back.
     """
-    if len(qubits) == 1:
-        high = 2 ** (n - 1 - qubits[0])
-        operand = state.reshape(high, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-        out = np.dot(mat, np.ascontiguousarray(operand))
-        return out.reshape(2, high, -1).transpose(1, 0, 2).reshape(state.shape)
-    k = len(qubits)
-    tensor = state.reshape([2] * n + list(state.shape[1:]))
-    axes = [n - 1 - q for q in qubits]
-    gate = mat.reshape([2] * (2 * k))
-    tensor = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-    tensor = np.moveaxis(tensor, list(range(k)), axes)
-    return tensor.reshape(state.shape)
+    view, perm, split, inverse = _gate_plan(qubits, n)
+    operand = state.reshape(view).transpose(perm).reshape(len(mat), -1)
+    out = np.dot(mat, operand)
+    return out.reshape(split).transpose(inverse).reshape(state.shape)
 
 
 def statevector(circuit: Circuit, slot_values: list[float] | None = None) -> np.ndarray:

@@ -13,6 +13,11 @@ produces on hardware.  Pair pulses apply XX(chi) with chi = amp * 2*pi over
 their fixed duration.  Frequency programming is bookkeeping only (pulses are
 assumed resonant), and frame rotations apply an exact, error-free RZ.
 
+Each PLAY or FRAME_ROT keeps the gate matrix it last built and reuses it
+while its resolved (kind, params) stay equal, so a literal pulse builds its
+matrix once per kernel lifetime.  (Equal by ``==``: a reused matrix differs
+from a fresh one at most in the sign of a zero, which no probability sees.)
+
 Per-pulse depolarizing noise folds into one coherent fraction per shot,
 f = 1 - 4*rho/3 per pulse, so readout samples from
 c * |psi|^2 + (1 - c) / 2^n.  That keeps shot loops vectorized: the body runs
@@ -158,6 +163,8 @@ class _Vm:
         self.pulse_survival = max(0.0, 1.0 - 4.0 * depolarizing / 3.0)
 
         self.state = None if cost_only else self._ground(n)
+        # pc -> ((kind, params), matrix) of the last gate that instruction applied
+        self.matrices: dict[int, tuple[tuple[str, tuple[float, ...]], np.ndarray]] = {}
         self.coherent = 1.0
         # One section per DETECT: outcome key -> count, qubit q on bit q of the
         # key; a one-channel DETECT reads its channel onto bit 0.
@@ -193,22 +200,26 @@ class _Vm:
         assert isinstance(d, LiteralUs)
         return d.value
 
-    def _apply(self, kind: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> None:
-        if self.state is not None:
-            self.state = _apply_gate(
-                self.state, gate_matrix(kind, params), qubits, self.binary.n_qubits
-            )
+    def _apply(
+        self, pc: int, kind: str, qubits: tuple[int, ...], params: tuple[float, ...]
+    ) -> None:
+        if self.state is None:
+            return
+        key, mat = self.matrices.get(pc, (None, None))
+        if key != (kind, params):
+            key, mat = self.matrices[pc] = (kind, params), gate_matrix(kind, params)
+        self.state = _apply_gate(self.state, mat, qubits, self.binary.n_qubits)
 
-    def _play(self, dur_us: float) -> None:
+    def _play(self, pc: int, dur_us: float) -> None:
         ch = self.armed
         n = self.binary.n_qubits
         if ch < n:
             theta = self.amp[ch] * self.rabi[ch] * dur_us * 1e-6
-            self._apply("R", (ch,), (theta, self.phase[ch]))
+            self._apply(pc, "R", (ch,), (theta, self.phase[ch]))
         else:
             pair = self.binary.pair_channels[ch - n]
             chi = self.amp[ch] * 2.0 * np.pi
-            self._apply("XX", pair, (chi,))
+            self._apply(pc, "XX", pair, (chi,))
         self.coherent *= self.pulse_survival
 
     def _detect(self, channel: int, shots: int) -> None:
@@ -250,7 +261,7 @@ class _Vm:
                 self.armed = ins.args[0]
             elif op is Opcode.PLAY:
                 dur = self._duration_us(ins.args[0])
-                self._play(dur)
+                self._play(pc, dur)
                 us += dur
             elif op is Opcode.PREP:
                 if self.state is not None:
@@ -264,7 +275,7 @@ class _Vm:
                 ch = ins.args[0]
                 if ch >= self.binary.n_qubits:
                     raise VmError("frame rotation on a pair channel")
-                self._apply("RZ", (ch,), (self._real(ins.args[1]),))
+                self._apply(pc, "RZ", (ch,), (self._real(ins.args[1]),))
             elif op is Opcode.SELECT:
                 if self.current_circuit is None:
                     raise VmError("select with no circuit loaded")

@@ -168,8 +168,10 @@ def simulate_cloud(
     rebuild_s = kernel.total_s
 
     n_day_ticks = math.ceil(workload.horizon_s / workload.recalib_period_s) - 1
-    ticks = [(k + 1) * workload.recalib_period_s for k in range(n_day_ticks)]
+    # the trailing infinity ends the scan past the day's last mark
+    ticks = [(k + 1) * workload.recalib_period_s for k in range(n_day_ticks)] + [math.inf]
 
+    baseline = mode == "baseline"
     free_at = 0.0
     tick_idx = 0
     n_compiles = 0
@@ -177,14 +179,13 @@ def simulate_cloud(
     event_times: list[float] = []
     event_cumulative: list[float] = []
 
-    for i, arrival in enumerate(arrivals):
-        start = max(float(arrival), free_at)
+    for i, (arrival, service) in enumerate(zip(arrivals.tolist(), exec_s.tolist())):
         drained = arrival > free_at
-        tick_due = tick_idx < len(ticks) and ticks[tick_idx] <= start
-        recompile = mode == "baseline" or i == 0 or drained or tick_due
-        while tick_idx < len(ticks) and ticks[tick_idx] <= start:
+        start = arrival if drained else free_at
+        first_due = tick_idx
+        while ticks[tick_idx] <= start:
             tick_idx += 1  # every mark up to now is covered by this rebuild
-        service = float(exec_s[i])
+        recompile = baseline or i == 0 or drained or tick_idx > first_due
         if recompile:
             n_compiles += 1
             compile_total += kernel.compile_s

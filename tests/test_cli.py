@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dlpc.cli import EXIT_CONFIG, EXIT_OK, RUNS_FIELDS, main
@@ -304,3 +306,34 @@ def test_every_subcommand_is_byte_deterministic(tmp_path, capsys, subcommand):
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+
+# ------------------------------------------------------- pinned output bytes
+
+DIGESTS = Path(__file__).with_name("deterministic_digests.json")
+PINNED_RUNS = {
+    "vqe": ('{"max_evals": 8}', ("--shots", "50")),
+    "rb": ('{"lengths": [2, 4, 8], "per_length": 3, "shots": 50, "depolarizing": 0.01}', ()),
+}
+
+
+def test_deterministic_output_matches_checked_in_digests(tmp_path, capsys):
+    """Every --deterministic output file is pinned by its sha256.
+
+    A digest may change only in a change that says why; a new numpy or BLAS
+    can also move the last bits of an amplitude, hence the version in the message.
+    """
+    want = json.loads(DIGESTS.read_text())
+    got = {}
+    for sub, (config, extra) in PINNED_RUNS.items():
+        cfg = tmp_path / f"{sub}.json"
+        cfg.write_text(config)
+        out = tmp_path / sub
+        code, _ = run_cli(
+            capsys, sub, "--mode", "both", "--seed", "7", "--config", str(cfg),
+            *extra, "--deterministic", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        for path in sorted(out.iterdir()):
+            got[f"{sub}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    changed = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not changed, f"output bytes moved in {changed} (numpy {np.__version__})"

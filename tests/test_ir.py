@@ -64,7 +64,7 @@ def test_term_expectation_rejects_keys_outside_the_register():
 
 
 def _apply_gate_tensordot(state, mat, qubits, n):
-    """Reference contraction: the tensordot form ``_apply_gate`` uses for every arity."""
+    """Reference contraction through ``np.tensordot``; ``_apply_gate`` must match it bit for bit."""
     k = len(qubits)
     tensor = state.reshape([2] * n + list(state.shape[1:]))
     axes = [n - 1 - q for q in qubits]
@@ -76,14 +76,23 @@ def _apply_gate_tensordot(state, mat, qubits, n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_one_qubit_view_matches_tensordot_bit_for_bit(n, columns, seed):
+def test_gate_view_matches_tensordot_bit_for_bit(n, columns, seed):
+    """Every arity and qubit order, adjacent or not, on vectors and unitary columns."""
     rng = np.random.default_rng(seed)
-    mat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+    def rand(dim):
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    gates = [((q,), rand(2)) for q in range(n)]
+    xx = gate_matrix("XX", (rng.uniform(-math.pi, math.pi),))
+    pair_mats = (xx, gate_matrix("CNOT", ()), rand(4))
+    gates += [((a, b), m) for a in range(n) for b in range(n) if a != b for m in pair_mats]
     for shape in ((2**n,), (2**n, columns)):
         state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for q in range(n):
-            got = _apply_gate(state, mat, (q,), n)
-            assert np.array_equal(got, _apply_gate_tensordot(state, mat, (q,), n))
+        for qubits, mat in gates:
+            got = _apply_gate(state, mat, qubits, n)
+            want = _apply_gate_tensordot(state, mat, qubits, n)
+            assert np.array_equal(got, want), (qubits, shape)
 
 
 @given(st.floats(-20.0, 20.0))

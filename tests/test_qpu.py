@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from conftest import objective_worker, run_within
 
+from dlpc import qpu
 from dlpc.cliffords import compose, inverse, native_ops
 from dlpc.devcomp import (
     Instr,
@@ -146,6 +148,60 @@ def test_mode_equivalence_exact(calib):
     assert len(trace.results) == len(baseline)
     for got, want in zip(trace.results, baseline):
         assert got == want
+
+
+def _mixed_template() -> Circuit:
+    """Literal R and XX pulses beside slot-driven R pulses and a slot frame rotation."""
+    return Circuit(
+        2,
+        [
+            op("RX", 1, 0.7),
+            op("RY", 0, SlotRef(0)),
+            op("XX", (0, 1), math.pi / 4),
+            op("RZ", 1, SlotRef(1)),
+            op("RX", 0, SlotRef(1)),
+            op("MEASURE", ()),
+        ],
+    )
+
+
+def _replay(xs):
+    def objective(r: Results):
+        nxt = r.iteration + 1
+        return Params(xs[nxt]) if nxt < len(xs) else Sentinel()
+
+    return objective
+
+
+def test_streamed_slots_never_reuse_a_stale_matrix(calib):
+    """Slots change every iteration, one at a time, and return to earlier values."""
+    xs = [(0.3, 1.1), (0.3, 2.0), (1.9, 2.0), (0.3, 1.1), (2.6, 0.4)]
+    seed = 5
+    sched = _schedule(_mixed_template(), calib)
+    kernel = compile_partial(sched, shots=2000)
+    trace = _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=seed)
+    assert len(trace.results) == len(xs)
+    for k, x in enumerate(xs):
+        fresh = execute(compile_full(sched, list(x), shots=2000), run_seed=seed, iteration=k)
+        assert trace.results[k] == fresh.results[0], f"iteration {k} with slots {x}"
+
+
+def test_literal_pulses_build_their_matrix_once_per_kernel(calib, monkeypatch):
+    built: list[tuple] = []
+    real = qpu.gate_matrix
+
+    def counting(kind, params):
+        built.append((kind, params))
+        return real(kind, params)
+
+    monkeypatch.setattr(qpu, "gate_matrix", counting)
+    xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0), (2.2, 0.1), (2.6, 0.4)]
+    kernel = compile_partial(_schedule(_mixed_template(), calib), shots=100)
+    _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=1)
+    # two literal pulses (RX(0.7) and XX) once each, three slot-driven gates per iteration
+    assert len(built) == 2 + 3 * len(xs)
+    assert max(Counter(built).values()) == 1
+    assert [kind for kind, _ in built].count("XX") == 1
 
 
 def test_pool_mode_equivalence_exact(calib):
