@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,30 +196,104 @@ class Hamiltonian:
         return sum(abs(t.coefficient) for t in self.terms)
 
 
+class _ParityTable(dict):
+    """Outcome key -> packed parities, filled on first lookup.
+
+    Field t, ``width`` bits wide from bit ``t * width``, is 1 where the key
+    is odd on ``masks[t]``.  A key is checked against the ``n``-qubit
+    register when it is first looked up, so every key stored is in range.
+    """
+
+    __slots__ = ("masks", "width", "n")
+
+    def __init__(self, masks: tuple[int, ...], width: int, n: int) -> None:
+        super().__init__()
+        self.masks = masks
+        self.width = width
+        self.n = n
+
+    def __missing__(self, key: int) -> int:
+        if key < 0 or key >> self.n:
+            raise IrError(f"outcome key {key} outside the {self.n}-qubit register")
+        packed = 0
+        for t, mask in enumerate(self.masks):
+            packed |= ((key & mask).bit_count() & 1) << (t * self.width)
+        self[key] = packed
+        return packed
+
+
+@functools.lru_cache(maxsize=256)
+def _parity_table(masks: tuple[int, ...], width: int, n: int) -> _ParityTable:
+    return _ParityTable(masks, width, n)
+
+
+def _section_expectations(
+    masks: list[int], counts: dict[int, int], n: int, name: str
+) -> list[float]:
+    """<P> of the terms with these masks from one section's counts, in one pass.
+
+    Each count is added, times its key's packed parities, to one integer
+    whose field t counts the outcomes odd on ``masks[t]``.  A field is
+    ``total.bit_length()`` bits wide and never exceeds ``total``, so no carry
+    crosses into the next field; a negative count would borrow from its
+    neighbour, so it is rejected.  ``name`` is the Pauli string errors name.
+    """
+    total = sum(counts.values())
+    if total <= 0:
+        raise EmptyCounts(f"no shots recorded for term {name!r}")
+    if min(counts.values()) < 0:
+        raise IrError(f"negative count in the counts of {name!r}")
+    width = total.bit_length()
+    table = _parity_table(tuple(masks), width, n)
+    packed = sum(map(operator.mul, counts.values(), map(table.__getitem__, counts)))
+    field_mask = (1 << width) - 1
+    out = []
+    for _ in masks:
+        out.append((total - 2 * (packed & field_mask)) / total)
+        packed >>= width
+    return out
+
+
 def term_expectation(term: PauliTerm, counts: dict[int, int]) -> float:
     """<P> from Z-readout counts taken after the term's basis rotations.
 
     The eigenvalue of an outcome is (-1) to the parity of its bits on the
-    term's support, so <P> = (even - odd) / total = (2 * even - total) / total.
+    term's support, so <P> = (even - odd) / total = (total - 2 * odd) / total.
     """
-    total = sum(counts.values())
-    if total <= 0:
-        raise EmptyCounts(f"no shots recorded for term {term.paulis!r}")
-    n = len(term.paulis)
-    if min(counts) < 0 or max(counts) >> n:
-        raise IrError(f"outcome key outside the {n}-qubit register of {term.paulis!r}")
-    mask = term.mask
-    even = sum(c for key, c in counts.items() if not (key & mask).bit_count() & 1)
-    return (2 * even - total) / total
+    return _section_expectations([term.mask], counts, len(term.paulis), term.paulis)[0]
 
 
 def expectation_from_counts(ham: Hamiltonian, counts_by_term: dict[int, dict[int, int]]) -> float:
-    """Energy estimate: sum of c_i * <P_i>, one counts entry per term."""
-    energy = 0.0
-    for i, term in enumerate(ham.terms):
+    """Energy estimate: sum of c_i * <P_i>, one counts entry per term.
+
+    Terms are grouped by the counts dict they read (the same object, as one
+    measurement section hands to every term it measures), and each group
+    takes one pass over its keys: ``sum(count * table[key])`` packs the odd
+    outcomes of every term in the group into one integer, one field per
+    term (see ``_section_expectations``).  The table from key to packed
+    parities is cached per (masks, field width) and filled as keys appear.
+    The energy is then summed in term order, c_i * <P_i> one term at a time.
+    """
+    terms = ham.terms
+    sections: dict[int, tuple[dict[int, int], list[int], list[int]]] = {}
+    for i, term in enumerate(terms):
         if i not in counts_by_term:
             raise MissingMeasurement(f"no counts for term {i} ({term.paulis})")
-        energy += term.coefficient * term_expectation(term, counts_by_term[i])
+        counts = counts_by_term[i]
+        section = sections.get(id(counts))
+        if section is None:
+            sections[id(counts)] = (counts, [i], [term.mask])
+        else:
+            section[1].append(i)
+            section[2].append(term.mask)
+    values = [0.0] * len(terms)
+    for counts, ids, masks in sections.values():
+        name = terms[ids[0]].paulis
+        for i, value in zip(ids, _section_expectations(masks, counts, ham.n_qubits, name)):
+            values[i] = value
+    energy = 0.0
+    for term, value in zip(terms, values):
+        energy += term.coefficient * value
     return energy
 
 

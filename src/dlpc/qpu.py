@@ -15,8 +15,13 @@ assumed resonant), and frame rotations apply an exact, error-free RZ.
 
 Each PLAY or FRAME_ROT keeps the gate matrix it last built and reuses it
 while its resolved (kind, params) stay equal, so a literal pulse builds its
-matrix once per kernel lifetime.  (Equal by ``==``: a reused matrix differs
-from a fresh one at most in the sign of a zero, which no probability sees.)
+matrix once per kernel lifetime.  When an instruction's (kind, params)
+change, it looks in a table from (kind, params) to matrix shared by every
+instruction before it builds one, so sections that repeat an ansatz build
+each slot-driven matrix once per iteration.  A PARAMS reply empties that
+table; between two of them every slot is fixed, so it holds at most one
+entry per gate instruction.  (Equal by ``==``: a reused matrix differs from
+a fresh one at most in the sign of a zero, which no probability sees.)
 
 Per-pulse depolarizing noise folds into one coherent fraction per shot,
 f = 1 - 4*rho/3 per pulse, so readout samples from
@@ -24,6 +29,11 @@ c * |psi|^2 + (1 - c) / 2^n.  That keeps shot loops vectorized: the body runs
 once, then the outcome distribution is sampled shot-count times from a
 counter-based stream keyed by (run seed, iteration, section), which is what
 makes the two pipeline modes statistically identical run-for-run.
+``shot_rng`` defines that stream.  The VM builds it once, at its first
+DETECT, and re-keys the same Philox generator for every later section: a
+zero counter, an empty buffer and the section's key are exactly the state
+``shot_rng`` builds, so the draws are the same bits without a new generator
+and its entropy-seeded ``SeedSequence`` per section.
 """
 
 from __future__ import annotations
@@ -83,13 +93,26 @@ class TooManyQubits(VmError):
     """Register too wide for state-vector simulation; use cost-only mode."""
 
 
+def _stream_key(run_seed: int, iteration: int, section: int) -> tuple[int, int]:
+    return run_seed & _MASK64, ((iteration & _MASK32) << 32) | (section & _MASK32)
+
+
 def shot_rng(run_seed: int, iteration: int, section: int) -> np.random.Generator:
     """Counter-based stream for one readout: identical keys, identical shots."""
-    key = np.array(
-        [run_seed & _MASK64, ((iteration & _MASK32) << 32) | (section & _MASK32)],
-        dtype=np.uint64,
-    )
+    key = np.array(_stream_key(run_seed, iteration, section), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rekey(rng: np.random.Generator, run_seed: int, iteration: int, section: int) -> None:
+    """Put a ``shot_rng`` generator in the state ``shot_rng`` builds for this key."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _stream_key(run_seed, iteration, section)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(slots=True)
@@ -165,6 +188,9 @@ class _Vm:
         self.state = None if cost_only else self._ground(n)
         # pc -> ((kind, params), matrix) of the last gate that instruction applied
         self.matrices: dict[int, tuple[tuple[str, tuple[float, ...]], np.ndarray]] = {}
+        # (kind, params) -> matrix for every pc; emptied when PARAMS rewrites the slots
+        self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
+        self.rng: np.random.Generator | None = None
         self.coherent = 1.0
         # One section per DETECT: outcome key -> count, qubit q on bit q of the
         # key; a one-channel DETECT reads its channel onto bit 0.
@@ -207,7 +233,11 @@ class _Vm:
             return
         key, mat = self.matrices.get(pc, (None, None))
         if key != (kind, params):
-            key, mat = self.matrices[pc] = (kind, params), gate_matrix(kind, params)
+            key = (kind, params)
+            mat = self.shared.get(key)
+            if mat is None:
+                mat = self.shared[key] = gate_matrix(kind, params)
+            self.matrices[pc] = key, mat
         self.state = _apply_gate(self.state, mat, qubits, self.binary.n_qubits)
 
     def _play(self, pc: int, dur_us: float) -> None:
@@ -234,8 +264,11 @@ class _Vm:
             probs = self.coherent * probs + (1.0 - self.coherent) / len(probs)
             cdf = np.cumsum(probs)
             cdf[-1] = 1.0
-            rng = shot_rng(self.run_seed, self.iteration, self.section_idx)
-            draws = np.searchsorted(cdf, rng.random(shots), side="right")
+            if self.rng is None:
+                self.rng = shot_rng(self.run_seed, self.iteration, self.section_idx)
+            else:
+                rekey(self.rng, self.run_seed, self.iteration, self.section_idx)
+            draws = np.searchsorted(cdf, self.rng.random(shots), side="right")
             hist = np.bincount(draws, minlength=len(probs))
             seen = np.flatnonzero(hist)
             self.sections.append(dict(zip(seen.tolist(), hist[seen].tolist())))
@@ -339,6 +372,7 @@ class _Vm:
                 )
             self.slots = list(reply.values)
             self.slot_set = [True] * self.binary.n_slots
+            self.shared.clear()
             return resume
         if isinstance(reply, CircuitBlock):
             if expected_tag != TAG_CIRCUIT_BLOCK:

@@ -29,7 +29,6 @@ alternation means the next host-to-kernel frame is always the response.
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
@@ -229,29 +228,38 @@ def decode(frame: bytes) -> RpcMessage:
 
 
 class RendezvousCell:
-    """Capacity-1 blocking cell; close() unblocks every waiter with ChannelClosed."""
+    """Capacity-1 blocking cell; close() unblocks every waiter with ChannelClosed.
+
+    Two locks carry the hand-off: ``_space`` is held while the cell is full
+    and ``_ready`` while it is empty, and each side releases the other's
+    lock.  A waiter polls the closed flag every ``_POLL_S``; a take returns
+    an item already in the cell before it reports closed.
+    """
 
     def __init__(self) -> None:
-        self._q: queue.Queue = queue.Queue(maxsize=1)
+        self._item: RpcMessage | None = None
+        self._space = threading.Lock()
+        self._ready = threading.Lock()
+        self._ready.acquire()
         self._closed = threading.Event()
 
     def put(self, item: RpcMessage) -> None:
         while True:
             if self._closed.is_set():
                 raise ChannelClosed("cell is closed")
-            try:
-                self._q.put(item, timeout=_POLL_S)
+            if self._space.acquire(timeout=_POLL_S):
+                self._item = item
+                self._ready.release()
                 return
-            except queue.Full:
-                continue
 
     def take(self) -> RpcMessage:
         while True:
-            try:
-                return self._q.get(timeout=_POLL_S)
-            except queue.Empty:
-                if self._closed.is_set():
-                    raise ChannelClosed("cell is closed") from None
+            if self._ready.acquire(timeout=_POLL_S):
+                item, self._item = self._item, None
+                self._space.release()
+                return item
+            if self._closed.is_set():
+                raise ChannelClosed("cell is closed")
 
     def close(self) -> None:
         self._closed.set()

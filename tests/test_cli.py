@@ -313,6 +313,7 @@ DIGESTS = Path(__file__).with_name("deterministic_digests.json")
 PINNED_RUNS = {
     "vqe": ('{"max_evals": 8}', ("--shots", "50")),
     "rb": ('{"lengths": [2, 4, 8], "per_length": 3, "shots": 50, "depolarizing": 0.01}', ()),
+    "calibrate": ('{"n_qubits": [2]}', ()),
 }
 
 

@@ -63,6 +63,76 @@ def test_term_expectation_rejects_keys_outside_the_register():
     assert term_expectation(PauliTerm(1.0, "IZ"), {3: 1}) == -1.0
 
 
+def _reference_term(term, counts):
+    """Plain scan: each key's parity on the term's support."""
+    support = [q for q, c in enumerate(term.paulis) if c != "I"]
+    total = sum(counts.values())
+    even = sum(c for key, c in counts.items() if sum((key >> q) & 1 for q in support) % 2 == 0)
+    return (2 * even - total) / total
+
+
+def _reference_energy(ham, counts_by_term):
+    """One term at a time, in term order."""
+    energy = 0.0
+    for i, term in enumerate(ham.terms):
+        energy += term.coefficient * _reference_term(term, counts_by_term[i])
+    return energy
+
+
+@st.composite
+def _energy_problems(draw):
+    """A Hamiltonian over 1..8 qubits and its counts; terms share dicts, or read equal copies."""
+    n = draw(st.integers(1, 8))
+    term = st.builds(
+        PauliTerm,
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.text("IXYZ", min_size=n, max_size=n),
+    )
+    terms = draw(st.lists(term, min_size=1, max_size=12))
+    section = st.dictionaries(
+        st.integers(0, 2**n - 1), st.integers(0, 2**40), min_size=1, max_size=40
+    ).filter(lambda d: sum(d.values()) > 0)
+    sections = draw(st.lists(section, min_size=1, max_size=4))
+    counts_by_term = {}
+    for i in range(len(terms)):
+        counts = sections[draw(st.integers(0, len(sections) - 1))]
+        counts_by_term[i] = dict(counts) if draw(st.booleans()) else counts
+    return Hamiltonian(n, terms), counts_by_term
+
+
+@settings(max_examples=200, deadline=None)
+@given(_energy_problems())
+def test_expectation_from_counts_equals_the_per_term_scan(problem):
+    ham, counts_by_term = problem
+    assert expectation_from_counts(ham, counts_by_term) == _reference_energy(ham, counts_by_term)
+    for i, term in enumerate(ham.terms):
+        assert term_expectation(term, counts_by_term[i]) == _reference_term(term, counts_by_term[i])
+
+
+def test_expectation_from_counts_errors_on_shared_sections():
+    h = Hamiltonian(2, [PauliTerm(1.0, "ZI"), PauliTerm(0.5, "IZ"), PauliTerm(0.3, "XX")])
+    shared = {0: 4, 3: 2}
+    with pytest.raises(MissingMeasurement):
+        expectation_from_counts(h, {0: shared, 1: shared})
+    with pytest.raises(EmptyCounts):
+        expectation_from_counts(h, {0: shared, 1: shared, 2: {}})
+    with pytest.raises(EmptyCounts):
+        expectation_from_counts(h, {0: {1: 0}, 1: {1: 0}, 2: shared})
+    outside = {0: 4, 4: 1}
+    with pytest.raises(IrError, match="outside"):
+        expectation_from_counts(h, {0: outside, 1: outside, 2: shared})
+
+
+def test_negative_count_is_rejected():
+    # packed per-term fields would borrow from each other
+    h = Hamiltonian(1, [PauliTerm(1.0, "Z"), PauliTerm(1.0, "Z")])
+    bad = {0: 3, 1: -1}
+    with pytest.raises(IrError, match="negative"):
+        expectation_from_counts(h, {0: bad, 1: bad})
+    with pytest.raises(IrError, match="negative"):
+        term_expectation(PauliTerm(1.0, "Z"), bad)
+
+
 def _apply_gate_tensordot(state, mat, qubits, n):
     """Reference contraction through ``np.tensordot``; ``_apply_gate`` must match it bit for bit."""
     k = len(qubits)

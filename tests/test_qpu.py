@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from conftest import objective_worker, run_within
 
@@ -202,6 +203,80 @@ def test_literal_pulses_build_their_matrix_once_per_kernel(calib, monkeypatch):
     assert len(built) == 2 + 3 * len(xs)
     assert max(Counter(built).values()) == 1
     assert [kind for kind, _ in built].count("XX") == 1
+
+
+def test_sections_sharing_an_ansatz_build_each_slot_matrix_once_per_iteration(
+    calib, monkeypatch
+):
+    built: list[tuple] = []
+    real = qpu.gate_matrix
+
+    def counting(kind, params):
+        built.append((kind, params))
+        return real(kind, params)
+
+    monkeypatch.setattr(qpu, "gate_matrix", counting)
+    xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0), (2.2, 0.1), (2.6, 0.4)]
+    sched = _schedule(_mixed_template(), calib)
+    kernel = compile_partial([sched, sched], shots=100)
+    trace = _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=3)
+    # the second section finds every matrix the first built: two literal
+    # pulses once per kernel, three slot-driven gates once per iteration
+    assert len(built) == 2 + 3 * len(xs)
+    assert max(Counter(built).values()) == 1
+    monkeypatch.undo()
+    for k, x in enumerate(xs):
+        fresh = compile_full(sched, list(x), shots=100)
+        for j in range(2):
+            want = execute(fresh, run_seed=3, iteration=k, first_section=j).results[0]
+            assert trace.results[k].counts[j] == want.counts[0], (k, j)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(0, 0, 0), (7, 3, 2), (2**64 + 7, 3, 2), (5, 2**32 + 9, 1), (2**70 + 1, 2**40 + 2, 2**33 + 5)],
+)
+def test_rekeyed_generator_draws_what_shot_rng_draws(key):
+    rng = qpu.shot_rng(11, 12, 13)
+    rng.random(5)
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves half a 64-bit word buffered
+    qpu.rekey(rng, *key)
+    fresh = qpu.shot_rng(*key)
+    assert np.array_equal(rng.random(1000), fresh.random(1000))
+    assert np.array_equal(
+        rng.integers(0, 2**32, size=7, dtype=np.uint32),
+        fresh.integers(0, 2**32, size=7, dtype=np.uint32),
+    )
+
+
+def test_stream_key_masks_seed_and_iteration():
+    a = qpu.shot_rng(2**64 + 7, 2**32 + 3, 2).random(100)
+    assert np.array_equal(a, qpu.shot_rng(7, 3, 2).random(100))
+
+
+def test_streamed_kernel_builds_one_sampling_generator(calib, monkeypatch):
+    calls = []
+    real = qpu.shot_rng
+
+    def counting(*key):
+        calls.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(qpu, "shot_rng", counting)
+    xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0), (2.2, 0.1)]
+    scheds = [
+        _schedule(Circuit(2, [*_mixed_template().ops[:-1], op("MEASURE", (), basis=b)]), calib)
+        for b in ("Z", "X", "Y")
+    ]
+    kernel = compile_partial(scheds, shots=200)
+    trace = _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=17)
+    assert calls == [(17, 0, 0)]
+    monkeypatch.undo()
+    for k, x in enumerate(xs):
+        for j, sched in enumerate(scheds):
+            fresh = compile_full(sched, list(x), shots=200)
+            want = execute(fresh, run_seed=17, iteration=k, first_section=j).results[0]
+            assert trace.results[k].counts[j] == want.counts[0], (k, j)
 
 
 def test_pool_mode_equivalence_exact(calib):

@@ -290,6 +290,28 @@ def test_closed_cell_unblocks_waiters():
     cell.close()  # idempotent
 
 
+def test_second_put_waits_until_a_take_frees_the_cell():
+    cell = RendezvousCell()
+    cell.put(Params((1.0,)))
+    returned = threading.Event()
+
+    def second_put():
+        cell.put(Params((2.0,)))
+        returned.set()
+
+    t = threading.Thread(target=second_put)
+    t.start()
+    assert not returned.wait(0.3)  # several poll periods: the cell is still full
+    assert cell.take() == Params((1.0,))
+    assert returned.wait(5)
+    t.join(timeout=5)
+    assert not t.is_alive()
+    cell.close()
+    assert cell.take() == Params((2.0,))  # an item put before close is still delivered
+    with pytest.raises(ChannelClosed):
+        cell.take()
+
+
 def _protocol_traces(iterations: int):
     """Abstract op sequences for the three contexts at capacity one.
 
