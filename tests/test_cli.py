@@ -314,6 +314,10 @@ PINNED_RUNS = {
     "vqe": ('{"max_evals": 8}', ("--shots", "50")),
     "rb": ('{"lengths": [2, 4, 8], "per_length": 3, "shots": 50, "depolarizing": 0.01}', ()),
     "calibrate": ('{"n_qubits": [2]}', ()),
+    "cloud": ('{"distributions": ["BURST"], "size_classes": ["SMALL"]}', ("--iterations", "300")),
+    "optimus": ('{"n_samples": 2, "drift_rates": [0.0, 0.05]}', ("--iterations", "10")),
+    "contour": ('{"t_1q_us": [1.0, 5.0], "t_2q_us": [150.0]}', ()),
+    "fit-costmodel": ("{}", ()),
 }
 
 
