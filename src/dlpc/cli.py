@@ -10,6 +10,13 @@ labeled machine in one mode.  ``fit-costmodel`` instead writes
 ``costmodel.json``, which any other subcommand's config can point at through
 its ``cost_model`` key.
 
+Every count a study takes must be at least 1 and every list it takes must be
+non-empty: an integer config key such as ``shots`` or ``per_length``, a list
+key such as ``lengths`` or ``distributions``, and the ``--shots`` and
+``--iterations`` flags.  Anything else is a configuration error, so every
+table has at least one row.  Float keys such as ``depolarizing`` or
+``t_1q_us`` are not counts, and 0 is a valid value for them.
+
 Exit codes: 0 success, 2 configuration or usage error (nothing is written),
 1 runtime failure.
 """
@@ -26,9 +33,9 @@ import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .devcomp import CostModel, RunCosts
+from .devcomp import MODES, CostModel, RunCosts
 from .drivers.calibration import run_calibration
 from .drivers.rb import RB_CIRCUITS_PER_LENGTH, RB_LENGTHS, RB_SHOTS, run_rb
 from .drivers.vqe import VqeProblem, one_param_problem, run_vqe, two_param_problem
@@ -117,16 +124,20 @@ _COMMON_KEYS: dict[str, type | tuple[type, ...]] = {
 }
 
 
+def _read_json(path: str, what: str) -> Any:
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return json.loads(p.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path: str | None, subcommand: str) -> dict[str, Any]:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "config file")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     schema = _SCHEMAS[subcommand] | _COMMON_KEYS
@@ -137,6 +148,10 @@ def _load_config(path: str | None, subcommand: str) -> dict[str, Any]:
             raise ConfigError(
                 f"config key {key!r} must be {schema[key]}, got {type(value).__name__}"
             )
+        if isinstance(value, list) and not value:
+            raise ConfigError(f"config key {key!r} must not be empty")
+        if _SCHEMAS[subcommand].get(key) is int and value < 1:
+            raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
     return raw
 
 
@@ -160,13 +175,7 @@ def _resolve_fit(config: dict[str, Any]) -> FitResult:
     if spec is None:
         return fit_cost_model()
     if isinstance(spec, str):
-        p = Path(spec)
-        if not p.is_file():
-            raise ConfigError(f"cost_model file not found: {spec}")
-        try:
-            spec = json.loads(p.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cost_model file {p} is not valid JSON: {exc}") from exc
+        spec = _read_json(spec, "cost_model file")
     try:
         params = spec["cost_model"]
         model = CostModel(
@@ -206,30 +215,24 @@ def _write_json(path: Path, obj: dict) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, fields: tuple[str, ...], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """Write rows under a header of the first row's keys, in order."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
 
 
 def _run_row(subcommand: str, mode: str, seed: int, label: str, costs: RunCosts) -> dict:
-    return {
+    row = {
         "subcommand": subcommand,
         "mode": mode,
         "seed": seed,
         "label": label,
-        "n_compiles": costs.n_compiles,
-        "compile_s": costs.compile_s,
-        "upload_s": costs.upload_s,
-        "schedule_s": costs.schedule_s,
-        "device_s": costs.device_s,
-        "rpc_s": costs.rpc_s,
-        "overhead_s": costs.overhead_s,
-        "total_s": costs.total_s,
-        "compile_fraction": costs.compile_fraction,
     }
+    row.update((field, getattr(costs, field)) for field in RUNS_FIELDS[len(row):])
+    return row
 
 
 def _comparison(costs: dict[str, RunCosts]) -> dict:
@@ -250,7 +253,22 @@ def _comparison(costs: dict[str, RunCosts]) -> dict:
 
 
 def _modes(mode: str) -> tuple[str, ...]:
-    return ("baseline", "dlpc") if mode == "both" else (mode,)
+    return MODES if mode == "both" else (mode,)
+
+
+def _per_mode(args, subcommand: str, seed: int, label: str, run: Callable[[str], Any]):
+    """Call ``run(mode)`` once for each requested mode.
+
+    Returns the driver reports by mode, their ``report.json`` entry (each
+    report's JSON form, plus the cost comparison under ``--mode both``) and
+    their ``runs.csv`` rows.
+    """
+    reps = {mode: run(mode) for mode in _modes(args.mode)}
+    entry: dict[str, Any] = {"reports": {m: rep.to_json_dict() for m, rep in reps.items()}}
+    if args.mode == "both":
+        entry["comparison"] = _comparison({m: rep.costs for m, rep in reps.items()})
+    runs = [_run_row(subcommand, m, seed, label, rep.costs) for m, rep in reps.items()]
+    return reps, entry, runs
 
 
 # ------------------------------------------------------------ subcommands
@@ -266,12 +284,8 @@ def _cmd_vqe(args, config: dict[str, Any], fit: FitResult, seed: int):
     problem = replace(problem, shots=shots, max_evals=max_evals)
     depolarizing = float(config.get("depolarizing", 0.0))
 
-    reports: dict[str, dict] = {}
-    costs: dict[str, RunCosts] = {}
-    runs: list[dict] = []
-    fig: list[dict] = []
-    for mode in _modes(args.mode):
-        rep = run_vqe(
+    def run(mode: str):
+        return run_vqe(
             problem,
             mode,
             cost_model=fit.cost_model,
@@ -279,78 +293,64 @@ def _cmd_vqe(args, config: dict[str, Any], fit: FitResult, seed: int):
             run_seed=seed,
             depolarizing=depolarizing,
         )
-        reports[mode] = rep.to_json_dict()
-        costs[mode] = rep.costs
-        runs.append(_run_row("vqe", mode, seed, name, rep.costs))
-        for k, (x, energy) in enumerate(rep.trajectory):
-            fig.append(
-                {
-                    "mode": mode,
-                    "eval_idx": k,
-                    "energy": energy,
-                    "params": json.dumps(list(x)),
-                }
-            )
 
+    reps, entry, runs = _per_mode(args, "vqe", seed, name, run)
+    fig = [
+        {
+            "mode": mode,
+            "eval_idx": k,
+            "energy": energy,
+            "params": json.dumps(list(x)),
+        }
+        for mode, rep in reps.items()
+        for k, (x, energy) in enumerate(rep.trajectory)
+    ]
     spec = {
         "problem": name,
         "shots": shots,
         "max_evals": max_evals,
         "depolarizing": depolarizing,
     }
-    report = {"spec": spec, "reports": reports}
-    if args.mode == "both":
-        report["comparison"] = _comparison(costs)
-    return report, runs, fig, ("mode", "eval_idx", "energy", "params")
+    return {"spec": spec, **entry}, runs, fig
 
 
 def _cmd_calibrate(args, config: dict[str, Any], fit: FitResult, seed: int):
     raw = config.get("n_qubits", list(range(2, 11)))
     sizes = [raw] if isinstance(raw, int) else [int(n) for n in raw]
-    if not sizes or any(n < 1 for n in sizes):
+    if any(n < 1 for n in sizes):
         raise ConfigError(f"n_qubits must be positive, got {raw!r}")
 
-    reports: dict[str, dict] = {}
-    comparison: dict[str, dict] = {}
+    entries: dict[str, dict] = {}
     runs: list[dict] = []
     fig: list[dict] = []
     for n in sizes:
-        per_mode: dict[str, RunCosts] = {}
-        reports[str(n)] = {}
-        for mode in _modes(args.mode):
-            rep = run_calibration(
+        reps, entries[str(n)], rows = _per_mode(
+            args,
+            "calibrate",
+            seed,
+            f"n_qubits={n}",
+            lambda mode: run_calibration(
                 calibrated_dataset(n, fit), mode, cost_model=fit.cost_model, run_seed=seed
-            )
-            reports[str(n)][mode] = rep.to_json_dict()
-            per_mode[mode] = rep.costs
-            runs.append(_run_row("calibrate", mode, seed, f"n_qubits={n}", rep.costs))
-            fig.append(
-                {
-                    "n_qubits": n,
-                    "mode": mode,
-                    "n_experiments": rep.n_experiments,
-                    "n_compiles": rep.costs.n_compiles,
-                    "compile_s": rep.costs.compile_s,
-                    "total_s": rep.costs.total_s,
-                    "compile_fraction": rep.costs.compile_fraction,
-                }
-            )
-        if args.mode == "both":
-            comparison[str(n)] = _comparison(per_mode)
+            ),
+        )
+        runs += rows
+        fig += [
+            {
+                "n_qubits": n,
+                "mode": mode,
+                "n_experiments": rep.n_experiments,
+                "n_compiles": rep.costs.n_compiles,
+                "compile_s": rep.costs.compile_s,
+                "total_s": rep.costs.total_s,
+                "compile_fraction": rep.costs.compile_fraction,
+            }
+            for mode, rep in reps.items()
+        ]
 
-    report: dict[str, Any] = {"spec": {"n_qubits": sizes}, "reports": reports}
-    if args.mode == "both":
-        report["comparison"] = comparison
-    fields = (
-        "n_qubits",
-        "mode",
-        "n_experiments",
-        "n_compiles",
-        "compile_s",
-        "total_s",
-        "compile_fraction",
-    )
-    return report, runs, fig, fields
+    report: dict[str, Any] = {"spec": {"n_qubits": sizes}}
+    for part in entries[str(sizes[0])]:  # "reports", and "comparison" under --mode both
+        report[part] = {n: entry[part] for n, entry in entries.items()}
+    return report, runs, fig
 
 
 def _cmd_rb(args, config: dict[str, Any], fit: FitResult, seed: int):
@@ -359,12 +359,8 @@ def _cmd_rb(args, config: dict[str, Any], fit: FitResult, seed: int):
     per_length = int(_setting(args.iterations, config, "per_length", RB_CIRCUITS_PER_LENGTH))
     lengths = tuple(int(m) for m in config.get("lengths", RB_LENGTHS))
 
-    reports: dict[str, dict] = {}
-    costs: dict[str, RunCosts] = {}
-    runs: list[dict] = []
-    fig: list[dict] = []
-    for mode in _modes(args.mode):
-        rep = run_rb(
+    def run(mode: str):
+        return run_rb(
             mode,
             cost_model=fit.cost_model,
             calib=calibrated_dataset(1, fit),
@@ -374,29 +370,25 @@ def _cmd_rb(args, config: dict[str, Any], fit: FitResult, seed: int):
             per_length=per_length,
             shots=shots,
         )
-        reports[mode] = rep.to_json_dict()
-        costs[mode] = rep.costs
-        runs.append(_run_row("rb", mode, seed, f"depol={depolarizing}", rep.costs))
-        for m in lengths:
-            fig.append(
-                {
-                    "mode": mode,
-                    "length": m,
-                    "mean_survival": rep.mean_by_length[m],
-                    "fitted_p": rep.fit.p,
-                }
-            )
 
+    reps, entry, runs = _per_mode(args, "rb", seed, f"depol={depolarizing}", run)
+    fig = [
+        {
+            "mode": mode,
+            "length": m,
+            "mean_survival": rep.mean_by_length[m],
+            "fitted_p": rep.fit.p,
+        }
+        for mode, rep in reps.items()
+        for m in lengths
+    ]
     spec = {
         "depolarizing": depolarizing,
         "shots": shots,
         "per_length": per_length,
         "lengths": list(lengths),
     }
-    report = {"spec": spec, "reports": reports}
-    if args.mode == "both":
-        report["comparison"] = _comparison(costs)
-    return report, runs, fig, ("mode", "length", "mean_survival", "fitted_p")
+    return {"spec": spec, **entry}, runs, fig
 
 
 def _cmd_cloud(args, config: dict[str, Any], fit: FitResult, seed: int):
@@ -469,17 +461,7 @@ def _cmd_cloud(args, config: dict[str, Any], fit: FitResult, seed: int):
     report: dict[str, Any] = {"spec": spec, "reports": reports}
     if args.mode == "both":
         report["comparison"] = comparison
-    fields = (
-        "distribution",
-        "size_class",
-        "mode",
-        "n_compiles",
-        "compile_total_s",
-        "compile_total_min",
-        "exec_total_s",
-        "makespan_s",
-    )
-    return report, runs, fig, fields
+    return report, runs, fig
 
 
 def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
@@ -502,16 +484,13 @@ def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
         **kwargs,
     )
 
-    wanted = _modes(args.mode)
-    aggregates = [a for a in rep.aggregates if a.mode in wanted]
-    runs: list[dict] = []
-    fig: list[dict] = []
+    aggregates = [a for a in rep.aggregates if a.mode in _modes(args.mode)]
+    runs = [
+        _run_row("optimus", a.mode, seed, f"drift={a.drift_rate}", a.costs)
+        for a in aggregates
+    ]
+    fig = [a.to_json_dict() for a in aggregates]
     comparison: dict[str, dict] = {}
-    for agg in aggregates:
-        fig.append(agg.to_json_dict())
-        runs.append(
-            _run_row("optimus", agg.mode, seed, f"drift={agg.drift_rate}", agg.costs)
-        )
     if args.mode == "both":
         for rate in drift_rates:
             base = rep.aggregate(rate, "baseline")
@@ -534,48 +513,35 @@ def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
     report: dict[str, Any] = {
         "spec": spec,
         "n_evals": rep.n_evals,
-        "reports": [a.to_json_dict() for a in aggregates],
+        "reports": fig,
     }
     if args.mode == "both":
         report["comparison"] = comparison
-    fields = (
-        "drift_rate",
-        "mode",
-        "mean_cal_s",
-        "stderr_cal_s",
-        "mean_compile_count",
-        "stderr_compile_count",
-        "mean_compile_fraction",
-        "stderr_compile_fraction",
-        "mean_total_s",
-    )
-    return report, runs, fig, fields
+    return report, runs, fig
 
 
 def _cmd_contour(args, config: dict[str, Any], fit: FitResult, seed: int):
     # inherently comparative: both pipelines are priced at every grid point
     kwargs: dict[str, Any] = {}
-    if "t_1q_us" in config:
-        kwargs["t_1q_us"] = tuple(float(t) for t in config["t_1q_us"])
-    if "t_2q_us" in config:
-        kwargs["t_2q_us"] = tuple(float(t) for t in config["t_2q_us"])
+    for key in ("t_1q_us", "t_2q_us"):
+        if key in config:
+            kwargs[key] = tuple(float(t) for t in config[key])
     iterations = _setting(args.iterations, config, "iterations", None)
     if iterations is not None:
         kwargs["iterations"] = int(iterations)
 
     rep = sweep_machines(cost_model=fit.cost_model, **kwargs)
-    fig: list[dict] = []
-    for r, t2 in enumerate(rep.t_2q_us):
-        for c, t1 in enumerate(rep.t_1q_us):
-            fig.append(
-                {
-                    "t_1q_us": t1,
-                    "t_2q_us": t2,
-                    "ratio": float(rep.ratio[r, c]),
-                    "baseline_fraction": float(rep.baseline_fraction[r, c]),
-                    "dlpc_fraction": float(rep.dlpc_fraction[r, c]),
-                }
-            )
+    fig = [
+        {
+            "t_1q_us": t1,
+            "t_2q_us": t2,
+            "ratio": float(rep.ratio[r, c]),
+            "baseline_fraction": float(rep.baseline_fraction[r, c]),
+            "dlpc_fraction": float(rep.dlpc_fraction[r, c]),
+        }
+        for r, t2 in enumerate(rep.t_2q_us)
+        for c, t1 in enumerate(rep.t_1q_us)
+    ]
     runs = [
         _run_row("contour", mode, seed, name, costs)
         for name, per_mode in rep.machine_costs.items()
@@ -588,11 +554,22 @@ def _cmd_contour(args, config: dict[str, Any], fit: FitResult, seed: int):
         },
         "reports": rep.to_json_dict(),
     }
-    fields = ("t_1q_us", "t_2q_us", "ratio", "baseline_fraction", "dlpc_fraction")
-    return report, runs, fig, fields
+    return report, runs, fig
 
 
 # ------------------------------------------------------------------ main
+
+def positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1.
+
+    argparse names this function in its error for a non-integer, so the name
+    has no leading underscore.
+    """
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -614,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument(
             "--mode",
-            choices=("baseline", "dlpc", "both"),
+            choices=(*MODES, "both"),
             default="both",
             help="which pipeline(s) to run (default: both)",
         )
@@ -631,12 +608,12 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--shots",
-            type=int,
+            type=positive_int,
             help="override shots per evaluation/job where the study uses them",
         )
         p.add_argument(
             "--iterations",
-            type=int,
+            type=positive_int,
             help="override evaluations/jobs/steps where the study uses them",
         )
         p.add_argument(
@@ -660,51 +637,34 @@ _FIG_NAMES = {"calibrate": "fig_calib.csv"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
 
+    out = Path(args.out)
     try:
         config = _load_config(args.config, args.subcommand)
         seed = _resolve_seed(args.seed, config)
         fit = _resolve_fit(config)
-    except ConfigError as exc:
-        print(f"dlpc: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(args.out)
-    try:
+        report: dict[str, Any] = {"subcommand": args.subcommand, "seed": seed}
         if args.subcommand == "fit-costmodel":
-            report = {
-                "subcommand": "fit-costmodel",
-                "seed": seed,
-                **fit.to_json_dict(),
-            }
-            if not args.deterministic:
-                report["generated_at"] = datetime.now(timezone.utc).isoformat()
-            out.mkdir(parents=True, exist_ok=True)
-            _write_json(out / "costmodel.json", fit.to_json_dict())
-            _write_json(out / "report.json", report)
+            report |= fit.to_json_dict()
+            artifacts = [(_write_json, "costmodel.json", fit.to_json_dict())]
         else:
-            body, runs, fig, fig_fields = _RUNNERS[args.subcommand](
-                args, config, fit, seed
-            )
-            report = {
-                "subcommand": args.subcommand,
+            body, runs, fig = _RUNNERS[args.subcommand](args, config, fit, seed)
+            report |= {
                 "mode": args.mode,
-                "seed": seed,
                 "cost_model": fit.to_json_dict()["cost_model"],
                 **body,
             }
-            if not args.deterministic:
-                report["generated_at"] = datetime.now(timezone.utc).isoformat()
-            out.mkdir(parents=True, exist_ok=True)
             fig_name = _FIG_NAMES.get(args.subcommand, f"fig_{args.subcommand}.csv")
-            _write_csv(out / "runs.csv", RUNS_FIELDS, runs)
-            _write_csv(out / fig_name, fig_fields, fig)
-            _write_json(out / "report.json", report)
+            artifacts = [(_write_csv, "runs.csv", runs), (_write_csv, fig_name, fig)]
+        if not args.deterministic:
+            report["generated_at"] = datetime.now(timezone.utc).isoformat()
+        out.mkdir(parents=True, exist_ok=True)
+        for write, name, content in artifacts + [(_write_json, "report.json", report)]:
+            write(out / name, content)
     except ConfigError as exc:
         print(f"dlpc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

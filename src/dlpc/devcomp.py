@@ -55,6 +55,8 @@ __all__ = [
     "RunCosts",
     "CompileEvent",
     "CompileLog",
+    "MODES",
+    "check_mode",
 ]
 
 MAGIC = b"DLPCQBIN"
@@ -451,6 +453,15 @@ def compile_pool(
         tuple(em.pairs),
         tuple(blocks),
     )
+
+
+MODES = ("baseline", "dlpc")
+
+
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` names a pipeline in ``MODES``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True, slots=True)

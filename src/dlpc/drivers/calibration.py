@@ -31,6 +31,7 @@ from ..devcomp import (
     KernelBinary,
     KernelMode,
     Opcode,
+    check_mode,
 )
 from ..ir import SlotRef
 from ..pulse import CalibrationDataset, LiteralUs
@@ -110,11 +111,11 @@ def sweep_slots(exp: Experiment, calib: CalibrationDataset) -> tuple[float, ...]
     return (_carrier(exp, calib), *(float(v) for v in np.linspace(0.0, 1.0, SEGMENTS)))
 
 
-def _sweep_instrs(shots: int, prep_us: float, detect_us: float, segment_us: float):
+def _sweep_instrs(shots: int, prep_us: float, detect_us: float):
     body = [Instr(Opcode.PREP, (prep_us,))]
     for i in range(SEGMENTS):
         body.append(Instr(Opcode.SET_AMP, (0, SlotRef(1 + i))))
-        body.append(Instr(Opcode.PLAY, (LiteralUs(segment_us),)))
+        body.append(Instr(Opcode.PLAY, (LiteralUs(SEGMENT_US),)))
     body.append(Instr(Opcode.DETECT, (ALL_CHANNELS, detect_us)))
     header = [Instr(Opcode.SET_FREQ, (0, SlotRef(0)))]
     loop = [Instr(Opcode.LOOP_SHOTS, (shots, len(body)))]
@@ -126,10 +127,9 @@ def build_sweep_partial(
     *,
     prep_us: float,
     detect_us: float,
-    segment_us: float = SEGMENT_US,
 ) -> KernelBinary:
     """The reusable sweep kernel; resuming at the loop re-runs the whole scan."""
-    header, loop, body = _sweep_instrs(shots, prep_us, detect_us, segment_us)
+    header, loop, body = _sweep_instrs(shots, prep_us, detect_us)
     tail = [
         Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
         Instr(Opcode.RPC_SYNC, (TAG_PARAMS, len(header))),
@@ -146,11 +146,10 @@ def build_sweep_full(
     *,
     prep_us: float,
     detect_us: float,
-    segment_us: float = SEGMENT_US,
 ) -> KernelBinary:
     if len(slot_values) != 1 + SEGMENTS:
         raise ValueError(f"sweep takes {1 + SEGMENTS} slot values, got {len(slot_values)}")
-    header, loop, body = _sweep_instrs(shots, prep_us, detect_us, segment_us)
+    header, loop, body = _sweep_instrs(shots, prep_us, detect_us)
     baked = []
     for ins in header + loop + body:
         args = tuple(
@@ -219,8 +218,7 @@ def run_calibration(
 
     Updates calib in place, one version bump per experiment.
     """
-    if mode not in ("baseline", "dlpc"):
-        raise ValueError(f"mode must be 'baseline' or 'dlpc', got {mode!r}")
+    check_mode(mode)
     plan = experiment_plan(calib)
     version_before = calib.version
     log = CompileLog()

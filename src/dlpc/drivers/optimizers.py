@@ -42,8 +42,6 @@ def nelder_mead(
     x0: Sequence[float],
     *,
     max_evals: int,
-    xatol: float = 1e-5,
-    fatol: float = 1e-7,
 ) -> OptResult:
     """Simplex search with a hard evaluation budget.
 
@@ -55,7 +53,7 @@ def nelder_mead(
         lambda x: float(evaluate(x)),
         np.asarray(x0, dtype=float),
         method="Nelder-Mead",
-        options={"maxfev": max_evals, "xatol": xatol, "fatol": fatol},
+        options={"maxfev": max_evals, "xatol": 1e-5, "fatol": 1e-7},
     )
     return OptResult(tuple(float(v) for v in res.x), float(res.fun), int(res.nfev))
 

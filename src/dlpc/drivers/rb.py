@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from ..cliffords import CLIFFORD_COUNT, compose, inverse, n_pulses, native_ops
-from ..devcomp import CompileLog, CostModel, KernelBinary, compile_full, compile_pool
+from ..devcomp import CompileLog, CostModel, KernelBinary, check_mode, compile_full, compile_pool
 from ..ir import Circuit, op
 from ..pulse import CalibrationDataset, lower_to_pulses
 from ..qpu import ExecutionTrace, execute
@@ -168,8 +168,7 @@ def run_rb(
     per_length: int = RB_CIRCUITS_PER_LENGTH,
     shots: int = RB_SHOTS,
 ) -> RbReport:
-    if mode not in ("baseline", "dlpc"):
-        raise ValueError(f"mode must be 'baseline' or 'dlpc', got {mode!r}")
+    check_mode(mode)
     if calib is None:
         calib = CalibrationDataset.default(1)
     plan = random_circuits(run_seed, lengths, per_length)

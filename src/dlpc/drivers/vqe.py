@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from ..devcomp import CompileLog, CostModel, compile_full, compile_partial
+from ..devcomp import CompileLog, CostModel, check_mode, compile_full, compile_partial
 from ..ir import (
     BASES,
     Circuit,
@@ -35,7 +34,6 @@ from .accounting import RunCosts, costs_from
 from .optimizers import OptResult, nelder_mead, optimizer_worker
 
 __all__ = [
-    "MODES",
     "VqeProblem",
     "VqeReport",
     "one_param_problem",
@@ -44,9 +42,6 @@ __all__ = [
     "section_schedules",
     "run_vqe",
 ]
-
-MODES = ("baseline", "dlpc")
-
 
 @dataclass(frozen=True, slots=True)
 class VqeProblem:
@@ -175,10 +170,8 @@ def run_vqe(
     run_seed: int = 0,
     transport: str = "memory",
     depolarizing: float = 0.0,
-    rabi_truth: Mapping[int, float] | float | None = None,
 ) -> VqeReport:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     if calib is None:
         calib = CalibrationDataset.default(problem.ansatz.n_qubits)
     sections = measurement_sections(problem.hamiltonian)
@@ -205,7 +198,6 @@ def run_vqe(
                     iteration=eval_idx,
                     first_section=j,
                     depolarizing=depolarizing,
-                    rabi_truth=rabi_truth,
                 )
                 traces.append(trace)
                 counts.append(trace.results[0].counts[0])
@@ -244,7 +236,6 @@ def run_vqe(
             run_seed=run_seed,
             initial_slots=list(problem.x0),
             depolarizing=depolarizing,
-            rabi_truth=rabi_truth,
             rpc_roundtrip_us=roundtrip_us,
         ),
         optimizer_worker(run_opt, to_energy, results),

@@ -119,10 +119,8 @@ def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
     )
 
 
-def calibrated_dataset(n_qubits: int, fit: FitResult | None = None) -> CalibrationDataset:
+def calibrated_dataset(n_qubits: int, fit: FitResult) -> CalibrationDataset:
     """Default dataset with the fitted readout timings installed."""
-    if fit is None:
-        fit = fit_cost_model()
     calib = CalibrationDataset.default(n_qubits)
     calib.prep_us = fit.prep_us
     calib.detect_us = fit.detect_us

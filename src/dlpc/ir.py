@@ -191,10 +191,6 @@ class Hamiltonian:
             if len(t.paulis) != self.n_qubits:
                 raise IrError(f"term {t.paulis!r} length != {self.n_qubits} qubits")
 
-    @property
-    def coefficient_norm(self) -> float:
-        return sum(abs(t.coefficient) for t in self.terms)
-
 
 class _ParityTable(dict):
     """Outcome key -> packed parities, filled on first lookup.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, KernelBinary, RunCosts
+from ..devcomp import CostModel, KernelBinary, RunCosts, check_mode
 from ..drivers.rb import clifford_pool
 from ..pulse import CalibrationDataset
 
@@ -60,7 +60,6 @@ class CloudWorkload:
     size_class: str
     n_jobs: int = CLOUD_JOBS
     horizon_s: float = HORIZON_S
-    recalib_period_s: float = RECALIB_PERIOD_S
     shots_per_job: int = CLOUD_SHOTS_PER_JOB
     seed: int = 0
 
@@ -158,8 +157,7 @@ def simulate_cloud(
     t_2q_us: float = 150.0,
 ) -> CloudReport:
     """Single-server FIFO over simulated time; returns the compile series."""
-    if mode not in ("baseline", "dlpc"):
-        raise ValueError(f"mode must be 'baseline' or 'dlpc', got {mode!r}")
+    check_mode(mode)
     arrivals = workload.arrivals()
     gates = workload.job_gates()
     per_shot_us = prep_us + detect_us + gates[:, 0] * t_1q_us + gates[:, 1] * t_2q_us
@@ -167,9 +165,9 @@ def simulate_cloud(
     kernel = standing_kernel_cost(cost_model)
     rebuild_s = kernel.total_s
 
-    n_day_ticks = math.ceil(workload.horizon_s / workload.recalib_period_s) - 1
+    n_day_ticks = math.ceil(workload.horizon_s / RECALIB_PERIOD_S) - 1
     # the trailing infinity ends the scan past the day's last mark
-    ticks = [(k + 1) * workload.recalib_period_s for k in range(n_day_ticks)] + [math.inf]
+    ticks = [(k + 1) * RECALIB_PERIOD_S for k in range(n_day_ticks)] + [math.inf]
 
     baseline = mode == "baseline"
     free_at = 0.0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, RunCosts, compile_full, compile_partial
+from ..devcomp import CostModel, RunCosts, check_mode, compile_full, compile_partial
 from ..ir import Hamiltonian, PauliTerm, Circuit, SlotRef, op
 from ..pulse import CalibrationDataset
 from ..qpu import execute
@@ -53,6 +53,7 @@ OPTIMUS_SPSA_STEPS = 100
 OPTIMUS_SHOTS = 1000
 OPTIMUS_GRAPH_NODES = 12
 PROBE_COST_FRACTION = 0.1
+_EDGE_PROB = 0.25  # chance that a node depends on each earlier node
 # The streaming pipeline's probe kernel and calibration kernel, compiled once.
 _STANDING_SWEEP_KERNELS = 2
 
@@ -83,14 +84,12 @@ class OptimusGraph:
         return len(self.parents)
 
     @classmethod
-    def random(
-        cls, n_nodes: int = OPTIMUS_GRAPH_NODES, edge_prob: float = 0.25, seed: int = 0
-    ) -> OptimusGraph:
+    def random(cls, n_nodes: int = OPTIMUS_GRAPH_NODES, seed: int = 0) -> OptimusGraph:
         rng = np.random.Generator(np.random.Philox(key=[seed, 0xD46]))
         parents: list[tuple[int, ...]] = []
         ancestors: list[tuple[int, ...]] = []
         for j in range(n_nodes):
-            mine = tuple(i for i in range(j) if rng.random() < edge_prob)
+            mine = tuple(i for i in range(j) if rng.random() < _EDGE_PROB)
             parents.append(mine)
             seen: set[int] = set()
             frontier = list(mine)
@@ -204,8 +203,7 @@ def account_sample(
     Probes and calibration experiments run on the device, so their time is
     device time in both modes.
     """
-    if mode not in ("baseline", "dlpc"):
-        raise ValueError(f"mode must be 'baseline' or 'dlpc', got {mode!r}")
+    check_mode(mode)
     probe_s = sum(PROBE_COST_FRACTION * graph.t_experiment_s[n] for n in events.probed)
     cal_s = _cal_seconds(events, graph)
     n_sweeps = len(events.probed) + sum(

@@ -68,6 +68,50 @@ def test_bad_mode_value_exits_2(tmp_path, capsys):
     assert main(["vqe", "--mode", "sideways", "--out", str(tmp_path / "o")]) == 2
 
 
+# (subcommand, config, flags, the key or flag the error must name)
+EMPTYING_INPUTS = [
+    ("rb", {"lengths": []}, (), "lengths"),
+    ("rb", {"per_length": 0}, (), "per_length"),
+    ("vqe", {"max_evals": 0}, (), "max_evals"),
+    ("rb", {"shots": 0}, (), "shots"),
+    ("cloud", {"distributions": []}, (), "distributions"),
+    ("optimus", {"drift_rates": []}, (), "drift_rates"),
+    ("contour", {"t_1q_us": []}, (), "t_1q_us"),
+    ("vqe", {}, ("--iterations", "0"), "--iterations"),
+    ("rb", {}, ("--shots", "0"), "--shots"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, flags, named",
+    EMPTYING_INPUTS,
+    ids=[f"{sub}-{named}" for sub, _, _, named in EMPTYING_INPUTS],
+)
+def test_zero_count_or_empty_list_exits_2_with_no_outputs(
+    tmp_path, capsys, subcommand, config, flags, named
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg), *flags, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["vqe", "rb"])
+def test_integer_zero_float_key_still_runs(tmp_path, capsys, subcommand):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"depolarizing": 0}')
+    out = tmp_path / "out"
+    code, stdout = run_cli(
+        capsys, subcommand, "--config", str(cfg), "--iterations", "2", "--shots", "20",
+        "--deterministic", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert json.loads(stdout)["spec"]["depolarizing"] == 0.0
+
+
 # ------------------------------------------------------------ happy paths
 
 def test_vqe_both_surfaces_driver_compile_counts(tmp_path, capsys):
