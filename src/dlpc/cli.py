@@ -15,7 +15,11 @@ non-empty: an integer config key such as ``shots`` or ``per_length``, a list
 key such as ``lengths`` or ``distributions``, and the ``--shots`` and
 ``--iterations`` flags.  Anything else is a configuration error, so every
 table has at least one row.  Float keys such as ``depolarizing`` or
-``t_1q_us`` are not counts, and 0 is a valid value for them.
+``t_1q_us`` are not counts, and 0 is a valid value for them.  A list's
+elements are checked too: ``lengths`` and ``n_qubits`` hold counts,
+``drift_rates`` and contour's grids hold numbers, and ``distributions`` and
+``size_classes`` hold names the cloud scenario defines.  A JSON boolean is
+never a number.
 
 Exit codes: 0 success, 2 configuration or usage error (nothing is written),
 1 runtime failure.
@@ -85,16 +89,18 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
+# Key -> its JSON type (``float`` takes any number, as in Python's typing);
+# each element of a list key is checked against _ELEMENTS.
 _SCHEMAS: dict[str, dict[str, type | tuple[type, ...]]] = {
     "vqe": {
         "problem": str,
         "shots": int,
         "max_evals": int,
-        "depolarizing": (int, float),
+        "depolarizing": float,
     },
     "calibrate": {"n_qubits": (int, list)},
     "rb": {
-        "depolarizing": (int, float),
+        "depolarizing": float,
         "shots": int,
         "per_length": int,
         "lengths": list,
@@ -104,8 +110,8 @@ _SCHEMAS: dict[str, dict[str, type | tuple[type, ...]]] = {
         "size_classes": list,
         "n_jobs": int,
         "shots_per_job": int,
-        "t_1q_us": (int, float),
-        "t_2q_us": (int, float),
+        "t_1q_us": float,
+        "t_2q_us": float,
     },
     "optimus": {
         "drift_rates": list,
@@ -121,6 +127,17 @@ _SCHEMAS: dict[str, dict[str, type | tuple[type, ...]]] = {
 _COMMON_KEYS: dict[str, type | tuple[type, ...]] = {
     "seed": int,
     "cost_model": (str, dict),
+}
+
+# List key -> what each element must be: a count, a number or one of a set of names.
+_ELEMENTS: dict[str, type | tuple] = {
+    "n_qubits": int,
+    "lengths": int,
+    "distributions": DISTRIBUTIONS,
+    "size_classes": SIZE_CLASSES,
+    "drift_rates": float,
+    "t_1q_us": float,
+    "t_2q_us": float,
 }
 
 
@@ -144,15 +161,32 @@ def _load_config(path: str | None, subcommand: str) -> dict[str, Any]:
     for key, value in raw.items():
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for {subcommand}")
-        if not isinstance(value, schema[key]):
-            raise ConfigError(
-                f"config key {key!r} must be {schema[key]}, got {type(value).__name__}"
-            )
-        if isinstance(value, list) and not value:
-            raise ConfigError(f"config key {key!r} must not be empty")
-        if _SCHEMAS[subcommand].get(key) is int and value < 1:
-            raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
+        counts = key in _SCHEMAS[subcommand]
+        _check(key, value, schema[key], counts)
+        if isinstance(value, list):
+            if not value:
+                raise ConfigError(f"config key {key!r} must not be empty")
+            for item in value:
+                _check(key, item, _ELEMENTS[key], counts)
     return raw
+
+
+def _check(key: str, value: Any, expected: type | tuple, counts: bool) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` is ``expected``.
+
+    ``expected`` is a type, a tuple of types or a tuple of names.  A JSON
+    boolean is never a number, although ``bool`` subclasses ``int``.  With
+    ``counts``, an integer where no float is allowed must be at least 1.
+    """
+    if isinstance(expected, tuple) and isinstance(expected[0], str):
+        if value not in expected:
+            raise ConfigError(f"config key {key!r} takes names from {expected}, got {value!r}")
+        return
+    allowed = (int, float) if expected is float else expected
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"config key {key!r} must be {allowed}, got {type(value).__name__}")
+    if counts and isinstance(value, int) and expected is not float and value < 1:
+        raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
 
 
 def _resolve_seed(flag: int | None, config: dict[str, Any]) -> int:
@@ -316,9 +350,7 @@ def _cmd_vqe(args, config: dict[str, Any], fit: FitResult, seed: int):
 
 def _cmd_calibrate(args, config: dict[str, Any], fit: FitResult, seed: int):
     raw = config.get("n_qubits", list(range(2, 11)))
-    sizes = [raw] if isinstance(raw, int) else [int(n) for n in raw]
-    if any(n < 1 for n in sizes):
-        raise ConfigError(f"n_qubits must be positive, got {raw!r}")
+    sizes = [raw] if isinstance(raw, int) else raw
 
     entries: dict[str, dict] = {}
     runs: list[dict] = []

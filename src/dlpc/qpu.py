@@ -23,6 +23,22 @@ table; between two of them every slot is fixed, so it holds at most one
 entry per gate instruction.  (Equal by ``==``: a reused matrix differs from
 a fresh one at most in the sign of a zero, which no probability sees.)
 
+Sections of one iteration often repeat an ansatz and differ only in their
+final basis rotations, so the VM also keeps a trie of the states reached
+since PREP.  Each child is keyed by its resolved (kind, params, qubits) step
+and holds the state after it; PREP moves the cursor back to the root, and a
+step found there takes the stored state with no matrix lookup and no
+contraction.  The state after a step depends only on the steps since PREP,
+and ``_apply_gate`` always returns a fresh array that nothing writes to
+later, so a replayed state is the one recomputing would give (again up to
+the sign of a zero).  The per-pulse depolarizing factor and the clock are
+charged on every step, replayed or not.  The trie is emptied once per
+iteration, when the results are posted, so it never holds more nodes than
+the gates that iteration ran; emptying it on PARAMS instead would let it
+grow for the whole run of a circuit-streaming kernel, which never receives
+PARAMS.  A kernel with a single DETECT reads one section per iteration and
+never replays a prefix, so it builds no trie.
+
 Per-pulse depolarizing noise folds into one coherent fraction per shot,
 f = 1 - 4*rho/3 per pulse, so readout samples from
 c * |psi|^2 + (1 - c) / 2^n.  That keeps shot loops vectorized: the body runs
@@ -190,6 +206,12 @@ class _Vm:
         self.matrices: dict[int, tuple[tuple[str, tuple[float, ...]], np.ndarray]] = {}
         # (kind, params) -> matrix for every pc; emptied when PARAMS rewrites the slots
         self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
+        # (kind, params, qubits) -> (state, children) from the ground state PREP
+        # makes; node holds the children of the current state
+        detect = Opcode.DETECT  # a local: each enum member lookup costs about 0.1 us
+        n_detects = sum(i.op is detect for i in binary.instructions)
+        self.root: dict | None = {} if n_detects > 1 and not cost_only else None
+        self.node = self.root
         self.rng: np.random.Generator | None = None
         self.coherent = 1.0
         # One section per DETECT: outcome key -> count, qubit q on bit q of the
@@ -231,6 +253,13 @@ class _Vm:
     ) -> None:
         if self.state is None:
             return
+        node = self.node
+        if node is not None:
+            step = (kind, params, qubits)
+            hit = node.get(step)
+            if hit is not None:
+                self.state, self.node = hit
+                return
         key, mat = self.matrices.get(pc, (None, None))
         if key != (kind, params):
             key = (kind, params)
@@ -239,6 +268,9 @@ class _Vm:
                 mat = self.shared[key] = gate_matrix(kind, params)
             self.matrices[pc] = key, mat
         self.state = _apply_gate(self.state, mat, qubits, self.binary.n_qubits)
+        if node is not None:
+            self.node = {}
+            node[step] = self.state, self.node
 
     def _play(self, pc: int, dur_us: float) -> None:
         ch = self.armed
@@ -299,6 +331,7 @@ class _Vm:
             elif op is Opcode.PREP:
                 if self.state is not None:
                     self.state = self._ground(self.binary.n_qubits)
+                self.node = self.root
                 self.coherent = 1.0
                 us += ins.args[0]
             elif op is Opcode.DETECT:
@@ -356,6 +389,8 @@ class _Vm:
         self.iteration += 1
         self.sections = []
         self.section_idx = self.first_section
+        if self.root is not None:
+            self.root = {}
 
     def _sync(self, ins: Instr, pc: int) -> int:
         expected_tag, resume = ins.args

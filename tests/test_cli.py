@@ -68,6 +68,16 @@ def test_bad_mode_value_exits_2(tmp_path, capsys):
     assert main(["vqe", "--mode", "sideways", "--out", str(tmp_path / "o")]) == 2
 
 
+def _assert_config_error(tmp_path, capsys, subcommand, config, flags, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg), *flags, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 # (subcommand, config, flags, the key or flag the error must name)
 EMPTYING_INPUTS = [
     ("rb", {"lengths": []}, (), "lengths"),
@@ -90,13 +100,45 @@ EMPTYING_INPUTS = [
 def test_zero_count_or_empty_list_exits_2_with_no_outputs(
     tmp_path, capsys, subcommand, config, flags, named
 ):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    code = main([subcommand, "--config", str(cfg), *flags, "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert named in capsys.readouterr().err
-    assert not out.exists()
+    _assert_config_error(tmp_path, capsys, subcommand, config, flags, named)
+
+
+# (subcommand, the one config key, its bad value): a JSON boolean where a
+# number belongs, or a list element of the wrong type, range or name set
+BAD_VALUES = [
+    ("rb", "shots", True),
+    ("rb", "per_length", True),
+    ("vqe", "max_evals", True),
+    ("optimus", "n_nodes", True),
+    ("contour", "iterations", True),
+    ("calibrate", "n_qubits", True),
+    ("vqe", "seed", True),
+    ("rb", "depolarizing", True),
+    ("cloud", "t_1q_us", False),
+    ("rb", "lengths", [-3, 2]),
+    ("rb", "lengths", [0]),
+    ("rb", "lengths", [2, True]),
+    ("rb", "lengths", [2.5]),
+    ("calibrate", "n_qubits", [2, 0]),
+    ("calibrate", "n_qubits", [True]),
+    ("cloud", "distributions", ["NOPE"]),
+    ("cloud", "size_classes", ["SMALL", "TINY"]),
+    ("optimus", "drift_rates", [0.0, True]),
+    ("optimus", "drift_rates", ["0.1"]),
+    ("contour", "t_1q_us", [False]),
+    ("contour", "t_2q_us", [150.0, "fast"]),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value",
+    BAD_VALUES,
+    ids=[f"{sub}-{key}-{json.dumps(value)}" for sub, key, value in BAD_VALUES],
+)
+def test_boolean_or_bad_list_element_exits_2_with_no_outputs(
+    tmp_path, capsys, subcommand, key, value
+):
+    _assert_config_error(tmp_path, capsys, subcommand, {key: value}, (), key)
 
 
 @pytest.mark.parametrize("subcommand", ["vqe", "rb"])

@@ -220,7 +220,7 @@ def test_sections_sharing_an_ansatz_build_each_slot_matrix_once_per_iteration(
     sched = _schedule(_mixed_template(), calib)
     kernel = compile_partial([sched, sched], shots=100)
     trace = _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=3)
-    # the second section finds every matrix the first built: two literal
+    # the second section builds no matrix the first built: two literal
     # pulses once per kernel, three slot-driven gates once per iteration
     assert len(built) == 2 + 3 * len(xs)
     assert max(Counter(built).values()) == 1
@@ -232,9 +232,148 @@ def test_sections_sharing_an_ansatz_build_each_slot_matrix_once_per_iteration(
             assert trace.results[k].counts[j] == want.counts[0], (k, j)
 
 
+def _watch_vm(monkeypatch) -> list[tuple[np.ndarray, bool, int]]:
+    """Per DETECT: a copy of the state, whether the VM keeps a trie, contractions so far."""
+    contractions: list[None] = []
+    seen: list[tuple[np.ndarray, bool, int]] = []
+    real_apply, real_detect = qpu._apply_gate, qpu._Vm._detect
+
+    def contracting(*args):
+        contractions.append(None)
+        return real_apply(*args)
+
+    def detecting(self, channel, shots):
+        seen.append((self.state.copy(), self.root is not None, len(contractions)))
+        real_detect(self, channel, shots)
+
+    monkeypatch.setattr(qpu, "_apply_gate", contracting)
+    monkeypatch.setattr(qpu._Vm, "_detect", detecting)
+    return seen
+
+
+def _bases(calib, template: Circuit) -> list:
+    """One schedule per readout basis, each repeating template's gates."""
+    return [
+        _schedule(Circuit(2, [*template.ops[:-1], op("MEASURE", (), basis=b)]), calib)
+        for b in ("Z", "X", "Y")
+    ]
+
+
+def _assert_sections_match_full_compiles(trace, seen, scheds, xs, seed, shots, depolarizing=0.0):
+    """Counts and amplitudes of every streamed section equal a one-section full compile."""
+    streamed = list(seen)
+    for k, x in enumerate(xs):
+        for j, sched in enumerate(scheds):
+            fresh = compile_full(sched, list(x), shots=shots)
+            want = execute(
+                fresh, run_seed=seed, iteration=k, first_section=j, depolarizing=depolarizing
+            )
+            assert trace.results[k].counts[j] == want.results[0].counts[0], (k, j)
+            assert np.array_equal(streamed[len(scheds) * k + j][0], seen[-1][0]), (k, j)
+            assert not seen[-1][1]
+
+
+@pytest.mark.parametrize("depolarizing", [0.0, 0.02])
+def test_trie_never_replays_a_stale_state(calib, monkeypatch, depolarizing):
+    """One slot changes at a time, and slots return to earlier values."""
+    xs = [(0.3, 1.1), (0.3, 2.0), (1.9, 2.0), (0.3, 1.1), (0.3, 1.1), (2.6, 0.4)]
+    scheds = _bases(calib, _mixed_template())
+    seen = _watch_vm(monkeypatch)
+    trace = _stream(
+        compile_partial(scheds, shots=500), _replay(xs),
+        initial_slots=list(xs[0]), run_seed=8, depolarizing=depolarizing,
+    )
+    assert len(seen) == len(scheds) * len(xs) and all(trie for _, trie, _ in seen)
+    _assert_sections_match_full_compiles(trace, seen, scheds, xs, 8, 500, depolarizing)
+
+
+def test_prefix_diverging_midway_recomputes_from_that_gate(calib, monkeypatch):
+    prefix = [op("RX", 1, 0.7), op("RY", 0, SlotRef(0)), op("XX", (0, 1), math.pi / 4)]
+    a = [*prefix, op("RZ", 1, SlotRef(1)), op("RX", 0, SlotRef(1))]
+    b = [*prefix, op("RX", 0, SlotRef(1)), op("RZ", 1, SlotRef(1))]  # same state, other path
+    scheds = [_schedule(Circuit(2, [*ops, op("MEASURE", ())]), calib) for ops in (a, b, a)]
+    xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0)]
+    seen = _watch_vm(monkeypatch)
+    trace = _stream(
+        compile_partial(scheds, shots=200), _replay(xs), initial_slots=list(xs[0]), run_seed=2
+    )
+    done = [0] + [contracted for _, _, contracted in seen]
+    # a runs all five gates, b only the two after the shared prefix, a again none
+    assert [after - before for before, after in zip(done, done[1:])] == [5, 2, 0] * len(xs)
+    _assert_sections_match_full_compiles(trace, seen, scheds, xs, 2, 200)
+
+
+def _reading_twice(pool: KernelBinary) -> KernelBinary:
+    """The pool kernel with its shot loop's PREP, SELECT and DETECT run twice."""
+    instrs = list(pool.instructions)
+    loop = next(pc for pc, ins in enumerate(instrs) if ins.op is Opcode.LOOP_SHOTS)
+    shots, body_len = instrs[loop].args
+    body = instrs[loop + 1 : loop + 1 + body_len]
+    instrs[loop : loop + 1 + body_len] = [
+        Instr(Opcode.LOOP_SHOTS, (shots, 2 * body_len)), *body, *body
+    ]
+    blocks = tuple((start + body_len, length) for start, length in pool.blocks)
+    return KernelBinary(pool.mode, pool.n_qubits, 0, tuple(instrs), pool.pair_channels, blocks)
+
+
+def _trie_nodes(children: dict) -> int:
+    return sum(1 + _trie_nodes(grandchildren) for _, grandchildren in children.values())
+
+
+def test_trie_holds_one_iterations_states_on_a_streamed_rb_kernel(calib, monkeypatch):
+    """A circuit-streaming kernel never receives PARAMS; its trie still empties per iteration."""
+    rng = np.random.default_rng(4)
+    circuits = [tuple(rng.integers(0, 24, size=rng.integers(1, 9)).tolist()) for _ in range(40)]
+    gates: list[int] = [0]
+    per_iteration: list[tuple[int, int]] = []
+    real_apply, real_post = qpu._Vm._apply, qpu._Vm._post_results
+
+    def applying(self, *args):
+        gates[-1] += 1
+        real_apply(self, *args)
+
+    def posting(self):
+        per_iteration.append((_trie_nodes(self.root), gates[-1]))
+        gates.append(0)
+        real_post(self)
+
+    monkeypatch.setattr(qpu._Vm, "_apply", applying)
+    monkeypatch.setattr(qpu._Vm, "_post_results", posting)
+
+    def objective(r: Results):
+        nxt = r.iteration + 1
+        return CircuitBlock((circuits[nxt],)) if nxt < len(circuits) else Sentinel()
+
+    kernel = _reading_twice(clifford_pool(calib, 50))
+    trace = _stream(kernel, objective, initial_circuits=[circuits[0]], run_seed=6)
+    assert len(per_iteration) == len(circuits)
+    # the first section adds one node per gate; the second replays every one
+    assert all(2 * nodes == ran for nodes, ran in per_iteration)
+    assert sum(nodes for nodes, _ in per_iteration) > 100
+    monkeypatch.undo()
+    for i, seq in enumerate(circuits):
+        ops = [g for idx in seq for g in native_ops(idx, 0)]
+        full = compile_full(_schedule(Circuit(1, [*ops, op("MEASURE", ())]), calib), [], shots=50)
+        for j in range(2):
+            want = execute(full, run_seed=6, iteration=i, first_section=j).results[0]
+            assert trace.results[i].counts[j] == want.counts[0], (i, j)
+
+
+def test_one_detect_kernels_build_no_trie(calib, monkeypatch):
+    seen = _watch_vm(monkeypatch)
+    sched = _schedule(_mixed_template(), calib)
+    execute(compile_full(sched, [0.3, 1.1], shots=10))
+    _stream(
+        compile_partial(sched, shots=10), _replay([(0.3, 1.1), (0.5, 0.2)]), initial_slots=[0.3, 1.1]
+    )
+    _stream(clifford_pool(calib, 10), lambda r: Sentinel(), initial_circuits=[(5, 17)])
+    execute(compile_full([sched, sched], [0.3, 1.1], shots=10))
+    assert [trie for _, trie, _ in seen] == [False] * 4 + [True] * 2
+
+
 @pytest.mark.parametrize(
     "key",
-    [(0, 0, 0), (7, 3, 2), (2**64 + 7, 3, 2), (5, 2**32 + 9, 1), (2**70 + 1, 2**40 + 2, 2**33 + 5)],
+    [(0, 0, 0), (7, 3, 2),(2**64 + 7, 3, 2), (5, 2**32 + 9, 1), (2**70 + 1, 2**40 + 2, 2**33 + 5)],
 )
 def test_rekeyed_generator_draws_what_shot_rng_draws(key):
     rng = qpu.shot_rng(11, 12, 13)
