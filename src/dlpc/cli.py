@@ -19,7 +19,9 @@ table has at least one row.  Float keys such as ``depolarizing`` or
 elements are checked too: ``lengths`` and ``n_qubits`` hold counts,
 ``drift_rates`` and contour's grids hold numbers, and ``distributions`` and
 ``size_classes`` hold names the cloud scenario defines.  A JSON boolean is
-never a number.
+never a number.  The four numbers of a ``cost_model`` entry, inline or in a
+``costmodel.json``, must be finite, and ``prep_us`` and ``detect_us`` must
+not be negative.
 
 Exit codes: 0 success, 2 configuration or usage error (nothing is written),
 1 runtime failure.
@@ -31,6 +33,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -213,16 +216,27 @@ def _resolve_fit(config: dict[str, Any]) -> FitResult:
     try:
         params = spec["cost_model"]
         model = CostModel(
-            compile_a=float(params["compile_a"]), compile_b=float(params["compile_b"])
+            compile_a=_finite(params, "compile_a"), compile_b=_finite(params, "compile_b")
         )
         return FitResult(
             cost_model=model,
-            prep_us=float(spec["prep_us"]),
-            detect_us=float(spec["detect_us"]),
+            prep_us=_finite(spec, "prep_us", least=0.0),
+            detect_us=_finite(spec, "detect_us", least=0.0),
             reproduced=dict(spec.get("reproduced", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cost_model entry is malformed: {exc}") from exc
+
+
+def _finite(table: dict[str, Any], key: str, least: float = -math.inf) -> float:
+    """``table[key]`` if it is a finite JSON number of at least ``least``."""
+    value = table[key]
+    _check(key, value, float, False)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    if value < least:
+        raise ConfigError(f"config key {key!r} must be at least {least}, got {value!r}")
+    return float(value)
 
 
 def _setting(flag: Any, config: dict[str, Any], key: str, default: Any) -> Any:

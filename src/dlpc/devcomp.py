@@ -1,13 +1,14 @@
 """Device-level compiler: pulse schedules to kernel binaries, plus the cost model.
 
 A kernel binary is the unit the control stack compiles, uploads, and schedules.
-Full kernels bake every parameter into the instruction stream, so a parameter
-change forces a recompile.  Partial kernels keep parameters in slot registers
-and end in an RPC tail (asynchronous results upload, synchronous parameter
-fetch), so one compile serves an arbitrary number of iterations.  Pool kernels
-are the partial variant for circuit-shaped parameters: pre-lowered gate blocks
-live after HALT and a SELECT instruction replays whichever block sequence the
-host streamed in.
+Partial kernels keep parameters in slot registers and end in an RPC tail
+(asynchronous results upload, synchronous parameter fetch), so one compile
+serves an arbitrary number of iterations.  A full kernel is the same shot
+loops with every slot baked into a literal (``bake``) and a plain HALT for a
+tail, so a parameter change forces a recompile.  Pool kernels are the partial
+variant for circuit-shaped parameters: pre-lowered gate blocks live after HALT
+and a SELECT instruction replays whichever block sequence the host streamed
+in.
 
 Instruction operands: channels are u8 literals (255 addresses every channel in
 DETECT), scalar operands are either f64 literals or u32 slot indices resolved
@@ -19,7 +20,7 @@ affine in the instruction count, including pool blocks.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from hashlib import blake2b
@@ -51,9 +52,9 @@ __all__ = [
     "compile_full",
     "compile_partial",
     "compile_pool",
+    "bake",
     "CostModel",
     "RunCosts",
-    "CompileEvent",
     "CompileLog",
     "MODES",
     "check_mode",
@@ -306,17 +307,17 @@ class _Emitter:
             return self.n_qubits + self.pairs.index(ch)
         return ch
 
-    def body(self, sched: PulseSchedule, subst) -> list[Instr]:
+    def body(self, sched: PulseSchedule) -> list[Instr]:
         out: list[Instr] = []
         for item in sched.items:
             if isinstance(item, PulseOp):
                 ch = self.channel_of(item.channel)
                 self.header_freqs.setdefault(ch, item.freq)
-                out.append(Instr(Opcode.SET_PHASE, (ch, subst(item.phase))))
-                out.append(Instr(Opcode.SET_AMP, (ch, subst(item.amp))))
-                out.append(Instr(Opcode.PLAY, (subst(item.duration),)))
+                out.append(Instr(Opcode.SET_PHASE, (ch, item.phase)))
+                out.append(Instr(Opcode.SET_AMP, (ch, item.amp)))
+                out.append(Instr(Opcode.PLAY, (item.duration,)))
             elif isinstance(item, FramePhase):
-                out.append(Instr(Opcode.FRAME_ROT, (self.channel_of(item.channel), subst(item.angle))))
+                out.append(Instr(Opcode.FRAME_ROT, (self.channel_of(item.channel), item.angle)))
             elif isinstance(item, Prep):
                 out.append(Instr(Opcode.PREP, (item.duration_us,)))
             elif isinstance(item, Detect):
@@ -341,18 +342,30 @@ def _normalize(schedules: PulseSchedule | Sequence[PulseSchedule]) -> list[Pulse
     return out
 
 
-def _make_subst(slot_values: Sequence[float] | None):
-    if slot_values is None:
-        return lambda v: v
+def bake(instrs: Sequence[Instr], slot_values: Sequence[float]) -> list[Instr]:
+    """``instrs`` with every slot operand replaced by its literal value."""
 
-    def subst(v):
-        if isinstance(v, SlotRef):
-            return float(slot_values[v.index])
-        if isinstance(v, SlotOverOmega):
-            return LiteralUs(duration_of(slot_values[v.slot], v.rabi_snapshot))
-        return v
+    def literal(arg):
+        if isinstance(arg, SlotRef):
+            return float(slot_values[arg.index])
+        if isinstance(arg, SlotOverOmega):
+            return LiteralUs(duration_of(slot_values[arg.slot], arg.rabi_snapshot))
+        return arg
 
-    return subst
+    return [Instr(i.op, tuple(literal(a) for a in i.args)) for i in instrs]
+
+
+def _emit(
+    scheds: list[PulseSchedule], shots: int, n_qubits: int | None
+) -> tuple[_Emitter, list[Instr], list[Instr]]:
+    """The emitter, the SET_FREQ header and one shot loop per schedule, slots live."""
+    em = _Emitter(scheds, n_qubits)
+    loops: list[Instr] = []
+    for s in scheds:
+        body = em.body(s)
+        loops.append(Instr(Opcode.LOOP_SHOTS, (shots, len(body))))
+        loops.extend(body)
+    return em, em.header(), loops
 
 
 def compile_full(
@@ -362,22 +375,16 @@ def compile_full(
     *,
     n_qubits: int | None = None,
 ) -> KernelBinary:
-    """Bake parameter values into the stream and emit a one-shot-through kernel."""
+    """The partial kernel's loops, baked with ``slot_values``, run once through."""
     scheds = _normalize(schedules)
     arity = max(s.n_slots for s in scheds)
     if len(slot_values) != arity:
         raise SlotArityError(f"kernel has {arity} slots, got {len(slot_values)} values")
-    em = _Emitter(scheds, n_qubits)
-    subst = _make_subst(slot_values)
-    bodies = [em.body(s, subst) for s in scheds]
-    instrs = em.header()
-    for body in bodies:
-        instrs.append(Instr(Opcode.LOOP_SHOTS, (shots, len(body))))
-        instrs.extend(body)
-    instrs.append(Instr(Opcode.HALT, ()))
-    return KernelBinary(
-        KernelMode.FULL, em.n_qubits, 0, tuple(instrs), tuple(em.pairs), ()
-    )
+    em, header, loops = _emit(scheds, shots, n_qubits)
+    if arity:  # a slot-free kernel, such as every RB circuit, has nothing to bake
+        loops = bake(loops, slot_values)
+    instrs = (*header, *loops, Instr(Opcode.HALT, ()))
+    return KernelBinary(KernelMode.FULL, em.n_qubits, 0, instrs, tuple(em.pairs), ())
 
 
 def compile_partial(
@@ -389,20 +396,16 @@ def compile_partial(
     """Keep slots live and append the results-upload / parameter-fetch tail."""
     scheds = _normalize(schedules)
     n_slots = max(s.n_slots for s in scheds)
-    em = _Emitter(scheds, n_qubits)
-    subst = _make_subst(None)
-    bodies = [em.body(s, subst) for s in scheds]
-    header = em.header()
-    instrs = list(header)
-    resume = len(header)
-    for body in bodies:
-        instrs.append(Instr(Opcode.LOOP_SHOTS, (shots, len(body))))
-        instrs.extend(body)
-    instrs.append(Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)))
-    instrs.append(Instr(Opcode.RPC_SYNC, (TAG_PARAMS, resume)))
-    instrs.append(Instr(Opcode.HALT, ()))
+    em, header, loops = _emit(scheds, shots, n_qubits)
+    instrs = (
+        *header,
+        *loops,
+        Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
+        Instr(Opcode.RPC_SYNC, (TAG_PARAMS, len(header))),
+        Instr(Opcode.HALT, ()),
+    )
     return KernelBinary(
-        KernelMode.PARTIAL, em.n_qubits, n_slots, tuple(instrs), tuple(em.pairs), ()
+        KernelMode.PARTIAL, em.n_qubits, n_slots, instrs, tuple(em.pairs), ()
     )
 
 
@@ -423,14 +426,13 @@ def compile_pool(
     if not block_schedules:
         raise CompileError("gate pool is empty")
     em = _Emitter(block_schedules, n_qubits)
-    subst = _make_subst(None)
     block_bodies = []
     for s in block_schedules:
         if s.n_slots:
             raise CompileError("pool blocks must be fully literal")
         if any(isinstance(i, (Prep, Detect)) for i in s.items):
             raise CompileError("pool blocks cannot contain state preparation or readout")
-        block_bodies.append(em.body(s, subst))
+        block_bodies.append(em.body(s))
 
     instrs = em.header()
     resume = len(instrs)
@@ -559,38 +561,13 @@ class CostModel:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CompileEvent:
-    kind: str
-    label: str
-    n_instr: int
-    size_bytes: int
-    compile_s: float
-    upload_s: float
-    schedule_s: float
-
-
 @dataclass(slots=True)
 class CompileLog:
-    """Per-run accounting of every compile-upload-schedule event."""
+    """A run's compile ledger: the summed price of every kernel it built."""
 
-    events: list[CompileEvent] = field(default_factory=list)
+    costs: RunCosts = RunCosts()
 
-    def record(
-        self, binary: KernelBinary, model: CostModel, kind: str, label: str = ""
-    ) -> CompileEvent:
-        c = model.cost_of(binary)
-        ev = CompileEvent(
-            kind, label, binary.n_instr, binary.size_bytes,
-            c.compile_s, c.upload_s, c.schedule_s,
-        )
-        self.events.append(ev)
-        return ev
-
-    @property
-    def n_compiles(self) -> int:
-        return len(self.events)
-
-    @property
-    def total_compile_s(self) -> float:
-        return sum(e.compile_s for e in self.events)
+    def record(self, binary: KernelBinary, model: CostModel) -> KernelBinary:
+        """Add the price of compiling ``binary`` to the ledger; return ``binary``."""
+        self.costs += model.cost_of(binary)
+        return binary

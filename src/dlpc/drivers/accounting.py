@@ -2,11 +2,11 @@
 
 The ledger type, ``RunCosts``, lives in ``devcomp`` beside ``CostModel``: a
 kernel's price is a one-compile run, and a run's bill is a sum of such
-prices plus its device and RPC time.  Here the drivers' ledgers are built
-from what a run recorded: compile, upload, and schedule come from the
-compile log, device busy time and RPC stalls from the execution traces.
-Total time is their sum by construction, so comparisons between pipeline
-modes never depend on a stopwatch.
+prices plus its device and RPC time.  A driver's ``CompileLog`` already holds
+the summed price of every kernel it built; ``costs_from`` adds the device busy
+time and RPC stalls of the run's execution traces.  Total time is their sum by
+construction, so comparisons between pipeline modes never depend on a
+stopwatch.
 
 Whenever two runs do equal device work, as the pipeline modes of one driver
 do, ``speedup(a, b)`` equals ``b.device_fraction / a.device_fraction``
@@ -30,14 +30,7 @@ def costs_from(log: CompileLog, traces: Iterable[ExecutionTrace]) -> RunCosts:
     for t in traces:
         device_us += t.busy_us
         rpc_us += t.rpc_us
-    return RunCosts(
-        n_compiles=log.n_compiles,
-        compile_s=log.total_compile_s,
-        upload_s=sum(e.upload_s for e in log.events),
-        schedule_s=sum(e.schedule_s for e in log.events),
-        device_s=device_us * 1e-6,
-        rpc_s=rpc_us * 1e-6,
-    )
+    return log.costs + RunCosts(device_s=device_us * 1e-6, rpc_s=rpc_us * 1e-6)
 
 
 def speedup(baseline: RunCosts, other: RunCosts) -> float:

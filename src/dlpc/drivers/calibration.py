@@ -31,6 +31,7 @@ from ..devcomp import (
     KernelBinary,
     KernelMode,
     Opcode,
+    bake,
     check_mode,
 )
 from ..ir import SlotRef
@@ -111,15 +112,17 @@ def sweep_slots(exp: Experiment, calib: CalibrationDataset) -> tuple[float, ...]
     return (_carrier(exp, calib), *(float(v) for v in np.linspace(0.0, 1.0, SEGMENTS)))
 
 
-def _sweep_instrs(shots: int, prep_us: float, detect_us: float):
+def _sweep_instrs(
+    shots: int, prep_us: float, detect_us: float
+) -> tuple[list[Instr], list[Instr]]:
+    """The carrier header and the one shot loop, slots live."""
     body = [Instr(Opcode.PREP, (prep_us,))]
     for i in range(SEGMENTS):
         body.append(Instr(Opcode.SET_AMP, (0, SlotRef(1 + i))))
         body.append(Instr(Opcode.PLAY, (LiteralUs(SEGMENT_US),)))
     body.append(Instr(Opcode.DETECT, (ALL_CHANNELS, detect_us)))
     header = [Instr(Opcode.SET_FREQ, (0, SlotRef(0)))]
-    loop = [Instr(Opcode.LOOP_SHOTS, (shots, len(body)))]
-    return header, loop, body
+    return header, [Instr(Opcode.LOOP_SHOTS, (shots, len(body))), *body]
 
 
 def build_sweep_partial(
@@ -129,14 +132,14 @@ def build_sweep_partial(
     detect_us: float,
 ) -> KernelBinary:
     """The reusable sweep kernel; resuming at the loop re-runs the whole scan."""
-    header, loop, body = _sweep_instrs(shots, prep_us, detect_us)
+    header, loop = _sweep_instrs(shots, prep_us, detect_us)
     tail = [
         Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
         Instr(Opcode.RPC_SYNC, (TAG_PARAMS, len(header))),
         Instr(Opcode.HALT, ()),
     ]
     return KernelBinary(
-        KernelMode.PARTIAL, 1, 1 + SEGMENTS, tuple(header + loop + body + tail), (), ()
+        KernelMode.PARTIAL, 1, 1 + SEGMENTS, tuple(header + loop + tail), (), ()
     )
 
 
@@ -149,15 +152,9 @@ def build_sweep_full(
 ) -> KernelBinary:
     if len(slot_values) != 1 + SEGMENTS:
         raise ValueError(f"sweep takes {1 + SEGMENTS} slot values, got {len(slot_values)}")
-    header, loop, body = _sweep_instrs(shots, prep_us, detect_us)
-    baked = []
-    for ins in header + loop + body:
-        args = tuple(
-            slot_values[a.index] if isinstance(a, SlotRef) else a for a in ins.args
-        )
-        baked.append(Instr(ins.op, args))
-    baked.append(Instr(Opcode.HALT, ()))
-    return KernelBinary(KernelMode.FULL, 1, 0, tuple(baked), (), ())
+    header, loop = _sweep_instrs(shots, prep_us, detect_us)
+    instrs = (*bake(header + loop, slot_values), Instr(Opcode.HALT, ()))
+    return KernelBinary(KernelMode.FULL, 1, 0, instrs, (), ())
 
 
 def _fit(exp: Experiment, calib: CalibrationDataset, run_seed: int, exp_idx: int) -> float:
@@ -234,10 +231,10 @@ def run_calibration(
     if mode == "baseline":
         traces: list[ExecutionTrace] = []
         for k, exp in enumerate(plan):
-            binary = build_sweep_full(
-                sweep_slots(exp, calib), prep_us=prep_us, detect_us=detect_us
+            binary = log.record(
+                build_sweep_full(sweep_slots(exp, calib), prep_us=prep_us, detect_us=detect_us),
+                cost_model,
             )
-            log.record(binary, cost_model, kind="full", label=exp.name)
             traces.append(execute(binary, run_seed=run_seed, iteration=k, cost_only=True))
             analyze(k)
         n_instr = len(binary.instructions)
@@ -246,8 +243,7 @@ def run_calibration(
             fitted, n_instr,
         )
 
-    binary = build_sweep_partial(prep_us=prep_us, detect_us=detect_us)
-    log.record(binary, cost_model, kind="partial", label="sweep")
+    binary = log.record(build_sweep_partial(prep_us=prep_us, detect_us=detect_us), cost_model)
 
     # Slots for experiment k+1 depend on fits applied through experiment k,
     # so the worker interleaves analysis with the parameter stream.
@@ -259,7 +255,7 @@ def run_calibration(
                 parameter_buffer.put(Params(sweep_slots(plan[k + 1], calib)))
         parameter_buffer.put(Sentinel())
 
-    trace, _ = run_session(
+    trace = run_session(
         lambda handle: execute(
             binary,
             endpoint=handle,

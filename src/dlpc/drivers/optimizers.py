@@ -1,13 +1,10 @@
-"""Optimizer loops and the bridge that runs them as the host worker.
+"""The optimizer loop both VQE pipeline modes run.
 
-Both pipeline modes drive the same optimizer code through an evaluate(x)
-callable, so given identical energies they trace identical parameter paths.
-In the recompile-per-iteration mode, evaluate compiles and runs a kernel
-synchronously.  In the parameter-streaming mode, evaluate is a thin shim over
-the host's rendezvous buffers: the first call consumes the results of the
-kernel's launch-time run, and every later call sends PARAMS and blocks for the
-matching RESULTS.  The optimizer therefore runs in the worker context without
-knowing which pipeline is underneath.
+The optimizer sees only an evaluate(x) callable, so given identical energies
+both modes trace identical parameter paths.  What evaluate does underneath is
+the driver's business (``vqe.run_vqe``): the baseline compiles and runs one
+kernel per section, and the streamed mode exchanges parameters and results
+with its running kernel.
 """
 
 from __future__ import annotations
@@ -18,14 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from ..rpc import Params, RendezvousCell, Results, Sentinel
-
-__all__ = [
-    "OptResult",
-    "nelder_mead",
-    "streaming_evaluate",
-    "optimizer_worker",
-]
+__all__ = ["OptResult", "nelder_mead"]
 
 Evaluate = Callable[[np.ndarray], float]
 
@@ -56,44 +46,3 @@ def nelder_mead(
         options={"maxfev": max_evals, "xatol": 1e-5, "fatol": 1e-7},
     )
     return OptResult(tuple(float(v) for v in res.x), float(res.fun), int(res.nfev))
-
-
-def streaming_evaluate(
-    results_buffer: RendezvousCell,
-    parameter_buffer: RendezvousCell,
-    to_energy: Callable[[Results], float],
-) -> Evaluate:
-    """evaluate(x) over the host buffers.
-
-    The kernel already ran its launch parameters, so the first call only
-    collects those results; callers must make their first evaluation at the
-    same point the kernel was launched with.
-    """
-    first = True
-
-    def evaluate(x: np.ndarray) -> float:
-        nonlocal first
-        if first:
-            first = False
-        else:
-            parameter_buffer.put(Params(tuple(float(v) for v in x)))
-        r = results_buffer.take()
-        assert isinstance(r, Results)
-        return to_energy(r)
-
-    return evaluate
-
-
-def optimizer_worker(
-    run: Callable[[Evaluate], OptResult],
-    to_energy: Callable[[Results], float],
-    out: list,
-) -> Callable[[RendezvousCell, RendezvousCell], None]:
-    """Wrap an optimizer loop as the host worker; appends its OptResult to out."""
-
-    def worker(results_buffer: RendezvousCell, parameter_buffer: RendezvousCell) -> None:
-        evaluate = streaming_evaluate(results_buffer, parameter_buffer, to_energy)
-        out.append(run(evaluate))
-        parameter_buffer.put(Sentinel())
-
-    return worker

@@ -178,8 +178,9 @@ def run_rb(
         traces: list[ExecutionTrace] = []
         counts = []
         for k, circ in enumerate(plan):
-            binary = compile_full(_sequence_schedule(circ, calib), [], shots, n_qubits=1)
-            log.record(binary, cost_model, kind="full", label=f"m{circ.length}/c{k}")
+            binary = log.record(
+                compile_full(_sequence_schedule(circ, calib), [], shots, n_qubits=1), cost_model
+            )
             trace = execute(
                 binary,
                 run_seed=run_seed,
@@ -190,8 +191,7 @@ def run_rb(
             counts.append(trace.results[0].counts[0])
         all_traces = traces
     else:
-        binary = clifford_pool(calib, shots)
-        log.record(binary, cost_model, kind="pool", label="clifford-pool")
+        binary = log.record(clifford_pool(calib, shots), cost_model)
         collected = []
 
         def worker(results_buffer: RendezvousCell, parameter_buffer: RendezvousCell) -> None:
@@ -202,7 +202,7 @@ def run_rb(
                     parameter_buffer.put(CircuitBlock((plan[k + 1].elements,)))
             parameter_buffer.put(Sentinel())
 
-        trace, _ = run_session(
+        trace = run_session(
             lambda handle: execute(
                 binary,
                 endpoint=handle,

@@ -28,10 +28,10 @@ from ..ir import (
 )
 from ..pulse import CalibrationDataset, PulseSchedule, lower_to_pulses
 from ..qpu import ExecutionTrace, execute
-from ..rpc import Results, ServeReport, run_session
+from ..rpc import Params, RendezvousCell, Results, Sentinel, run_session
 from ..transpile import transpile
 from .accounting import RunCosts, costs_from
-from .optimizers import OptResult, nelder_mead, optimizer_worker
+from .optimizers import OptResult, nelder_mead
 
 __all__ = [
     "VqeProblem",
@@ -147,7 +147,6 @@ class VqeReport:
     trajectory: tuple[tuple[tuple[float, ...], float], ...]
     costs: RunCosts
     n_iterations: int
-    serve: ServeReport | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,27 +183,26 @@ def run_vqe(
 
     if mode == "baseline":
         traces: list[ExecutionTrace] = []
-        eval_idx = 0
 
         def evaluate(x) -> float:
-            nonlocal eval_idx
+            k = len(trajectory)
             counts = []
             for j, sched in enumerate(scheds):
-                binary = compile_full(sched, [float(v) for v in x], problem.shots, n_qubits=nq)
-                log.record(binary, cost_model, kind="full", label=f"eval{eval_idx}/sec{j}")
+                binary = log.record(
+                    compile_full(sched, [float(v) for v in x], problem.shots, n_qubits=nq),
+                    cost_model,
+                )
                 trace = execute(
                     binary,
                     run_seed=run_seed,
-                    iteration=eval_idx,
+                    iteration=k,
                     first_section=j,
                     depolarizing=depolarizing,
                 )
                 traces.append(trace)
                 counts.append(trace.results[0].counts[0])
-            msg = Results(eval_idx, nq, tuple(counts))
-            energy = to_energy(msg)
+            energy = to_energy(Results(k, nq, tuple(counts)))
             trajectory.append((tuple(float(v) for v in x), energy))
-            eval_idx += 1
             return energy
 
         opt = nelder_mead(evaluate, problem.x0, max_evals=problem.max_evals)
@@ -213,23 +211,26 @@ def run_vqe(
             result=opt,
             trajectory=tuple(trajectory),
             costs=costs_from(log, traces),
-            n_iterations=eval_idx,
+            n_iterations=len(trajectory),
         )
 
-    binary = compile_partial(scheds, problem.shots, n_qubits=nq)
-    log.record(binary, cost_model, kind="partial", label="streamed")
-
+    binary = log.record(compile_partial(scheds, problem.shots, n_qubits=nq), cost_model)
     results: list[OptResult] = []
 
-    def run_opt(evaluate) -> OptResult:
-        def recording(x) -> float:
-            energy = evaluate(x)
+    def worker(results_buffer: RendezvousCell, parameter_buffer: RendezvousCell) -> None:
+        # The kernel already ran x0, the optimizer's first point, so the first
+        # evaluation only collects those results.
+        def evaluate(x) -> float:
+            if trajectory:
+                parameter_buffer.put(Params(tuple(float(v) for v in x)))
+            energy = to_energy(results_buffer.take())
             trajectory.append((tuple(float(v) for v in x), energy))
             return energy
 
-        return nelder_mead(recording, problem.x0, max_evals=problem.max_evals)
+        results.append(nelder_mead(evaluate, problem.x0, max_evals=problem.max_evals))
+        parameter_buffer.put(Sentinel())
 
-    trace, serve = run_session(
+    trace = run_session(
         lambda handle: execute(
             binary,
             endpoint=handle,
@@ -238,7 +239,7 @@ def run_vqe(
             depolarizing=depolarizing,
             rpc_roundtrip_us=roundtrip_us,
         ),
-        optimizer_worker(run_opt, to_energy, results),
+        worker,
         transport=transport,
     )
     return VqeReport(
@@ -247,5 +248,4 @@ def run_vqe(
         trajectory=tuple(trajectory),
         costs=costs_from(log, [trace]),
         n_iterations=trace.n_iterations,
-        serve=serve,
     )

@@ -9,8 +9,8 @@ counts and indices are u32 little-endian.  SENTINEL is the five bytes
 kernel's handle to the host over a transport ("memory": a pair of rendezvous
 cells; "socket": loopback TCP, bound, connected and accepted before any thread
 starts) and runs three execution contexts: the kernel on the ``kernel-vm``
-thread, the worker (the optimizer) on the ``host-worker`` thread, and the
-forwarding loop on the calling thread.  The loop puts each kernel result into
+thread, the driver's host loop (the worker) on the ``host-worker`` thread,
+and the forwarding loop on the calling thread.  The loop puts each result into
 the results buffer, takes the worker's reply (PARAMS, CIRCUIT_BLOCK, or
 SENTINEL) from the parameter buffer, and relays it to the kernel.  Both buffers
 are capacity-1 rendezvous cells, so the control flow is strictly alternating
@@ -20,8 +20,9 @@ The session ends once a SENTINEL has been relayed or the kernel has ended.
 The kernel's handle is closed however the kernel ends, so the loop never waits
 on a silent channel, and a worker crash is relayed as a SENTINEL, so the kernel
 always terminates.  Every endpoint is closed and every thread joined before
-the session returns or raises; the kernel's error is raised first, then the
-worker's.
+the session returns or raises.  It returns only the kernel's result (the
+VM's ``ExecutionTrace`` counts the iterations); the kernel's error is raised
+first, then the worker's.
 
 The kernel never sends an explicit request frame for its synchronous fetch: the
 alternation means the next host-to-kernel frame is always the response.
@@ -33,7 +34,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, TypeVar
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "key_to_bits",
     "RendezvousCell",
     "KernelHandle",
-    "ServeReport",
     "run_session",
 ]
 
@@ -370,14 +370,6 @@ class KernelHandle:
         self._transport.close()
 
 
-@dataclass(slots=True)
-class ServeReport:
-    iterations: int = 0
-    results_received: int = 0
-    replies_sent: int = 0
-    worker_error: BaseException | None = None
-
-
 def _transport_pair(transport: str) -> tuple[_Transport, KernelHandle]:
     """The host's transport and the kernel's handle, already connected."""
     if transport == "memory":
@@ -399,8 +391,8 @@ def run_session(
     worker: Callable[[RendezvousCell, RendezvousCell], None],
     *,
     transport: str = "memory",
-) -> tuple[T, ServeReport]:
-    """Stream one kernel run; returns the kernel's result and the loop's report.
+) -> T:
+    """Stream one kernel run; returns what ``kernel`` returned.
 
     ``kernel(handle)`` posts results and awaits replies through the handle.
     ``worker(results_buffer, parameter_buffer)`` takes results and puts
@@ -409,14 +401,13 @@ def run_session(
     """
     host, handle = _transport_pair(transport)
     results_buffer, parameter_buffer = RendezvousCell(), RendezvousCell()
-    report = ServeReport()
-    kernel_out: dict = {}
+    out: dict = {}
 
     def kernel_main() -> None:
         try:
-            kernel_out["result"] = kernel(handle)
+            out["result"] = kernel(handle)
         except BaseException as e:  # noqa: BLE001 - raised from the calling thread
-            kernel_out["error"] = e
+            out["kernel_error"] = e
         finally:
             handle.close()
 
@@ -426,7 +417,7 @@ def run_session(
         except ChannelClosed:
             pass  # session torn down under the worker; nothing to report
         except BaseException as e:  # noqa: BLE001 - must never strand the kernel
-            report.worker_error = e
+            out["worker_error"] = e
             try:
                 parameter_buffer.put(Sentinel())
             except ChannelClosed:
@@ -440,12 +431,9 @@ def run_session(
         t.start()
     try:
         while True:
-            msg = host.recv()
-            report.results_received += 1
-            results_buffer.put(msg)
+            results_buffer.put(host.recv())
             reply = parameter_buffer.take()
             host.send(reply)
-            report.replies_sent += 1
             if isinstance(reply, Sentinel):
                 break
     except ChannelClosed:
@@ -456,9 +444,7 @@ def run_session(
         host.close()
         for t in threads:
             t.join()
-    report.iterations = report.results_received
-    if "error" in kernel_out:
-        raise kernel_out["error"]
-    if report.worker_error is not None:
-        raise report.worker_error
-    return kernel_out["result"], report
+    for error in ("kernel_error", "worker_error"):
+        if error in out:
+            raise out[error]
+    return out["result"]

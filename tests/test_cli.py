@@ -141,6 +141,38 @@ def test_boolean_or_bad_list_element_exits_2_with_no_outputs(
     _assert_config_error(tmp_path, capsys, subcommand, {key: value}, (), key)
 
 
+# (key, bad value) for a cost_model entry: each must be a finite JSON number
+# that is not a boolean, and the readout durations must not be negative
+BAD_COST_MODEL_VALUES = [
+    ("compile_a", True),
+    ("compile_b", float("inf")),
+    ("detect_us", "200"),
+    ("prep_us", -100),
+    ("prep_us", "nan"),
+    ("prep_us", float("nan")),
+    ("detect_us", -0.5),
+]
+
+
+@pytest.mark.parametrize("via_file", [False, True], ids=["inline", "file"])
+@pytest.mark.parametrize(
+    "key, value",
+    BAD_COST_MODEL_VALUES,
+    ids=[f"{key}-{json.dumps(value)}" for key, value in BAD_COST_MODEL_VALUES],
+)
+def test_bad_cost_model_value_exits_2_with_no_outputs(tmp_path, capsys, key, value, via_file):
+    spec = {"cost_model": {"compile_a": 0.35, "compile_b": 0.006}, "prep_us": 100.0,
+            "detect_us": 200.0}
+    (spec["cost_model"] if key.startswith("compile") else spec)[key] = value
+    if via_file:
+        path = tmp_path / "costmodel.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    _assert_config_error(
+        tmp_path, capsys, "vqe", {"cost_model": spec}, ("--iterations", "2", "--shots", "20"), key
+    )
+
+
 @pytest.mark.parametrize("subcommand", ["vqe", "rb"])
 def test_integer_zero_float_key_still_runs(tmp_path, capsys, subcommand):
     cfg = tmp_path / "cfg.json"

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 
 import pytest
+from conftest import baked_partial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlpc.devcomp import (
     ALL_CHANNELS,
@@ -45,6 +48,32 @@ def calib() -> CalibrationDataset:
 def _vqe_schedule(calib: CalibrationDataset) -> PulseSchedule:
     c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
     return lower_to_pulses(transpile(c), calib)
+
+
+def _slotted_sections(calib: CalibrationDataset) -> list[PulseSchedule]:
+    """Two 2-qubit sections with slot angles (SlotRef) and slot durations (SlotOverOmega)."""
+    ansatz = [
+        op("RY", 0, SlotRef(0)),
+        op("XX", (0, 1), 0.7),
+        op("RZ", 1, SlotRef(2)),
+        op("RX", 1, SlotRef(1)),
+        op("R", 0, SlotRef(3), 0.3),
+    ]
+    return [
+        lower_to_pulses(transpile(Circuit(2, [*ansatz, op("MEASURE", (), basis=b)])), calib)
+        for b in ("Z", "X")
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=4, max_size=4))
+def test_full_kernel_is_the_partial_kernel_baked(slot_values):
+    scheds = _slotted_sections(CalibrationDataset.default(2))
+    partial = compile_partial(scheds, shots=7)
+    full = compile_full(scheds, slot_values, shots=7)
+    assert partial.n_slots == 4
+    assert full.instructions == baked_partial(partial, slot_values)
+    assert (full.n_qubits, full.pair_channels) == (partial.n_qubits, partial.pair_channels)
 
 
 def test_full_kernel_layout_and_baked_rotation(calib):
@@ -226,17 +255,17 @@ def test_compile_log_accounting(calib):
     log = CompileLog()
     k1 = compile_full(_vqe_schedule(calib), [0.1], shots=300)
     k2 = compile_partial(_vqe_schedule(calib), shots=300)
-    log.record(k1, model, "compile_full", "iter-0")
-    log.record(k2, model, "compile_partial", "setup")
-    assert log.n_compiles == 2
-    assert log.total_compile_s == pytest.approx(
+    assert log.record(k1, model) is k1
+    assert log.record(k2, model) is k2
+    assert log.costs == model.cost_of(k1) + model.cost_of(k2)
+    assert log.costs.n_compiles == 2
+    assert log.costs.compile_s == pytest.approx(
         model.compile_time(k1.n_instr) + model.compile_time(k2.n_instr)
     )
-    assert [(e.kind, e.label) for e in log.events] == [
-        ("compile_full", "iter-0"),
-        ("compile_partial", "setup"),
-    ]
-    assert [e.size_bytes for e in log.events] == [k1.size_bytes, k2.size_bytes]
+    assert log.costs.upload_s == pytest.approx(
+        model.upload_time(k1.size_bytes) + model.upload_time(k2.size_bytes)
+    )
+    assert log.costs.device_s == log.costs.rpc_s == 0.0
 
 
 def test_amplitude_sweep_kernel_size():
@@ -298,9 +327,10 @@ def test_size_bytes_counts_the_serialized_bytes_of_every_driver_kernel(monkeypat
     built: list[tuple[str, KernelBinary]] = []
     record = CompileLog.record
 
-    def capture(self, binary, model, kind, label=""):
+    def capture(self, binary, model):
+        kind = "pool" if binary.blocks else binary.mode.name.lower()
         built.append((kind, binary))
-        return record(self, binary, model, kind, label)
+        return record(self, binary, model)
 
     monkeypatch.setattr(CompileLog, "record", capture)
     model = CostModel()

@@ -39,14 +39,13 @@ def _schedule(circuit: Circuit, calib: CalibrationDataset):
 
 def _stream(binary, objective, **execute_kwargs):
     """Execute a streamed kernel against objective; returns its trace."""
-    trace, _ = run_within(
+    return run_within(
         10,
         lambda: run_session(
             lambda handle: execute(binary, endpoint=handle, **execute_kwargs),
             objective_worker(objective),
         ),
     )
-    return trace
 
 
 def test_clock_additivity_example(calib):

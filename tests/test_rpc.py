@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import socket
 import struct
 import threading
@@ -185,19 +184,24 @@ def test_socket_waits_unbounded_for_a_first_byte(monkeypatch):
             timer.join()
 
 
-def _scripted_kernel(handle, iterations: int, log: list) -> None:
-    """Stand-in for the VM's RPC tail: post results, block for the reply."""
+def _scripted_kernel(handle, iterations: int, log: list) -> int:
+    """Stand-in for the VM's RPC tail: post results, block for the reply.
+
+    Returns the number of iterations run, one per results frame posted.
+    """
     for i in range(iterations + 1):
         handle.post_results(Results(i, 1, ({0: 1},)))
         reply = handle.await_reply()
         log.append(reply)
         if isinstance(reply, Sentinel):
             break
+    return i + 1
 
 
 def _run_session(objective, transport: str = "memory"):
+    """Run the scripted kernel against objective; its iteration count and replies."""
     log: list = []
-    _, report = run_within(
+    iterations = run_within(
         10,
         lambda: run_session(
             lambda handle: _scripted_kernel(handle, 100, log),
@@ -205,12 +209,12 @@ def _run_session(objective, transport: str = "memory"):
             transport=transport,
         ),
     )
-    return report, log
+    return iterations, log
 
 
 def test_immediate_sentinel_means_one_iteration():
-    report, log = _run_session(lambda r: Sentinel())
-    assert report.iterations == 1
+    iterations, log = _run_session(lambda r: Sentinel())
+    assert iterations == 1
     assert log == [Sentinel()]
 
 
@@ -222,9 +226,9 @@ def test_k_params_then_sentinel_means_k_plus_one_iterations():
         seen.append(r.iteration)
         return Params((float(len(seen)),)) if len(seen) <= k else Sentinel()
 
-    report, log = _run_session(objective)
-    assert report.iterations == k + 1
-    assert report.results_received == report.replies_sent == k + 1
+    iterations, log = _run_session(objective)
+    assert iterations == k + 1
+    assert len(seen) == len(log) == k + 1
     assert log[:-1] == [Params((float(i),)) for i in range(1, k + 1)]
     assert isinstance(log[-1], Sentinel)
 
@@ -249,9 +253,9 @@ def test_socket_transport_matches_in_process():
         return Params((r.iteration + 0.5,)) if r.iteration < 3 else Sentinel()
 
     _, log_mem = _run_session(objective)
-    report, log_sock = _run_session(objective, transport="socket")
+    iterations, log_sock = _run_session(objective, transport="socket")
     assert log_sock == log_mem
-    assert report.iterations == 4
+    assert iterations == 4
 
 
 @pytest.mark.parametrize("transport", ["memory", "socket"])
@@ -356,12 +360,17 @@ def test_rendezvous_interleavings_deadlock_free(iterations):
     assert finished
 
 
-def test_exactly_once_accounting():
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_exactly_once_accounting(transport):
+    """Each end counts k + 1 messages: the worker's results and the kernel's replies."""
     for k in (1, 4, 9):
-        calls = itertools.count(1)
+        seen: list[int] = []
 
         def objective(r: Results, k=k):
-            return Sentinel() if next(calls) > k else Params((0.0,))
+            seen.append(r.iteration)
+            return Sentinel() if len(seen) > k else Params((0.0,))
 
-        report, log = _run_session(objective)
-        assert report.results_received == report.replies_sent == len(log) == k + 1
+        iterations, log = _run_session(objective, transport)
+        assert seen == list(range(k + 1))
+        assert len(log) == iterations == k + 1
+        assert log.count(Sentinel()) == 1 and isinstance(log[-1], Sentinel)
