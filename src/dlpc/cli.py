@@ -1,27 +1,32 @@
 """Command-line harness: run every experiment in either or both pipeline modes.
 
-Each subcommand resolves its settings from (in rising precedence) built-in
-defaults, a JSON config file, and command-line flags, then writes three
-artifacts into the output directory: ``report.json`` with the full run
-record, ``runs.csv`` with one itemized ``RunCosts`` row per executed run, and
-a ``fig_<subcommand>.csv`` data table shaped for plotting.  An optimus row
-sums the ledgers of every sample at one drift rate; a contour row prices one
-labeled machine in one mode.  ``fit-costmodel`` instead writes
-``costmodel.json``, which any other subcommand's config can point at through
-its ``cost_model`` key.
+Each setting of a subcommand is declared once, as one row of ``_SETTINGS``
+that gives its config key, its kind, its default and the flag that overrides
+it.  A setting resolves from its flag, then the JSON config file, then its
+default, where ``None`` leaves the value to the study; the resolved settings
+are the report's ``spec``.  ``--shots`` and ``--iterations`` exist only on
+the subcommands with a row that names them: calibrate and fit-costmodel take
+neither, contour only ``--iterations``.  Every config may also hold ``seed``
+and ``cost_model``.
 
-Every count a study takes must be at least 1 and every list it takes must be
-non-empty: an integer config key such as ``shots`` or ``per_length``, a list
-key such as ``lengths`` or ``distributions``, and the ``--shots`` and
-``--iterations`` flags.  Anything else is a configuration error, so every
-table has at least one row.  Float keys such as ``depolarizing`` or
-``t_1q_us`` are not counts, and 0 is a valid value for them.  A list's
-elements are checked too: ``lengths`` and ``n_qubits`` hold counts,
-``drift_rates`` and contour's grids hold numbers, and ``distributions`` and
-``size_classes`` hold names the cloud scenario defines.  A JSON boolean is
-never a number.  The four numbers of a ``cost_model`` entry, inline or in a
-``costmodel.json``, must be finite, and ``prep_us`` and ``detect_us`` must
-not be negative.
+Each subcommand writes three artifacts into the output directory:
+``report.json`` with the full run record, ``runs.csv`` with one itemized
+``RunCosts`` row per executed run, and a ``fig_<subcommand>.csv`` data table
+shaped for plotting.  An optimus row sums the ledgers of every sample at one
+drift rate; a contour row prices one labeled machine in one mode.
+``fit-costmodel`` instead writes ``costmodel.json``, which any other
+subcommand's config can point at through its ``cost_model`` key.
+
+A count is an integer of at least 1 and a number any int or float, 0
+included; a JSON boolean is neither.  A list must be non-empty, and each of
+its elements is checked: ``lengths`` and ``n_qubits`` hold counts (calibrate
+also takes one bare count), ``drift_rates`` and contour's grids numbers, and
+``distributions`` and ``size_classes`` names the cloud scenario defines.
+Anything else is a configuration error, so every table has at least one row.
+A ``cost_model`` entry, inline or in a ``costmodel.json``, holds
+``cost_model`` (``compile_a`` and ``compile_b``), ``prep_us``, ``detect_us``
+and an optional ``reproduced`` object, and no other key; each of its numbers
+must be finite, and ``prep_us`` and ``detect_us`` must not be negative.
 
 Exit codes: 0 success, 2 configuration or usage error (nothing is written),
 1 runtime failure.
@@ -45,7 +50,7 @@ from typing import Any, Callable
 from .devcomp import MODES, CostModel, RunCosts
 from .drivers.calibration import run_calibration
 from .drivers.rb import RB_CIRCUITS_PER_LENGTH, RB_LENGTHS, RB_SHOTS, run_rb
-from .drivers.vqe import VqeProblem, one_param_problem, run_vqe, two_param_problem
+from .drivers.vqe import one_param_problem, run_vqe, two_param_problem
 from .fitting import FitResult, calibrated_dataset, fit_cost_model
 from .scenarios.cloud import (
     CLOUD_JOBS,
@@ -92,55 +97,56 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
-# Key -> its JSON type (``float`` takes any number, as in Python's typing);
-# each element of a list key is checked against _ELEMENTS.
-_SCHEMAS: dict[str, dict[str, type | tuple[type, ...]]] = {
+COUNT = "a count"  # an integer of at least 1
+NUMBER = "a number"  # any int or float; 0 is valid
+
+_PROBLEMS = {"one_param": one_param_problem, "two_param": two_param_problem}
+
+# Subcommand -> config key -> (kind, default, flag).  A kind is COUNT, NUMBER,
+# a tuple of allowed names, or a one-element list holding the kind of each
+# element of a non-empty list.  A default of None leaves the value to the
+# study.  The flag, where there is one, overrides the key.
+_SETTINGS: dict[str, dict[str, tuple[Any, Any, str | None]]] = {
     "vqe": {
-        "problem": str,
-        "shots": int,
-        "max_evals": int,
-        "depolarizing": float,
+        "problem": (tuple(_PROBLEMS), "one_param", None),
+        "shots": (COUNT, None, "shots"),
+        "max_evals": (COUNT, None, "iterations"),
+        "depolarizing": (NUMBER, 0.0, None),
     },
-    "calibrate": {"n_qubits": (int, list)},
+    "calibrate": {"n_qubits": ([COUNT], tuple(range(2, 11)), None)},
     "rb": {
-        "depolarizing": float,
-        "shots": int,
-        "per_length": int,
-        "lengths": list,
+        "depolarizing": (NUMBER, 0.0, None),
+        "shots": (COUNT, RB_SHOTS, "shots"),
+        "per_length": (COUNT, RB_CIRCUITS_PER_LENGTH, "iterations"),
+        "lengths": ([COUNT], RB_LENGTHS, None),
     },
     "cloud": {
-        "distributions": list,
-        "size_classes": list,
-        "n_jobs": int,
-        "shots_per_job": int,
-        "t_1q_us": float,
-        "t_2q_us": float,
+        "distributions": ([DISTRIBUTIONS], DISTRIBUTIONS, None),
+        "size_classes": ([SIZE_CLASSES], SIZE_CLASSES, None),
+        "n_jobs": (COUNT, CLOUD_JOBS, "iterations"),
+        "shots_per_job": (COUNT, CLOUD_SHOTS_PER_JOB, "shots"),
+        "t_1q_us": (NUMBER, 5.0, None),
+        "t_2q_us": (NUMBER, 150.0, None),
     },
     "optimus": {
-        "drift_rates": list,
-        "n_samples": int,
-        "n_nodes": int,
-        "spsa_steps": int,
-        "shots": int,
+        "drift_rates": ([NUMBER], OPTIMUS_DRIFT_RATES, None),
+        "n_samples": (COUNT, 100, None),
+        "n_nodes": (COUNT, None, None),
+        "spsa_steps": (COUNT, OPTIMUS_SPSA_STEPS, "iterations"),
+        "shots": (COUNT, OPTIMUS_SHOTS, "shots"),
     },
-    "contour": {"t_1q_us": list, "t_2q_us": list, "iterations": int},
+    "contour": {
+        "t_1q_us": ([NUMBER], None, None),
+        "t_2q_us": ([NUMBER], None, None),
+        "iterations": (COUNT, None, "iterations"),
+    },
     "fit-costmodel": {},
 }
 
+# Keys every subcommand's config may hold, with their JSON types.
 _COMMON_KEYS: dict[str, type | tuple[type, ...]] = {
     "seed": int,
     "cost_model": (str, dict),
-}
-
-# List key -> what each element must be: a count, a number or one of a set of names.
-_ELEMENTS: dict[str, type | tuple] = {
-    "n_qubits": int,
-    "lengths": int,
-    "distributions": DISTRIBUTIONS,
-    "size_classes": SIZE_CLASSES,
-    "drift_rates": float,
-    "t_1q_us": float,
-    "t_2q_us": float,
 }
 
 
@@ -160,36 +166,55 @@ def _load_config(path: str | None, subcommand: str) -> dict[str, Any]:
     raw = _read_json(path, "config file")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    schema = _SCHEMAS[subcommand] | _COMMON_KEYS
+    settings = _SETTINGS[subcommand]
     for key, value in raw.items():
-        if key not in schema:
+        if key in settings:
+            if key == "n_qubits" and not isinstance(value, list):  # one bare size
+                value = raw[key] = [value]
+            _check(key, value, settings[key][0])
+        elif key in _COMMON_KEYS:
+            if isinstance(value, bool) or not isinstance(value, _COMMON_KEYS[key]):
+                raise ConfigError(f"config key {key!r} must be {_COMMON_KEYS[key]}, got {value!r}")
+        else:
             raise ConfigError(f"unknown config key {key!r} for {subcommand}")
-        counts = key in _SCHEMAS[subcommand]
-        _check(key, value, schema[key], counts)
-        if isinstance(value, list):
-            if not value:
-                raise ConfigError(f"config key {key!r} must not be empty")
-            for item in value:
-                _check(key, item, _ELEMENTS[key], counts)
     return raw
 
 
-def _check(key: str, value: Any, expected: type | tuple, counts: bool) -> None:
-    """Raise ``ConfigError`` naming ``key`` unless ``value`` is ``expected``.
+def _check(key: str, value: Any, kind: Any) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` is of ``kind``.
 
-    ``expected`` is a type, a tuple of types or a tuple of names.  A JSON
-    boolean is never a number, although ``bool`` subclasses ``int``.  With
-    ``counts``, an integer where no float is allowed must be at least 1.
+    A JSON boolean is never a number, although ``bool`` subclasses ``int``.
     """
-    if isinstance(expected, tuple) and isinstance(expected[0], str):
-        if value not in expected:
-            raise ConfigError(f"config key {key!r} takes names from {expected}, got {value!r}")
-        return
-    allowed = (int, float) if expected is float else expected
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"config key {key!r} must be {allowed}, got {type(value).__name__}")
-    if counts and isinstance(value, int) and expected is not float and value < 1:
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config key {key!r} must be a non-empty list, got {value!r}")
+        for item in value:
+            _check(key, item, kind[0])
+    elif isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"config key {key!r} takes names from {kind}, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, int if kind == COUNT else (int, float)):
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+    elif kind == COUNT and value < 1:
         raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
+
+
+def _settings(args, config: dict[str, Any], subcommand: str) -> dict[str, Any]:
+    """Each setting of ``subcommand``: its flag, else its config value, else its default.
+
+    Numbers become floats and lists become tuples.
+    """
+    settings: dict[str, Any] = {}
+    for key, (kind, default, flag) in _SETTINGS[subcommand].items():
+        value = getattr(args, flag) if flag else None
+        if value is None:
+            value = config.get(key, default)
+        if isinstance(kind, list) and value is not None:
+            value = tuple(float(v) if kind == [NUMBER] else v for v in value)
+        elif kind == NUMBER:
+            value = float(value)
+        settings[key] = value
+    return settings
 
 
 def _resolve_seed(flag: int | None, config: dict[str, Any]) -> int:
@@ -208,41 +233,50 @@ def _resolve_seed(flag: int | None, config: dict[str, Any]) -> int:
 
 def _resolve_fit(config: dict[str, Any]) -> FitResult:
     """Cost model from config (inline dict or costmodel.json path), else fitted."""
-    spec = config.get("cost_model")
-    if spec is None:
+    entry = config.get("cost_model")
+    if entry is None:
         return fit_cost_model()
-    if isinstance(spec, str):
-        spec = _read_json(spec, "cost_model file")
+    if isinstance(entry, str):
+        entry = _read_json(entry, "cost_model file")
+    entry = _object("cost_model entry", entry, ("cost_model", "prep_us", "detect_us", "reproduced"))
     try:
-        params = spec["cost_model"]
-        model = CostModel(
-            compile_a=_finite(params, "compile_a"), compile_b=_finite(params, "compile_b")
-        )
+        params = _object("cost_model", entry["cost_model"], ("compile_a", "compile_b"))
+        reproduced = _object("reproduced", entry.get("reproduced", {}), None)
         return FitResult(
-            cost_model=model,
-            prep_us=_finite(spec, "prep_us", least=0.0),
-            detect_us=_finite(spec, "detect_us", least=0.0),
-            reproduced=dict(spec.get("reproduced", {})),
+            cost_model=CostModel(
+                compile_a=_finite("compile_a", params["compile_a"]),
+                compile_b=_finite("compile_b", params["compile_b"]),
+            ),
+            prep_us=_finite("prep_us", entry["prep_us"], least=0.0),
+            detect_us=_finite("detect_us", entry["detect_us"], least=0.0),
+            reproduced={k: _finite(f"reproduced.{k}", v) for k, v in reproduced.items()},
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"cost_model entry is malformed: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"cost_model entry lacks key {exc}") from exc
 
 
-def _finite(table: dict[str, Any], key: str, least: float = -math.inf) -> float:
-    """``table[key]`` if it is a finite JSON number of at least ``least``."""
-    value = table[key]
-    _check(key, value, float, False)
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    if value < least:
-        raise ConfigError(f"config key {key!r} must be at least {least}, got {value!r}")
-    return float(value)
+def _object(name: str, value: Any, keys: tuple[str, ...] | None) -> dict[str, Any]:
+    """``value`` if it is a JSON object whose keys all come from ``keys`` (any, if None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+    return value
 
 
-def _setting(flag: Any, config: dict[str, Any], key: str, default: Any) -> Any:
-    if flag is not None:
-        return flag
-    return config.get(key, default)
+def _finite(name: str, value: Any, least: float = -math.inf) -> float:
+    """``value`` as a float if it is a finite JSON number of at least ``least``."""
+    _check(name, value, NUMBER)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the range of a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
+    if number < least:
+        raise ConfigError(f"config key {name!r} must be at least {least}, got {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------- output
@@ -321,16 +355,12 @@ def _per_mode(args, subcommand: str, seed: int, label: str, run: Callable[[str],
 
 # ------------------------------------------------------------ subcommands
 
-def _cmd_vqe(args, config: dict[str, Any], fit: FitResult, seed: int):
-    name = str(config.get("problem", "one_param"))
-    makers = {"one_param": one_param_problem, "two_param": two_param_problem}
-    if name not in makers:
-        raise ConfigError(f"problem must be one of {sorted(makers)}, got {name!r}")
-    problem: VqeProblem = makers[name]()
-    shots = int(_setting(args.shots, config, "shots", problem.shots))
-    max_evals = int(_setting(args.iterations, config, "max_evals", problem.max_evals))
-    problem = replace(problem, shots=shots, max_evals=max_evals)
-    depolarizing = float(config.get("depolarizing", 0.0))
+def _cmd_vqe(args, spec: dict[str, Any], fit: FitResult, seed: int):
+    problem = _PROBLEMS[spec["problem"]]()
+    for key in ("shots", "max_evals"):  # unset, the problem's own
+        if spec[key] is None:
+            spec[key] = getattr(problem, key)
+    problem = replace(problem, shots=spec["shots"], max_evals=spec["max_evals"])
 
     def run(mode: str):
         return run_vqe(
@@ -339,10 +369,10 @@ def _cmd_vqe(args, config: dict[str, Any], fit: FitResult, seed: int):
             cost_model=fit.cost_model,
             calib=calibrated_dataset(problem.ansatz.n_qubits, fit),
             run_seed=seed,
-            depolarizing=depolarizing,
+            depolarizing=spec["depolarizing"],
         )
 
-    reps, entry, runs = _per_mode(args, "vqe", seed, name, run)
+    reps, entry, runs = _per_mode(args, "vqe", seed, spec["problem"], run)
     fig = [
         {
             "mode": mode,
@@ -353,19 +383,11 @@ def _cmd_vqe(args, config: dict[str, Any], fit: FitResult, seed: int):
         for mode, rep in reps.items()
         for k, (x, energy) in enumerate(rep.trajectory)
     ]
-    spec = {
-        "problem": name,
-        "shots": shots,
-        "max_evals": max_evals,
-        "depolarizing": depolarizing,
-    }
     return {"spec": spec, **entry}, runs, fig
 
 
-def _cmd_calibrate(args, config: dict[str, Any], fit: FitResult, seed: int):
-    raw = config.get("n_qubits", list(range(2, 11)))
-    sizes = [raw] if isinstance(raw, int) else raw
-
+def _cmd_calibrate(args, spec: dict[str, Any], fit: FitResult, seed: int):
+    sizes = spec["n_qubits"]
     entries: dict[str, dict] = {}
     runs: list[dict] = []
     fig: list[dict] = []
@@ -393,31 +415,19 @@ def _cmd_calibrate(args, config: dict[str, Any], fit: FitResult, seed: int):
             for mode, rep in reps.items()
         ]
 
-    report: dict[str, Any] = {"spec": {"n_qubits": sizes}}
+    report: dict[str, Any] = {"spec": spec}
     for part in entries[str(sizes[0])]:  # "reports", and "comparison" under --mode both
         report[part] = {n: entry[part] for n, entry in entries.items()}
     return report, runs, fig
 
 
-def _cmd_rb(args, config: dict[str, Any], fit: FitResult, seed: int):
-    depolarizing = float(config.get("depolarizing", 0.0))
-    shots = int(_setting(args.shots, config, "shots", RB_SHOTS))
-    per_length = int(_setting(args.iterations, config, "per_length", RB_CIRCUITS_PER_LENGTH))
-    lengths = tuple(int(m) for m in config.get("lengths", RB_LENGTHS))
-
+def _cmd_rb(args, spec: dict[str, Any], fit: FitResult, seed: int):
     def run(mode: str):
         return run_rb(
-            mode,
-            cost_model=fit.cost_model,
-            calib=calibrated_dataset(1, fit),
-            depolarizing=depolarizing,
-            run_seed=seed,
-            lengths=lengths,
-            per_length=per_length,
-            shots=shots,
+            mode, cost_model=fit.cost_model, calib=calibrated_dataset(1, fit), run_seed=seed, **spec
         )
 
-    reps, entry, runs = _per_mode(args, "rb", seed, f"depol={depolarizing}", run)
+    reps, entry, runs = _per_mode(args, "rb", seed, f"depol={spec['depolarizing']}", run)
     fig = [
         {
             "mode": mode,
@@ -426,37 +436,24 @@ def _cmd_rb(args, config: dict[str, Any], fit: FitResult, seed: int):
             "fitted_p": rep.fit.p,
         }
         for mode, rep in reps.items()
-        for m in lengths
+        for m in spec["lengths"]
     ]
-    spec = {
-        "depolarizing": depolarizing,
-        "shots": shots,
-        "per_length": per_length,
-        "lengths": list(lengths),
-    }
     return {"spec": spec, **entry}, runs, fig
 
 
-def _cmd_cloud(args, config: dict[str, Any], fit: FitResult, seed: int):
-    dists = tuple(str(d) for d in config.get("distributions", DISTRIBUTIONS))
-    sizes = tuple(str(s) for s in config.get("size_classes", SIZE_CLASSES))
-    n_jobs = int(_setting(args.iterations, config, "n_jobs", CLOUD_JOBS))
-    shots = int(_setting(args.shots, config, "shots_per_job", CLOUD_SHOTS_PER_JOB))
-    t_1q = float(config.get("t_1q_us", 5.0))
-    t_2q = float(config.get("t_2q_us", 150.0))
-
+def _cmd_cloud(args, spec: dict[str, Any], fit: FitResult, seed: int):
     reports: dict[str, dict] = {}
     comparison: dict[str, dict] = {}
     runs: list[dict] = []
     fig: list[dict] = []
-    for dist in dists:
-        for size in sizes:
+    for dist in spec["distributions"]:
+        for size in spec["size_classes"]:
             cell = f"{dist}/{size}"
             workload = CloudWorkload(
                 distribution=dist,
                 size_class=size,
-                n_jobs=n_jobs,
-                shots_per_job=shots,
+                n_jobs=spec["n_jobs"],
+                shots_per_job=spec["shots_per_job"],
                 seed=seed,
             )
             per_mode: dict[str, Any] = {}
@@ -467,8 +464,8 @@ def _cmd_cloud(args, config: dict[str, Any], fit: FitResult, seed: int):
                     cost_model=fit.cost_model,
                     prep_us=fit.prep_us,
                     detect_us=fit.detect_us,
-                    t_1q_us=t_1q,
-                    t_2q_us=t_2q,
+                    t_1q_us=spec["t_1q_us"],
+                    t_2q_us=spec["t_2q_us"],
                 )
                 per_mode[mode] = rep
                 runs.append(_run_row("cloud", mode, seed, cell, rep.costs))
@@ -496,38 +493,20 @@ def _cmd_cloud(args, config: dict[str, Any], fit: FitResult, seed: int):
                     "compile_ratio": dlpc.compile_s / base.compile_s,
                 }
 
-    spec = {
-        "distributions": list(dists),
-        "size_classes": list(sizes),
-        "n_jobs": n_jobs,
-        "shots_per_job": shots,
-        "t_1q_us": t_1q,
-        "t_2q_us": t_2q,
-    }
     report: dict[str, Any] = {"spec": spec, "reports": reports}
     if args.mode == "both":
         report["comparison"] = comparison
     return report, runs, fig
 
 
-def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
-    drift_rates = tuple(float(r) for r in config.get("drift_rates", OPTIMUS_DRIFT_RATES))
-    n_samples = int(config.get("n_samples", 100))
-    spsa_steps = int(_setting(args.iterations, config, "spsa_steps", OPTIMUS_SPSA_STEPS))
-    shots = int(_setting(args.shots, config, "shots", OPTIMUS_SHOTS))
-    kwargs: dict[str, Any] = {}
-    if "n_nodes" in config:
-        kwargs["n_nodes"] = int(config["n_nodes"])
+def _given(spec: dict[str, Any]) -> dict[str, Any]:
+    """The settings that are not left to the study."""
+    return {key: value for key, value in spec.items() if value is not None}
 
+
+def _cmd_optimus(args, spec: dict[str, Any], fit: FitResult, seed: int):
     rep = run_optimus(
-        cost_model=fit.cost_model,
-        calib=calibrated_dataset(5, fit),
-        drift_rates=drift_rates,
-        n_samples=n_samples,
-        spsa_steps=spsa_steps,
-        shots=shots,
-        seed=seed,
-        **kwargs,
+        cost_model=fit.cost_model, calib=calibrated_dataset(5, fit), seed=seed, **_given(spec)
     )
 
     aggregates = [a for a in rep.aggregates if a.mode in _modes(args.mode)]
@@ -538,7 +517,7 @@ def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
     fig = [a.to_json_dict() for a in aggregates]
     comparison: dict[str, dict] = {}
     if args.mode == "both":
-        for rate in drift_rates:
+        for rate in spec["drift_rates"]:
             base = rep.aggregate(rate, "baseline")
             dlpc = rep.aggregate(rate, "dlpc")
             comparison[str(rate)] = {
@@ -549,15 +528,8 @@ def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
                 },
             }
 
-    spec = {
-        "drift_rates": list(drift_rates),
-        "n_samples": n_samples,
-        "spsa_steps": spsa_steps,
-        "shots": shots,
-        "n_nodes": kwargs.get("n_nodes", "default"),
-    }
     report: dict[str, Any] = {
-        "spec": spec,
+        "spec": {**spec, "n_nodes": spec["n_nodes"] or "default"},
         "n_evals": rep.n_evals,
         "reports": fig,
     }
@@ -566,17 +538,9 @@ def _cmd_optimus(args, config: dict[str, Any], fit: FitResult, seed: int):
     return report, runs, fig
 
 
-def _cmd_contour(args, config: dict[str, Any], fit: FitResult, seed: int):
+def _cmd_contour(args, spec: dict[str, Any], fit: FitResult, seed: int):
     # inherently comparative: both pipelines are priced at every grid point
-    kwargs: dict[str, Any] = {}
-    for key in ("t_1q_us", "t_2q_us"):
-        if key in config:
-            kwargs[key] = tuple(float(t) for t in config[key])
-    iterations = _setting(args.iterations, config, "iterations", None)
-    if iterations is not None:
-        kwargs["iterations"] = int(iterations)
-
-    rep = sweep_machines(cost_model=fit.cost_model, **kwargs)
+    rep = sweep_machines(cost_model=fit.cost_model, **_given(spec))
     fig = [
         {
             "t_1q_us": t1,
@@ -595,7 +559,7 @@ def _cmd_contour(args, config: dict[str, Any], fit: FitResult, seed: int):
     ]
     report = {
         "spec": {
-            "iterations": kwargs.get("iterations", "default"),
+            "iterations": spec["iterations"] or "default",
             "grid": [len(rep.t_2q_us), len(rep.t_1q_us)],
         },
         "reports": rep.to_json_dict(),
@@ -652,16 +616,11 @@ def _build_parser() -> argparse.ArgumentParser:
             default="dlpc-out",
             help="output directory (default: dlpc-out)",
         )
-        p.add_argument(
-            "--shots",
-            type=positive_int,
-            help="override shots per evaluation/job where the study uses them",
-        )
-        p.add_argument(
-            "--iterations",
-            type=positive_int,
-            help="override evaluations/jobs/steps where the study uses them",
-        )
+        for key, (_, _, flag) in _SETTINGS[name].items():
+            if flag:
+                p.add_argument(
+                    f"--{flag}", type=positive_int, help=f"override config key {key} (a count)"
+                )
         p.add_argument(
             "--deterministic",
             action="store_true",
@@ -698,7 +657,8 @@ def main(argv: list[str] | None = None) -> int:
             report |= fit.to_json_dict()
             artifacts = [(_write_json, "costmodel.json", fit.to_json_dict())]
         else:
-            body, runs, fig = _RUNNERS[args.subcommand](args, config, fit, seed)
+            spec = _settings(args, config, args.subcommand)
+            body, runs, fig = _RUNNERS[args.subcommand](args, spec, fit, seed)
             report |= {
                 "mode": args.mode,
                 "cost_model": fit.to_json_dict()["cost_model"],

@@ -20,7 +20,7 @@ affine in the instruction count, including pool blocks.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
 from hashlib import blake2b
@@ -483,24 +483,10 @@ class RunCosts:
     rpc_s: float = 0.0
 
     def __add__(self, other: RunCosts) -> RunCosts:
-        return RunCosts(
-            self.n_compiles + other.n_compiles,
-            self.compile_s + other.compile_s,
-            self.upload_s + other.upload_s,
-            self.schedule_s + other.schedule_s,
-            self.device_s + other.device_s,
-            self.rpc_s + other.rpc_s,
-        )
+        return RunCosts(*(getattr(self, f) + getattr(other, f) for f in _LEDGER_FIELDS))
 
     def __rmul__(self, n: int) -> RunCosts:
-        return RunCosts(
-            n * self.n_compiles,
-            n * self.compile_s,
-            n * self.upload_s,
-            n * self.schedule_s,
-            n * self.device_s,
-            n * self.rpc_s,
-        )
+        return RunCosts(*(n * getattr(self, f) for f in _LEDGER_FIELDS))
 
     @property
     def overhead_s(self) -> float:
@@ -520,18 +506,15 @@ class RunCosts:
         return self.compile_s / self.total_s
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_compiles": self.n_compiles,
-            "compile_s": self.compile_s,
-            "upload_s": self.upload_s,
-            "schedule_s": self.schedule_s,
-            "device_s": self.device_s,
-            "rpc_s": self.rpc_s,
+        return {f: getattr(self, f) for f in _LEDGER_FIELDS} | {
             "overhead_s": self.overhead_s,
             "total_s": self.total_s,
             "device_fraction": self.device_fraction,
             "compile_fraction": self.compile_fraction,
         }
+
+
+_LEDGER_FIELDS = tuple(f.name for f in fields(RunCosts))
 
 
 @dataclass(frozen=True, slots=True)

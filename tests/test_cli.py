@@ -142,7 +142,8 @@ def test_boolean_or_bad_list_element_exits_2_with_no_outputs(
 
 
 # (key, bad value) for a cost_model entry: each must be a finite JSON number
-# that is not a boolean, and the readout durations must not be negative
+# that is not a boolean, the readout durations must not be negative,
+# ``reproduced`` must map names to such numbers, and no other key may appear
 BAD_COST_MODEL_VALUES = [
     ("compile_a", True),
     ("compile_b", float("inf")),
@@ -151,6 +152,12 @@ BAD_COST_MODEL_VALUES = [
     ("prep_us", "nan"),
     ("prep_us", float("nan")),
     ("detect_us", -0.5),
+    ("prep_us", 10**400),
+    ("reproduced", [["x", "y"]]),
+    ("reproduced", {"a": "zz"}),
+    ("reproduced", {"a": float("inf")}),
+    ("bogus", 1.0),
+    ("compile_c", 1.0),
 ]
 
 
@@ -158,7 +165,7 @@ BAD_COST_MODEL_VALUES = [
 @pytest.mark.parametrize(
     "key, value",
     BAD_COST_MODEL_VALUES,
-    ids=[f"{key}-{json.dumps(value)}" for key, value in BAD_COST_MODEL_VALUES],
+    ids=[f"{key}-{json.dumps(value)[:20]}" for key, value in BAD_COST_MODEL_VALUES],
 )
 def test_bad_cost_model_value_exits_2_with_no_outputs(tmp_path, capsys, key, value, via_file):
     spec = {"cost_model": {"compile_a": 0.35, "compile_b": 0.006}, "prep_us": 100.0,
@@ -173,17 +180,54 @@ def test_bad_cost_model_value_exits_2_with_no_outputs(tmp_path, capsys, key, val
     )
 
 
-@pytest.mark.parametrize("subcommand", ["vqe", "rb"])
+# subcommand -> (config, the number key, the float spec it must echo)
+INTEGER_NUMBERS = {
+    "vqe": ({"depolarizing": 0}, "depolarizing", 0.0),
+    "rb": ({"depolarizing": 0}, "depolarizing", 0.0),
+    "cloud": (
+        {"t_1q_us": 5, "distributions": ["BURST"], "size_classes": ["SMALL"]}, "t_1q_us", 5.0
+    ),
+    "optimus": ({"drift_rates": [0], "n_samples": 1}, "drift_rates", [0.0]),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(INTEGER_NUMBERS))
 def test_integer_zero_float_key_still_runs(tmp_path, capsys, subcommand):
+    config, key, want = INTEGER_NUMBERS[subcommand]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"depolarizing": 0}')
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     code, stdout = run_cli(
         capsys, subcommand, "--config", str(cfg), "--iterations", "2", "--shots", "20",
         "--deterministic", "--out", str(out),
     )
     assert code == EXIT_OK
-    assert json.loads(stdout)["spec"]["depolarizing"] == 0.0
+    # the JSON text, so that an integer echo (0 for 0.0) fails
+    assert json.dumps(json.loads(stdout)["spec"][key]) == json.dumps(want)
+    if subcommand == "optimus":
+        assert {row["label"] for row in read_csv(out / "runs.csv")} == {"drift=0.0"}
+
+
+# (subcommand, a flag no setting of it names)
+FLAGS_WITHOUT_SETTINGS = [
+    ("calibrate", "--shots"),
+    ("calibrate", "--iterations"),
+    ("contour", "--shots"),
+    ("fit-costmodel", "--shots"),
+    ("fit-costmodel", "--iterations"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    FLAGS_WITHOUT_SETTINGS,
+    ids=[f"{sub}{flag}" for sub, flag in FLAGS_WITHOUT_SETTINGS],
+)
+def test_flag_without_a_setting_exits_2_with_no_outputs(tmp_path, capsys, subcommand, flag):
+    out = tmp_path / "out"
+    assert main([subcommand, flag, "5", "--deterministic", "--out", str(out)]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ happy paths
