@@ -156,7 +156,7 @@ def _read_json(path: str, what: str) -> Any:
         raise ConfigError(f"{what} not found: {path}")
     try:
         return json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

@@ -14,11 +14,9 @@ its one compile covers the whole experiment.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from ..cliffords import CLIFFORD_COUNT, compose, inverse, n_pulses, native_ops
 from ..devcomp import CompileLog, CostModel, KernelBinary, check_mode, compile_full, compile_pool
@@ -28,6 +26,7 @@ from ..qpu import ExecutionTrace, execute
 from ..rpc import CircuitBlock, RendezvousCell, Sentinel, run_session
 from ..transpile import transpile
 from .accounting import RunCosts, costs_from
+from .optimizers import bounded_min
 
 __all__ = [
     "RB_LENGTHS",
@@ -111,28 +110,57 @@ class DecayFit:
     p: float
 
 
-def fit_decay(lengths: list[int], survivals: list[float]) -> DecayFit:
-    """Least-squares A p^m + B through per-length means.
+# Decay grid that locates the best basin before the bounded search refines p:
+# geometric in -ln p, so every length's p**m is resolved to about 10%.
+_P_GRID = np.concatenate(([0.0], np.exp(-np.geomspace(10.0, 1e-4, 128)), [1.0]))
 
-    A flat curve has no decay information and an unconstrained fit would chase
-    noise there, so it short-circuits to p = 1.
+
+def _over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _project(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of u, the least-squares A u + B ~ y with A, B in [-1, 1].
+
+    Returns (sse, A, B).  The problem is a convex quadratic in (A, B), so the
+    free solve is the answer when it lands in the box; otherwise the answer
+    lies on an edge, where the other coefficient is its clamped 1-D solve.
+    Every candidate is clamped into the box, so the cheapest one is the answer.
+    """
+    ybar, ubar = y.mean(), u.mean(1)
+    du = u - ubar[:, None]
+    suu, uu = np.einsum("ij,ij->i", du, du), np.einsum("ij,ij->i", u, u)
+    uy, usum = u @ y, u.sum(1)
+    one = np.ones_like(ubar)
+    a_free = _over(du @ (y - ybar), suu)
+    a = np.stack([a_free, -one, one, _over(uy + usum, uu), _over(uy - usum, uu)], 1)
+    b = np.stack([ybar - a_free * ubar, ybar + ubar, ybar - ubar, -one, one], 1)
+    a, b = np.clip(a, -1.0, 1.0), np.clip(b, -1.0, 1.0)
+    r = a[:, :, None] * u[:, None, :] + b[:, :, None] - y
+    sse = np.einsum("ikj,ikj->ik", r, r)
+    k, rows = sse.argmin(1), np.arange(len(u))
+    return sse[rows, k], a[rows, k], b[rows, k]
+
+
+def fit_decay(lengths: list[int], survivals: list[float]) -> DecayFit:
+    """Least-squares A p^m + B through per-length means, A, B in [-1, 1].
+
+    Variable projection: for each p, A and B are a linear solve, so only p is
+    searched, first on a grid and then by a bounded search between the best
+    point's neighbours.  A flat curve has no decay information and a fit would
+    chase noise there, so it short-circuits to p = 1.
     """
     xs = np.asarray(lengths, dtype=float)
     ys = np.asarray(survivals, dtype=float)
     if np.all(ys == ys[0]):
         return DecayFit(0.0, float(ys[0]), 1.0)
-    with warnings.catch_warnings():
-        # The covariance is unused; three points determine three parameters.
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(
-            lambda m, a, b, p: a * p**m + b,
-            xs,
-            ys,
-            p0=(0.5, 0.5, 0.95),
-            bounds=((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)),
-            maxfev=10000,
-        )
-    return DecayFit(float(popt[0]), float(popt[1]), float(popt[2]))
+    i = int(_project(_P_GRID[:, None] ** xs, ys)[0].argmin())
+    lo, hi = _P_GRID[max(i - 1, 0)], _P_GRID[min(i + 1, len(_P_GRID) - 1)]
+    p = bounded_min(
+        lambda p: float(_project(p ** xs[None, :], ys)[0][0]), float(lo), float(hi), xatol=1e-12
+    )
+    _, a, b = _project(p ** xs[None, :], ys)
+    return DecayFit(float(a[0]), float(b[0]), p)
 
 
 @dataclass(slots=True)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 from .devcomp import CostModel, compile_full, compile_partial
 from .drivers.calibration import build_sweep_partial
+from .drivers.optimizers import bounded_min
 from .drivers.rb import RB_SHOTS, clifford_pool
 from .drivers.vqe import one_param_problem, section_schedules
 from .pulse import DEFAULT_RABI, CalibrationDataset, duration_of
@@ -102,8 +101,7 @@ def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
             f_stream - anchors.streamed_device_fraction
         ) ** 2
 
-    opt = minimize_scalar(sse, bounds=(1.0, 20000.0), method="bounded")
-    readout_us = float(opt.x)
+    readout_us = bounded_min(sse, 1.0, 20000.0, xatol=1e-5)
     f_base, f_stream = fractions(readout_us)
     # Detection integrates photons for roughly twice as long as recooling.
     return FitResult(

@@ -58,6 +58,24 @@ def test_malformed_json_config_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("where", ["config", "cost_model"])
+def test_integer_too_long_to_parse_exits_2_with_no_outputs(tmp_path, capsys, where):
+    # json.loads raises a plain ValueError past 4,300 digits, not JSONDecodeError.
+    huge = "9" * 5000
+    cfg = tmp_path / "cfg.json"
+    if where == "config":
+        cfg.write_text(f'{{"seed": {huge}}}')
+    else:
+        costmodel = tmp_path / "costmodel.json"
+        costmodel.write_text(f'{{"prep_us": {huge}}}')
+        cfg.write_text(json.dumps({"cost_model": str(costmodel)}))
+    out = tmp_path / "out"
+    code = main(["fit-costmodel", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_seed_env_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DLPC_SEED", "not-a-number")
     code, _ = run_cli(capsys, "vqe", "--out", str(tmp_path / "o"))

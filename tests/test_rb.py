@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from dlpc.cliffords import CLIFFORD_COUNT, compose, n_pulses
 from dlpc.devcomp import CostModel
 from dlpc.drivers.rb import (
+    RB_LENGTHS,
     fit_decay,
     p_oracle,
     random_circuits,
@@ -55,6 +58,72 @@ def test_fit_decay_recovers_exact_curve():
 def test_fit_decay_flat_curve_short_circuits():
     fit = fit_decay([2, 4, 8], [1.0, 1.0, 1.0])
     assert (fit.amplitude, fit.offset, fit.p) == (0.0, 1.0, 1.0)
+
+
+def _sse(xs, ys, a, b, p):
+    r = a * p**xs + b - ys
+    return float(r @ r)
+
+
+def _curve_fit(xs, ys):
+    """The bounded trust-region fit this driver used before variable projection."""
+    optimize = pytest.importorskip("scipy.optimize")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", optimize.OptimizeWarning)
+        (a, b, p), _ = optimize.curve_fit(
+            lambda m, a, b, p: a * p**m + b,
+            xs,
+            ys,
+            p0=(0.5, 0.5, 0.95),
+            bounds=((-1.0, -1.0, 0.0), (1.0, 1.0, 1.0)),
+            maxfev=10000,
+        )
+    return p, _sse(xs, ys, a, b, p)
+
+
+def _assert_matches_curve_fit(xs, ys):
+    fit = fit_decay(list(xs), list(ys))
+    p_ref, sse_ref = _curve_fit(xs, ys)
+    assert abs(fit.p - p_ref) <= 1e-4
+    assert _sse(xs, ys, fit.amplitude, fit.offset, fit.p) <= sse_ref + 1e-7
+    return fit
+
+
+def test_fit_decay_matches_curve_fit_on_noisy_curves():
+    # RB-like means: 1,000 shots per length, decaying from 1 towards 1 - A.
+    rng = np.random.default_rng(20230821)
+    xs = np.asarray(RB_LENGTHS, dtype=float)
+    for _ in range(200):
+        p, a = rng.uniform(0.9, 0.999), rng.uniform(0.3, 0.5)
+        ys = rng.binomial(1000, a * p**xs + 1.0 - a) / 1000
+        _assert_matches_curve_fit(xs, ys)
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [[0.989, 0.909, 0.835, 0.922, 0.876, 0.867, 0.766],
+     [0.919, 0.832, 0.846, 0.893, 0.843, 0.806, 0.72]],
+)
+def test_fit_decay_grid_finds_the_basin_a_bounded_search_alone_misses(ys):
+    # A bounded search over all of [0, 1] stops in a local minimum at p = 0.59
+    # and 0.35 on these noisy curves; curve_fit, from p = 0.95, finds p = 0.9987.
+    _assert_matches_curve_fit(np.asarray(RB_LENGTHS, dtype=float), np.asarray(ys))
+
+
+@pytest.mark.parametrize(
+    "a, b, p, bound",
+    [(1.3, -0.2, 0.9, "amplitude"), (-1.4, 1.1, 0.95, "amplitude"),
+     (-0.3, 1.05, 0.9, "offset"), (0.4, -1.05, 0.9, "offset")],
+)
+def test_fit_decay_box_holds_on_an_edge(a, b, p, bound):
+    # The free solve lies outside [-1, 1]^2, so one of the edge solves wins.
+    xs = np.asarray(RB_LENGTHS, dtype=float)
+    fit = _assert_matches_curve_fit(xs, a * p**xs + b)
+    pinned, free = (fit.amplitude, fit.offset)
+    if bound == "offset":
+        pinned, free = free, pinned
+    assert abs(pinned) == 1.0
+    assert abs(free) < 1.0
 
 
 def test_noiseless_run_survives_everywhere():
