@@ -20,8 +20,9 @@ subcommand's config can point at through its ``cost_model`` key.
 A count is an integer of at least 1 and a number any int or float, 0
 included; a JSON boolean is neither.  A list must be non-empty, and each of
 its elements is checked: ``lengths`` and ``n_qubits`` hold counts (calibrate
-also takes one bare count), ``drift_rates`` and contour's grids numbers, and
-``distributions`` and ``size_classes`` names the cloud scenario defines.
+also takes one bare count, and rb needs three distinct lengths to fit its
+decay), ``drift_rates`` and contour's grids numbers, and ``distributions``
+and ``size_classes`` names the cloud scenario defines.
 Anything else is a configuration error, so every table has at least one row.
 A ``cost_model`` entry, inline or in a ``costmodel.json``, holds
 ``cost_model`` (``compile_a`` and ``compile_b``), ``prep_us``, ``detect_us``
@@ -49,7 +50,7 @@ from typing import Any, Callable
 
 from .devcomp import MODES, CostModel, RunCosts
 from .drivers.calibration import run_calibration
-from .drivers.rb import RB_CIRCUITS_PER_LENGTH, RB_LENGTHS, RB_SHOTS, run_rb
+from .drivers.rb import RB_CIRCUITS_PER_LENGTH, RB_LENGTHS, RB_SHOTS, check_lengths, run_rb
 from .drivers.vqe import one_param_problem, run_vqe, two_param_problem
 from .fitting import FitResult, calibrated_dataset, fit_cost_model
 from .scenarios.cloud import (
@@ -422,6 +423,11 @@ def _cmd_calibrate(args, spec: dict[str, Any], fit: FitResult, seed: int):
 
 
 def _cmd_rb(args, spec: dict[str, Any], fit: FitResult, seed: int):
+    try:
+        check_lengths(spec["lengths"])
+    except ValueError as exc:
+        raise ConfigError(f"config key 'lengths': {exc}") from exc
+
     def run(mode: str):
         return run_rb(
             mode, cost_model=fit.cost_model, calib=calibrated_dataset(1, fit), run_seed=seed, **spec

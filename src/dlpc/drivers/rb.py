@@ -38,6 +38,7 @@ __all__ = [
     "clifford_pool",
     "random_circuits",
     "survival",
+    "check_lengths",
     "fit_decay",
     "p_oracle",
     "run_rb",
@@ -142,6 +143,12 @@ def _project(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return sse[rows, k], a[rows, k], b[rows, k]
 
 
+def check_lengths(lengths: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless three distinct lengths fix the three fit parameters."""
+    if len(set(lengths)) < 3:
+        raise ValueError(f"need at least 3 distinct lengths to fit A p^m + B, got {list(lengths)}")
+
+
 def fit_decay(lengths: list[int], survivals: list[float]) -> DecayFit:
     """Least-squares A p^m + B through per-length means, A, B in [-1, 1].
 
@@ -197,6 +204,7 @@ def run_rb(
     shots: int = RB_SHOTS,
 ) -> RbReport:
     check_mode(mode)
+    check_lengths(lengths)
     if calib is None:
         calib = CalibrationDataset.default(1)
     plan = random_circuits(run_seed, lengths, per_length)

@@ -377,9 +377,9 @@ def test_criterion_8b_compile_count_laws():
         dlpc = run_vqe(problem, "dlpc", cost_model=model, calib=calib)
         checks.append(base.costs.n_compiles == base.result.n_evals * sections)
         checks.append(dlpc.costs.n_compiles == 1)
-    base_rb = run_rb("baseline", cost_model=model, lengths=(2, 4), per_length=2, shots=10)
-    dlpc_rb = run_rb("dlpc", cost_model=model, lengths=(2, 4), per_length=2, shots=10)
-    checks.append(base_rb.costs.n_compiles == 4)
+    base_rb = run_rb("baseline", cost_model=model, lengths=(2, 4, 8), per_length=2, shots=10)
+    dlpc_rb = run_rb("dlpc", cost_model=model, lengths=(2, 4, 8), per_length=2, shots=10)
+    checks.append(base_rb.costs.n_compiles == 6)
     checks.append(dlpc_rb.costs.n_compiles == 1)
     base_cal = run_calibration(CalibrationDataset.default(2), "baseline", cost_model=model)
     dlpc_cal = run_calibration(CalibrationDataset.default(2), "dlpc", cost_model=model)

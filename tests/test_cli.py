@@ -159,6 +159,16 @@ def test_boolean_or_bad_list_element_exits_2_with_no_outputs(
     _assert_config_error(tmp_path, capsys, subcommand, {key: value}, (), key)
 
 
+@pytest.mark.parametrize("lengths", [[2, 16], [2, 16, 2, 16], [8]])
+def test_rb_with_fewer_than_three_distinct_lengths_exits_2_with_no_outputs(
+    tmp_path, capsys, lengths
+):
+    # two means cannot fix A, B and p: any p fits them exactly
+    config = {"lengths": lengths, "per_length": 3, "shots": 50, "depolarizing": 0.02}
+    flags = ("--mode", "dlpc", "--seed", "3")
+    _assert_config_error(tmp_path, capsys, "rb", config, flags, "'lengths'")
+
+
 # (key, bad value) for a cost_model entry: each must be a finite JSON number
 # that is not a boolean, the readout durations must not be negative,
 # ``reproduced`` must map names to such numbers, and no other key may appear
@@ -438,7 +448,7 @@ def test_fig_csv_rows_match_report_trajectory(tmp_path, capsys):
 SMALL_RUNS = {
     "vqe": ({}, ("--iterations", "5", "--shots", "50")),
     "calibrate": ({"n_qubits": 2}, ()),
-    "rb": ({"lengths": [2, 4], "per_length": 2, "shots": 50}, ()),
+    "rb": ({"lengths": [2, 4, 8], "per_length": 2, "shots": 50}, ()),
     "cloud": ({"distributions": ["BURST"], "size_classes": ["SMALL"]}, ("--iterations", "300")),
     "optimus": ({"n_samples": 2, "drift_rates": [0.0, 0.05]}, ("--iterations", "10")),
     "contour": ({"t_1q_us": [1.0, 5.0], "t_2q_us": [150.0]}, ()),

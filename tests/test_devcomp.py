@@ -345,7 +345,7 @@ def test_size_bytes_counts_the_serialized_bytes_of_every_driver_kernel(monkeypat
         for mode in ("baseline", "dlpc"):
             run_vqe(problem, mode, cost_model=model)
     for mode in ("baseline", "dlpc"):
-        run_rb(mode, cost_model=model, lengths=(2, 8), per_length=1, shots=10)
+        run_rb(mode, cost_model=model, lengths=(2, 4, 8), per_length=1, shots=10)
         run_calibration(CalibrationDataset.default(2), mode, cost_model=model)
     built.append(("pool", clifford_pool(CalibrationDataset.default(1), 100)))
     assert {kind for kind, _ in built} == {"full", "partial", "pool"}

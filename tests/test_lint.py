@@ -1,9 +1,13 @@
-"""Static check of the source tree: every imported name is used.
+"""Static checks of the source tree: every imported name and private helper is used.
 
 An AST scan stands in for a linter's F401.  A name counts as used when it is
 read anywhere in its module or listed in ``__all__``.  A name is exempt when
 ``# noqa: F401`` stands on its own line or on the first line of its import,
 and so are ``from __future__`` imports.
+
+A second scan finds dead private helpers: every function, method or class
+whose name starts with ``_`` (dunders aside) must be referenced somewhere in
+the tree, as a bare name or as an attribute.
 """
 
 from __future__ import annotations
@@ -62,3 +66,43 @@ def test_scan_flags_an_unused_import_and_honours_noqa(tmp_path):
         "print(dumps)\n"
     )
     assert unused_imports(module) == ["m.py:2 os", "m.py:7 loads"]
+
+
+def unreferenced_private_definitions(paths: list[Path]) -> list[str]:
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(where for name, where in defined.items() if name not in referenced)
+
+
+def test_every_private_helper_is_referenced():
+    assert unreferenced_private_definitions(MODULES) == []
+
+
+def test_scan_flags_an_unreferenced_private_helper(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class _Box:\n"
+        "    def __init__(self):\n"
+        "        self._fill()\n"
+        "    def _fill(self):\n"
+        "        pass\n"
+        "    def _spill(self):\n"
+        "        pass\n"
+        "def _dead():\n"
+        "    return _Box()\n"
+        "def _used():\n"
+        "    pass\n"
+    )
+    other = tmp_path / "n.py"
+    other.write_text("from m import _used\n_used()\n")
+    assert unreferenced_private_definitions([module, other]) == ["m.py:6 _spill", "m.py:8 _dead"]

@@ -22,9 +22,24 @@ from dlpc.devcomp import (
 )
 from dlpc.drivers.rb import clifford_pool
 from dlpc.ir import Circuit, SlotRef, op
-from dlpc.pulse import DEFAULT_RABI, CalibrationDataset, lower_to_pulses
+from dlpc.pulse import (
+    DEFAULT_RABI,
+    CalibrationDataset,
+    LiteralUs,
+    SlotOverOmega,
+    lower_to_pulses,
+)
 from dlpc.qpu import TooManyQubits, UninitializedSlot, VmError, execute
-from dlpc.rpc import CircuitBlock, Params, ProtocolError, Results, Sentinel, run_session
+from dlpc.rpc import (
+    TAG_PARAMS,
+    TAG_RESULTS,
+    CircuitBlock,
+    Params,
+    ProtocolError,
+    Results,
+    Sentinel,
+    run_session,
+)
 from dlpc.transpile import transpile
 
 
@@ -449,13 +464,77 @@ def test_pool_mode_equivalence_exact(calib):
         assert r.counts[0] == {0: 100}
 
 
-def test_uninitialized_slot_raises():
-    k = KernelBinary(
-        KernelMode.PARTIAL, 1, 1,
-        (Instr(Opcode.SET_AMP, (0, SlotRef(0))), Instr(Opcode.HALT, ())),
-    )
-    with pytest.raises(UninitializedSlot):
+@pytest.mark.parametrize(
+    "ins",
+    [
+        Instr(Opcode.SET_FREQ, (0, SlotRef(0))),
+        Instr(Opcode.SET_PHASE, (0, SlotRef(0))),
+        Instr(Opcode.SET_AMP, (0, SlotRef(0))),
+        Instr(Opcode.FRAME_ROT, (0, SlotRef(0))),
+        Instr(Opcode.PLAY, (SlotOverOmega(0, DEFAULT_RABI),)),
+    ],
+    ids=["SET_FREQ", "SET_PHASE", "SET_AMP", "FRAME_ROT", "PLAY"],
+)
+def test_uninitialized_slot_raises(ins):
+    k = KernelBinary(KernelMode.PARTIAL, 1, 1, (ins, Instr(Opcode.HALT, ())))
+    with pytest.raises(UninitializedSlot, match="^slot 0 read before first write$"):
         execute(k)
+
+
+def test_frame_rotation_on_a_pair_channel_raises():
+    k = KernelBinary(
+        KernelMode.FULL, 2, 0,
+        (Instr(Opcode.FRAME_ROT, (2, 0.5)), Instr(Opcode.HALT, ())),
+        pair_channels=((0, 1),),
+    )
+    with pytest.raises(VmError, match="^frame rotation on a pair channel$"):
+        execute(k)
+
+
+def test_play_drives_the_armed_channel_at_amp_rabi_duration(monkeypatch):
+    amp, rabi, dur = 0.415, 1979400.0, 0.1562
+    # values where any other grouping of the product rounds differently
+    assert amp * rabi * dur * 1e-6 not in (amp * (rabi * dur * 1e-6), (amp * rabi) * (dur * 1e-6))
+    applied = []
+    apply = qpu._Vm._apply
+
+    def record(vm, pc, kind, qubits, params):
+        applied.append((kind, qubits, params))
+        apply(vm, pc, kind, qubits, params)
+
+    monkeypatch.setattr(qpu._Vm, "_apply", record)
+    k = KernelBinary(
+        KernelMode.FULL, 2, 0,
+        (
+            Instr(Opcode.SET_PHASE, (0, 0.25)),
+            Instr(Opcode.SET_AMP, (0, amp)),
+            Instr(Opcode.FRAME_ROT, (1, 0.5)),  # arms no channel
+            Instr(Opcode.PLAY, (LiteralUs(dur),)),
+            Instr(Opcode.HALT, ()),
+        ),
+    )
+    execute(k, rabi_truth={0: rabi})
+    assert applied == [("RZ", (1,), (0.5,)), ("R", (0,), (amp * rabi * dur * 1e-6, 0.25))]
+
+
+@pytest.mark.parametrize(
+    "ins",
+    [
+        Instr(Opcode.LOOP_SHOTS, (1, 0)),
+        Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 0)),
+        Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
+        Instr(Opcode.HALT, ()),
+    ],
+    ids=lambda ins: ins.op.name,
+)
+def test_control_flow_inside_a_shot_loop_raises(ins):
+    k = KernelBinary(
+        KernelMode.PARTIAL, 1, 0,
+        (Instr(Opcode.LOOP_SHOTS, (1, 1)), ins, Instr(Opcode.HALT, ())),
+    )
+    # the error comes before the VM touches its endpoint
+    with pytest.raises(VmError, match=f"^{ins.op.name} not allowed inside a shot loop$"):
+        execute(k, endpoint=object())
 
 
 def test_launch_slot_arity_checked(calib):

@@ -9,8 +9,10 @@ import pytest
 
 from dlpc.cliffords import CLIFFORD_COUNT, compose, n_pulses
 from dlpc.devcomp import CostModel
+from dlpc.drivers import rb
 from dlpc.drivers.rb import (
     RB_LENGTHS,
+    check_lengths,
     fit_decay,
     p_oracle,
     random_circuits,
@@ -53,6 +55,19 @@ def test_fit_decay_recovers_exact_curve():
     assert fit.p == pytest.approx(p, abs=1e-6)
     assert fit.amplitude == pytest.approx(0.5, abs=1e-6)
     assert fit.offset == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dlpc"])
+@pytest.mark.parametrize("lengths", [(2, 16), (2, 16, 2), (8,)])
+def test_fewer_than_three_distinct_lengths_raise_before_any_compile(monkeypatch, mode, lengths):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled a kernel")
+
+    monkeypatch.setattr(rb, "compile_full", no_compile)
+    monkeypatch.setattr(rb, "clifford_pool", no_compile)
+    with pytest.raises(ValueError, match="at least 3 distinct lengths"):
+        run_rb(mode, cost_model=MODEL, lengths=lengths, per_length=3, shots=50)
+    check_lengths((2, 16, 2, 4))  # three distinct lengths, however often repeated
 
 
 def test_fit_decay_flat_curve_short_circuits():
@@ -129,31 +144,31 @@ def test_fit_decay_box_holds_on_an_edge(a, b, p, bound):
 def test_noiseless_run_survives_everywhere():
     report = run_rb(
         "baseline", cost_model=MODEL, depolarizing=0.0, run_seed=1,
-        lengths=(2, 4), per_length=2, shots=40,
+        lengths=(2, 4, 8), per_length=2, shots=40,
     )
-    assert report.survivals == (1.0, 1.0, 1.0, 1.0)
+    assert report.survivals == (1.0,) * 6
     assert report.fit.p == 1.0
 
 
 def test_baseline_compiles_per_sequence():
     report = run_rb(
-        "baseline", cost_model=MODEL, run_seed=2, lengths=(2, 4), per_length=3, shots=20,
+        "baseline", cost_model=MODEL, run_seed=2, lengths=(2, 4, 8), per_length=3, shots=20,
     )
-    assert report.costs.n_compiles == 6
-    assert report.n_iterations == 6
+    assert report.costs.n_compiles == 9
+    assert report.n_iterations == 9
     assert report.costs.rpc_s == 0.0
     assert all(0.0 <= s <= 1.0 for s in report.survivals)
 
 
 def test_pool_compiles_once_at_fixed_cost():
     report = run_rb(
-        "dlpc", cost_model=MODEL, run_seed=2, lengths=(2, 4), per_length=3, shots=20,
+        "dlpc", cost_model=MODEL, run_seed=2, lengths=(2, 4, 8), per_length=3, shots=20,
     )
     assert report.costs.n_compiles == 1
     # 86 pool instructions regardless of how many sequences stream through.
     assert report.costs.compile_s == pytest.approx(0.354 + 86 * 6.0e-3)
-    assert report.n_iterations == 6
-    assert report.costs.rpc_s == pytest.approx(6 * MODEL.rpc_roundtrip_s)
+    assert report.n_iterations == 9
+    assert report.costs.rpc_s == pytest.approx(9 * MODEL.rpc_roundtrip_s)
 
 
 def test_modes_sample_identical_counts():
@@ -182,5 +197,5 @@ def test_survival_counts_ground_fraction():
 
 @pytest.mark.parametrize("mode", ["baseline", "dlpc"])
 def test_runs_carry_integer_outcome_keys(bitstrings_forbidden, mode):
-    report = run_rb(mode, cost_model=MODEL, run_seed=2, lengths=(2, 8), per_length=2, shots=50)
-    assert len(report.survivals) == 4
+    report = run_rb(mode, cost_model=MODEL, run_seed=2, lengths=(2, 4, 8), per_length=2, shots=50)
+    assert len(report.survivals) == 6
