@@ -1,20 +1,24 @@
 """Device-level compiler: pulse schedules to kernel binaries, plus the cost model.
 
 A kernel binary is the unit the control stack compiles, uploads, and schedules.
-Partial kernels keep parameters in slot registers and end in an RPC tail
-(asynchronous results upload, synchronous parameter fetch), so one compile
-serves an arbitrary number of iterations.  A full kernel is the same shot
-loops with every slot baked into a literal (``bake``) and a plain HALT for a
-tail, so a parameter change forces a recompile.  Pool kernels are the partial
-variant for circuit-shaped parameters: pre-lowered gate blocks live after HALT
-and a SELECT instruction replays whichever block sequence the host streamed
-in.
+Every kernel is assembled here.  ``partial_kernel`` builds the streamed form:
+a SET_FREQ header, the shot loops with parameters left in slot registers, and
+an RPC tail (asynchronous results upload, synchronous fetch that resumes at the
+first loop), so one compile serves an arbitrary number of iterations.  Pool
+kernels are the streamed form for circuit-shaped parameters: pre-lowered gate
+blocks live after HALT and a SELECT instruction replays whichever block
+sequence the host streamed in.  A full kernel is a slot-streaming partial
+kernel passed through ``bake``: the same header and loops with every slot made
+a literal, and a plain HALT for a tail, so a parameter change forces a
+recompile.  ``compile_full`` is ``bake`` applied to ``compile_partial``.
 
 Instruction operands: channels are u8 literals (255 addresses every channel in
 DETECT), scalar operands are either f64 literals or u32 slot indices resolved
 at runtime, and durations are either literal microseconds or a slot angle
-divided by a drive-strength snapshot taken at compile time.  Compile cost is
-affine in the instruction count, including pool blocks.
+divided by a drive-strength snapshot taken at compile time.  One table,
+``_OPERANDS``, gives each operand kind its check and its packed formats; the
+instruction check, the encoder and the byte counts all read it.  Compile cost
+is affine in the instruction count, including pool blocks.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
     "KernelMode",
     "Instr",
     "KernelBinary",
+    "partial_kernel",
     "compile_full",
     "compile_partial",
     "compile_pool",
@@ -98,9 +103,7 @@ class KernelMode(IntEnum):
     PARTIAL = 1
 
 
-# Operand layout per opcode.  chan: u8.  real: tag byte, then f64 literal or
-# u32 slot.  dur: tag byte, then f64 microseconds or u32 slot + f64 drive
-# strength snapshot.  u8/u32/f64 are bare.
+# Operand kinds per opcode.
 _SCHEMES: dict[Opcode, tuple[str, ...]] = {
     Opcode.SET_FREQ: ("chan", "real"),
     Opcode.SET_PHASE: ("chan", "real"),
@@ -116,15 +119,23 @@ _SCHEMES: dict[Opcode, tuple[str, ...]] = {
     Opcode.FRAME_ROT: ("chan", "real"),
 }
 
-# Operand kind -> predicate every operand of that kind must satisfy.
-_OPERAND_OK = {
-    "chan": lambda a: isinstance(a, int) and 0 <= a <= 255,
-    "real": lambda a: isinstance(a, (float, int, SlotRef)),
-    "dur": lambda a: isinstance(a, (LiteralUs, SlotOverOmega)),
-    "f64": lambda a: isinstance(a, (float, int)),
-    "u8": lambda a: isinstance(a, int) and 0 <= a <= 255,
-    "u32": lambda a: isinstance(a, int) and 0 <= a < 2**32,
+# Operand kind -> (check, literal struct format, slot struct format).  Bare
+# kinds have no slot form.  "real" and "dur" lead with a tag byte, then an f64
+# literal, or a u32 slot (plus, for "dur", an f64 drive-strength snapshot).
+_OPERANDS = {
+    "chan": (lambda a: isinstance(a, int) and 0 <= a <= 255, "B", None),
+    "u8": (lambda a: isinstance(a, int) and 0 <= a <= 255, "B", None),
+    "u32": (lambda a: isinstance(a, int) and 0 <= a < 2**32, "I", None),
+    "f64": (lambda a: isinstance(a, (float, int)), "d", None),
+    "real": (lambda a: isinstance(a, (float, int, SlotRef)), "Bd", "BI"),
+    "dur": (lambda a: isinstance(a, (LiteralUs, SlotOverOmega)), "Bd", "BId"),
 }
+# Encoded bytes per opcode when no operand is a slot, as in every full kernel.
+_LITERAL_BYTES = {
+    op: struct.calcsize("<B" + "".join(_OPERANDS[kind][1] for kind in scheme))
+    for op, scheme in _SCHEMES.items()
+}
+_HEADER_BYTES = len(MAGIC) + struct.calcsize("<HBBIBII")
 
 _TAG_LITERAL = 0
 _TAG_SLOT = 1
@@ -139,21 +150,11 @@ _SET_AMP = Opcode.SET_AMP
 _PLAY = Opcode.PLAY
 _FRAME_ROT = Opcode.FRAME_ROT
 _PREP = Opcode.PREP
-# Opcodes whose first operand is a channel, and those a full kernel may not hold.
+# Opcodes whose first operand is a channel and second a real, and those a
+# full kernel may not hold.
 _CHANNEL_OPS = frozenset({Opcode.SET_FREQ, Opcode.SET_PHASE, Opcode.SET_AMP, Opcode.FRAME_ROT})
 _STREAMING_OPS = frozenset({Opcode.RPC_SYNC, Opcode.RPC_ASYNC, Opcode.SELECT})
-
-# Encoded bytes per operand kind as (slot operand, literal operand), in the
-# formats _encode_instr packs; only "real" and "dur" differ by operand.
-_OPERAND_BYTES = {
-    "chan": (1, 1),
-    "u8": (1, 1),
-    "u32": (4, 4),
-    "f64": (8, 8),
-    "real": (struct.calcsize("<BI"), struct.calcsize("<Bd")),
-    "dur": (struct.calcsize("<BId"), struct.calcsize("<Bd")),
-}
-_HEADER_BYTES = len(MAGIC) + struct.calcsize("<HBBIBII")
+_SLOT_OPERANDS = (SlotRef, SlotOverOmega)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,39 +169,26 @@ class Instr:
                 f"{self.op.name} takes {len(scheme)} operands, got {len(self.args)}"
             )
         for kind, arg in zip(scheme, self.args):
-            if not _OPERAND_OK[kind](arg):
+            if not _OPERANDS[kind][0](arg):
                 raise CompileError(f"bad {kind} operand for {self.op.name}: {arg!r}")
 
 
-def _encode_instr(i: Instr) -> bytes:
-    out = [struct.pack("<B", i.op)]
+def _packing(i: Instr) -> tuple[str, list]:
+    """The struct format and values ``i`` encodes to."""
+    fmt, values = "<B", [i.op]
     for kind, arg in zip(_SCHEMES[i.op], i.args):
-        if kind == "chan" or kind == "u8":
-            out.append(struct.pack("<B", arg))
-        elif kind == "u32":
-            out.append(struct.pack("<I", arg))
-        elif kind == "f64":
-            out.append(struct.pack("<d", float(arg)))
-        elif kind == "real":
-            if isinstance(arg, SlotRef):
-                out.append(struct.pack("<BI", _TAG_SLOT, arg.index))
-            else:
-                out.append(struct.pack("<Bd", _TAG_LITERAL, float(arg)))
-        else:  # dur
-            if isinstance(arg, SlotOverOmega):
-                out.append(struct.pack("<BId", _TAG_SLOT, arg.slot, arg.rabi_snapshot))
-            else:
-                out.append(struct.pack("<Bd", _TAG_LITERAL, arg.value))
-    return b"".join(out)
-
-
-def _instr_bytes(i: Instr) -> int:
-    """Length of ``_encode_instr(i)``, without encoding it."""
-    size = 1
-    for kind, arg in zip(_SCHEMES[i.op], i.args):
-        slot, literal = _OPERAND_BYTES[kind]
-        size += slot if isinstance(arg, (SlotRef, SlotOverOmega)) else literal
-    return size
+        _, literal, slot = _OPERANDS[kind]
+        if isinstance(arg, SlotRef):
+            fmt += slot
+            values += (_TAG_SLOT, arg.index)
+        elif isinstance(arg, SlotOverOmega):
+            fmt += slot
+            values += (_TAG_SLOT, arg.slot, arg.rabi_snapshot)
+        else:
+            fmt += literal
+            value = arg.value if isinstance(arg, LiteralUs) else arg
+            values += (value,) if slot is None else (_TAG_LITERAL, value)
+    return fmt, values
 
 
 @dataclass(frozen=True)
@@ -221,35 +209,43 @@ class KernelBinary:
 
     def __post_init__(self) -> None:
         n = len(self.instructions)
+        n_slots = self.n_slots
         n_channels = self.n_qubits + len(self.pair_channels)
+        full = self.mode is KernelMode.FULL
+        if full and n_slots:
+            raise CompileError("full kernels carry no slot registers")
         for pc, ins in enumerate(self.instructions):
-            if ins.op in _CHANNEL_OPS:
-                if ins.args[0] >= n_channels:
-                    raise CompileError(f"pc {pc}: channel {ins.args[0]} out of range")
-            elif ins.op is _DETECT:
-                if ins.args[0] != ALL_CHANNELS and ins.args[0] >= self.n_qubits:
-                    raise CompileError(f"pc {pc}: detect channel {ins.args[0]} out of range")
-            elif ins.op is _LOOP_SHOTS:
-                shots, body = ins.args
-                if shots < 1:
-                    raise CompileError(f"pc {pc}: loop needs at least one shot")
-                if pc + 1 + body > n:
-                    raise CompileError(f"pc {pc}: loop body extends past end of kernel")
-            elif ins.op is _RPC_SYNC:
-                if ins.args[1] >= n:
-                    raise CompileError(f"pc {pc}: resume target {ins.args[1]} out of range")
+            op, args = ins.op, ins.args
+            if op in _CHANNEL_OPS:
+                if args[0] >= n_channels:
+                    raise CompileError(f"pc {pc}: channel {args[0]} out of range")
+                operand = args[1]
+            elif op is _PLAY:
+                operand = args[0]
+            else:
+                if op is _DETECT:
+                    if args[0] != ALL_CHANNELS and args[0] >= self.n_qubits:
+                        raise CompileError(f"pc {pc}: detect channel {args[0]} out of range")
+                elif op is _LOOP_SHOTS:
+                    if args[0] < 1:
+                        raise CompileError(f"pc {pc}: loop needs at least one shot")
+                    if pc + 1 + args[1] > n:
+                        raise CompileError(f"pc {pc}: loop body extends past end of kernel")
+                elif op is _RPC_SYNC and args[1] >= n:
+                    raise CompileError(f"pc {pc}: resume target {args[1]} out of range")
+                if full and op in _STREAMING_OPS:
+                    raise CompileError(f"pc {pc}: {op.name} not allowed in a full kernel")
+                continue
+            if not isinstance(operand, _SLOT_OPERANDS):
+                continue
+            if full:
+                raise CompileError(f"pc {pc}: unresolved slot operand in full kernel")
+            slot = operand.index if isinstance(operand, SlotRef) else operand.slot
+            if not 0 <= slot < n_slots:
+                raise CompileError(f"pc {pc}: slot {slot} out of range for {n_slots} slots")
         for start, length in self.blocks:
             if start + length > n:
                 raise CompileError("block table window extends past end of kernel")
-        if self.mode is KernelMode.FULL:
-            if self.n_slots:
-                raise CompileError("full kernels carry no slot registers")
-            for pc, ins in enumerate(self.instructions):
-                if ins.op in _STREAMING_OPS:
-                    raise CompileError(f"pc {pc}: {ins.op.name} not allowed in a full kernel")
-                for arg in ins.args:
-                    if isinstance(arg, (SlotRef, SlotOverOmega)):
-                        raise CompileError(f"pc {pc}: unresolved slot operand in full kernel")
 
     @property
     def n_instr(self) -> int:
@@ -270,22 +266,83 @@ class KernelBinary:
         for start, length in self.blocks:
             parts.append(struct.pack("<II", start, length))
         parts.append(struct.pack("<I", len(self.instructions)))
-        parts.extend(_encode_instr(i) for i in self.instructions)
+        for i in self.instructions:
+            fmt, values = _packing(i)
+            parts.append(struct.pack(fmt, *values))
         return b"".join(parts)
 
     @cached_property
     def size_bytes(self) -> int:
-        """``len(serialized)``, counted from the operand layout instead of encoded."""
-        return (
-            _HEADER_BYTES
-            + 2 * len(self.pair_channels)
-            + 8 * len(self.blocks)
-            + sum(_instr_bytes(i) for i in self.instructions)
-        )
+        """``len(serialized)``, counted from the packed formats instead of encoded."""
+        if self.mode is KernelMode.FULL:
+            body = sum(_LITERAL_BYTES[i.op] for i in self.instructions)
+        else:
+            body = sum(struct.calcsize(_packing(i)[0]) for i in self.instructions)
+        return _HEADER_BYTES + 2 * len(self.pair_channels) + 8 * len(self.blocks) + body
 
     @cached_property
     def content_hash(self) -> str:
         return blake2b(self.serialized, digest_size=8).hexdigest()
+
+
+def partial_kernel(
+    header: Sequence[Instr],
+    loops: Sequence[Instr],
+    *,
+    n_qubits: int,
+    n_slots: int,
+    pair_channels: tuple[tuple[int, int], ...],
+    blocks: Sequence[Sequence[Instr]],
+) -> KernelBinary:
+    """``header`` and ``loops``, the RPC tail, then each pool block after HALT.
+
+    The tail uploads results and fetches the next parameters, or the next
+    block sequence when there is a pool, and resumes at the first loop: each
+    round replays the loops but not the header.
+    """
+    fetch = TAG_CIRCUIT_BLOCK if blocks else TAG_PARAMS
+    instrs = [
+        *header,
+        *loops,
+        Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
+        Instr(Opcode.RPC_SYNC, (fetch, len(header))),
+        Instr(Opcode.HALT, ()),
+    ]
+    table = []
+    for body in blocks:
+        table.append((len(instrs), len(body)))
+        instrs.extend(body)
+    return KernelBinary(
+        KernelMode.PARTIAL, n_qubits, n_slots, tuple(instrs), pair_channels, tuple(table)
+    )
+
+
+def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
+    """The full kernel of a slot-streaming partial kernel.
+
+    That is ``kernel``'s header and loops with every slot operand made its
+    literal value from ``slot_values``, then HALT in place of the RPC tail.
+    """
+    body, tail = kernel.instructions[:-3], kernel.instructions[-3:]
+    if [i.op for i in tail] != [Opcode.RPC_ASYNC, Opcode.RPC_SYNC, Opcode.HALT] or (
+        tail[1].args[0] != TAG_PARAMS
+    ):
+        raise CompileError("only a kernel that ends in a parameter fetch can be baked")
+    if len(slot_values) != kernel.n_slots:
+        raise SlotArityError(f"kernel has {kernel.n_slots} slots, got {len(slot_values)} values")
+
+    def literal(arg):
+        if isinstance(arg, SlotRef):
+            return float(slot_values[arg.index])
+        if isinstance(arg, SlotOverOmega):
+            return LiteralUs(duration_of(slot_values[arg.slot], arg.rabi_snapshot))
+        return arg
+
+    if kernel.n_slots:  # a slot-free kernel, such as every RB circuit, is only sliced
+        body = tuple(Instr(i.op, tuple(map(literal, i.args))) for i in body)
+    return KernelBinary(
+        KernelMode.FULL, kernel.n_qubits, 0, (*body, tail[2]), kernel.pair_channels
+    )
 
 
 class _Emitter:
@@ -340,46 +397,13 @@ class _Emitter:
                 raise CompileError(f"cannot lower schedule item {type(item).__name__}")
         return out
 
-    def header(self) -> list[Instr]:
-        return [
-            Instr(Opcode.SET_FREQ, (ch, freq))
-            for ch, freq in self.header_freqs.items()
-        ]
-
-
-def _normalize(schedules: PulseSchedule | Sequence[PulseSchedule]) -> list[PulseSchedule]:
-    if isinstance(schedules, PulseSchedule):
-        return [schedules]
-    out = list(schedules)
-    if not out:
-        raise CompileError("no schedules to compile")
-    return out
-
-
-def bake(instrs: Sequence[Instr], slot_values: Sequence[float]) -> list[Instr]:
-    """``instrs`` with every slot operand replaced by its literal value."""
-
-    def literal(arg):
-        if isinstance(arg, SlotRef):
-            return float(slot_values[arg.index])
-        if isinstance(arg, SlotOverOmega):
-            return LiteralUs(duration_of(slot_values[arg.slot], arg.rabi_snapshot))
-        return arg
-
-    return [Instr(i.op, tuple(literal(a) for a in i.args)) for i in instrs]
-
-
-def _emit(
-    scheds: list[PulseSchedule], shots: int, n_qubits: int | None
-) -> tuple[_Emitter, list[Instr], list[Instr]]:
-    """The emitter, the SET_FREQ header and one shot loop per schedule, slots live."""
-    em = _Emitter(scheds, n_qubits)
-    loops: list[Instr] = []
-    for s in scheds:
-        body = em.body(s)
-        loops.append(Instr(Opcode.LOOP_SHOTS, (shots, len(body))))
-        loops.extend(body)
-    return em, em.header(), loops
+    def kernel(self, loops: list[Instr], n_slots: int, blocks: list[list[Instr]]) -> KernelBinary:
+        """The partial kernel: a SET_FREQ per channel driven so far, ``loops``, ``blocks``."""
+        header = [Instr(Opcode.SET_FREQ, item) for item in self.header_freqs.items()]
+        return partial_kernel(
+            header, loops, n_qubits=self.n_qubits, n_slots=n_slots,
+            pair_channels=tuple(self.pairs), blocks=blocks,
+        )
 
 
 def compile_full(
@@ -389,16 +413,8 @@ def compile_full(
     *,
     n_qubits: int | None = None,
 ) -> KernelBinary:
-    """The partial kernel's loops, baked with ``slot_values``, run once through."""
-    scheds = _normalize(schedules)
-    arity = max(s.n_slots for s in scheds)
-    if len(slot_values) != arity:
-        raise SlotArityError(f"kernel has {arity} slots, got {len(slot_values)} values")
-    em, header, loops = _emit(scheds, shots, n_qubits)
-    if arity:  # a slot-free kernel, such as every RB circuit, has nothing to bake
-        loops = bake(loops, slot_values)
-    instrs = (*header, *loops, Instr(Opcode.HALT, ()))
-    return KernelBinary(KernelMode.FULL, em.n_qubits, 0, instrs, tuple(em.pairs), ())
+    """The partial kernel, baked with ``slot_values``."""
+    return bake(compile_partial(schedules, shots, n_qubits=n_qubits), slot_values)
 
 
 def compile_partial(
@@ -407,20 +423,17 @@ def compile_partial(
     *,
     n_qubits: int | None = None,
 ) -> KernelBinary:
-    """Keep slots live and append the results-upload / parameter-fetch tail."""
-    scheds = _normalize(schedules)
-    n_slots = max(s.n_slots for s in scheds)
-    em, header, loops = _emit(scheds, shots, n_qubits)
-    instrs = (
-        *header,
-        *loops,
-        Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
-        Instr(Opcode.RPC_SYNC, (TAG_PARAMS, len(header))),
-        Instr(Opcode.HALT, ()),
-    )
-    return KernelBinary(
-        KernelMode.PARTIAL, em.n_qubits, n_slots, instrs, tuple(em.pairs), ()
-    )
+    """One shot loop per schedule, slots live, then the parameter-fetch tail."""
+    scheds = [schedules] if isinstance(schedules, PulseSchedule) else list(schedules)
+    if not scheds:
+        raise CompileError("no schedules to compile")
+    em = _Emitter(scheds, n_qubits)
+    loops: list[Instr] = []
+    for s in scheds:
+        body = em.body(s)
+        loops.append(Instr(_LOOP_SHOTS, (shots, len(body))))
+        loops.extend(body)
+    return em.kernel(loops, max(s.n_slots for s in scheds), [])
 
 
 def compile_pool(
@@ -440,35 +453,20 @@ def compile_pool(
     if not block_schedules:
         raise CompileError("gate pool is empty")
     em = _Emitter(block_schedules, n_qubits)
-    block_bodies = []
+    blocks = []
     for s in block_schedules:
         if s.n_slots:
             raise CompileError("pool blocks must be fully literal")
         if any(isinstance(i, (Prep, Detect)) for i in s.items):
             raise CompileError("pool blocks cannot contain state preparation or readout")
-        block_bodies.append(em.body(s))
-
-    instrs = em.header()
-    resume = len(instrs)
-    instrs.append(Instr(Opcode.LOOP_SHOTS, (shots, 3)))
-    instrs.append(Instr(Opcode.PREP, (prep_us,)))
-    instrs.append(Instr(Opcode.SELECT, (0,)))
-    instrs.append(Instr(Opcode.DETECT, (ALL_CHANNELS, detect_us)))
-    instrs.append(Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)))
-    instrs.append(Instr(Opcode.RPC_SYNC, (TAG_CIRCUIT_BLOCK, resume)))
-    instrs.append(Instr(Opcode.HALT, ()))
-    blocks = []
-    for body in block_bodies:
-        blocks.append((len(instrs), len(body)))
-        instrs.extend(body)
-    return KernelBinary(
-        KernelMode.PARTIAL,
-        em.n_qubits,
-        0,
-        tuple(instrs),
-        tuple(em.pairs),
-        tuple(blocks),
-    )
+        blocks.append(em.body(s))
+    loop = [
+        Instr(_LOOP_SHOTS, (shots, 3)),
+        Instr(_PREP, (prep_us,)),
+        Instr(Opcode.SELECT, (0,)),
+        Instr(_DETECT, (ALL_CHANNELS, detect_us)),
+    ]
+    return em.kernel(loop, 0, blocks)
 
 
 MODES = ("baseline", "dlpc")

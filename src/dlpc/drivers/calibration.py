@@ -29,15 +29,15 @@ from ..devcomp import (
     CostModel,
     Instr,
     KernelBinary,
-    KernelMode,
     Opcode,
     bake,
     check_mode,
+    partial_kernel,
 )
 from ..ir import SlotRef
 from ..pulse import CalibrationDataset, LiteralUs
 from ..qpu import ExecutionTrace, execute
-from ..rpc import TAG_PARAMS, TAG_RESULTS, Params, RendezvousCell, Sentinel, run_session
+from ..rpc import Params, RendezvousCell, Sentinel, run_session
 from .accounting import RunCosts, costs_from
 
 __all__ = [
@@ -112,19 +112,6 @@ def sweep_slots(exp: Experiment, calib: CalibrationDataset) -> tuple[float, ...]
     return (_carrier(exp, calib), *(float(v) for v in np.linspace(0.0, 1.0, SEGMENTS)))
 
 
-def _sweep_instrs(
-    shots: int, prep_us: float, detect_us: float
-) -> tuple[list[Instr], list[Instr]]:
-    """The carrier header and the one shot loop, slots live."""
-    body = [Instr(Opcode.PREP, (prep_us,))]
-    for i in range(SEGMENTS):
-        body.append(Instr(Opcode.SET_AMP, (0, SlotRef(1 + i))))
-        body.append(Instr(Opcode.PLAY, (LiteralUs(SEGMENT_US),)))
-    body.append(Instr(Opcode.DETECT, (ALL_CHANNELS, detect_us)))
-    header = [Instr(Opcode.SET_FREQ, (0, SlotRef(0)))]
-    return header, [Instr(Opcode.LOOP_SHOTS, (shots, len(body))), *body]
-
-
 def build_sweep_partial(
     shots: int = SWEEP_SHOTS,
     *,
@@ -132,14 +119,15 @@ def build_sweep_partial(
     detect_us: float,
 ) -> KernelBinary:
     """The reusable sweep kernel; resuming at the loop re-runs the whole scan."""
-    header, loop = _sweep_instrs(shots, prep_us, detect_us)
-    tail = [
-        Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
-        Instr(Opcode.RPC_SYNC, (TAG_PARAMS, len(header))),
-        Instr(Opcode.HALT, ()),
-    ]
-    return KernelBinary(
-        KernelMode.PARTIAL, 1, 1 + SEGMENTS, tuple(header + loop + tail), (), ()
+    body = [Instr(Opcode.PREP, (prep_us,))]
+    for i in range(SEGMENTS):
+        body.append(Instr(Opcode.SET_AMP, (0, SlotRef(1 + i))))
+        body.append(Instr(Opcode.PLAY, (LiteralUs(SEGMENT_US),)))
+    body.append(Instr(Opcode.DETECT, (ALL_CHANNELS, detect_us)))
+    return partial_kernel(
+        [Instr(Opcode.SET_FREQ, (0, SlotRef(0)))],
+        [Instr(Opcode.LOOP_SHOTS, (shots, len(body))), *body],
+        n_qubits=1, n_slots=1 + SEGMENTS, pair_channels=(), blocks=(),
     )
 
 
@@ -150,11 +138,7 @@ def build_sweep_full(
     prep_us: float,
     detect_us: float,
 ) -> KernelBinary:
-    if len(slot_values) != 1 + SEGMENTS:
-        raise ValueError(f"sweep takes {1 + SEGMENTS} slot values, got {len(slot_values)}")
-    header, loop = _sweep_instrs(shots, prep_us, detect_us)
-    instrs = (*bake(header + loop, slot_values), Instr(Opcode.HALT, ()))
-    return KernelBinary(KernelMode.FULL, 1, 0, instrs, (), ())
+    return bake(build_sweep_partial(shots, prep_us=prep_us, detect_us=detect_us), slot_values)
 
 
 def _fit(exp: Experiment, calib: CalibrationDataset, run_seed: int, exp_idx: int) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .devcomp import CostModel, compile_full, compile_partial
+from .devcomp import CostModel, bake, compile_partial
 from .drivers.calibration import build_sweep_partial
 from .drivers.optimizers import bounded_min
 from .drivers.rb import RB_SHOTS, clifford_pool
@@ -62,14 +62,10 @@ class FitResult:
         }
 
 
-def _sweep_instructions() -> int:
-    return build_sweep_partial(prep_us=1000.0, detect_us=2000.0).n_instr
-
-
 def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
     """Solve the compile line exactly, then least-squares the readout split."""
     n_pool = clifford_pool(CalibrationDataset.default(1), RB_SHOTS).n_instr
-    n_sweep = _sweep_instructions()
+    n_sweep = build_sweep_partial(prep_us=1000.0, detect_us=2000.0).n_instr
     compile_b = (anchors.sweep_compile_s - anchors.pool_compile_s) / (n_sweep - n_pool)
     compile_a = anchors.pool_compile_s - compile_b * n_pool
     model = CostModel(compile_a=compile_a, compile_b=compile_b)
@@ -79,8 +75,8 @@ def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
     problem = one_param_problem()
     calib = CalibrationDataset.default(1)
     scheds = section_schedules(problem, calib)
-    full = compile_full(scheds, list(problem.x0), problem.shots, n_qubits=1)
     partial = compile_partial(scheds, problem.shots, n_qubits=1)
+    full = bake(partial, problem.x0)
     oh_full = model.cost_of(full).total_s
     oh_partial = model.cost_of(partial).total_s
     # Quote device time at the canonical pi/2 gate, like the anchors were.

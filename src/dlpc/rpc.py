@@ -264,10 +264,6 @@ class RendezvousCell:
     def close(self) -> None:
         self._closed.set()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
-
 
 class _Transport(Protocol):
     def send(self, m: RpcMessage) -> None: ...

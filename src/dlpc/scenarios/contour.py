@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, RunCosts, compile_full, compile_partial
+from ..devcomp import CostModel, RunCosts, bake, compile_partial
 from ..pulse import CalibrationDataset
 from ..drivers.vqe import VqeProblem, section_schedules
 from ..ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
@@ -119,12 +119,8 @@ def sweep_machines(
     problem = contour_problem()
     calib = CalibrationDataset.default(problem.ansatz.n_qubits)
     schedules = section_schedules(problem, calib)
-    full = compile_full(
-        schedules, problem.x0, problem.shots, n_qubits=problem.ansatz.n_qubits
-    )
-    partial = compile_partial(
-        schedules, problem.shots, n_qubits=problem.ansatz.n_qubits
-    )
+    partial = compile_partial(schedules, problem.shots, n_qubits=problem.ansatz.n_qubits)
+    full = bake(partial, problem.x0)
     # Both ledgers before any device time: the baseline rebuilds every
     # iteration, the streaming kernel compiles once and pays an RPC per one.
     base_kernels = iterations * cost_model.cost_of(full)

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, RunCosts, check_mode, compile_full, compile_partial
+from ..devcomp import CostModel, RunCosts, bake, check_mode, compile_partial
 from ..ir import Hamiltonian, PauliTerm, Circuit, SlotRef, op
 from ..pulse import CalibrationDataset
 from ..qpu import execute
-from ..drivers.calibration import SWEEP_SHOTS, build_sweep_full, build_sweep_partial
+from ..drivers.calibration import SWEEP_SHOTS, build_sweep_partial
 from ..drivers.vqe import VqeProblem, section_schedules
 
 __all__ = [
@@ -166,17 +166,12 @@ class _KernelPrices:
 
 def _prices(problem: VqeProblem, calib: CalibrationDataset, model: CostModel) -> _KernelPrices:
     schedules = section_schedules(problem, calib)
-    full = compile_full(schedules, problem.x0, problem.shots, n_qubits=problem.ansatz.n_qubits)
     partial = compile_partial(schedules, problem.shots, n_qubits=problem.ansatz.n_qubits)
-    sweep_full = build_sweep_full(
-        tuple(0.0 for _ in range(68)),
-        SWEEP_SHOTS,
-        prep_us=calib.prep_us,
-        detect_us=calib.detect_us,
-    )
+    full = bake(partial, problem.x0)
     sweep_partial = build_sweep_partial(
         SWEEP_SHOTS, prep_us=calib.prep_us, detect_us=calib.detect_us
     )
+    sweep_full = bake(sweep_partial, (0.0,) * sweep_partial.n_slots)
     trace = execute(full, cost_only=True)
     return _KernelPrices(
         circuit_full=model.cost_of(full),

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from dlpc import qpu, rpc
-from dlpc.devcomp import Instr, KernelBinary, Opcode, bake
-from dlpc.ir import Circuit, GateOp, op
+from dlpc.devcomp import KernelBinary, KernelMode, Opcode
+from dlpc.ir import Circuit, GateOp, SlotRef, op
+from dlpc.pulse import LiteralUs, SlotOverOmega, duration_of
 from dlpc.rpc import Sentinel
 
 SESSION_THREADS = ("kernel-vm", "host-worker")
@@ -89,15 +90,28 @@ def run_within(seconds: float, fn):
     return out["value"]
 
 
-def baked_partial(partial: KernelBinary, slot_values) -> tuple[Instr, ...]:
-    """A partial kernel's header and loops baked with slot_values, then HALT.
+def assert_baked(full: KernelBinary, partial: KernelBinary, slot_values) -> None:
+    """``full`` is ``partial`` baked with slot_values, by bake's contract.
 
     This is the baseline kernel the paper describes: the streamed kernel with
-    its parameters fixed at compile time and no RPC tail.
+    its parameters fixed at compile time and HALT in place of its RPC tail.
     """
-    tail = [i.op for i in partial.instructions[-3:]]
-    assert tail == [Opcode.RPC_ASYNC, Opcode.RPC_SYNC, Opcode.HALT]
-    return (*bake(partial.instructions[:-3], slot_values), Instr(Opcode.HALT, ()))
+    assert (full.mode, full.n_slots) == (KernelMode.FULL, 0)
+    assert (full.n_qubits, full.pair_channels) == (partial.n_qubits, partial.pair_channels)
+    ops = [i.op for i in partial.instructions]
+    assert ops[-3:] == [Opcode.RPC_ASYNC, Opcode.RPC_SYNC, Opcode.HALT]
+    assert [i.op for i in full.instructions] == [*ops[:-3], Opcode.HALT]
+    assert not any(
+        isinstance(a, (SlotRef, SlotOverOmega)) for i in full.instructions for a in i.args
+    )
+    for slotted, baked in zip(partial.instructions, full.instructions[:-1]):
+        for a, b in zip(slotted.args, baked.args, strict=True):
+            if isinstance(a, SlotRef):
+                assert type(b) is float and b == float(slot_values[a.index])
+            elif isinstance(a, SlotOverOmega):
+                assert b == LiteralUs(duration_of(slot_values[a.slot], a.rabi_snapshot))
+            else:
+                assert b == a
 
 
 def objective_worker(objective):

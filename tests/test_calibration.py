@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import baked_partial
+from conftest import assert_baked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +58,7 @@ def test_sweep_kernel_shapes():
 def test_full_sweep_is_the_partial_sweep_baked(slot_values):
     partial = build_sweep_partial(prep_us=500.0, detect_us=1000.0)
     full = build_sweep_full(tuple(slot_values), prep_us=500.0, detect_us=1000.0)
-    assert full.instructions == baked_partial(partial, slot_values)
+    assert_baked(full, partial, slot_values)
 
 
 def test_every_planned_sweep_is_the_partial_sweep_baked():
@@ -67,7 +67,7 @@ def test_every_planned_sweep_is_the_partial_sweep_baked():
     for exp in experiment_plan(calib):
         slots = sweep_slots(exp, calib)
         full = build_sweep_full(slots, prep_us=calib.prep_us, detect_us=calib.detect_us)
-        assert full.instructions == baked_partial(partial, slots), exp.name
+        assert_baked(full, partial, slots)
 
 
 def test_sweep_compile_costs_at_fitted_model():
@@ -78,7 +78,7 @@ def test_sweep_compile_costs_at_fitted_model():
 
 
 def test_full_sweep_rejects_wrong_arity():
-    with pytest.raises(ValueError, match="slot values"):
+    with pytest.raises(ValueError, match=f"^kernel has {1 + SEGMENTS} slots, got 2 values$"):
         build_sweep_full((1e7, 0.5), prep_us=500.0, detect_us=1000.0)
 
 

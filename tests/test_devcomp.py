@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import baked_partial
+from conftest import assert_baked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlpc.devcomp import (
-    ALL_CHANNELS,
     CompileError,
     CompileLog,
     CostModel,
@@ -20,11 +19,12 @@ from dlpc.devcomp import (
     Opcode,
     RunCosts,
     SlotArityError,
+    bake,
     compile_full,
     compile_partial,
     compile_pool,
 )
-from dlpc.drivers.calibration import run_calibration
+from dlpc.drivers.calibration import build_sweep_partial, run_calibration
 from dlpc.drivers.rb import clifford_pool, run_rb
 from dlpc.drivers.vqe import VqeProblem, run_vqe, two_param_problem
 from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
@@ -70,10 +70,21 @@ def _slotted_sections(calib: CalibrationDataset) -> list[PulseSchedule]:
 def test_full_kernel_is_the_partial_kernel_baked(slot_values):
     scheds = _slotted_sections(CalibrationDataset.default(2))
     partial = compile_partial(scheds, shots=7)
-    full = compile_full(scheds, slot_values, shots=7)
     assert partial.n_slots == 4
-    assert full.instructions == baked_partial(partial, slot_values)
-    assert (full.n_qubits, full.pair_channels) == (partial.n_qubits, partial.pair_channels)
+    kinds = {type(a) for i in partial.instructions for a in i.args}
+    assert {SlotRef, SlotOverOmega} <= kinds
+    assert_baked(compile_full(scheds, slot_values, shots=7), partial, slot_values)
+
+
+def test_bake_takes_only_a_slot_streaming_partial_kernel(calib):
+    partial = compile_partial(_vqe_schedule(calib), shots=10)
+    with pytest.raises(SlotArityError, match="^kernel has 1 slots, got 2 values$"):
+        bake(partial, [0.1, 0.2])
+    with pytest.raises(SlotArityError, match="^kernel has 1 slots, got 0 values$"):
+        bake(partial, [])
+    for kernel in (clifford_pool(calib, 10), bake(partial, [0.1])):
+        with pytest.raises(CompileError, match="^only a kernel that ends in a parameter fetch"):
+            bake(kernel, [])
 
 
 def test_full_kernel_layout_and_baked_rotation(calib):
@@ -272,19 +283,7 @@ def test_amplitude_sweep_kernel_size():
     # Generic retargetable sweep: frequency in slot 0, one amplitude slot per
     # segment, fixed 2.5 us segments.  Two slots below stay the documented knob
     # for the 1.2 s compile anchor.
-    segments = 67
-    instrs = [Instr(Opcode.SET_FREQ, (0, SlotRef(0)))]
-    body: list[Instr] = [Instr(Opcode.PREP, (100.0,))]
-    for k in range(segments):
-        body.append(Instr(Opcode.SET_AMP, (0, SlotRef(1 + k))))
-        body.append(Instr(Opcode.PLAY, (LiteralUs(2.5),)))
-    body.append(Instr(Opcode.DETECT, (ALL_CHANNELS, 200.0)))
-    instrs.append(Instr(Opcode.LOOP_SHOTS, (50, len(body))))
-    instrs.extend(body)
-    instrs.append(Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)))
-    instrs.append(Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 1)))
-    instrs.append(Instr(Opcode.HALT, ()))
-    k = KernelBinary(KernelMode.PARTIAL, 1, 1 + segments, tuple(instrs))
+    k = build_sweep_partial(prep_us=100.0, detect_us=200.0)
     assert k.n_instr == 141
     model = CostModel(compile_a=0.354, compile_b=0.006)
     assert model.compile_time(k.n_instr) == pytest.approx(1.20, abs=1e-9)
@@ -305,6 +304,34 @@ def test_resume_target_validated():
             KernelMode.PARTIAL, 1, 0,
             (Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 9)), Instr(Opcode.HALT, ())),
         )
+
+
+@pytest.mark.parametrize(
+    "ins",
+    [
+        Instr(Opcode.SET_FREQ, (0, SlotRef(3))),
+        Instr(Opcode.SET_PHASE, (0, SlotRef(3))),
+        Instr(Opcode.SET_AMP, (0, SlotRef(3))),
+        Instr(Opcode.FRAME_ROT, (0, SlotRef(3))),
+        Instr(Opcode.PLAY, (SlotOverOmega(3, DEFAULT_RABI),)),
+    ],
+    ids=lambda ins: ins.op.name,
+)
+@pytest.mark.parametrize("n_slots", [0, 1, 3])
+def test_slot_outside_the_kernel_rejected(ins, n_slots):
+    instrs = (Instr(Opcode.PREP, (1.0,)), ins, Instr(Opcode.HALT, ()))
+    with pytest.raises(CompileError, match=f"^pc 1: slot 3 out of range for {n_slots} slots$"):
+        KernelBinary(KernelMode.PARTIAL, 1, n_slots, instrs)
+    with pytest.raises(CompileError, match="^pc 1: unresolved slot operand in full kernel$"):
+        KernelBinary(KernelMode.FULL, 1, 0, instrs)
+    assert KernelBinary(KernelMode.PARTIAL, 1, 4, instrs).n_slots == 4
+
+
+def test_negative_slot_duration_rejected():
+    # SlotOverOmega takes any int; the VM would read slot -1 from the end of the slot file.
+    play = Instr(Opcode.PLAY, (SlotOverOmega(-1, DEFAULT_RABI),))
+    with pytest.raises(CompileError, match="^pc 0: slot -1 out of range for 1 slots$"):
+        KernelBinary(KernelMode.PARTIAL, 1, 1, (play, Instr(Opcode.HALT, ())))
 
 
 @pytest.mark.parametrize(

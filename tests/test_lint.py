@@ -8,6 +8,10 @@ and so are ``from __future__`` imports.
 A second scan finds dead private helpers: every function, method or class
 whose name starts with ``_`` (dunders aside) must be referenced somewhere in
 the tree, as a bare name or as an attribute.
+
+A third finds dead public surface: every public function, method or property
+under ``src/`` must be referenced the same way somewhere in ``src/``,
+``tests/`` or ``perfbench/``.  A name in ``__all__`` alone does not count.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+USERS = sorted(p for tree in ("src", "tests", "perfbench") for p in (ROOT / tree).rglob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -106,3 +112,45 @@ def test_scan_flags_an_unreferenced_private_helper(tmp_path):
     other = tmp_path / "n.py"
     other.write_text("from m import _used\n_used()\n")
     assert unreferenced_private_definitions([module, other]) == ["m.py:6 _spill", "m.py:8 _dead"]
+
+
+def unreferenced_public_functions(defining: list[Path], referencing: list[Path]) -> list[str]:
+    defined: dict[str, str] = {}
+    for path in defining:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno} {node.name}")
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in referencing
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return sorted(where for name, where in defined.items() if name not in referenced)
+
+
+def test_every_public_function_is_referenced():
+    assert any(path.parent.name == "perfbench" for path in USERS)
+    assert unreferenced_public_functions(MODULES, USERS) == []
+
+
+def test_scan_flags_an_unreferenced_public_function(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "__all__ = ['dead']\n"
+        "class Box:\n"
+        "    def fill(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "def dead():\n"
+        "    pass\n"
+        "def used():\n"
+        "    return Box()\n"
+    )
+    test = tmp_path / "test_m.py"
+    test.write_text("from m import used\nused().fill()\n")
+    assert unreferenced_public_functions([module], [module, test]) == [
+        "m.py:6 size", "m.py:8 dead"
+    ]
