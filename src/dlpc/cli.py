@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .devcomp import MODES, CostModel, RunCosts
+from .drivers.accounting import speedup
 from .drivers.calibration import run_calibration
 from .drivers.rb import RB_CIRCUITS_PER_LENGTH, RB_LENGTHS, RB_SHOTS, check_lengths, run_rb
 from .drivers.vqe import one_param_problem, run_vqe, two_param_problem
@@ -321,7 +322,7 @@ def _run_row(subcommand: str, mode: str, seed: int, label: str, costs: RunCosts)
 def _comparison(costs: dict[str, RunCosts]) -> dict:
     base, dlpc = costs["baseline"], costs["dlpc"]
     return {
-        "speedup": base.total_s / dlpc.total_s,
+        "speedup": speedup(base, dlpc),
         "compile_count": {"baseline": base.n_compiles, "dlpc": dlpc.n_compiles},
         "compile_fraction": {
             "baseline": base.compile_fraction,

@@ -37,7 +37,7 @@ from ..devcomp import (
 from ..ir import SlotRef
 from ..pulse import CalibrationDataset, LiteralUs
 from ..qpu import ExecutionTrace, execute
-from ..rpc import Params, RendezvousCell, Sentinel, run_session
+from ..rpc import Params, Results, run_session
 from .accounting import RunCosts, costs_from
 
 __all__ = [
@@ -206,51 +206,45 @@ def run_calibration(
     fitted: dict[str, float] = {}
     prep_us, detect_us = calib.prep_us, calib.detect_us
 
-    def analyze(exp_idx: int) -> None:
-        exp = plan[exp_idx]
-        value = _fit(exp, calib, run_seed, exp_idx)
-        _apply(exp, calib, value)
-        fitted[exp.name] = value
+    # Slots for experiment k+1 depend on fits applied through experiment k,
+    # so the host loop interleaves analysis with the parameter stream.
+    def host(fetch) -> None:
+        for k, exp in enumerate(plan):
+            fetch(Params(sweep_slots(exp, calib)))
+            value = _fit(exp, calib, run_seed, k)
+            _apply(exp, calib, value)
+            fitted[exp.name] = value
 
     if mode == "baseline":
         traces: list[ExecutionTrace] = []
-        for k, exp in enumerate(plan):
+        binary = None  # the kernel built last
+
+        def fetch(directive: Params) -> Results:
+            nonlocal binary
             binary = log.record(
-                build_sweep_full(sweep_slots(exp, calib), prep_us=prep_us, detect_us=detect_us),
+                build_sweep_full(directive.values, prep_us=prep_us, detect_us=detect_us),
                 cost_model,
             )
-            traces.append(execute(binary, run_seed=run_seed, iteration=k, cost_only=True))
-            analyze(k)
-        n_instr = len(binary.instructions)
-        return CalibrationReport(
-            mode, len(plan), costs_from(log, traces), calib.version - version_before,
-            fitted, n_instr,
-        )
+            traces.append(execute(binary, run_seed=run_seed, iteration=len(traces), cost_only=True))
+            return traces[-1].results[0]
 
-    binary = log.record(build_sweep_partial(prep_us=prep_us, detect_us=detect_us), cost_model)
-
-    # Slots for experiment k+1 depend on fits applied through experiment k,
-    # so the worker interleaves analysis with the parameter stream.
-    def worker(results_buffer: RendezvousCell, parameter_buffer: RendezvousCell) -> None:
-        for k in range(len(plan)):
-            results_buffer.take()
-            analyze(k)
-            if k + 1 < len(plan):
-                parameter_buffer.put(Params(sweep_slots(plan[k + 1], calib)))
-        parameter_buffer.put(Sentinel())
-
-    trace = run_session(
-        lambda handle: execute(
-            binary,
-            endpoint=handle,
-            run_seed=run_seed,
-            initial_slots=list(sweep_slots(plan[0], calib)),
-            rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
-            cost_only=True,
-        ),
-        worker,
-    )
+        host(fetch)
+    else:
+        binary = log.record(build_sweep_partial(prep_us=prep_us, detect_us=detect_us), cost_model)
+        traces = [
+            run_session(
+                lambda handle: execute(
+                    binary,
+                    endpoint=handle,
+                    run_seed=run_seed,
+                    launch=Params(sweep_slots(plan[0], calib)),
+                    rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
+                    cost_only=True,
+                ),
+                host,
+            )
+        ]
     return CalibrationReport(
-        mode, len(plan), costs_from(log, [trace]),
+        mode, len(plan), costs_from(log, traces),
         calib.version - version_before, fitted, len(binary.instructions),
     )

@@ -1,10 +1,11 @@
 """The optimizers the drivers and the cost-model fit run.
 
 The VQE optimizer sees only an evaluate(x) callable, so given identical
-energies both modes trace identical parameter paths.  What evaluate does
-underneath is the driver's business (``vqe.run_vqe``): the baseline compiles
-and runs one kernel per section, and the streamed mode exchanges parameters
-and results with its running kernel.
+energies both modes trace identical parameter paths.  In ``vqe.run_vqe``
+evaluate is one ``fetch(Params(x))`` of the driver's host loop: the
+baseline's fetch compiles and runs one kernel per section, and the streamed
+mode's, from ``rpc.run_session``, sends x to the running kernel and takes
+back its results.
 
 Both searches are ports of scipy's and keep its operation order, so they
 evaluate the same points and return the same bits.

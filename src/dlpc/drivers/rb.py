@@ -23,7 +23,7 @@ from ..devcomp import CompileLog, CostModel, KernelBinary, check_mode, compile_f
 from ..ir import Circuit, op
 from ..pulse import CalibrationDataset, lower_to_pulses
 from ..qpu import ExecutionTrace, execute
-from ..rpc import CircuitBlock, RendezvousCell, Sentinel, run_session
+from ..rpc import CircuitBlock, Results, run_session
 from ..transpile import transpile
 from .accounting import RunCosts, costs_from
 from .optimizers import bounded_min
@@ -75,8 +75,8 @@ def random_circuits(
     return circuits
 
 
-def _sequence_schedule(circ: RbCircuit, calib: CalibrationDataset):
-    ops = [g for e in circ.elements for g in native_ops(e, 0)]
+def _sequence_schedule(elements: tuple[int, ...], calib: CalibrationDataset):
+    ops = [g for e in elements for g in native_ops(e, 0)]
     ops.append(op("MEASURE", ()))
     return lower_to_pulses(transpile(Circuit(1, ops)), calib)
 
@@ -208,49 +208,43 @@ def run_rb(
     if calib is None:
         calib = CalibrationDataset.default(1)
     plan = random_circuits(run_seed, lengths, per_length)
+    blocks = [CircuitBlock((circ.elements,)) for circ in plan]
     log = CompileLog()
+    counts: list[dict[int, int]] = []
+
+    def host(fetch) -> None:
+        for block in blocks:
+            counts.append(fetch(block).counts[0])
 
     if mode == "baseline":
         traces: list[ExecutionTrace] = []
-        counts = []
-        for k, circ in enumerate(plan):
+
+        def fetch(block: CircuitBlock) -> Results:
+            (elements,) = block.circuits
             binary = log.record(
-                compile_full(_sequence_schedule(circ, calib), [], shots, n_qubits=1), cost_model
+                compile_full(_sequence_schedule(elements, calib), [], shots, n_qubits=1), cost_model
             )
-            trace = execute(
-                binary,
-                run_seed=run_seed,
-                iteration=k,
-                depolarizing=depolarizing,
+            traces.append(
+                execute(binary, run_seed=run_seed, iteration=len(traces), depolarizing=depolarizing)
             )
-            traces.append(trace)
-            counts.append(trace.results[0].counts[0])
-        all_traces = traces
+            return traces[-1].results[0]
+
+        host(fetch)
     else:
         binary = log.record(clifford_pool(calib, shots), cost_model)
-        collected = []
-
-        def worker(results_buffer: RendezvousCell, parameter_buffer: RendezvousCell) -> None:
-            for k in range(len(plan)):
-                msg = results_buffer.take()
-                collected.append(msg.counts[0])
-                if k + 1 < len(plan):
-                    parameter_buffer.put(CircuitBlock((plan[k + 1].elements,)))
-            parameter_buffer.put(Sentinel())
-
-        trace = run_session(
-            lambda handle: execute(
-                binary,
-                endpoint=handle,
-                run_seed=run_seed,
-                initial_circuits=[plan[0].elements],
-                depolarizing=depolarizing,
-                rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
-            ),
-            worker,
-        )
-        counts = collected
-        all_traces = [trace]
+        traces = [
+            run_session(
+                lambda handle: execute(
+                    binary,
+                    endpoint=handle,
+                    run_seed=run_seed,
+                    launch=blocks[0],
+                    depolarizing=depolarizing,
+                    rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
+                ),
+                host,
+            )
+        ]
 
     survivals = tuple(survival(c) for c in counts)
     by_length: dict[int, list[float]] = {}
@@ -264,6 +258,6 @@ def run_rb(
         survivals=survivals,
         mean_by_length=means,
         fit=fit,
-        costs=costs_from(log, all_traces),
-        n_iterations=sum(t.n_iterations for t in all_traces),
+        costs=costs_from(log, traces),
+        n_iterations=sum(t.n_iterations for t in traces),
     )

@@ -28,7 +28,7 @@ from ..ir import (
 )
 from ..pulse import CalibrationDataset, PulseSchedule, lower_to_pulses
 from ..qpu import ExecutionTrace, execute
-from ..rpc import Params, RendezvousCell, Results, Sentinel, run_session
+from ..rpc import Params, Results, run_session
 from ..transpile import transpile
 from .accounting import RunCosts, costs_from
 from .optimizers import OptResult, nelder_mead
@@ -178,74 +178,58 @@ def run_vqe(
     to_energy = _energy_closure(problem.hamiltonian, sections)
     log = CompileLog()
     trajectory: list[tuple[tuple[float, ...], float]] = []
+    optimum: list[OptResult] = []
     nq = problem.ansatz.n_qubits
-    roundtrip_us = cost_model.rpc_roundtrip_s * 1e6
+
+    def host(fetch) -> None:
+        def evaluate(x) -> float:
+            x = tuple(float(v) for v in x)
+            energy = to_energy(fetch(Params(x)))
+            trajectory.append((x, energy))
+            return energy
+
+        optimum.append(nelder_mead(evaluate, problem.x0, max_evals=problem.max_evals))
 
     if mode == "baseline":
         traces: list[ExecutionTrace] = []
 
-        def evaluate(x) -> float:
-            k = len(trajectory)
+        def fetch(directive: Params) -> Results:
+            k = len(traces) // len(scheds)
             counts = []
             for j, sched in enumerate(scheds):
                 binary = log.record(
-                    compile_full(sched, [float(v) for v in x], problem.shots, n_qubits=nq),
-                    cost_model,
+                    compile_full(sched, directive.values, problem.shots, n_qubits=nq), cost_model
                 )
                 trace = execute(
-                    binary,
-                    run_seed=run_seed,
-                    iteration=k,
-                    first_section=j,
-                    depolarizing=depolarizing,
+                    binary, run_seed=run_seed, iteration=k, first_section=j, depolarizing=depolarizing
                 )
                 traces.append(trace)
                 counts.append(trace.results[0].counts[0])
-            energy = to_energy(Results(k, nq, tuple(counts)))
-            trajectory.append((tuple(float(v) for v in x), energy))
-            return energy
+            return Results(k, nq, tuple(counts))
 
-        opt = nelder_mead(evaluate, problem.x0, max_evals=problem.max_evals)
-        return VqeReport(
-            mode=mode,
-            result=opt,
-            trajectory=tuple(trajectory),
-            costs=costs_from(log, traces),
-            n_iterations=len(trajectory),
-        )
-
-    binary = log.record(compile_partial(scheds, problem.shots, n_qubits=nq), cost_model)
-    results: list[OptResult] = []
-
-    def worker(results_buffer: RendezvousCell, parameter_buffer: RendezvousCell) -> None:
-        # The kernel already ran x0, the optimizer's first point, so the first
-        # evaluation only collects those results.
-        def evaluate(x) -> float:
-            if trajectory:
-                parameter_buffer.put(Params(tuple(float(v) for v in x)))
-            energy = to_energy(results_buffer.take())
-            trajectory.append((tuple(float(v) for v in x), energy))
-            return energy
-
-        results.append(nelder_mead(evaluate, problem.x0, max_evals=problem.max_evals))
-        parameter_buffer.put(Sentinel())
-
-    trace = run_session(
-        lambda handle: execute(
-            binary,
-            endpoint=handle,
-            run_seed=run_seed,
-            initial_slots=list(problem.x0),
-            depolarizing=depolarizing,
-            rpc_roundtrip_us=roundtrip_us,
-        ),
-        worker,
-        transport=transport,
-    )
+        host(fetch)
+        n_iterations = len(trajectory)
+    else:
+        binary = log.record(compile_partial(scheds, problem.shots, n_qubits=nq), cost_model)
+        traces = [
+            run_session(
+                lambda handle: execute(
+                    binary,
+                    endpoint=handle,
+                    run_seed=run_seed,
+                    launch=Params(problem.x0),
+                    depolarizing=depolarizing,
+                    rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
+                ),
+                host,
+                transport=transport,
+            )
+        ]
+        n_iterations = traces[0].n_iterations
     return VqeReport(
         mode=mode,
-        result=results[0],
+        result=optimum[0],
         trajectory=tuple(trajectory),
-        costs=costs_from(log, [trace]),
-        n_iterations=trace.n_iterations,
+        costs=costs_from(log, traces),
+        n_iterations=n_iterations,
     )

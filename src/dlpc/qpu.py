@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -88,6 +88,7 @@ from .rpc import (
     Params,
     ProtocolError,
     Results,
+    RpcMessage,
     Sentinel,
     key_to_bits,  # noqa: F401 - unused here, but perfbench's tracer wraps qpu.key_to_bits
 )
@@ -174,8 +175,7 @@ class _Vm:
         endpoint: KernelHandle | None,
         run_seed: int,
         iteration: int,
-        initial_slots: Sequence[float] | None,
-        initial_circuits: Sequence[Sequence[int]] | None,
+        launch: Params | CircuitBlock | None,
         rabi_truth: Mapping[int, float] | float | None,
         depolarizing: float,
         rpc_roundtrip_us: float,
@@ -194,25 +194,19 @@ class _Vm:
 
         self.slots = [0.0] * binary.n_slots
         self.slot_set = [False] * binary.n_slots
-        if initial_slots is not None:
-            if len(initial_slots) != binary.n_slots:
-                raise SlotArityError(
-                    f"kernel has {binary.n_slots} slots, got {len(initial_slots)} values"
-                )
-            self.slots = [float(v) for v in initial_slots]
-            self.slot_set = [True] * binary.n_slots
+        # (kind, params) -> matrix for every pc; emptied when PARAMS rewrites the slots
+        self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
+        self.circuit_queue: deque[tuple[int, ...]] = deque()
+        self.current_circuit: tuple[int, ...] | None = None
+        if launch is not None:
+            # A kernel with a gate pool fetches circuit blocks, any other
+            # kernel parameters: the fetch devcomp.partial_kernel emits.
+            self._load(launch, TAG_CIRCUIT_BLOCK if binary.blocks else TAG_PARAMS)
 
         if binary.mode is KernelMode.PARTIAL and endpoint is None and any(
             i.op is _RPC_SYNC or i.op is _RPC_ASYNC for i in binary.instructions
         ):
             raise VmError("partial kernel requires a host endpoint")
-
-        self.circuit_queue: deque[tuple[int, ...]] = deque()
-        self.current_circuit: tuple[int, ...] | None = None
-        if initial_circuits:
-            for circ in initial_circuits:
-                self._enqueue_circuit(circ)
-            self.current_circuit = self.circuit_queue.popleft()
 
         n_channels = n + len(binary.pair_channels)
         self.freq = [0.0] * n_channels
@@ -228,8 +222,6 @@ class _Vm:
         self.state = None if cost_only else self._ground(n)
         # pc -> ((kind, params), matrix) of the last gate that instruction applied
         self.matrices: dict[int, tuple[tuple[str, tuple[float, ...]], np.ndarray]] = {}
-        # (kind, params) -> matrix for every pc; emptied when PARAMS rewrites the slots
-        self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
         # (kind, params, qubits) -> (state, children) from the ground state PREP
         # makes; node holds the children of the current state
         n_detects = sum(i.op is _DETECT for i in binary.instructions)
@@ -250,12 +242,6 @@ class _Vm:
         state = np.zeros(2**n, dtype=complex)
         state[0] = 1.0
         return state
-
-    def _enqueue_circuit(self, circ: Sequence[int]) -> None:
-        for idx in circ:
-            if not 0 <= idx < len(self.binary.blocks):
-                raise VmError(f"circuit references block {idx} of {len(self.binary.blocks)}")
-        self.circuit_queue.append(tuple(int(i) for i in circ))
 
     def _apply(
         self, pc: int, kind: str, qubits: tuple[int, ...], params: tuple[float, ...]
@@ -417,27 +403,35 @@ class _Vm:
         reply = self.endpoint.await_reply()
         if isinstance(reply, Sentinel):
             return pc + 1
-        if isinstance(reply, Params):
+        self._load(reply, expected_tag)
+        return resume
+
+    def _load(self, directive: RpcMessage, expected_tag: int) -> None:
+        """Load a launch or a reply: new slot values, or circuits for SELECT."""
+        if isinstance(directive, Params):
             if expected_tag != TAG_PARAMS:
                 raise ProtocolError("kernel expected a circuit block, got parameters")
-            if len(reply.values) != self.binary.n_slots:
+            if len(directive.values) != self.binary.n_slots:
                 raise SlotArityError(
-                    f"kernel has {self.binary.n_slots} slots, got {len(reply.values)} values"
+                    f"kernel has {self.binary.n_slots} slots, got {len(directive.values)} values"
                 )
-            self.slots = list(reply.values)
+            self.slots = [float(v) for v in directive.values]
             self.slot_set = [True] * self.binary.n_slots
             self.shared.clear()
-            return resume
-        if isinstance(reply, CircuitBlock):
+        elif isinstance(directive, CircuitBlock):
             if expected_tag != TAG_CIRCUIT_BLOCK:
                 raise ProtocolError("kernel expected parameters, got a circuit block")
-            for circ in reply.circuits:
-                self._enqueue_circuit(circ)
+            n_blocks = len(self.binary.blocks)
+            for circ in directive.circuits:
+                for idx in circ:
+                    if not 0 <= idx < n_blocks:
+                        raise VmError(f"circuit references block {idx} of {n_blocks}")
+                self.circuit_queue.append(tuple(int(i) for i in circ))
             if not self.circuit_queue:
                 raise VmError("empty circuit block")
             self.current_circuit = self.circuit_queue.popleft()
-            return resume
-        raise ProtocolError(f"kernel cannot handle {type(reply).__name__}")
+        else:
+            raise ProtocolError(f"kernel cannot handle {type(directive).__name__}")
 
 
 def execute(
@@ -446,8 +440,7 @@ def execute(
     endpoint: KernelHandle | None = None,
     run_seed: int = 0,
     iteration: int = 0,
-    initial_slots: Sequence[float] | None = None,
-    initial_circuits: Sequence[Sequence[int]] | None = None,
+    launch: Params | CircuitBlock | None = None,
     rabi_truth: Mapping[int, float] | float | None = None,
     depolarizing: float = 0.0,
     rpc_roundtrip_us: float = 2000.0,
@@ -456,9 +449,10 @@ def execute(
 ) -> ExecutionTrace:
     """Run one kernel to HALT; partial kernels iterate until SENTINEL.
 
-    The kernel executes with whatever launch-time parameters it was given
-    (initial_slots, initial_circuits) and only then reaches its synchronous
-    fetch, so the first iteration is never blocked on the host.
+    ``launch`` is iteration 0's directive: the slot values, or the circuits
+    for a gate-pool kernel.  The VM loads it exactly as it loads a reply to
+    its synchronous fetch, with the same checks and errors, and only then
+    runs, so the first iteration is never blocked on the host.
 
     first_section offsets the sampling-stream key of the kernel's sections,
     so a single-section kernel run standalone can reproduce section j of a
@@ -471,8 +465,7 @@ def execute(
         endpoint=endpoint,
         run_seed=run_seed,
         iteration=iteration,
-        initial_slots=initial_slots,
-        initial_circuits=initial_circuits,
+        launch=launch,
         rabi_truth=rabi_truth,
         depolarizing=depolarizing,
         rpc_roundtrip_us=rpc_roundtrip_us,

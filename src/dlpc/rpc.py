@@ -5,24 +5,31 @@ a u8 type tag, then the payload.  Reals are 8-byte little-endian IEEE-754;
 counts and indices are u32 little-endian.  SENTINEL is the five bytes
 ``01 00 00 00 02``.
 
-``run_session`` is the one way to run a streamed kernel.  It connects the
-kernel's handle to the host over a transport ("memory": a pair of rendezvous
-cells; "socket": loopback TCP, bound, connected and accepted before any thread
-starts) and runs three execution contexts: the kernel on the ``kernel-vm``
-thread, the driver's host loop (the worker) on the ``host-worker`` thread,
-and the forwarding loop on the calling thread.  The loop puts each result into
-the results buffer, takes the worker's reply (PARAMS, CIRCUIT_BLOCK, or
-SENTINEL) from the parameter buffer, and relays it to the kernel.  Both buffers
-are capacity-1 rendezvous cells, so the control flow is strictly alternating
-and every message is delivered exactly once.
+``run_session`` is the one way to run a streamed kernel.  A driver writes its
+host loop once, as ``host(fetch)``: ``fetch(directive)`` returns the next
+iteration's Results.  The first call sends nothing, because the kernel's
+launch covers iteration 0; every later call first sends its directive
+(PARAMS or CIRCUIT_BLOCK).  When ``host`` returns, the session sends
+SENTINEL.  The baseline pipeline runs the same loop with a ``fetch`` that
+compiles and executes its kernels itself.
+
+The session connects the kernel's handle to the host over a transport
+("memory": a pair of rendezvous cells; "socket": loopback TCP, bound,
+connected and accepted before any thread starts) and runs three execution
+contexts: the kernel on the ``kernel-vm`` thread, the host loop on the
+``host-worker`` thread, and the forwarding loop on the calling thread.  The
+loop puts each result into the results buffer, takes the host's reply
+(PARAMS, CIRCUIT_BLOCK, or SENTINEL) from the parameter buffer, and relays it
+to the kernel.  Both buffers are capacity-1 rendezvous cells, so the control
+flow is strictly alternating and every message is delivered exactly once.
 
 The session ends once a SENTINEL has been relayed or the kernel has ended.
 The kernel's handle is closed however the kernel ends, so the loop never waits
-on a silent channel, and a worker crash is relayed as a SENTINEL, so the kernel
+on a silent channel, and a host crash also ends in a SENTINEL, so the kernel
 always terminates.  Every endpoint is closed and every thread joined before
 the session returns or raises.  It returns only the kernel's result (the
 VM's ``ExecutionTrace`` counts the iterations); the kernel's error is raised
-first, then the worker's.
+first, then the host's.
 
 The kernel never sends an explicit request frame for its synchronous fetch: the
 alternation means the next host-to-kernel frame is always the response.
@@ -384,20 +391,28 @@ def _transport_pair(transport: str) -> tuple[_Transport, KernelHandle]:
 
 def run_session(
     kernel: Callable[[KernelHandle], T],
-    worker: Callable[[RendezvousCell, RendezvousCell], None],
+    host: Callable[[Callable[[Params | CircuitBlock], Results]], None],
     *,
     transport: str = "memory",
 ) -> T:
     """Stream one kernel run; returns what ``kernel`` returned.
 
     ``kernel(handle)`` posts results and awaits replies through the handle.
-    ``worker(results_buffer, parameter_buffer)`` takes results and puts
-    PARAMS, CIRCUIT_BLOCK, or SENTINEL.  Raises the kernel's error if the
-    kernel failed, else the worker's.
+    ``host(fetch)`` is the driver's loop (see the module docstring).  Raises
+    the kernel's error if the kernel failed, else the host's.
     """
-    host, handle = _transport_pair(transport)
+    host_end, handle = _transport_pair(transport)
     results_buffer, parameter_buffer = RendezvousCell(), RendezvousCell()
     out: dict = {}
+    first = True
+
+    def fetch(directive: Params | CircuitBlock) -> Results:
+        nonlocal first
+        if first:
+            first = False  # the kernel's launch covers iteration 0
+        else:
+            parameter_buffer.put(directive)
+        return results_buffer.take()
 
     def kernel_main() -> None:
         try:
@@ -407,29 +422,29 @@ def run_session(
         finally:
             handle.close()
 
-    def worker_main() -> None:
+    def host_main() -> None:
         try:
-            worker(results_buffer, parameter_buffer)
+            host(fetch)
         except ChannelClosed:
-            pass  # session torn down under the worker; nothing to report
+            return  # session torn down under the host; nothing to report
         except BaseException as e:  # noqa: BLE001 - must never strand the kernel
-            out["worker_error"] = e
-            try:
-                parameter_buffer.put(Sentinel())
-            except ChannelClosed:
-                pass
+            out["host_error"] = e
+        try:
+            parameter_buffer.put(Sentinel())
+        except ChannelClosed:
+            pass
 
     threads = [
         threading.Thread(target=kernel_main, name="kernel-vm", daemon=True),
-        threading.Thread(target=worker_main, name="host-worker", daemon=True),
+        threading.Thread(target=host_main, name="host-worker", daemon=True),
     ]
     for t in threads:
         t.start()
     try:
         while True:
-            results_buffer.put(host.recv())
+            results_buffer.put(host_end.recv())
             reply = parameter_buffer.take()
-            host.send(reply)
+            host_end.send(reply)
             if isinstance(reply, Sentinel):
                 break
     except ChannelClosed:
@@ -437,10 +452,10 @@ def run_session(
     finally:
         results_buffer.close()
         parameter_buffer.close()
-        host.close()
+        host_end.close()
         for t in threads:
             t.join()
-    for error in ("kernel_error", "worker_error"):
+    for error in ("kernel_error", "host_error"):
         if error in out:
             raise out[error]
     return out["result"]

@@ -115,13 +115,11 @@ def assert_baked(full: KernelBinary, partial: KernelBinary, slot_values) -> None
 
 
 def objective_worker(objective):
-    """Session worker that answers each Results with objective(results)."""
+    """Session host loop that answers each Results with objective(results)."""
 
-    def worker(results, params) -> None:
-        while True:
-            reply = objective(results.take())
-            params.put(reply)
-            if isinstance(reply, Sentinel):
-                return
+    def host(fetch) -> None:
+        reply = None  # the first fetch sends nothing
+        while not isinstance(reply, Sentinel):
+            reply = objective(fetch(reply))
 
-    return worker
+    return host

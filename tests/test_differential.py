@@ -1,0 +1,135 @@
+"""Differential check of the paper's central claim: modes and transports change cost, never results.
+
+One derandomized hypothesis test draws a seed, a noise level and a small
+problem for each driver (VQE, RB, calibration), runs the baseline and the
+streamed (DLPC) pipeline on it, and for VQE also the streamed pipeline over
+a socket.  The outputs must be equal with ``==``; the ledgers may differ
+only where the pipelines do different work.
+
+``device_s`` is equal to the bit: a baseline run adds its kernels' device
+times in the order a streamed kernel adds its loops' times, from the same
+durations.  ``rpc_s`` is compared to a relative 1e-12, since the VM adds one
+round trip in microseconds per fetch and the ledger converts the sum.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dlpc.devcomp import CostModel
+from dlpc.drivers.calibration import run_calibration
+from dlpc.drivers.rb import run_rb
+from dlpc.drivers.vqe import VqeProblem, measurement_sections, run_vqe
+from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
+from dlpc.pulse import CalibrationDataset
+
+MODEL = CostModel()
+
+_ANGLES = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def _gate(draw, nq: int, n_slots: int):
+    """One ansatz gate: a rotation whose angle is a slot or a literal, or an entangler."""
+    kinds = ["RX", "RY", "RZ", "R"] + (["XX", "CNOT"] if nq > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("XX", "CNOT"):
+        a, b = draw(st.permutations(range(nq)))[:2]
+        return op(kind, (a, b), draw(_ANGLES)) if kind == "XX" else op(kind, (a, b))
+    q = draw(st.integers(0, nq - 1))
+    theta = draw(st.one_of(st.builds(SlotRef, st.integers(0, n_slots - 1)), _ANGLES))
+    return op(kind, q, theta, draw(_ANGLES)) if kind == "R" else op(kind, q, theta)
+
+
+@st.composite
+def vqe_problems(draw) -> VqeProblem:
+    nq = draw(st.integers(1, 3))
+    n_slots = draw(st.integers(1, 3))
+    # Every slot drives one rotation, so x0 covers exactly the slots the ansatz reads.
+    ops = [op(draw(st.sampled_from(["RX", "RY", "RZ"])), draw(st.integers(0, nq - 1)), SlotRef(s))
+           for s in range(n_slots)]
+    ops += draw(st.lists(_gate(nq, n_slots), max_size=4))
+    ops = draw(st.permutations(ops))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        basis = draw(st.sampled_from("XYZ"))
+        mask = draw(st.lists(st.booleans(), min_size=nq, max_size=nq).filter(any))
+        paulis = "".join(basis if m else "I" for m in mask)
+        terms.append(PauliTerm(draw(st.floats(-1.0, 1.0, allow_nan=False)), paulis))
+    x0 = tuple(draw(st.lists(_ANGLES, min_size=n_slots, max_size=n_slots)))
+    return VqeProblem(
+        Hamiltonian(nq, terms), Circuit(nq, ops), x0,
+        shots=draw(st.integers(1, 40)), max_evals=draw(st.integers(1, 6)),
+    )
+
+
+def _check_vqe(data, seed: int, depolarizing: float) -> None:
+    problem = data.draw(vqe_problems(), label="problem")
+    calib = CalibrationDataset.default(problem.ansatz.n_qubits)
+    kw = dict(cost_model=MODEL, calib=calib, run_seed=seed, depolarizing=depolarizing)
+    base = run_vqe(problem, "baseline", **kw)
+    dlpc = run_vqe(problem, "dlpc", **kw)
+    sock = run_vqe(problem, "dlpc", transport="socket", **kw)
+    assert base.trajectory == dlpc.trajectory and base.result == dlpc.result
+    assert base.n_iterations == dlpc.n_iterations == len(dlpc.trajectory)
+    assert (sock.trajectory, sock.result, sock.n_iterations) == (
+        dlpc.trajectory, dlpc.result, dlpc.n_iterations
+    )
+    assert sock.costs == dlpc.costs
+    sections = len(measurement_sections(problem.hamiltonian))
+    assert base.costs.n_compiles == base.result.n_evals * sections
+    _check_costs(base.costs, dlpc.costs, dlpc.n_iterations)
+
+
+def _check_rb(data, seed: int, depolarizing: float) -> None:
+    lengths = tuple(
+        data.draw(
+            st.lists(st.integers(1, 12), min_size=3, max_size=5).filter(lambda v: len(set(v)) >= 3),
+            label="lengths",
+        )
+    )
+    kw = dict(
+        cost_model=MODEL, depolarizing=depolarizing, run_seed=seed, lengths=lengths,
+        per_length=data.draw(st.integers(1, 2), label="per_length"),
+        shots=data.draw(st.integers(1, 40), label="shots"),
+    )
+    base = run_rb("baseline", **kw)
+    dlpc = run_rb("dlpc", **kw)
+    assert (base.lengths, base.survivals, base.mean_by_length, base.fit) == (
+        dlpc.lengths, dlpc.survivals, dlpc.mean_by_length, dlpc.fit
+    )
+    assert base.n_iterations == dlpc.n_iterations == len(dlpc.lengths)
+    assert base.costs.n_compiles == len(base.lengths)
+    _check_costs(base.costs, dlpc.costs, dlpc.n_iterations)
+
+
+def _check_calibration(data, seed: int, depolarizing: float) -> None:
+    nq = data.draw(st.integers(1, 2), label="calibration qubits")
+    base_calib, dlpc_calib = CalibrationDataset.default(nq), CalibrationDataset.default(nq)
+    base = run_calibration(base_calib, "baseline", cost_model=MODEL, run_seed=seed)
+    dlpc = run_calibration(dlpc_calib, "dlpc", cost_model=MODEL, run_seed=seed)
+    assert base.fitted == dlpc.fitted
+    assert base_calib.version == dlpc_calib.version
+    assert base.costs.n_compiles == base.n_experiments == dlpc.n_experiments
+    _check_costs(base.costs, dlpc.costs, dlpc.n_experiments)
+
+
+def _check_costs(base, dlpc, round_trips: int) -> None:
+    """The 8b compile law of the streamed run, and the ledger terms both modes share."""
+    assert dlpc.n_compiles == 1
+    assert dlpc.device_s == base.device_s
+    assert base.rpc_s == 0.0
+    assert dlpc.rpc_s == pytest.approx(round_trips * MODEL.rpc_roundtrip_s, rel=1e-12, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depolarizing=st.sampled_from([0.0, 0.02]),
+    data=st.data(),
+)
+def test_modes_and_transports_change_cost_never_results(seed, depolarizing, data):
+    for check in (_check_vqe, _check_rb, _check_calibration):
+        check(data, seed, depolarizing)

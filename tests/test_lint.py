@@ -12,6 +12,10 @@ the tree, as a bare name or as an attribute.
 A third finds dead public surface: every public function, method or property
 under ``src/`` must be referenced the same way somewhere in ``src/``,
 ``tests/`` or ``perfbench/``.  A name in ``__all__`` alone does not count.
+
+A fourth keeps the rendezvous cell behind the session: only ``rpc.py``
+names ``RendezvousCell``, so a driver sees nothing of the protocol but
+``fetch``.
 """
 
 from __future__ import annotations
@@ -154,3 +158,8 @@ def test_scan_flags_an_unreferenced_public_function(tmp_path):
     assert unreferenced_public_functions([module], [module, test]) == [
         "m.py:6 size", "m.py:8 dead"
     ]
+
+
+def test_only_rpc_names_the_rendezvous_cell():
+    naming = [p.relative_to(SRC).as_posix() for p in MODULES if "RendezvousCell" in p.read_text()]
+    assert naming == ["dlpc/rpc.py"]

@@ -23,6 +23,7 @@ from dlpc.pulse import (
     lower_to_pulses,
 )
 from dlpc.qpu import execute
+from dlpc.rpc import Params
 from dlpc.transpile import transpile
 
 
@@ -76,7 +77,7 @@ def test_runtime_slot_duration_matches_duration_of(theta):
     # One slot-timed pulse: the VM's kernel clock advances by exactly its duration.
     play = Instr(Opcode.PLAY, (SlotOverOmega(0, DEFAULT_RABI),))
     k = KernelBinary(KernelMode.PARTIAL, 1, 1, (play, Instr(Opcode.HALT, ())))
-    trace = execute(k, initial_slots=[theta], cost_only=True)
+    trace = execute(k, launch=Params((theta,)), cost_only=True)
     assert trace.busy_us == duration_of(theta, DEFAULT_RABI)
 
 

@@ -135,7 +135,7 @@ def test_partial_kernel_iterates_until_sentinel(calib):
         nxt = r.iteration + 1
         return Params((xs[nxt],)) if nxt < len(xs) else Sentinel()
 
-    trace = _stream(k, objective, initial_slots=[xs[0]], run_seed=7)
+    trace = _stream(k, objective, launch=Params((xs[0],)), run_seed=7)
     assert trace.n_iterations == len(xs)
     assert [r.iteration for r in trace.results] == [0, 1, 2]
     assert trace.rpc_us == pytest.approx(len(xs) * 2000.0)
@@ -158,7 +158,7 @@ def test_mode_equivalence_exact(calib):
         nxt = r.iteration + 1
         return Params((xs[nxt],)) if nxt < len(xs) else Sentinel()
 
-    trace = _stream(partial, objective, initial_slots=[xs[0]], run_seed=seed)
+    trace = _stream(partial, objective, launch=Params((xs[0],)), run_seed=seed)
 
     assert len(trace.results) == len(baseline)
     for got, want in zip(trace.results, baseline):
@@ -194,7 +194,7 @@ def test_streamed_slots_never_reuse_a_stale_matrix(calib):
     seed = 5
     sched = _schedule(_mixed_template(), calib)
     kernel = compile_partial(sched, shots=2000)
-    trace = _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=seed)
+    trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=seed)
     assert len(trace.results) == len(xs)
     for k, x in enumerate(xs):
         fresh = execute(compile_full(sched, list(x), shots=2000), run_seed=seed, iteration=k)
@@ -212,7 +212,7 @@ def test_literal_pulses_build_their_matrix_once_per_kernel(calib, monkeypatch):
     monkeypatch.setattr(qpu, "gate_matrix", counting)
     xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0), (2.2, 0.1), (2.6, 0.4)]
     kernel = compile_partial(_schedule(_mixed_template(), calib), shots=100)
-    _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=1)
+    _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=1)
     # two literal pulses (RX(0.7) and XX) once each, three slot-driven gates per iteration
     assert len(built) == 2 + 3 * len(xs)
     assert max(Counter(built).values()) == 1
@@ -233,7 +233,7 @@ def test_sections_sharing_an_ansatz_build_each_slot_matrix_once_per_iteration(
     xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0), (2.2, 0.1), (2.6, 0.4)]
     sched = _schedule(_mixed_template(), calib)
     kernel = compile_partial([sched, sched], shots=100)
-    trace = _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=3)
+    trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=3)
     # the second section builds no matrix the first built: two literal
     # pulses once per kernel, three slot-driven gates once per iteration
     assert len(built) == 2 + 3 * len(xs)
@@ -295,7 +295,7 @@ def test_trie_never_replays_a_stale_state(calib, monkeypatch, depolarizing):
     seen = _watch_vm(monkeypatch)
     trace = _stream(
         compile_partial(scheds, shots=500), _replay(xs),
-        initial_slots=list(xs[0]), run_seed=8, depolarizing=depolarizing,
+        launch=Params(xs[0]), run_seed=8, depolarizing=depolarizing,
     )
     assert len(seen) == len(scheds) * len(xs) and all(trie for _, trie, _ in seen)
     _assert_sections_match_full_compiles(trace, seen, scheds, xs, 8, 500, depolarizing)
@@ -309,7 +309,7 @@ def test_prefix_diverging_midway_recomputes_from_that_gate(calib, monkeypatch):
     xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0)]
     seen = _watch_vm(monkeypatch)
     trace = _stream(
-        compile_partial(scheds, shots=200), _replay(xs), initial_slots=list(xs[0]), run_seed=2
+        compile_partial(scheds, shots=200), _replay(xs), launch=Params(xs[0]), run_seed=2
     )
     done = [0] + [contracted for _, _, contracted in seen]
     # a runs all five gates, b only the two after the shared prefix, a again none
@@ -359,7 +359,7 @@ def test_trie_holds_one_iterations_states_on_a_streamed_rb_kernel(calib, monkeyp
         return CircuitBlock((circuits[nxt],)) if nxt < len(circuits) else Sentinel()
 
     kernel = _reading_twice(clifford_pool(calib, 50))
-    trace = _stream(kernel, objective, initial_circuits=[circuits[0]], run_seed=6)
+    trace = _stream(kernel, objective, launch=CircuitBlock((tuple(circuits[0]),)), run_seed=6)
     assert len(per_iteration) == len(circuits)
     # the first section adds one node per gate; the second replays every one
     assert all(2 * nodes == ran for nodes, ran in per_iteration)
@@ -378,9 +378,11 @@ def test_one_detect_kernels_build_no_trie(calib, monkeypatch):
     sched = _schedule(_mixed_template(), calib)
     execute(compile_full(sched, [0.3, 1.1], shots=10))
     _stream(
-        compile_partial(sched, shots=10), _replay([(0.3, 1.1), (0.5, 0.2)]), initial_slots=[0.3, 1.1]
+        compile_partial(sched, shots=10),
+        _replay([(0.3, 1.1), (0.5, 0.2)]),
+        launch=Params((0.3, 1.1)),
     )
-    _stream(clifford_pool(calib, 10), lambda r: Sentinel(), initial_circuits=[(5, 17)])
+    _stream(clifford_pool(calib, 10), lambda r: Sentinel(), launch=CircuitBlock(((5, 17),)))
     execute(compile_full([sched, sched], [0.3, 1.1], shots=10))
     assert [trie for _, trie, _ in seen] == [False] * 4 + [True] * 2
 
@@ -422,7 +424,7 @@ def test_streamed_kernel_builds_one_sampling_generator(calib, monkeypatch):
         for b in ("Z", "X", "Y")
     ]
     kernel = compile_partial(scheds, shots=200)
-    trace = _stream(kernel, _replay(xs), initial_slots=list(xs[0]), run_seed=17)
+    trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=17)
     assert calls == [(17, 0, 0)]
     monkeypatch.undo()
     for k, x in enumerate(xs):
@@ -451,7 +453,7 @@ def test_pool_mode_equivalence_exact(calib):
             return CircuitBlock((tuple(circuits[nxt]),))
         return Sentinel()
 
-    trace = _stream(pool, objective, initial_circuits=[circuits[0]], run_seed=seed)
+    trace = _stream(pool, objective, launch=CircuitBlock((tuple(circuits[0]),)), run_seed=seed)
 
     for i, seq in enumerate(circuits):
         ops = [g for idx in seq for g in native_ops(idx, 0)]
@@ -541,7 +543,35 @@ def test_launch_slot_arity_checked(calib):
     c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
     k = compile_partial(_schedule(c, calib), shots=10)
     with pytest.raises(SlotArityError):
-        execute(k, initial_slots=[0.1, 0.2])
+        execute(k, launch=Params((0.1, 0.2)))
+
+
+def _raised(fn) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "pool, good, bad",
+    [
+        (False, Params((0.5,)), Params((0.1, 0.2))),  # wrong slot count
+        (True, CircuitBlock(((0,),)), CircuitBlock(((0, 24),))),  # block outside the pool
+        (True, CircuitBlock(((0,),)), CircuitBlock(())),  # empty block
+        (False, Params((0.5,)), CircuitBlock(((0,),))),  # a kind the kernel does not fetch
+        (True, CircuitBlock(((0,),)), Params(())),
+    ],
+)
+def test_bad_launch_fails_like_the_same_reply(calib, pool, good, bad):
+    if pool:
+        k = clifford_pool(calib, 10)
+    else:
+        c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
+        k = compile_partial(_schedule(c, calib), shots=10)
+    as_reply = _raised(
+        lambda: _stream(k, lambda r: bad if r.iteration == 0 else Sentinel(), launch=good)
+    )
+    assert _raised(lambda: execute(k, launch=bad)) == as_reply
 
 
 def test_select_without_circuit_raises():
@@ -583,4 +613,4 @@ def test_wrong_reply_type_raises_protocol_error(calib):
     k = compile_partial(_schedule(c, calib), shots=10)
 
     with pytest.raises(ProtocolError):
-        _stream(k, lambda r: CircuitBlock(((0,),)), initial_slots=[0.5])
+        _stream(k, lambda r: CircuitBlock(((0,),)), launch=Params((0.5,)))

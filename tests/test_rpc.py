@@ -273,6 +273,39 @@ def test_kernel_failing_before_first_post_ends_session(transport):
     assert not [t for t in threading.enumerate() if t.name in SESSION_THREADS]
 
 
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_host_failing_before_its_first_fetch_ends_session(transport):
+    def host(fetch):
+        raise RuntimeError("host failed before fetching")
+
+    log: list = []
+    with pytest.raises(RuntimeError, match="before fetching"):
+        run_within(
+            10,
+            lambda: run_session(
+                lambda handle: _scripted_kernel(handle, 100, log), host, transport=transport
+            ),
+        )
+    assert log == [Sentinel()]
+    assert not [t for t in threading.enumerate() if t.name in SESSION_THREADS]
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_host_returning_without_a_fetch_runs_only_the_launch(transport):
+    log: list = []
+    iterations = run_within(
+        10,
+        lambda: run_session(
+            lambda handle: _scripted_kernel(handle, 100, log),
+            lambda fetch: None,
+            transport=transport,
+        ),
+    )
+    assert iterations == 1
+    assert log == [Sentinel()]
+    assert not [t for t in threading.enumerate() if t.name in SESSION_THREADS]
+
+
 def test_closed_cell_unblocks_waiters():
     cell = RendezvousCell()
     errors = []
