@@ -28,7 +28,6 @@ __all__ = [
     "compose",
     "inverse",
     "zyz",
-    "pulse_frame",
     "decomposition",
     "native_ops",
     "n_pulses",
@@ -165,27 +164,24 @@ def _snap(x: float) -> float:
     return x
 
 
-def pulse_frame(u: np.ndarray) -> PulseFrame:
-    alpha, beta, gamma = zyz(u)
+@cache
+def decomposition(i: int) -> PulseFrame:
+    alpha, beta, gamma = zyz(_matrices()[i])
     if abs(beta) < 1e-12:
         return PulseFrame(0.0, 0.0, _snap(alpha + gamma))
     return PulseFrame(_snap(beta), _snap(math.pi / 2 - gamma), _snap(alpha + gamma))
 
 
 @cache
-def decomposition(i: int) -> PulseFrame:
-    return pulse_frame(_matrices()[i])
-
-
-def native_ops(i: int, qubit: int) -> list[GateOp]:
-    """Gate ops realizing element ``i``: at most one R, then at most one RZ."""
+def native_ops(i: int, qubit: int) -> tuple[GateOp, ...]:
+    """Gate ops realizing element ``i``: at most one R, then at most one RZ, built once."""
     pf = decomposition(i)
     ops: list[GateOp] = []
     if pf.beta != 0.0:
         ops.append(op("R", qubit, pf.beta, pf.phi))
     if pf.frame != 0.0:
         ops.append(op("RZ", qubit, pf.frame))
-    return ops
+    return tuple(ops)
 
 
 def n_pulses(i: int) -> int:

@@ -130,6 +130,8 @@ _OPERANDS = {
     "real": (lambda a: isinstance(a, (float, int, SlotRef)), "Bd", "BI"),
     "dur": (lambda a: isinstance(a, (LiteralUs, SlotOverOmega)), "Bd", "BId"),
 }
+# (kind, check) per operand of each opcode: ``Instr`` makes one lookup.
+_CHECKS = {op: tuple((k, _OPERANDS[k][0]) for k in scheme) for op, scheme in _SCHEMES.items()}
 # Encoded bytes per opcode when no operand is a slot, as in every full kernel.
 _LITERAL_BYTES = {
     op: struct.calcsize("<B" + "".join(_OPERANDS[kind][1] for kind in scheme))
@@ -163,13 +165,13 @@ class Instr:
     args: tuple = ()
 
     def __post_init__(self) -> None:
-        scheme = _SCHEMES[self.op]
-        if len(self.args) != len(scheme):
+        checks = _CHECKS[self.op]
+        if len(self.args) != len(checks):
             raise CompileError(
-                f"{self.op.name} takes {len(scheme)} operands, got {len(self.args)}"
+                f"{self.op.name} takes {len(checks)} operands, got {len(self.args)}"
             )
-        for kind, arg in zip(scheme, self.args):
-            if not _OPERANDS[kind][0](arg):
+        for (kind, check), arg in zip(checks, self.args):
+            if not check(arg):
                 raise CompileError(f"bad {kind} operand for {self.op.name}: {arg!r}")
 
 

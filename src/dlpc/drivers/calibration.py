@@ -49,7 +49,6 @@ __all__ = [
     "n_experiments",
     "sweep_slots",
     "build_sweep_partial",
-    "build_sweep_full",
     "CalibrationReport",
     "run_calibration",
 ]
@@ -131,16 +130,6 @@ def build_sweep_partial(
     )
 
 
-def build_sweep_full(
-    slot_values: tuple[float, ...],
-    shots: int = SWEEP_SHOTS,
-    *,
-    prep_us: float,
-    detect_us: float,
-) -> KernelBinary:
-    return bake(build_sweep_partial(shots, prep_us=prep_us, detect_us=detect_us), slot_values)
-
-
 def _fit(exp: Experiment, calib: CalibrationDataset, run_seed: int, exp_idx: int) -> float:
     """Synthesize the sweep response and return the peak position.
 
@@ -204,7 +193,7 @@ def run_calibration(
     version_before = calib.version
     log = CompileLog()
     fitted: dict[str, float] = {}
-    prep_us, detect_us = calib.prep_us, calib.detect_us
+    sweep = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
 
     # Slots for experiment k+1 depend on fits applied through experiment k,
     # so the host loop interleaves analysis with the parameter stream.
@@ -221,16 +210,13 @@ def run_calibration(
 
         def fetch(directive: Params) -> Results:
             nonlocal binary
-            binary = log.record(
-                build_sweep_full(directive.values, prep_us=prep_us, detect_us=detect_us),
-                cost_model,
-            )
+            binary = log.record(bake(sweep, directive.values), cost_model)
             traces.append(execute(binary, run_seed=run_seed, iteration=len(traces), cost_only=True))
             return traces[-1].results[0]
 
         host(fetch)
     else:
-        binary = log.record(build_sweep_partial(prep_us=prep_us, detect_us=detect_us), cost_model)
+        binary = log.record(sweep, cost_model)
         traces = [
             run_session(
                 lambda handle: execute(

@@ -58,6 +58,8 @@ class VqeProblem:
             raise IrError(
                 f"ansatz has {self.ansatz.n_slots} parameter slots, x0 has {len(self.x0)}"
             )
+        if self.max_evals < 1:
+            raise ValueError(f"max_evals must be at least 1, got {self.max_evals}")
 
     @property
     def n_params(self) -> int:

@@ -349,8 +349,8 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _gate_plan(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """``(view, perm, split, inverse)`` shapes and axis orders for ``_apply_gate``."""
+def _gate_plan(qubits: tuple[int, ...], n: int) -> tuple:
+    """``(view, perm, split, inverse, in_order)`` for ``_apply_gate``; see there."""
     axes = [n - 1 - q for q in qubits]
     ranked = [-1, *sorted(axes)]
     # a merged run (2^0 = 1 when empty) before each target axis, then the rest
@@ -358,7 +358,8 @@ def _gate_plan(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     front = [2 * ranked.index(a) - 1 for a in axes]
     perm = front + [i for i in range(len(view)) if i not in front]
     inverse = [perm.index(i) for i in range(len(perm))]
-    return tuple(view), tuple(perm), tuple(view[i] for i in perm), tuple(inverse)
+    kept = [i for i in perm if view[i] != 1]
+    return tuple(view), tuple(perm), tuple(view[i] for i in perm), tuple(inverse), kept == sorted(kept)
 
 
 def _apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -373,9 +374,14 @@ def _apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: 
     and reshape to ``(2^k, -1)``.  ``np.dot`` gets the operand, layout
     included, that NumPy's tensor-dot contraction builds, so amplitudes are
     bit for bit those of the reference contraction in the tests; the inverse
-    transpose puts the product back.
+    transpose puts the product back.  A plan is ``in_order`` when its
+    transposes move only axes of length 1 (any gate on 1 qubit, on the top
+    qubit, or on the top two as ``(hi, lo)``): ``state.reshape(2^k, -1)`` then
+    is that operand, so both transposes are skipped with the same bits.
     """
-    view, perm, split, inverse = _gate_plan(qubits, n)
+    view, perm, split, inverse, in_order = _gate_plan(qubits, n)
+    if in_order:
+        return np.dot(mat, state.reshape(len(mat), -1)).reshape(state.shape)
     operand = state.reshape(view).transpose(perm).reshape(len(mat), -1)
     out = np.dot(mat, operand)
     return out.reshape(split).transpose(inverse).reshape(state.shape)

@@ -37,16 +37,22 @@ class MappedCircuit:
         return Circuit(self.n_qubits, list(self.native_ops))
 
 
-def _wrap(p: ParamValue) -> ParamValue:
-    if isinstance(p, SlotRef):
-        return p
-    return Literal(p.value % TWO_PI)
+def _is_wrapped(p: ParamValue) -> bool:
+    """``p`` is a float literal its wrap into [0, 2pi) keeps bit for bit; -0.0 wraps to 0.0."""
+    v = p.value if type(p) is Literal else None
+    return type(v) is float and v % TWO_PI == v and math.copysign(1.0, v) > 0
 
 
 def _lower_one(g: GateOp) -> list[GateOp]:
-    """Lower one unitary gate; ``ir.GateOp`` admits only kinds handled here."""
+    """Lower one unitary gate; ``ir.GateOp`` admits only kinds handled here.
+
+    A native gate whose literals are already wrapped comes back as itself.
+    """
     if g.kind in ("R", "RZ", "XX"):
-        return [GateOp(g.kind, g.qubits, tuple(_wrap(p) for p in g.params))]
+        if g.basis == "Z" and all(map(_is_wrapped, g.params)):
+            return [g]
+        wrapped = (p if isinstance(p, SlotRef) else Literal(p.value % TWO_PI) for p in g.params)
+        return [GateOp(g.kind, g.qubits, tuple(wrapped))]
     if g.kind == "RX":
         return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(0.0))))
     if g.kind == "RY":

@@ -7,10 +7,10 @@ from conftest import assert_baked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlpc.devcomp import CostModel, KernelMode, Opcode
+from dlpc.devcomp import CompileLog, CostModel, KernelMode, Opcode, bake
+from dlpc.drivers import calibration
 from dlpc.drivers.calibration import (
     SEGMENTS,
-    build_sweep_full,
     build_sweep_partial,
     experiment_plan,
     n_experiments,
@@ -43,8 +43,7 @@ def test_sweep_kernel_shapes():
     assert partial.mode is KernelMode.PARTIAL
     assert len(partial.instructions) == 2 * SEGMENTS + 7
     assert partial.n_slots == SEGMENTS + 1
-    full = build_sweep_full(sweep_slots(experiment_plan(_calib(1))[0], _calib(1)),
-                            prep_us=500.0, detect_us=1000.0)
+    full = bake(partial, sweep_slots(experiment_plan(_calib(1))[0], _calib(1)))
     assert full.mode is KernelMode.FULL
     assert len(full.instructions) == 2 * SEGMENTS + 5
     assert full.n_slots == 0
@@ -57,7 +56,7 @@ def test_sweep_kernel_shapes():
 @given(st.lists(st.floats(-1e8, 1e8, allow_nan=False), min_size=1 + SEGMENTS, max_size=1 + SEGMENTS))
 def test_full_sweep_is_the_partial_sweep_baked(slot_values):
     partial = build_sweep_partial(prep_us=500.0, detect_us=1000.0)
-    full = build_sweep_full(tuple(slot_values), prep_us=500.0, detect_us=1000.0)
+    full = bake(partial, tuple(slot_values))
     assert_baked(full, partial, slot_values)
 
 
@@ -66,20 +65,20 @@ def test_every_planned_sweep_is_the_partial_sweep_baked():
     partial = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
     for exp in experiment_plan(calib):
         slots = sweep_slots(exp, calib)
-        full = build_sweep_full(slots, prep_us=calib.prep_us, detect_us=calib.detect_us)
+        full = bake(partial, slots)
         assert_baked(full, partial, slots)
 
 
 def test_sweep_compile_costs_at_fitted_model():
     partial = build_sweep_partial(prep_us=500.0, detect_us=1000.0)
-    full = build_sweep_full((1e7, *[0.5] * SEGMENTS), prep_us=500.0, detect_us=1000.0)
+    full = bake(partial, (1e7, *[0.5] * SEGMENTS))
     assert MODEL.compile_time(len(partial.instructions)) == pytest.approx(1.2)
     assert MODEL.compile_time(len(full.instructions)) == pytest.approx(1.188)
 
 
 def test_full_sweep_rejects_wrong_arity():
     with pytest.raises(ValueError, match=f"^kernel has {1 + SEGMENTS} slots, got 2 values$"):
-        build_sweep_full((1e7, 0.5), prep_us=500.0, detect_us=1000.0)
+        bake(build_sweep_partial(prep_us=500.0, detect_us=1000.0), (1e7, 0.5))
 
 
 def test_baseline_compiles_per_experiment():
@@ -92,6 +91,38 @@ def test_baseline_compiles_per_experiment():
     # Shot clock: 50 shots x (prep + 67 segments x 2.5 us + detect) per sweep.
     per_exp_s = 50 * (500.0 + SEGMENTS * 2.5 + 1000.0) * 1e-6
     assert report.costs.device_s == pytest.approx(9 * per_exp_s)
+
+
+def test_baseline_bakes_what_a_per_experiment_build_bakes(monkeypatch):
+    """One sweep kernel built per run gives the binaries and costs of one built per experiment."""
+
+    def run(rebuild: bool):
+        built = []
+        record = CompileLog.record
+
+        def capture(self, binary, model):
+            built.append(binary)
+            return record(self, binary, model)
+
+        monkeypatch.setattr(CompileLog, "record", capture)
+        if rebuild:  # as _calib sets them
+            monkeypatch.setattr(
+                calibration,
+                "bake",
+                lambda _kernel, values: bake(
+                    build_sweep_partial(prep_us=500.0, detect_us=1000.0), values
+                ),
+            )
+        report = run_calibration(_calib(2), "baseline", cost_model=MODEL, run_seed=4)
+        monkeypatch.undo()
+        return [b.content_hash for b in built], report
+
+    hashes, report = run(rebuild=False)
+    rebuilt_hashes, rebuilt = run(rebuild=True)
+    assert len(hashes) == n_experiments(2)
+    assert hashes == rebuilt_hashes
+    assert report.costs == rebuilt.costs
+    assert report.to_json_dict() == rebuilt.to_json_dict()
 
 
 def test_streaming_compiles_once_for_the_whole_day():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dlpc import cliffords as cl
-from dlpc.ir import Circuit, IrError, unitary
+from dlpc.ir import Circuit, IrError, op, unitary
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -30,6 +30,24 @@ def test_native_ops_reconstruct_every_element():
         ops = cl.native_ops(i, 0)
         u = unitary(Circuit(1, ops)) if ops else np.eye(2, dtype=complex)
         assert overlap(u, cl.matrix(i)) > 2 - 1e-9, i
+
+
+def test_native_ops_are_built_once_and_equal_a_fresh_build():
+    for qubit in range(3):
+        for i in range(24):
+            pf = cl.decomposition(i)
+            fresh = [op("R", qubit, pf.beta, pf.phi)] if pf.beta != 0.0 else []
+            fresh += [op("RZ", qubit, pf.frame)] if pf.frame != 0.0 else []
+            ops = cl.native_ops(i, qubit)
+            assert list(ops) == fresh, (i, qubit)
+            assert cl.native_ops(i, qubit) is ops
+    ops = cl.native_ops(4, 0)
+    before = list(ops)
+    with pytest.raises(AttributeError):
+        ops.append(op("RZ", 0, 1.0))  # type: ignore[attr-defined]
+    with pytest.raises(TypeError):
+        ops[0] = op("RZ", 0, 1.0)  # type: ignore[index]
+    assert list(cl.native_ops(4, 0)) == before
 
 
 def test_pulse_census():

@@ -18,6 +18,7 @@ from dlpc.ir import (
     PauliTerm,
     SlotRef,
     _apply_gate,
+    _gate_plan,
     exact_ground_energy,
     expectation_from_counts,
     gate_matrix,
@@ -157,6 +158,8 @@ def test_gate_view_matches_tensordot_bit_for_bit(n, columns, seed):
     xx = gate_matrix("XX", (rng.uniform(-math.pi, math.pi),))
     pair_mats = (xx, gate_matrix("CNOT", ()), rand(4))
     gates += [((a, b), m) for a in range(n) for b in range(n) if a != b for m in pair_mats]
+    # both paths of _apply_gate: plans that skip the transposes and plans that take them
+    assert {_gate_plan(q, n)[-1] for q, _ in gates} == ({True, False} if n > 1 else {True})
     for shape in ((2**n,), (2**n, columns)):
         state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for qubits, mat in gates:

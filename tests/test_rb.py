@@ -160,6 +160,27 @@ def test_baseline_compiles_per_sequence():
     assert all(0.0 <= s <= 1.0 for s in report.survivals)
 
 
+def test_baseline_rebuilds_every_circuit(monkeypatch):
+    # No cache may skip per-circuit work: each circuit is transpiled, lowered,
+    # compiled and executed once.
+    calls = dict.fromkeys(("transpile", "lower_to_pulses", "compile_full", "execute"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rb, name, counted(name, getattr(rb, name)))
+    report = run_rb(
+        "baseline", cost_model=MODEL, run_seed=2, lengths=(2, 4, 8), per_length=3, shots=20,
+    )
+    assert len(report.survivals) == 9
+    assert calls == dict.fromkeys(calls, 9)
+
+
 def test_pool_compiles_once_at_fixed_cost():
     report = run_rb(
         "dlpc", cost_model=MODEL, run_seed=2, lengths=(2, 4, 8), per_length=3, shots=20,

@@ -57,6 +57,29 @@ def test_negative_literal_angles_wrap_into_range():
     assert max_phase_aligned_deviation(got, want) < 1e-12
 
 
+def test_wrapped_literal_ops_pass_through_and_the_rest_are_rebuilt():
+    kept = [op("R", 0, 0.0, math.pi), op("RZ", 1, 2 * math.pi - 1e-9), op("XX", (0, 1), 0.25)]
+    rebuilt = [
+        op("R", 0, 2 * math.pi + 0.5, 0.0),
+        op("R", 0, 1.0, -0.5),
+        op("RZ", 1, -0.0),
+        op("XX", (0, 1), -math.pi / 4),
+        op("RZ", 0, SlotRef(1)),
+        op("R", 0, SlotRef(0), 0.5),
+    ]
+
+    def bits(params):  # float.hex tells -0.0 from 0.0
+        return [p if isinstance(p, SlotRef) else p.value.hex() for p in params]
+
+    mc = transpile(Circuit(2, kept + rebuilt))
+    assert all(got is g for got, g in zip(mc.native_ops, kept))
+    for got, g in zip(mc.native_ops[len(kept):], rebuilt):
+        assert got is not g and (got.kind, got.qubits) == (g.kind, g.qubits)
+        wrapped = [p if isinstance(p, SlotRef) else Literal(p.value % (2 * math.pi)) for p in g.params]
+        assert bits(got.params) == bits(wrapped)
+    assert mc.native_ops[len(kept) + 2].params[0].value.hex() == "0x0.0p+0"
+
+
 def test_slots_pass_through_unfolded():
     mc = transpile(Circuit(1, [op("RY", 0, SlotRef(0)), op("RZ", 0, SlotRef(2))]))
     assert mc.native_ops[0].kind == "R"

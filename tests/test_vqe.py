@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import gc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import run_within
 
-from dlpc.devcomp import CostModel
+from dlpc.devcomp import MODES, CostModel
 from dlpc.drivers.optimizers import nelder_mead
 from dlpc.drivers.vqe import (
     VqeProblem,
@@ -74,6 +75,16 @@ def test_problem_rejects_measured_ansatz_and_bad_x0():
     bare = Circuit(1, [op("RY", 0, SlotRef(0))])
     with pytest.raises(IrError, match="slots"):
         VqeProblem(ham, bare, x0=(0.1, 0.2), shots=10, max_evals=5)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_empty_budget_rejected_and_one_evaluation_agrees(mode):
+    # with max_evals=0 the baseline ran nothing while DLPC ran its launch iteration
+    with pytest.raises(ValueError, match="max_evals"):
+        run_vqe(replace(one_param_problem(), max_evals=0), mode, cost_model=MODEL)
+    report = run_vqe(replace(one_param_problem(), max_evals=1), mode, cost_model=MODEL)
+    assert report.n_iterations == report.result.n_evals == len(report.trajectory) == 1
+    assert report.costs.n_compiles == 1
 
 
 def test_section_schedules_one_per_basis():
