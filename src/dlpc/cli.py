@@ -6,7 +6,8 @@ it.  A setting resolves from its flag, then the JSON config file, then its
 default, where ``None`` leaves the value to the study; the resolved settings
 are the report's ``spec``.  ``--shots`` and ``--iterations`` exist only on
 the subcommands with a row that names them: calibrate and fit-costmodel take
-neither, contour only ``--iterations``.  Every config may also hold ``seed``
+neither, contour only ``--iterations``.  ``--mode`` is not on contour, which
+prices both pipelines, or fit-costmodel.  Every config may also hold ``seed``
 and ``cost_model``.
 
 Each subcommand writes three artifacts into the output directory:
@@ -17,8 +18,9 @@ drift rate; a contour row prices one labeled machine in one mode.
 ``fit-costmodel`` instead writes ``costmodel.json``, which any other
 subcommand's config can point at through its ``cost_model`` key.
 
-A count is an integer of at least 1 and a number any int or float, 0
-included; a JSON boolean is neither.  A list must be non-empty, and each of
+A count is an integer of at least 1, a number a finite int or float of at
+least 0, and ``depolarizing`` a number of at most 1; a JSON boolean is none
+of them.  A list must be non-empty, and each of
 its elements is checked: ``lengths`` and ``n_qubits`` hold counts (calibrate
 also takes one bare count, and rb needs three distinct lengths to fit its
 decay), ``drift_rates`` and contour's grids numbers, and ``distributions``
@@ -100,24 +102,25 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------- config
 
 COUNT = "a count"  # an integer of at least 1
-NUMBER = "a number"  # any int or float; 0 is valid
+NUMBER = "a number"  # a finite int or float of at least 0
+PROBABILITY = "a probability"  # a number of at most 1
 
 _PROBLEMS = {"one_param": one_param_problem, "two_param": two_param_problem}
 
 # Subcommand -> config key -> (kind, default, flag).  A kind is COUNT, NUMBER,
-# a tuple of allowed names, or a one-element list holding the kind of each
-# element of a non-empty list.  A default of None leaves the value to the
+# PROBABILITY, a tuple of allowed names, or a one-element list holding the
+# kind of each element of a non-empty list.  A default of None leaves the value to the
 # study.  The flag, where there is one, overrides the key.
 _SETTINGS: dict[str, dict[str, tuple[Any, Any, str | None]]] = {
     "vqe": {
         "problem": (tuple(_PROBLEMS), "one_param", None),
         "shots": (COUNT, None, "shots"),
         "max_evals": (COUNT, None, "iterations"),
-        "depolarizing": (NUMBER, 0.0, None),
+        "depolarizing": (PROBABILITY, 0.0, None),
     },
     "calibrate": {"n_qubits": ([COUNT], tuple(range(2, 11)), None)},
     "rb": {
-        "depolarizing": (NUMBER, 0.0, None),
+        "depolarizing": (PROBABILITY, 0.0, None),
         "shots": (COUNT, RB_SHOTS, "shots"),
         "per_length": (COUNT, RB_CIRCUITS_PER_LENGTH, "iterations"),
         "lengths": ([COUNT], RB_LENGTHS, None),
@@ -195,9 +198,13 @@ def _check(key: str, value: Any, kind: Any) -> None:
     elif isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"config key {key!r} takes names from {kind}, got {value!r}")
-    elif isinstance(value, bool) or not isinstance(value, int if kind == COUNT else (int, float)):
+    elif kind != COUNT:
+        number = _finite(key, value, least=0.0)
+        if kind == PROBABILITY and number > 1.0:
+            raise ConfigError(f"config key {key!r} must be at most 1, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-    elif kind == COUNT and value < 1:
+    elif value < 1:
         raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
 
 
@@ -213,7 +220,7 @@ def _settings(args, config: dict[str, Any], subcommand: str) -> dict[str, Any]:
             value = config.get(key, default)
         if isinstance(kind, list) and value is not None:
             value = tuple(float(v) if kind == [NUMBER] else v for v in value)
-        elif kind == NUMBER:
+        elif kind in (NUMBER, PROBABILITY):
             value = float(value)
         settings[key] = value
     return settings
@@ -269,7 +276,8 @@ def _object(name: str, value: Any, keys: tuple[str, ...] | None) -> dict[str, An
 
 def _finite(name: str, value: Any, least: float = -math.inf) -> float:
     """``value`` as a float if it is a finite JSON number of at least ``least``."""
-    _check(name, value, NUMBER)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the range of a float
@@ -546,7 +554,6 @@ def _cmd_optimus(args, spec: dict[str, Any], fit: FitResult, seed: int):
 
 
 def _cmd_contour(args, spec: dict[str, Any], fit: FitResult, seed: int):
-    # inherently comparative: both pipelines are priced at every grid point
     rep = sweep_machines(cost_model=fit.cost_model, **_given(spec))
     fig = [
         {
@@ -606,12 +613,11 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, text in helps.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument(
-            "--mode",
-            choices=(*MODES, "both"),
-            default="both",
-            help="which pipeline(s) to run (default: both)",
-        )
+        p.set_defaults(mode="both")  # contour prices both pipelines, fit-costmodel neither
+        if name not in ("contour", "fit-costmodel"):
+            p.add_argument(
+                "--mode", choices=(*MODES, "both"), help="which pipeline(s) to run (default: both)"
+            )
         p.add_argument("--config", help="JSON config file for this subcommand")
         p.add_argument(
             "--seed",

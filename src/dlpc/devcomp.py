@@ -12,6 +12,10 @@ kernel passed through ``bake``: the same header and loops with every slot made
 a literal, and a plain HALT for a tail, so a parameter change forces a
 recompile.  ``compile_full`` is ``bake`` applied to ``compile_partial``.
 
+A kernel's slot count is one more than the highest slot operand it reads, and
+it streams (header mode byte 1) exactly when it holds an RPC instruction; any
+other kernel posts its one set of results at HALT.
+
 Instruction operands: channels are u8 literals (255 addresses every channel in
 DETECT), scalar operands are either f64 literals or u32 slot indices resolved
 at runtime, and durations are either literal microseconds or a slot angle
@@ -24,7 +28,7 @@ is affine in the instruction count, including pool blocks.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from functools import cached_property
 from hashlib import blake2b
@@ -50,7 +54,6 @@ __all__ = [
     "CompileError",
     "SlotArityError",
     "Opcode",
-    "KernelMode",
     "Instr",
     "KernelBinary",
     "partial_kernel",
@@ -59,6 +62,10 @@ __all__ = [
     "compile_pool",
     "bake",
     "CostModel",
+    "UPLOAD_BASE_S",
+    "UPLOAD_PER_BYTE_S",
+    "SCHEDULE_S",
+    "RPC_ROUNDTRIP_S",
     "RunCosts",
     "CompileLog",
     "MODES",
@@ -73,6 +80,11 @@ DEFAULT_COMPILE_A = 0.35
 # Slope that spaces the stock 86-instruction gate pool and the 141-instruction
 # amplitude-sweep kernel 0.33 s apart; the cost-model fit refines the intercept.
 DEFAULT_COMPILE_B = 6.0e-3
+# The unfitted prices: an upload, scheduling a kernel, one RPC round trip.
+UPLOAD_BASE_S = 0.05
+UPLOAD_PER_BYTE_S = 1e-7
+SCHEDULE_S = 0.1
+RPC_ROUNDTRIP_S = 0.002
 
 
 class CompileError(ValueError):
@@ -96,11 +108,6 @@ class Opcode(IntEnum):
     SELECT = 11
     HALT = 12
     FRAME_ROT = 13
-
-
-class KernelMode(IntEnum):
-    FULL = 0
-    PARTIAL = 1
 
 
 # Operand kinds per opcode.
@@ -147,15 +154,14 @@ _TAG_SLOT = 1
 _DETECT = Opcode.DETECT
 _LOOP_SHOTS = Opcode.LOOP_SHOTS
 _RPC_SYNC = Opcode.RPC_SYNC
+_RPC_ASYNC = Opcode.RPC_ASYNC
 _SET_PHASE = Opcode.SET_PHASE
 _SET_AMP = Opcode.SET_AMP
 _PLAY = Opcode.PLAY
 _FRAME_ROT = Opcode.FRAME_ROT
 _PREP = Opcode.PREP
-# Opcodes whose first operand is a channel and second a real, and those a
-# full kernel may not hold.
+# Opcodes whose first operand is a channel and second a real.
 _CHANNEL_OPS = frozenset({Opcode.SET_FREQ, Opcode.SET_PHASE, Opcode.SET_AMP, Opcode.FRAME_ROT})
-_STREAMING_OPS = frozenset({Opcode.RPC_SYNC, Opcode.RPC_ASYNC, Opcode.SELECT})
 _SLOT_OPERANDS = (SlotRef, SlotOverOmega)
 
 
@@ -200,22 +206,21 @@ class KernelBinary:
     pair_channels maps two-qubit drive lines to channel indices: pair k drives
     qubit pair pair_channels[k] on channel n_qubits + k.  blocks is the gate
     pool table, (start, length) instruction windows referenced by SELECT.
+    n_slots and streams are derived in the one pass that checks the instructions.
     """
 
-    mode: KernelMode
     n_qubits: int
-    n_slots: int
     instructions: tuple[Instr, ...]
     pair_channels: tuple[tuple[int, int], ...] = ()
     blocks: tuple[tuple[int, int], ...] = ()
+    n_slots: int = field(init=False, compare=False)
+    streams: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.instructions)
-        n_slots = self.n_slots
+        n_slots = 0
+        streams = False
         n_channels = self.n_qubits + len(self.pair_channels)
-        full = self.mode is KernelMode.FULL
-        if full and n_slots:
-            raise CompileError("full kernels carry no slot registers")
         for pc, ins in enumerate(self.instructions):
             op, args = ins.op, ins.args
             if op in _CHANNEL_OPS:
@@ -233,21 +238,23 @@ class KernelBinary:
                         raise CompileError(f"pc {pc}: loop needs at least one shot")
                     if pc + 1 + args[1] > n:
                         raise CompileError(f"pc {pc}: loop body extends past end of kernel")
-                elif op is _RPC_SYNC and args[1] >= n:
-                    raise CompileError(f"pc {pc}: resume target {args[1]} out of range")
-                if full and op in _STREAMING_OPS:
-                    raise CompileError(f"pc {pc}: {op.name} not allowed in a full kernel")
+                elif op is _RPC_SYNC or op is _RPC_ASYNC:
+                    streams = True
+                    if op is _RPC_SYNC and args[1] >= n:
+                        raise CompileError(f"pc {pc}: resume target {args[1]} out of range")
                 continue
             if not isinstance(operand, _SLOT_OPERANDS):
                 continue
-            if full:
-                raise CompileError(f"pc {pc}: unresolved slot operand in full kernel")
             slot = operand.index if isinstance(operand, SlotRef) else operand.slot
-            if not 0 <= slot < n_slots:
-                raise CompileError(f"pc {pc}: slot {slot} out of range for {n_slots} slots")
+            if slot >= n_slots:
+                n_slots = slot + 1
+            elif slot < 0:
+                raise CompileError(f"pc {pc}: negative slot {slot}")
         for start, length in self.blocks:
             if start + length > n:
                 raise CompileError("block table window extends past end of kernel")
+        object.__setattr__(self, "n_slots", n_slots)
+        object.__setattr__(self, "streams", streams)
 
     @property
     def n_instr(self) -> int:
@@ -258,7 +265,7 @@ class KernelBinary:
         parts = [
             MAGIC,
             struct.pack(
-                "<HBBI", FORMAT_VERSION, self.mode, self.n_qubits, self.n_slots
+                "<HBBI", FORMAT_VERSION, self.streams, self.n_qubits, self.n_slots
             ),
             struct.pack("<B", len(self.pair_channels)),
         ]
@@ -276,7 +283,7 @@ class KernelBinary:
     @cached_property
     def size_bytes(self) -> int:
         """``len(serialized)``, counted from the packed formats instead of encoded."""
-        if self.mode is KernelMode.FULL:
+        if not self.n_slots:  # every operand is a literal
             body = sum(_LITERAL_BYTES[i.op] for i in self.instructions)
         else:
             body = sum(struct.calcsize(_packing(i)[0]) for i in self.instructions)
@@ -292,7 +299,6 @@ def partial_kernel(
     loops: Sequence[Instr],
     *,
     n_qubits: int,
-    n_slots: int,
     pair_channels: tuple[tuple[int, int], ...],
     blocks: Sequence[Sequence[Instr]],
 ) -> KernelBinary:
@@ -314,9 +320,7 @@ def partial_kernel(
     for body in blocks:
         table.append((len(instrs), len(body)))
         instrs.extend(body)
-    return KernelBinary(
-        KernelMode.PARTIAL, n_qubits, n_slots, tuple(instrs), pair_channels, tuple(table)
-    )
+    return KernelBinary(n_qubits, tuple(instrs), pair_channels, tuple(table))
 
 
 def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
@@ -342,9 +346,7 @@ def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
 
     if kernel.n_slots:  # a slot-free kernel, such as every RB circuit, is only sliced
         body = tuple(Instr(i.op, tuple(map(literal, i.args))) for i in body)
-    return KernelBinary(
-        KernelMode.FULL, kernel.n_qubits, 0, (*body, tail[2]), kernel.pair_channels
-    )
+    return KernelBinary(kernel.n_qubits, (*body, tail[2]), kernel.pair_channels)
 
 
 class _Emitter:
@@ -399,12 +401,11 @@ class _Emitter:
                 raise CompileError(f"cannot lower schedule item {type(item).__name__}")
         return out
 
-    def kernel(self, loops: list[Instr], n_slots: int, blocks: list[list[Instr]]) -> KernelBinary:
+    def kernel(self, loops: list[Instr], blocks: list[list[Instr]]) -> KernelBinary:
         """The partial kernel: a SET_FREQ per channel driven so far, ``loops``, ``blocks``."""
         header = [Instr(Opcode.SET_FREQ, item) for item in self.header_freqs.items()]
         return partial_kernel(
-            header, loops, n_qubits=self.n_qubits, n_slots=n_slots,
-            pair_channels=tuple(self.pairs), blocks=blocks,
+            header, loops, n_qubits=self.n_qubits, pair_channels=tuple(self.pairs), blocks=blocks
         )
 
 
@@ -435,7 +436,7 @@ def compile_partial(
         body = em.body(s)
         loops.append(Instr(_LOOP_SHOTS, (shots, len(body))))
         loops.extend(body)
-    return em.kernel(loops, max(s.n_slots for s in scheds), [])
+    return em.kernel(loops, [])
 
 
 def compile_pool(
@@ -468,7 +469,7 @@ def compile_pool(
         Instr(Opcode.SELECT, (0,)),
         Instr(_DETECT, (ALL_CHANNELS, detect_us)),
     ]
-    return em.kernel(loop, 0, blocks)
+    return em.kernel(loop, blocks)
 
 
 MODES = ("baseline", "dlpc")
@@ -533,20 +534,20 @@ _LEDGER_FIELDS = tuple(f.name for f in fields(RunCosts))
 
 @dataclass(frozen=True, slots=True)
 class CostModel:
-    """Affine timing model for the compile-upload-schedule pipeline."""
+    """Affine timing model for the compile-upload-schedule pipeline.
+
+    Only the compile line is fitted; upload, scheduling and RPC are priced by
+    the module constants ``UPLOAD_*``, ``SCHEDULE_S`` and ``RPC_ROUNDTRIP_S``.
+    """
 
     compile_a: float = DEFAULT_COMPILE_A
     compile_b: float = DEFAULT_COMPILE_B
-    upload_base_s: float = 0.05
-    upload_per_byte_s: float = 1e-7
-    schedule_s: float = 0.1
-    rpc_roundtrip_s: float = 0.002
 
     def compile_time(self, n_instr: int) -> float:
         return self.compile_a + self.compile_b * n_instr
 
     def upload_time(self, size_bytes: int) -> float:
-        return self.upload_base_s + self.upload_per_byte_s * size_bytes
+        return UPLOAD_BASE_S + UPLOAD_PER_BYTE_S * size_bytes
 
     def cost_of(self, binary: KernelBinary) -> RunCosts:
         """Price of compiling, uploading and scheduling ``binary`` once."""
@@ -554,7 +555,7 @@ class CostModel:
             1,
             self.compile_time(binary.n_instr),
             self.upload_time(binary.size_bytes),
-            self.schedule_s,
+            SCHEDULE_S,
         )
 
 

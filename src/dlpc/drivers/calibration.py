@@ -111,13 +111,8 @@ def sweep_slots(exp: Experiment, calib: CalibrationDataset) -> tuple[float, ...]
     return (_carrier(exp, calib), *(float(v) for v in np.linspace(0.0, 1.0, SEGMENTS)))
 
 
-def build_sweep_partial(
-    shots: int = SWEEP_SHOTS,
-    *,
-    prep_us: float,
-    detect_us: float,
-) -> KernelBinary:
-    """The reusable sweep kernel; resuming at the loop re-runs the whole scan."""
+def build_sweep_partial(*, prep_us: float, detect_us: float) -> KernelBinary:
+    """The reusable sweep kernel, ``SWEEP_SHOTS`` per scan; resuming at the loop re-runs it."""
     body = [Instr(Opcode.PREP, (prep_us,))]
     for i in range(SEGMENTS):
         body.append(Instr(Opcode.SET_AMP, (0, SlotRef(1 + i))))
@@ -125,8 +120,8 @@ def build_sweep_partial(
     body.append(Instr(Opcode.DETECT, (ALL_CHANNELS, detect_us)))
     return partial_kernel(
         [Instr(Opcode.SET_FREQ, (0, SlotRef(0)))],
-        [Instr(Opcode.LOOP_SHOTS, (shots, len(body))), *body],
-        n_qubits=1, n_slots=1 + SEGMENTS, pair_channels=(), blocks=(),
+        [Instr(Opcode.LOOP_SHOTS, (SWEEP_SHOTS, len(body))), *body],
+        n_qubits=1, pair_channels=(), blocks=(),
     )
 
 
@@ -224,7 +219,6 @@ def run_calibration(
                     endpoint=handle,
                     run_seed=run_seed,
                     launch=Params(sweep_slots(plan[0], calib)),
-                    rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
                     cost_only=True,
                 ),
                 host,

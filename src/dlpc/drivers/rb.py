@@ -240,7 +240,6 @@ def run_rb(
                     run_seed=run_seed,
                     launch=blocks[0],
                     depolarizing=depolarizing,
-                    rpc_roundtrip_us=cost_model.rpc_roundtrip_s * 1e6,
                 ),
                 host,
             )

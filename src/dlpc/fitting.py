@@ -13,9 +13,9 @@ against emergent instruction counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .devcomp import CostModel, bake, compile_partial
+from .devcomp import RPC_ROUNDTRIP_S, CostModel, bake, compile_partial
 from .drivers.calibration import build_sweep_partial
 from .drivers.optimizers import bounded_min
 from .drivers.rb import RB_SHOTS, clifford_pool
@@ -52,10 +52,7 @@ class FitResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "cost_model": {
-                "compile_a": self.cost_model.compile_a,
-                "compile_b": self.cost_model.compile_b,
-            },
+            "cost_model": asdict(self.cost_model),
             "prep_us": self.prep_us,
             "detect_us": self.detect_us,
             "reproduced": self.reproduced,
@@ -87,7 +84,7 @@ def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
         device_s = problem.shots * (readout_us + pulse_us) * 1e-6
         f_base = device_s / (device_s + oh_full)
         f_stream = device_s / (
-            device_s + model.rpc_roundtrip_s + oh_partial / iters
+            device_s + RPC_ROUNDTRIP_S + oh_partial / iters
         )
         return f_base, f_stream
 

@@ -112,18 +112,13 @@ class CalibrationDataset:
         raise UncalibratedQubit(f"no calibration for pair {i}-{j}")
 
     def recalibrate_qubit(
-        self,
-        q: int,
-        *,
-        omega: float | None = None,
-        rabi: float | None = None,
-        phase: float | None = None,
+        self, q: int, *, omega: float | None = None, rabi: float | None = None
     ) -> None:
         cur = self.qubit(q)
         self.qubits[q] = QubitCalibration(
             omega=cur.omega if omega is None else omega,
             rabi=cur.rabi if rabi is None else rabi,
-            phase=cur.phase if phase is None else phase,
+            phase=cur.phase,
         )
         self.version += 1
 

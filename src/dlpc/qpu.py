@@ -3,7 +3,10 @@
 Timing is simulated, not wall-clock: every pulse, preparation, and readout
 advances the kernel clock by its programmed duration, a shot loop
 multiplies the body duration by the shot count, and a synchronous parameter
-fetch adds one RPC round trip.  Nothing else costs kernel time.
+fetch adds one RPC round trip, ``devcomp.RPC_ROUNDTRIP_S``.  Nothing else
+costs kernel time.  A kernel streams exactly when it holds an RPC instruction:
+it then needs a host endpoint and runs until the host sends SENTINEL, and any
+other kernel posts one set of results, at HALT.
 
 Physics lives in the durations.  A drive pulse applies R(theta, phi) with
 theta = amp * Omega_true * duration: literal durations were computed against
@@ -72,9 +75,9 @@ import numpy as np
 
 from .devcomp import (
     ALL_CHANNELS,
+    RPC_ROUNDTRIP_S,
     Instr,
     KernelBinary,
-    KernelMode,
     Opcode,
     SlotArityError,
 )
@@ -178,7 +181,6 @@ class _Vm:
         launch: Params | CircuitBlock | None,
         rabi_truth: Mapping[int, float] | float | None,
         depolarizing: float,
-        rpc_roundtrip_us: float,
         cost_only: bool,
         first_section: int,
     ) -> None:
@@ -186,7 +188,6 @@ class _Vm:
         self.endpoint = endpoint
         self.run_seed = run_seed
         self.iteration = iteration
-        self.rpc_roundtrip_us = rpc_roundtrip_us
         self.cost_only = cost_only
         n = binary.n_qubits
         if n > VM_QUBIT_LIMIT and not cost_only:
@@ -203,9 +204,7 @@ class _Vm:
             # kernel parameters: the fetch devcomp.partial_kernel emits.
             self._load(launch, TAG_CIRCUIT_BLOCK if binary.blocks else TAG_PARAMS)
 
-        if binary.mode is KernelMode.PARTIAL and endpoint is None and any(
-            i.op is _RPC_SYNC or i.op is _RPC_ASYNC for i in binary.instructions
-        ):
+        if binary.streams and endpoint is None:
             raise VmError("partial kernel requires a host endpoint")
 
         n_channels = n + len(binary.pair_channels)
@@ -217,6 +216,8 @@ class _Vm:
             self.rabi = [float(rabi_truth.get(q, DEFAULT_RABI)) for q in range(n)]
         else:
             self.rabi = [float(rabi_truth if rabi_truth is not None else DEFAULT_RABI)] * n
+        if not 0.0 <= depolarizing <= 1.0:
+            raise ValueError(f"depolarizing must be a probability in [0, 1], got {depolarizing}")
         self.pulse_survival = max(0.0, 1.0 - 4.0 * depolarizing / 3.0)
 
         self.state = None if cost_only else self._ground(n)
@@ -381,7 +382,7 @@ class _Vm:
                 pc += 1
         else:
             raise VmError("kernel ran off the end without HALT")
-        if self.binary.mode is KernelMode.FULL:
+        if not self.binary.streams:
             self._post_results()
         return self.trace
 
@@ -399,7 +400,7 @@ class _Vm:
 
     def _sync(self, ins: Instr, pc: int) -> int:
         expected_tag, resume = ins.args
-        self.trace.rpc_us += self.rpc_roundtrip_us
+        self.trace.rpc_us += RPC_ROUNDTRIP_S * 1e6
         reply = self.endpoint.await_reply()
         if isinstance(reply, Sentinel):
             return pc + 1
@@ -443,16 +444,16 @@ def execute(
     launch: Params | CircuitBlock | None = None,
     rabi_truth: Mapping[int, float] | float | None = None,
     depolarizing: float = 0.0,
-    rpc_roundtrip_us: float = 2000.0,
     cost_only: bool = False,
     first_section: int = 0,
 ) -> ExecutionTrace:
-    """Run one kernel to HALT; partial kernels iterate until SENTINEL.
+    """Run one kernel to HALT; a streaming kernel iterates until SENTINEL.
 
     ``launch`` is iteration 0's directive: the slot values, or the circuits
     for a gate-pool kernel.  The VM loads it exactly as it loads a reply to
     its synchronous fetch, with the same checks and errors, and only then
-    runs, so the first iteration is never blocked on the host.
+    runs, so the first iteration is never blocked on the host.  A per-pulse
+    ``depolarizing`` probability outside [0, 1], or NaN, raises ``ValueError``.
 
     first_section offsets the sampling-stream key of the kernel's sections,
     so a single-section kernel run standalone can reproduce section j of a
@@ -468,7 +469,6 @@ def execute(
         launch=launch,
         rabi_truth=rabi_truth,
         depolarizing=depolarizing,
-        rpc_roundtrip_us=rpc_roundtrip_us,
         cost_only=cost_only,
         first_section=first_section,
     ).run()

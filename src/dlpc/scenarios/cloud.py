@@ -59,7 +59,6 @@ class CloudWorkload:
     distribution: str
     size_class: str
     n_jobs: int = CLOUD_JOBS
-    horizon_s: float = HORIZON_S
     shots_per_job: int = CLOUD_SHOTS_PER_JOB
     seed: int = 0
 
@@ -76,7 +75,7 @@ class CloudWorkload:
 
     def arrivals(self) -> np.ndarray:
         """Sorted arrival times in seconds, all inside the horizon."""
-        n, h = self.n_jobs, self.horizon_s
+        n, h = self.n_jobs, HORIZON_S
         rng = self._rng(0)
         if self.distribution == "UNIFORM":
             headway = h / n
@@ -165,7 +164,7 @@ def simulate_cloud(
     kernel = standing_kernel_cost(cost_model)
     rebuild_s = kernel.total_s
 
-    n_day_ticks = math.ceil(workload.horizon_s / RECALIB_PERIOD_S) - 1
+    n_day_ticks = math.ceil(HORIZON_S / RECALIB_PERIOD_S) - 1
     # the trailing infinity ends the scan past the day's last mark
     ticks = [(k + 1) * RECALIB_PERIOD_S for k in range(n_day_ticks)] + [math.inf]
 

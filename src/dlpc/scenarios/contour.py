@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, RunCosts, bake, compile_partial
+from ..devcomp import RPC_ROUNDTRIP_S, CostModel, RunCosts, bake, compile_partial
 from ..pulse import CalibrationDataset
 from ..drivers.vqe import VqeProblem, section_schedules
 from ..ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
@@ -125,7 +125,7 @@ def sweep_machines(
     # iteration, the streaming kernel compiles once and pays an RPC per one.
     base_kernels = iterations * cost_model.cost_of(full)
     dlpc_kernel = cost_model.cost_of(partial) + RunCosts(
-        rpc_s=iterations * cost_model.rpc_roundtrip_s
+        rpc_s=iterations * RPC_ROUNDTRIP_S
     )
 
     n_1q = sum(1 for g in problem.ansatz.ops if g.kind in ("R", "RY", "RX"))

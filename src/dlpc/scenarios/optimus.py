@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import CostModel, RunCosts, bake, check_mode, compile_partial
+from ..devcomp import RPC_ROUNDTRIP_S, CostModel, RunCosts, bake, check_mode, compile_partial
 from ..ir import Hamiltonian, PauliTerm, Circuit, SlotRef, op
 from ..pulse import CalibrationDataset
 from ..qpu import execute
-from ..drivers.calibration import SWEEP_SHOTS, build_sweep_partial
+from ..drivers.calibration import build_sweep_partial
 from ..drivers.vqe import VqeProblem, section_schedules
 
 __all__ = [
@@ -161,16 +161,13 @@ class _KernelPrices:
     sweep_full: RunCosts
     sweep_partial: RunCosts
     busy_eval_s: float
-    rpc_roundtrip_s: float
 
 
 def _prices(problem: VqeProblem, calib: CalibrationDataset, model: CostModel) -> _KernelPrices:
     schedules = section_schedules(problem, calib)
     partial = compile_partial(schedules, problem.shots, n_qubits=problem.ansatz.n_qubits)
     full = bake(partial, problem.x0)
-    sweep_partial = build_sweep_partial(
-        SWEEP_SHOTS, prep_us=calib.prep_us, detect_us=calib.detect_us
-    )
+    sweep_partial = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
     sweep_full = bake(sweep_partial, (0.0,) * sweep_partial.n_slots)
     trace = execute(full, cost_only=True)
     return _KernelPrices(
@@ -179,7 +176,6 @@ def _prices(problem: VqeProblem, calib: CalibrationDataset, model: CostModel) ->
         sweep_full=model.cost_of(sweep_full),
         sweep_partial=model.cost_of(sweep_partial),
         busy_eval_s=trace.busy_us * 1e-6,
-        rpc_roundtrip_s=model.rpc_roundtrip_s,
     )
 
 
@@ -218,7 +214,7 @@ def account_sample(
         n_rpc = events.n_evals + n_sweeps
     return kernels + RunCosts(
         device_s=events.n_evals * prices.busy_eval_s + probe_s + cal_s,
-        rpc_s=n_rpc * prices.rpc_roundtrip_s,
+        rpc_s=n_rpc * RPC_ROUNDTRIP_S,
     )
 
 

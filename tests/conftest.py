@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dlpc import qpu, rpc
-from dlpc.devcomp import KernelBinary, KernelMode, Opcode
+from dlpc.devcomp import KernelBinary, Opcode
 from dlpc.ir import Circuit, GateOp, SlotRef, op
 from dlpc.pulse import LiteralUs, SlotOverOmega, duration_of
 from dlpc.rpc import Sentinel
@@ -96,7 +96,7 @@ def assert_baked(full: KernelBinary, partial: KernelBinary, slot_values) -> None
     This is the baseline kernel the paper describes: the streamed kernel with
     its parameters fixed at compile time and HALT in place of its RPC tail.
     """
-    assert (full.mode, full.n_slots) == (KernelMode.FULL, 0)
+    assert (full.streams, full.n_slots) == (False, 0)
     assert (full.n_qubits, full.pair_channels) == (partial.n_qubits, partial.pair_channels)
     ops = [i.op for i in partial.instructions]
     assert ops[-3:] == [Opcode.RPC_ASYNC, Opcode.RPC_SYNC, Opcode.HALT]

@@ -7,7 +7,7 @@ from conftest import assert_baked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlpc.devcomp import CompileLog, CostModel, KernelMode, Opcode, bake
+from dlpc.devcomp import RPC_ROUNDTRIP_S, CompileLog, CostModel, Opcode, bake
 from dlpc.drivers import calibration
 from dlpc.drivers.calibration import (
     SEGMENTS,
@@ -40,11 +40,11 @@ def test_plan_covers_every_knob():
 
 def test_sweep_kernel_shapes():
     partial = build_sweep_partial(prep_us=500.0, detect_us=1000.0)
-    assert partial.mode is KernelMode.PARTIAL
+    assert partial.streams
     assert len(partial.instructions) == 2 * SEGMENTS + 7
     assert partial.n_slots == SEGMENTS + 1
     full = bake(partial, sweep_slots(experiment_plan(_calib(1))[0], _calib(1)))
-    assert full.mode is KernelMode.FULL
+    assert not full.streams
     assert len(full.instructions) == 2 * SEGMENTS + 5
     assert full.n_slots == 0
     # Resuming the partial kernel replays the scan loop, not the header.
@@ -131,7 +131,7 @@ def test_streaming_compiles_once_for_the_whole_day():
     assert report.costs.n_compiles == 1
     assert report.costs.compile_s == pytest.approx(1.2)
     assert report.version_advance == 9
-    assert report.costs.rpc_s == pytest.approx(9 * MODEL.rpc_roundtrip_s)
+    assert report.costs.rpc_s == pytest.approx(9 * RPC_ROUNDTRIP_S)
 
 
 def test_streaming_compile_time_independent_of_device_size():

@@ -159,6 +159,47 @@ def test_boolean_or_bad_list_element_exits_2_with_no_outputs(
     _assert_config_error(tmp_path, capsys, subcommand, {key: value}, (), key)
 
 
+# (subcommand, the one config key, a value that is no finite, physical number):
+# a probability outside [0, 1], a negative time, NaN, an infinity, and an
+# integer too large for a float; JSON text, since NaN and Infinity are not JSON
+UNPHYSICAL_NUMBERS = [
+    ("rb", "depolarizing", "-1"),
+    ("rb", "depolarizing", "NaN"),
+    ("rb", "depolarizing", "2"),
+    ("rb", "depolarizing", "Infinity"),
+    ("rb", "depolarizing", "9" * 401),
+    ("vqe", "depolarizing", "1.5"),
+    ("cloud", "t_1q_us", "NaN"),
+    ("cloud", "t_2q_us", "-150"),
+    ("optimus", "drift_rates", "[NaN]"),
+    ("optimus", "drift_rates", "[0.0, -0.05]"),
+    ("contour", "t_2q_us", "[NaN]"),
+    ("contour", "t_1q_us", "[1.0, Infinity]"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, text",
+    UNPHYSICAL_NUMBERS,
+    ids=[f"{sub}-{key}-{text[:12]}" for sub, key, text in UNPHYSICAL_NUMBERS],
+)
+def test_unphysical_number_exits_2_with_no_outputs(tmp_path, capsys, subcommand, key, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {text}}}')
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["contour", "fit-costmodel"])
+def test_mode_flag_only_where_it_selects_a_pipeline(tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
+    assert main([subcommand, "--mode", "both", "--deterministic", "--out", str(out)]) == 2
+    assert "--mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lengths", [[2, 16], [2, 16, 2, 16], [8]])
 def test_rb_with_fewer_than_three_distinct_lengths_exits_2_with_no_outputs(
     tmp_path, capsys, lengths
@@ -523,8 +564,9 @@ def test_deterministic_output_matches_checked_in_digests(tmp_path, capsys):
         cfg = tmp_path / f"{sub}.json"
         cfg.write_text(config)
         out = tmp_path / sub
+        mode = () if sub in ("contour", "fit-costmodel") else ("--mode", "both")
         code, _ = run_cli(
-            capsys, sub, "--mode", "both", "--seed", "7", "--config", str(cfg),
+            capsys, sub, *mode, "--seed", "7", "--config", str(cfg),
             *extra, "--deterministic", "--out", str(out),
         )
         assert code == EXIT_OK

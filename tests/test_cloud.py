@@ -11,6 +11,7 @@ from dlpc.fitting import fit_cost_model
 from dlpc.scenarios.cloud import (
     CLOUD_JOBS,
     DISTRIBUTIONS,
+    HORIZON_S,
     SIZE_CLASSES,
     SIZE_GATES,
     CloudWorkload,
@@ -35,7 +36,7 @@ def test_arrivals_sorted_and_inside_horizon(dist):
     t = w.arrivals()
     assert len(t) == 3000
     assert np.all(np.diff(t) >= 0)
-    assert t[0] >= 0.0 and t[-1] < w.horizon_s
+    assert t[0] >= 0.0 and t[-1] < HORIZON_S
 
 
 def test_arrivals_are_reproducible():

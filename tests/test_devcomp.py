@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlpc.devcomp import (
+    SCHEDULE_S,
     CompileError,
     CompileLog,
     CostModel,
     Instr,
     KernelBinary,
-    KernelMode,
     Opcode,
     RunCosts,
     SlotArityError,
@@ -25,8 +25,8 @@ from dlpc.devcomp import (
     compile_pool,
 )
 from dlpc.drivers.calibration import build_sweep_partial, run_calibration
-from dlpc.drivers.rb import clifford_pool, run_rb
-from dlpc.drivers.vqe import VqeProblem, run_vqe, two_param_problem
+from dlpc.drivers.rb import RB_SHOTS, _sequence_schedule, clifford_pool, random_circuits, run_rb
+from dlpc.drivers.vqe import VqeProblem, run_vqe, section_schedules, two_param_problem
 from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
 from dlpc.pulse import (
     DEFAULT_RABI,
@@ -36,7 +36,8 @@ from dlpc.pulse import (
     SlotOverOmega,
     lower_to_pulses,
 )
-from dlpc.rpc import TAG_CIRCUIT_BLOCK, TAG_PARAMS, TAG_RESULTS
+from dlpc.qpu import execute
+from dlpc.rpc import TAG_CIRCUIT_BLOCK, TAG_PARAMS, TAG_RESULTS, Params
 from dlpc.transpile import transpile
 
 
@@ -90,7 +91,7 @@ def test_bake_takes_only_a_slot_streaming_partial_kernel(calib):
 def test_full_kernel_layout_and_baked_rotation(calib):
     c = Circuit(1, [op("RY", 0, 1.2), op("MEASURE", ())])
     k = compile_full(lower_to_pulses(transpile(c), calib), [], shots=300)
-    assert k.mode is KernelMode.FULL
+    assert not k.streams
     assert k.n_slots == 0
     ops = [i.op for i in k.instructions]
     assert ops == [
@@ -131,7 +132,7 @@ def test_slot_arity_checked(calib):
 def test_partial_kernel_keeps_slots_and_appends_rpc_tail(calib):
     sched = _vqe_schedule(calib)
     k = compile_partial(sched, shots=300)
-    assert k.mode is KernelMode.PARTIAL
+    assert k.streams
     assert k.n_slots == 1
     tail = k.instructions[-3:]
     assert tail[0] == Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,))
@@ -162,17 +163,61 @@ def test_multi_section_kernel_counts_sections(calib):
     ]
 
 
-def test_full_kernel_rejects_rpc_and_slots():
-    with pytest.raises(CompileError):
-        KernelBinary(
-            KernelMode.FULL, 1, 0,
-            (Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)), Instr(Opcode.HALT, ())),
-        )
-    with pytest.raises(CompileError):
-        KernelBinary(
-            KernelMode.FULL, 1, 0,
-            (Instr(Opcode.SET_AMP, (0, SlotRef(0))), Instr(Opcode.HALT, ())),
-        )
+@pytest.mark.parametrize(
+    "tail, streams",
+    [
+        ((), False),
+        ((Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),), True),
+        ((Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 0)),), True),
+        ((Instr(Opcode.SELECT, (0,)),), False),
+    ],
+    ids=["none", "RPC_ASYNC", "RPC_SYNC", "SELECT"],
+)
+def test_a_kernel_streams_iff_it_holds_an_rpc_instruction(tail, streams):
+    k = KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), *tail, Instr(Opcode.HALT, ())))
+    assert k.streams is streams
+    assert k.serialized[10] == streams  # the header's mode byte
+
+
+def _kernels_of_each_kind() -> dict[str, KernelBinary]:
+    problem = two_param_problem()
+    nq = problem.ansatz.n_qubits
+    vqe = compile_partial(
+        section_schedules(problem, CalibrationDataset.default(nq)), problem.shots, n_qubits=nq
+    )
+    calib = CalibrationDataset.default(1)
+    (circuit, *_) = random_circuits(7, (2, 4, 8), 1)
+    sweep = build_sweep_partial(prep_us=1000.0, detect_us=2000.0)
+    return {
+        "vqe partial": vqe,
+        "vqe full": bake(vqe, problem.x0),
+        "clifford pool": clifford_pool(calib, RB_SHOTS),
+        "rb circuit": compile_full(
+            _sequence_schedule(circuit.elements, calib), [], RB_SHOTS, n_qubits=1
+        ),
+        "sweep partial": sweep,
+        "sweep full": bake(sweep, (0.0,) * sweep.n_slots),
+    }
+
+
+# kind -> (content_hash, header mode byte, header slot count).  No CLI output
+# holds a kernel's bytes, so these pins are what would catch a wrong header.
+PINNED_KERNELS = {
+    "vqe partial": ("e617030dd7cfe07a", 1, 2),
+    "vqe full": ("d309275d4a0aea1b", 0, 0),
+    "clifford pool": ("fa177b858a6db8a6", 1, 0),
+    "rb circuit": ("4c64e31eed6fc1bc", 0, 0),
+    "sweep partial": ("fbf5713754415403", 1, 68),
+    "sweep full": ("9ca4195ff1ddd871", 0, 0),
+}
+
+
+def test_kernel_bytes_of_each_kind_are_pinned():
+    got = {
+        name: (k.content_hash, k.serialized[10], int.from_bytes(k.serialized[12:16], "little"))
+        for name, k in _kernels_of_each_kind().items()
+    }
+    assert got == PINNED_KERNELS
 
 
 def test_binary_roundtrip_and_hash_stability(calib):
@@ -196,7 +241,7 @@ def test_pair_channels_follow_single_qubit_block(calib):
 
 def test_clifford_pool_kernel_shape(calib):
     pool = clifford_pool(calib, 100)
-    assert pool.mode is KernelMode.PARTIAL
+    assert pool.streams
     assert len(pool.blocks) == 24
     assert pool.n_instr == 86
     scaffold = [i.op for i in pool.instructions[:8]]
@@ -235,7 +280,7 @@ def test_cost_model_examples(calib):
     m = CostModel(compile_a=0.5, compile_b=0.001)
     assert m.compile_time(300) == pytest.approx(0.8)
     assert m.upload_time(10**6) == pytest.approx(0.15)
-    assert m.schedule_s == pytest.approx(0.1)
+    assert SCHEDULE_S == pytest.approx(0.1)
     k = compile_full(_vqe_schedule(calib), [0.3], shots=10)
     cost = m.cost_of(k)
     assert cost.total_s == pytest.approx(cost.compile_s + cost.upload_s + 0.1)
@@ -246,7 +291,7 @@ def test_kernel_price_is_a_one_compile_ledger(calib):
     k = compile_partial(_vqe_schedule(calib), shots=10)
     cost = m.cost_of(k)
     assert cost == RunCosts(
-        1, m.compile_time(k.n_instr), m.upload_time(k.size_bytes), m.schedule_s
+        1, m.compile_time(k.n_instr), m.upload_time(k.size_bytes), SCHEDULE_S
     )
     assert cost.device_s == cost.rpc_s == 0.0
 
@@ -293,7 +338,7 @@ def test_amplitude_sweep_kernel_size():
 def test_loop_body_window_validated():
     with pytest.raises(CompileError):
         KernelBinary(
-            KernelMode.FULL, 1, 0,
+            1,
             (Instr(Opcode.LOOP_SHOTS, (10, 5)), Instr(Opcode.HALT, ())),
         )
 
@@ -301,7 +346,7 @@ def test_loop_body_window_validated():
 def test_resume_target_validated():
     with pytest.raises(CompileError):
         KernelBinary(
-            KernelMode.PARTIAL, 1, 0,
+            1,
             (Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 9)), Instr(Opcode.HALT, ())),
         )
 
@@ -319,19 +364,20 @@ def test_resume_target_validated():
 )
 @pytest.mark.parametrize("n_slots", [0, 1, 3])
 def test_slot_outside_the_kernel_rejected(ins, n_slots):
-    instrs = (Instr(Opcode.PREP, (1.0,)), ins, Instr(Opcode.HALT, ()))
-    with pytest.raises(CompileError, match=f"^pc 1: slot 3 out of range for {n_slots} slots$"):
-        KernelBinary(KernelMode.PARTIAL, 1, n_slots, instrs)
-    with pytest.raises(CompileError, match="^pc 1: unresolved slot operand in full kernel$"):
-        KernelBinary(KernelMode.FULL, 1, 0, instrs)
-    assert KernelBinary(KernelMode.PARTIAL, 1, 4, instrs).n_slots == 4
+    # n_slots is one more than the highest slot operand, so a launch that
+    # leaves slot 3 out is the wrong length
+    k = KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), ins, Instr(Opcode.HALT, ())))
+    assert k.n_slots == 4
+    assert int.from_bytes(k.serialized[12:16], "little") == 4
+    with pytest.raises(SlotArityError, match=f"^kernel has 4 slots, got {n_slots} values$"):
+        execute(k, launch=Params((0.0,) * n_slots), cost_only=True)
 
 
 def test_negative_slot_duration_rejected():
     # SlotOverOmega takes any int; the VM would read slot -1 from the end of the slot file.
     play = Instr(Opcode.PLAY, (SlotOverOmega(-1, DEFAULT_RABI),))
-    with pytest.raises(CompileError, match="^pc 0: slot -1 out of range for 1 slots$"):
-        KernelBinary(KernelMode.PARTIAL, 1, 1, (play, Instr(Opcode.HALT, ())))
+    with pytest.raises(CompileError, match="^pc 0: negative slot -1$"):
+        KernelBinary(1, (play, Instr(Opcode.HALT, ())))
 
 
 @pytest.mark.parametrize(
@@ -355,7 +401,7 @@ def test_size_bytes_counts_the_serialized_bytes_of_every_driver_kernel(monkeypat
     record = CompileLog.record
 
     def capture(self, binary, model):
-        kind = "pool" if binary.blocks else binary.mode.name.lower()
+        kind = "pool" if binary.blocks else "partial" if binary.streams else "full"
         built.append((kind, binary))
         return record(self, binary, model)
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlpc.devcomp import CostModel
+from dlpc.devcomp import RPC_ROUNDTRIP_S, CostModel
 from dlpc.drivers.calibration import run_calibration
 from dlpc.drivers.rb import run_rb
 from dlpc.drivers.vqe import VqeProblem, measurement_sections, run_vqe
@@ -121,7 +121,7 @@ def _check_costs(base, dlpc, round_trips: int) -> None:
     assert dlpc.n_compiles == 1
     assert dlpc.device_s == base.device_s
     assert base.rpc_s == 0.0
-    assert dlpc.rpc_s == pytest.approx(round_trips * MODEL.rpc_roundtrip_s, rel=1e-12, abs=0.0)
+    assert dlpc.rpc_s == pytest.approx(round_trips * RPC_ROUNDTRIP_S, rel=1e-12, abs=0.0)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

@@ -16,14 +16,23 @@ under ``src/`` must be referenced the same way somewhere in ``src/``,
 A fourth keeps the rendezvous cell behind the session: only ``rpc.py``
 names ``RendezvousCell``, so a driver sees nothing of the protocol but
 ``fetch``.
+
+A fifth is a ratchet on settable options: every defaulted parameter (of a
+function, method or lambda) and every dataclass field that ``__init__``
+accepts with a default, under ``src/dlpc``, plus every CLI flag, is counted
+against a pinned number.  An option that is added must be justified and
+pinned; one that is removed lowers the pin.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from dlpc.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -163,3 +172,86 @@ def test_scan_flags_an_unreferenced_public_function(tmp_path):
 def test_only_rpc_names_the_rendezvous_cell():
     naming = [p.relative_to(SRC).as_posix() for p in MODULES if "RendezvousCell" in p.read_text()]
     assert naming == ["dlpc/rpc.py"]
+
+
+# Pinned counts: change one only with the option it adds or removes.
+SETTABLE_OPTIONS = 78
+CLI_FLAGS = 42
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value: ast.expr) -> bool:
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords
+    )
+
+
+def settable_options(paths: list[Path]) -> list[str]:
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                n = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+                found += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}"] * n
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [
+                    f"{path.name}:{item.lineno} {node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and item.value is not None
+                    and not _init_false(item.value)
+                ]
+    return found
+
+
+def cli_flags() -> list[str]:
+    (subparsers,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return [
+        f"{name} {flag}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    ]
+
+
+def test_settable_options_are_pinned():
+    options, flags = settable_options(MODULES), cli_flags()
+    why = "update the pin in tests/test_lint.py and justify the option in the change"
+    assert len(options) == SETTABLE_OPTIONS, f"{len(options)} settable options: {why}"
+    assert len(flags) == CLI_FLAGS, f"{len(flags)} CLI flags: {why}"
+
+
+def test_option_scan_counts_defaults_and_init_fields(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: list = field(default_factory=list)\n"
+        "    w: int = field(init=False, compare=False)\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    v: int = 1\n"
+        "class C:\n"
+        "    u: int = 2\n"
+        "def f(a, b=1, *, c, d=2):\n"
+        "    return lambda e=3: e\n"
+    )
+    assert settable_options([module]) == [
+        "m.py:6 A.y", "m.py:7 A.z", "m.py:11 B.v", "m.py:14 f", "m.py:14 f", "m.py:15 lambda"
+    ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dlpc.devcomp import Instr, KernelBinary, KernelMode, Opcode
+from dlpc.devcomp import Instr, KernelBinary, Opcode
 from dlpc.ir import Circuit, SlotRef, op
 from dlpc.pulse import (
     DEFAULT_RABI,
@@ -76,7 +76,7 @@ def test_slot_rotation_defers_duration():
 def test_runtime_slot_duration_matches_duration_of(theta):
     # One slot-timed pulse: the VM's kernel clock advances by exactly its duration.
     play = Instr(Opcode.PLAY, (SlotOverOmega(0, DEFAULT_RABI),))
-    k = KernelBinary(KernelMode.PARTIAL, 1, 1, (play, Instr(Opcode.HALT, ())))
+    k = KernelBinary(1, (play, Instr(Opcode.HALT, ())))
     trace = execute(k, launch=Params((theta,)), cost_only=True)
     assert trace.busy_us == duration_of(theta, DEFAULT_RABI)
 

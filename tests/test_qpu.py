@@ -14,7 +14,6 @@ from dlpc.cliffords import compose, inverse, native_ops
 from dlpc.devcomp import (
     Instr,
     KernelBinary,
-    KernelMode,
     Opcode,
     SlotArityError,
     compile_full,
@@ -327,7 +326,7 @@ def _reading_twice(pool: KernelBinary) -> KernelBinary:
         Instr(Opcode.LOOP_SHOTS, (shots, 2 * body_len)), *body, *body
     ]
     blocks = tuple((start + body_len, length) for start, length in pool.blocks)
-    return KernelBinary(pool.mode, pool.n_qubits, 0, tuple(instrs), pool.pair_channels, blocks)
+    return KernelBinary(pool.n_qubits, tuple(instrs), pool.pair_channels, blocks)
 
 
 def _trie_nodes(children: dict) -> int:
@@ -478,14 +477,14 @@ def test_pool_mode_equivalence_exact(calib):
     ids=["SET_FREQ", "SET_PHASE", "SET_AMP", "FRAME_ROT", "PLAY"],
 )
 def test_uninitialized_slot_raises(ins):
-    k = KernelBinary(KernelMode.PARTIAL, 1, 1, (ins, Instr(Opcode.HALT, ())))
+    k = KernelBinary(1, (ins, Instr(Opcode.HALT, ())))
     with pytest.raises(UninitializedSlot, match="^slot 0 read before first write$"):
         execute(k)
 
 
 def test_frame_rotation_on_a_pair_channel_raises():
     k = KernelBinary(
-        KernelMode.FULL, 2, 0,
+        2,
         (Instr(Opcode.FRAME_ROT, (2, 0.5)), Instr(Opcode.HALT, ())),
         pair_channels=((0, 1),),
     )
@@ -506,7 +505,7 @@ def test_play_drives_the_armed_channel_at_amp_rabi_duration(monkeypatch):
 
     monkeypatch.setattr(qpu._Vm, "_apply", record)
     k = KernelBinary(
-        KernelMode.FULL, 2, 0,
+        2,
         (
             Instr(Opcode.SET_PHASE, (0, 0.25)),
             Instr(Opcode.SET_AMP, (0, amp)),
@@ -531,7 +530,7 @@ def test_play_drives_the_armed_channel_at_amp_rabi_duration(monkeypatch):
 )
 def test_control_flow_inside_a_shot_loop_raises(ins):
     k = KernelBinary(
-        KernelMode.PARTIAL, 1, 0,
+        1,
         (Instr(Opcode.LOOP_SHOTS, (1, 1)), ins, Instr(Opcode.HALT, ())),
     )
     # the error comes before the VM touches its endpoint
@@ -574,9 +573,38 @@ def test_bad_launch_fails_like_the_same_reply(calib, pool, good, bad):
     assert _raised(lambda: execute(k, launch=bad)) == as_reply
 
 
+def test_kernel_without_rpc_posts_one_result_at_halt():
+    # it needs no endpoint, whatever slots it reads
+    play = Instr(Opcode.PLAY, (SlotOverOmega(0, DEFAULT_RABI),))
+    detect = Instr(Opcode.DETECT, (255, 200.0))
+    k = KernelBinary(1, (Instr(Opcode.LOOP_SHOTS, (5, 2)), play, detect, Instr(Opcode.HALT, ())))
+    assert (k.streams, k.n_slots) == (False, 1)
+    trace = execute(k, launch=Params((1.0,)), run_seed=3)
+    assert trace.n_iterations == 1
+    assert [r.iteration for r in trace.results] == [0]
+    assert sum(trace.results[0].counts[0].values()) == 5
+
+
+def test_streaming_kernel_needs_an_endpoint_after_its_launch_loads(calib):
+    c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
+    k = compile_partial(_schedule(c, calib), shots=10)
+    with pytest.raises(SlotArityError):
+        execute(k, launch=Params((0.1, 0.2)))
+    with pytest.raises(VmError, match="^partial kernel requires a host endpoint$"):
+        execute(k, launch=Params((0.1,)))
+
+
+@pytest.mark.parametrize("rho", [-0.01, 1.0 + 1e-12, float("nan"), float("inf")])
+def test_depolarizing_outside_a_probability_raises(rho):
+    k = KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), Instr(Opcode.HALT, ())))
+    with pytest.raises(ValueError, match="^depolarizing must be a probability in"):
+        execute(k, depolarizing=rho)
+    assert execute(k, depolarizing=1.0).n_iterations == 1
+
+
 def test_select_without_circuit_raises():
     k = KernelBinary(
-        KernelMode.PARTIAL, 1, 0,
+        1,
         (Instr(Opcode.SELECT, (0,)), Instr(Opcode.HALT, ())),
     )
     with pytest.raises(VmError):
@@ -589,7 +617,7 @@ def test_qubit_limit_enforced_and_stub_mode_allows(calib):
         Instr(Opcode.DETECT, (255, 200.0)),
         Instr(Opcode.HALT, ()),
     )
-    k = KernelBinary(KernelMode.FULL, 14, 0, instrs)
+    k = KernelBinary(14, instrs)
     with pytest.raises(TooManyQubits):
         execute(k)
     trace = execute(k, cost_only=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dlpc.cliffords import CLIFFORD_COUNT, compose, n_pulses
-from dlpc.devcomp import CostModel
+from dlpc.devcomp import RPC_ROUNDTRIP_S, CostModel
 from dlpc.drivers import rb
 from dlpc.drivers.rb import (
     RB_LENGTHS,
@@ -189,7 +189,7 @@ def test_pool_compiles_once_at_fixed_cost():
     # 86 pool instructions regardless of how many sequences stream through.
     assert report.costs.compile_s == pytest.approx(0.354 + 86 * 6.0e-3)
     assert report.n_iterations == 9
-    assert report.costs.rpc_s == pytest.approx(9 * MODEL.rpc_roundtrip_s)
+    assert report.costs.rpc_s == pytest.approx(9 * RPC_ROUNDTRIP_S)
 
 
 def test_modes_sample_identical_counts():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import run_within
 
-from dlpc.devcomp import MODES, CostModel
+from dlpc.devcomp import MODES, RPC_ROUNDTRIP_S, CostModel
 from dlpc.drivers.optimizers import nelder_mead
 from dlpc.drivers.vqe import (
     VqeProblem,
@@ -110,7 +110,7 @@ def test_streaming_compiles_once():
     n = report.result.n_evals
     assert report.costs.n_compiles == 1
     assert report.n_iterations == n
-    assert report.costs.rpc_s == pytest.approx(n * MODEL.rpc_roundtrip_s)
+    assert report.costs.rpc_s == pytest.approx(n * RPC_ROUNDTRIP_S)
     assert len(report.trajectory) == n
 
 
