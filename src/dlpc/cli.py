@@ -253,8 +253,8 @@ def _resolve_fit(config: dict[str, Any]) -> FitResult:
         reproduced = _object("reproduced", entry.get("reproduced", {}), None)
         return FitResult(
             cost_model=CostModel(
-                compile_a=_finite("compile_a", params["compile_a"]),
-                compile_b=_finite("compile_b", params["compile_b"]),
+                compile_a=_finite("compile_a", params["compile_a"], least=0.0),
+                compile_b=_finite("compile_b", params["compile_b"], least=0.0),
             ),
             prep_us=_finite("prep_us", entry["prep_us"], least=0.0),
             detect_us=_finite("detect_us", entry["detect_us"], least=0.0),

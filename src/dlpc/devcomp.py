@@ -23,6 +23,11 @@ divided by a drive-strength snapshot taken at compile time.  One table,
 ``_OPERANDS``, gives each operand kind its check and its packed formats; the
 instruction check, the encoder and the byte counts all read it.  Compile cost
 is affine in the instruction count, including pool blocks.
+
+An emitter builds each distinct schedule item's instructions once and extends a
+body with that tuple on every repeat.  This is exact, as the instructions depend
+only on the item and the channel numbering fixed before any is built; items are
+keyed by ``id``, not equality, in a table that lives for one compile call.
 """
 
 from __future__ import annotations
@@ -354,7 +359,7 @@ class _Emitter:
 
     Pair channels are numbered after the single-qubit block, in first-use
     order across the schedule list, so channel indices are stable before any
-    instruction is built.
+    instruction is built.  ``emitted`` holds each item's instructions by ``id``.
     """
 
     def __init__(self, schedules: Sequence[PulseSchedule], n_qubits: int | None) -> None:
@@ -376,6 +381,7 @@ class _Emitter:
         self.n_qubits = n_qubits
         self.pairs = pairs
         self.header_freqs: dict[int, float] = {}
+        self.emitted: dict[int, tuple[Instr, ...]] = {}
 
     def channel_of(self, ch: int | tuple[int, int]) -> int:
         if isinstance(ch, tuple):
@@ -385,21 +391,25 @@ class _Emitter:
     def body(self, sched: PulseSchedule) -> list[Instr]:
         out: list[Instr] = []
         for item in sched.items:
-            if isinstance(item, PulseOp):
-                ch = self.channel_of(item.channel)
-                self.header_freqs.setdefault(ch, item.freq)
-                out.append(Instr(_SET_PHASE, (ch, item.phase)))
-                out.append(Instr(_SET_AMP, (ch, item.amp)))
-                out.append(Instr(_PLAY, (item.duration,)))
-            elif isinstance(item, FramePhase):
-                out.append(Instr(_FRAME_ROT, (self.channel_of(item.channel), item.angle)))
-            elif isinstance(item, Prep):
-                out.append(Instr(_PREP, (item.duration_us,)))
-            elif isinstance(item, Detect):
-                out.append(Instr(_DETECT, (ALL_CHANNELS, item.duration_us)))
-            else:
-                raise CompileError(f"cannot lower schedule item {type(item).__name__}")
+            instrs = self.emitted.get(id(item))
+            if instrs is None:
+                instrs = self.emitted[id(item)] = self._emit(item)
+            out.extend(instrs)
         return out
+
+    def _emit(self, item) -> tuple[Instr, ...]:
+        if isinstance(item, PulseOp):
+            ch = self.channel_of(item.channel)
+            self.header_freqs.setdefault(ch, item.freq)
+            phase, amp = Instr(_SET_PHASE, (ch, item.phase)), Instr(_SET_AMP, (ch, item.amp))
+            return phase, amp, Instr(_PLAY, (item.duration,))
+        if isinstance(item, FramePhase):
+            return (Instr(_FRAME_ROT, (self.channel_of(item.channel), item.angle)),)
+        if isinstance(item, Prep):
+            return (Instr(_PREP, (item.duration_us,)),)
+        if isinstance(item, Detect):
+            return (Instr(_DETECT, (ALL_CHANNELS, item.duration_us)),)
+        raise CompileError(f"cannot lower schedule item {type(item).__name__}")
 
     def kernel(self, loops: list[Instr], blocks: list[list[Instr]]) -> KernelBinary:
         """The partial kernel: a SET_FREQ per channel driven so far, ``loops``, ``blocks``."""
@@ -458,8 +468,6 @@ def compile_pool(
     em = _Emitter(block_schedules, n_qubits)
     blocks = []
     for s in block_schedules:
-        if s.n_slots:
-            raise CompileError("pool blocks must be fully literal")
         if any(isinstance(i, (Prep, Detect)) for i in s.items):
             raise CompileError("pool blocks cannot contain state preparation or readout")
         blocks.append(em.body(s))
@@ -469,7 +477,10 @@ def compile_pool(
         Instr(Opcode.SELECT, (0,)),
         Instr(_DETECT, (ALL_CHANNELS, detect_us)),
     ]
-    return em.kernel(loop, blocks)
+    kernel = em.kernel(loop, blocks)
+    if kernel.n_slots:  # the loop reads no slot, so a block does
+        raise CompileError("pool blocks must be fully literal")
+    return kernel
 
 
 MODES = ("baseline", "dlpc")

@@ -15,15 +15,21 @@ opaquely for the calibration routines.
 Prep and Detect markers are emitted only for circuits that measure: a bare gate
 fragment (for example a resolved Clifford block) lowers to pulses alone, and
 kernel builders add the experiment scaffolding themselves.
+
+One call lowers each distinct op object once and appends that item for every
+repeat (an RB sequence repeats a few cached Clifford ops).  This is exact: an
+item depends only on its op and the calibration, and neither changes during a
+call.  The table is keyed by ``id`` of ops the circuit holds, not by equality
+(``0.0 == -0.0``, yet they encode differently), and it dies with the call:
+nothing carries over between circuits, and a recalibration takes effect.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .ir import Literal, SlotRef
-from .transpile import MappedCircuit
+from .ir import GateOp, SlotRef
+from .transpile import TWO_PI, MappedCircuit
 
 __all__ = [
     "PulseError",
@@ -43,8 +49,6 @@ __all__ = [
     "duration_of",
     "lower_to_pulses",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_RABI = TWO_PI * 50e3  # rad/s; makes a pi/2 pulse exactly 5 us
 PAIR_PULSE_US = 150.0
@@ -71,9 +75,9 @@ class QubitCalibration:
     phase: float = 0.0  # static phase offset folded into every pulse
 
     def __post_init__(self) -> None:
-        if self.rabi <= 0:
+        if not self.rabi > 0:  # written so that NaN fails too
             raise InvalidCalibration(f"rabi must be > 0, got {self.rabi}")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise InvalidCalibration(f"omega must be > 0, got {self.omega}")
 
 
@@ -136,7 +140,7 @@ class LiteralUs:
     value: float
 
     def __post_init__(self) -> None:
-        if self.value < 0:
+        if not self.value >= 0:
             raise InvalidCalibration(f"duration must be >= 0, got {self.value}")
 
 
@@ -153,7 +157,7 @@ DurationExpr = LiteralUs | SlotOverOmega
 
 def duration_of(theta: float, rabi: float) -> float:
     """Pulse duration in microseconds; negative angles wrap into [0, 2pi)."""
-    if rabi <= 0:
+    if not rabi > 0:
         raise InvalidCalibration(f"rabi must be > 0, got {rabi}")
     return (theta % TWO_PI) / rabi * 1e6
 
@@ -167,7 +171,7 @@ class PulseOp:
     duration: DurationExpr
 
     def __post_init__(self) -> None:
-        if self.freq <= 0:
+        if not self.freq > 0:
             raise InvalidCalibration(f"pulse frequency must be > 0, got {self.freq}")
         if isinstance(self.amp, float) and not 0.0 <= self.amp <= 1.0:
             raise InvalidCalibration(f"amp must lie in [0, 1], got {self.amp}")
@@ -197,15 +201,10 @@ ScheduleItem = PulseOp | FramePhase | Prep | Detect
 @dataclass(slots=True)
 class PulseSchedule:
     items: list[ScheduleItem]
-    n_slots: int
 
     @property
     def pulse_ops(self) -> list[PulseOp]:
         return [it for it in self.items if isinstance(it, PulseOp)]
-
-
-def _angle_value(p: Literal | SlotRef) -> float | SlotRef:
-    return p if isinstance(p, SlotRef) else p.value
 
 
 def lower_to_pulses(mc: MappedCircuit, calib: CalibrationDataset) -> PulseSchedule:
@@ -215,71 +214,59 @@ def lower_to_pulses(mc: MappedCircuit, calib: CalibrationDataset) -> PulseSchedu
     duration carries theta (literal angles become literal microseconds, slots
     become SlotOverOmega against the current Rabi snapshot).  RZ becomes a
     FramePhase marker.  XX(chi) becomes one pair pulse of 150 us with
-    amp = chi / 2pi.  A measuring circuit is bracketed by Prep and Detect.
+    amp = chi / 2pi.  A measuring circuit is bracketed by Prep and Detect.  Each
+    source slot occurrence, repeats included, must land in one schedule position.
     """
     items: list[ScheduleItem] = []
-    measured = any(g.kind == "MEASURE" for g in mc.native_ops)
-    if measured:
-        items.append(Prep(calib.prep_us))
+    lowered: dict[int, list] = {}  # id(op) -> [op, its item, occurrences]
     for g in mc.native_ops:
-        if g.kind == "R":
-            qc = calib.qubit(g.qubits[0])
-            theta, phi = g.params
-            if isinstance(phi, SlotRef):
-                raise PulseError("pulse phase offsets are compile-time only")
-            duration: DurationExpr
-            if isinstance(theta, SlotRef):
-                duration = SlotOverOmega(theta.index, qc.rabi)
-            else:
-                duration = LiteralUs(duration_of(theta.value, qc.rabi))
-            items.append(
-                PulseOp(g.qubits[0], qc.omega, qc.phase + phi.value, 1.0, duration)
-            )
-        elif g.kind == "RZ":
-            items.append(FramePhase(g.qubits[0], _angle_value(g.params[0])))
-        elif g.kind == "XX":
-            i, j = g.qubits
-            calib.pair_params(i, j)
-            qc_i, qc_j = calib.qubit(i), calib.qubit(j)
-            (chi,) = g.params
-            if isinstance(chi, SlotRef):
-                raise PulseError("runtime-parameterized entangler angle is not supported")
-            pair = (min(i, j), max(i, j))
-            items.append(
-                PulseOp(
-                    pair,
-                    min(qc_i.omega, qc_j.omega),
-                    0.0,
-                    (chi.value % TWO_PI) / TWO_PI,
-                    LiteralUs(PAIR_PULSE_US),
-                )
-            )
-        elif g.kind == "MEASURE":
-            items.append(Detect(calib.detect_us))
-        else:
-            raise PulseError(f"cannot lower non-native op {g.kind!r}")
-    return PulseSchedule(items=items, n_slots=_check_slots(mc, items))
-
-
-def _check_slots(mc: MappedCircuit, items: list[ScheduleItem]) -> int:
-    """Every source slot occurrence must land in exactly one schedule position."""
+        entry = lowered.get(id(g))
+        if entry is None:
+            entry = lowered[id(g)] = [g, _lower_op(g, calib), 0]
+        items.append(entry[1])
+        entry[2] += 1
     source: dict[int, int] = {}
-    for g in mc.native_ops:
+    landed: dict[int, int] = {}
+    for g, item, n in lowered.values():
         for p in g.params:
             if isinstance(p, SlotRef):
-                source[p.index] = source.get(p.index, 0) + 1
-    landed: dict[int, int] = {}
-    for it in items:
-        refs: list[int] = []
-        if isinstance(it, PulseOp):
-            if isinstance(it.duration, SlotOverOmega):
-                refs.append(it.duration.slot)
-            if isinstance(it.amp, SlotRef):
-                refs.append(it.amp.index)
-        elif isinstance(it, FramePhase) and isinstance(it.angle, SlotRef):
-            refs.append(it.angle.index)
-        for s in refs:
-            landed[s] = landed.get(s, 0) + 1
+                source[p.index] = source.get(p.index, 0) + n
+        angle = getattr(item, "angle", None)
+        for a in (item.duration, item.amp) if isinstance(item, PulseOp) else (angle,):
+            if isinstance(a, SlotRef):
+                landed[a.index] = landed.get(a.index, 0) + n
+            elif isinstance(a, SlotOverOmega):
+                landed[a.slot] = landed.get(a.slot, 0) + n
     if source != landed:
         raise PulseError(f"slot occurrences diverged during lowering: {source} != {landed}")
-    return 1 + max(source, default=-1)
+    if any(isinstance(item, Detect) for _, item, _ in lowered.values()):
+        items.insert(0, Prep(calib.prep_us))
+    return PulseSchedule(items)
+
+
+def _lower_op(g: GateOp, calib: CalibrationDataset) -> ScheduleItem:
+    if g.kind == "R":
+        qc = calib.qubit(g.qubits[0])
+        theta, phi = g.params
+        if isinstance(phi, SlotRef):
+            raise PulseError("pulse phase offsets are compile-time only")
+        if isinstance(theta, SlotRef):
+            duration: DurationExpr = SlotOverOmega(theta.index, qc.rabi)
+        else:
+            duration = LiteralUs(duration_of(theta.value, qc.rabi))
+        return PulseOp(g.qubits[0], qc.omega, qc.phase + phi.value, 1.0, duration)
+    if g.kind == "RZ":
+        (angle,) = g.params
+        return FramePhase(g.qubits[0], angle if isinstance(angle, SlotRef) else angle.value)
+    if g.kind == "XX":
+        i, j = g.qubits
+        calib.pair_params(i, j)
+        qc_i, qc_j = calib.qubit(i), calib.qubit(j)
+        (chi,) = g.params
+        if isinstance(chi, SlotRef):
+            raise PulseError("runtime-parameterized entangler angle is not supported")
+        freq, amp = min(qc_i.omega, qc_j.omega), (chi.value % TWO_PI) / TWO_PI
+        return PulseOp((min(i, j), max(i, j)), freq, 0.0, amp, LiteralUs(PAIR_PULSE_US))
+    if g.kind == "MEASURE":
+        return Detect(calib.detect_us)
+    raise PulseError(f"cannot lower non-native op {g.kind!r}")

@@ -211,10 +211,13 @@ def test_rb_with_fewer_than_three_distinct_lengths_exits_2_with_no_outputs(
 
 
 # (key, bad value) for a cost_model entry: each must be a finite JSON number
-# that is not a boolean, the readout durations must not be negative,
-# ``reproduced`` must map names to such numbers, and no other key may appear
+# that is not a boolean, the compile line and the readout durations must not
+# be negative, ``reproduced`` must map names to such numbers, and no other key
+# may appear
 BAD_COST_MODEL_VALUES = [
     ("compile_a", True),
+    ("compile_a", -5.0),
+    ("compile_b", -0.006),
     ("compile_b", float("inf")),
     ("detect_us", "200"),
     ("prep_us", -100),

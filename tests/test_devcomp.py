@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import assert_baked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlpc.cliffords import native_ops
 from dlpc.devcomp import (
     SCHEDULE_S,
     CompileError,
@@ -25,20 +27,29 @@ from dlpc.devcomp import (
     compile_pool,
 )
 from dlpc.drivers.calibration import build_sweep_partial, run_calibration
-from dlpc.drivers.rb import RB_SHOTS, _sequence_schedule, clifford_pool, random_circuits, run_rb
+from dlpc.drivers.rb import (
+    RB_LENGTHS,
+    RB_SHOTS,
+    _sequence_schedule,
+    clifford_pool,
+    random_circuits,
+    run_rb,
+)
 from dlpc.drivers.vqe import VqeProblem, run_vqe, section_schedules, two_param_problem
-from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
+from dlpc.ir import Circuit, GateOp, Hamiltonian, Literal, PauliTerm, SlotRef, op
 from dlpc.pulse import (
     DEFAULT_RABI,
     CalibrationDataset,
     LiteralUs,
     PulseSchedule,
+    QubitCalibration,
     SlotOverOmega,
+    UncalibratedQubit,
     lower_to_pulses,
 )
 from dlpc.qpu import execute
 from dlpc.rpc import TAG_CIRCUIT_BLOCK, TAG_PARAMS, TAG_RESULTS, Params
-from dlpc.transpile import transpile
+from dlpc.transpile import MappedCircuit, transpile
 
 
 @pytest.fixture
@@ -274,6 +285,84 @@ def test_pool_rejects_readout_blocks(calib):
     sched = lower_to_pulses(transpile(c), calib)
     with pytest.raises(CompileError):
         compile_pool([sched], 100, prep_us=100.0, detect_us=200.0)
+
+
+@pytest.mark.parametrize("ansatz", [[op("RY", 0, SlotRef(0))], [op("RZ", 0, SlotRef(0))]])
+def test_pool_rejects_slot_blocks(calib, ansatz):
+    sched = lower_to_pulses(transpile(Circuit(1, ansatz)), calib)
+    with pytest.raises(CompileError, match="^pool blocks must be fully literal$"):
+        compile_pool([sched], 100, prep_us=100.0, detect_us=200.0)
+
+
+def _apart(ops: list[GateOp]) -> list[GateOp]:
+    """The same ops, every occurrence its own object: nothing to share."""
+    return [copy.copy(g) for g in ops]
+
+
+@pytest.mark.parametrize("length", RB_LENGTHS)
+def test_rb_kernel_bytes_do_not_depend_on_shared_ops(calib, length):
+    for circ in random_circuits(5, (length,), per_length=3):
+        ops = [*(g for e in circ.elements for g in native_ops(e, 0)), op("MEASURE", ())]
+        shared = _sequence_schedule(circ.elements, calib)
+        apart = lower_to_pulses(transpile(Circuit(1, _apart(ops))), calib)
+        # one item object per distinct op object, plus Prep
+        assert len({id(i) for i in shared.items}) == len({id(g) for g in ops}) + 1
+        assert len({id(i) for i in apart.items}) == len(apart.items)
+        assert shared.items == apart.items
+        kernels = [compile_full(s, [], RB_SHOTS, n_qubits=1) for s in (shared, apart)]
+        assert kernels[0].serialized == kernels[1].serialized
+
+
+def test_streamed_kernel_bytes_do_not_depend_on_shared_slot_ops():
+    layer = [
+        GateOp("R", (0,), (SlotRef(0), Literal(0.25))),
+        GateOp("R", (1,), (SlotRef(1), Literal(0.0))),
+        GateOp("RZ", (1,), (SlotRef(2),)),
+        GateOp("XX", (0, 1), (Literal(math.pi / 4),)),
+    ]
+    ops = [*layer * 3, GateOp("MEASURE", ())]
+    calib = CalibrationDataset.default(2)
+    kernels = []
+    for native in (ops, _apart(ops)):
+        sched = lower_to_pulses(MappedCircuit(2, native), calib)
+        kernels.append((compile_partial(sched, 50), compile_full(sched, [0.5, 1.0, 2.0], 50)))
+    (partial, full), (partial_apart, full_apart) = kernels
+    assert partial.serialized == partial_apart.serialized
+    assert full.serialized == full_apart.serialized
+    # every occurrence keeps its slot operand: three per layer
+    slot_operands = [
+        a for i in partial.instructions for a in i.args if isinstance(a, (SlotRef, SlotOverOmega))
+    ]
+    assert len(slot_operands) == 9 and partial.n_slots == 3
+
+
+def test_equal_ops_that_encode_differently_are_not_shared(calib):
+    # 0.0 == -0.0, so a table keyed by equality would emit the first for both
+    ops = [GateOp("RZ", (0,), (Literal(0.0),)), GateOp("RZ", (0,), (Literal(-0.0),))]
+    k = compile_partial(lower_to_pulses(MappedCircuit(1, ops), calib), 1)
+    angles = [i.args[1] for i in k.instructions if i.op is Opcode.FRAME_ROT]
+    assert [math.copysign(1.0, a) for a in angles] == [1.0, -1.0]
+
+
+def test_uncalibrated_qubit_on_a_repeated_op_raises():
+    mc = MappedCircuit(2, [GateOp("R", (1,), (Literal(1.0), Literal(0.0)))] * 4)
+    assert len(lower_to_pulses(mc, CalibrationDataset.default(2)).items) == 4
+    one_qubit = CalibrationDataset(qubits={0: QubitCalibration(12.6e6, DEFAULT_RABI)})
+    with pytest.raises(UncalibratedQubit, match="^no calibration for qubit 1$"):
+        lower_to_pulses(mc, one_qubit)
+
+
+def test_recalibration_between_compiles_changes_play_durations(calib):
+    (circ,) = random_circuits(2, (32,), per_length=1)
+
+    def plays() -> list[float]:
+        k = compile_full(_sequence_schedule(circ.elements, calib), [], RB_SHOTS, n_qubits=1)
+        return [i.args[0].value for i in k.instructions if i.op is Opcode.PLAY]
+
+    before = plays()
+    calib.recalibrate_qubit(0, rabi=2 * calib.qubit(0).rabi)
+    after = plays()
+    assert before and after == pytest.approx([d / 2 for d in before], rel=1e-12)
 
 
 def test_cost_model_examples(calib):

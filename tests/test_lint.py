@@ -17,7 +17,12 @@ A fourth keeps the rendezvous cell behind the session: only ``rpc.py``
 names ``RendezvousCell``, so a driver sees nothing of the protocol but
 ``fetch``.
 
-A fifth is a ratchet on settable options: every defaulted parameter (of a
+A fifth keeps the per-circuit compile path free of memo caches: no
+function in ``transpile.py``, ``pulse.py`` or ``devcomp.py`` carries a
+``functools.cache`` or ``lru_cache`` decorator, so a table that shares work
+lives inside one call and every circuit is still compiled.
+
+A sixth is a ratchet on settable options: every defaulted parameter (of a
 function, method or lambda) and every dataclass field that ``__init__``
 accepts with a default, under ``src/dlpc``, plus every CLI flag, is counted
 against a pinned number.  An option that is added must be justified and
@@ -172,6 +177,51 @@ def test_scan_flags_an_unreferenced_public_function(tmp_path):
 def test_only_rpc_names_the_rendezvous_cell():
     naming = [p.relative_to(SRC).as_posix() for p in MODULES if "RendezvousCell" in p.read_text()]
     assert naming == ["dlpc/rpc.py"]
+
+
+PER_CIRCUIT = [SRC / "dlpc" / name for name in ("transpile.py", "pulse.py", "devcomp.py")]
+
+
+def cache_decorated(paths: list[Path]) -> list[str]:
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "id", getattr(target, "attr", None)) in ("cache", "lru_cache"):
+                        found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
+def test_per_circuit_compile_path_has_no_memo_cache():
+    assert all(path.exists() for path in PER_CIRCUIT)
+    assert cache_decorated(PER_CIRCUIT) == []
+
+
+def test_scan_flags_cache_decorators_but_not_cached_property(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "@cache\n"
+        "def a():\n"
+        "    pass\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def b():\n"
+        "    pass\n"
+        "@lru_cache\n"
+        "def c():\n"
+        "    pass\n"
+        "class K:\n"
+        "    @cached_property\n"
+        "    def d(self):\n"
+        "        return 0\n"
+        "    @functools.cache\n"
+        "    def e(self):\n"
+        "        return 0\n"
+    )
+    assert cache_decorated([module]) == ["m.py:4 a", "m.py:7 b", "m.py:10 c", "m.py:17 e"]
 
 
 # Pinned counts: change one only with the option it adds or removes.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dlpc.devcomp import Instr, KernelBinary, Opcode
+from dlpc.devcomp import Instr, KernelBinary, Opcode, compile_partial
 from dlpc.ir import Circuit, SlotRef, op
 from dlpc.pulse import (
     DEFAULT_RABI,
@@ -68,7 +68,7 @@ def test_slot_rotation_defers_duration():
     sched = lowered(Circuit(1, [op("RY", 0, SlotRef(0))]))
     (p,) = sched.pulse_ops
     assert p.duration == SlotOverOmega(0, DEFAULT_RABI)
-    assert sched.n_slots == 1
+    assert compile_partial(sched, 1).n_slots == 1
     assert duration_of(math.pi, p.duration.rabi_snapshot) == pytest.approx(10.0, abs=1e-9)
 
 
@@ -140,3 +140,23 @@ def test_amp_validation():
     # slot-valued amplitude passes through for runtime scans
     p = PulseOp(0, 1e6, 0.0, SlotRef(2), LiteralUs(1.0))
     assert p.amp == SlotRef(2)
+
+
+NAN = float("nan")
+# Each physical-domain check must reject NaN, which fails every comparison.
+NAN_VALUES = {
+    "omega": lambda: QubitCalibration(omega=NAN, rabi=DEFAULT_RABI),
+    "rabi": lambda: QubitCalibration(omega=12.6e6, rabi=NAN),
+    "recalibrated-rabi": lambda: CalibrationDataset.default(1).recalibrate_qubit(0, rabi=NAN),
+    "duration": lambda: LiteralUs(NAN),
+    "freq": lambda: PulseOp(0, NAN, 0.0, 1.0, LiteralUs(1.0)),
+    "amp": lambda: PulseOp(0, 1e6, 0.0, NAN, LiteralUs(1.0)),
+    "duration_of-rabi": lambda: duration_of(1.0, NAN),
+    "lowered-angle": lambda: lowered(Circuit(1, [op("R", 0, NAN, 0.0)])),
+}
+
+
+@pytest.mark.parametrize("build", NAN_VALUES.values(), ids=NAN_VALUES.keys())
+def test_nan_is_outside_the_physical_domain(build):
+    with pytest.raises(InvalidCalibration):
+        build()
