@@ -365,15 +365,15 @@ class _Emitter:
     def __init__(self, schedules: Sequence[PulseSchedule], n_qubits: int | None) -> None:
         pairs: list[tuple[int, int]] = []
         max_qubit = -1
-        for s in schedules:
-            for item in s.items:
-                ch = getattr(item, "channel", None)
-                if isinstance(ch, tuple):
-                    if ch not in pairs:
-                        pairs.append(ch)
-                    max_qubit = max(max_qubit, ch[0], ch[1])
-                elif isinstance(ch, int):
-                    max_qubit = max(max_qubit, ch)
+        # each distinct item once, in first-use order, so the pair order is kept
+        for item in {id(i): i for s in schedules for i in s.items}.values():
+            ch = getattr(item, "channel", None)
+            if isinstance(ch, tuple):
+                if ch not in pairs:
+                    pairs.append(ch)
+                max_qubit = max(max_qubit, ch[0], ch[1])
+            elif isinstance(ch, int):
+                max_qubit = max(max_qubit, ch)
         if n_qubits is None:
             n_qubits = max_qubit + 1
         elif max_qubit >= n_qubits:

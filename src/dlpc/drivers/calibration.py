@@ -37,7 +37,7 @@ from ..devcomp import (
 from ..ir import SlotRef
 from ..pulse import CalibrationDataset, LiteralUs
 from ..qpu import ExecutionTrace, execute
-from ..rpc import Params, Results, run_session
+from ..rpc import Params, ProtocolError, Results, run_session
 from .accounting import RunCosts, costs_from
 
 __all__ = [
@@ -191,10 +191,17 @@ def run_calibration(
     sweep = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
 
     # Slots for experiment k+1 depend on fits applied through experiment k,
-    # so the host loop interleaves analysis with the parameter stream.
+    # so the host loop interleaves analysis with the parameter stream.  Each
+    # reply must be experiment k's one scan, or the fits would be misfiled.
     def host(fetch) -> None:
         for k, exp in enumerate(plan):
-            fetch(Params(sweep_slots(exp, calib)))
+            results = fetch(Params(sweep_slots(exp, calib)))
+            shots = [sum(section.values()) for section in results.counts]
+            if results.iteration != k or shots != [SWEEP_SHOTS]:
+                raise ProtocolError(
+                    f"experiment {k} ({exp.name}): got iteration {results.iteration} "
+                    f"with section shots {shots}, expected one scan of {SWEEP_SHOTS}"
+                )
             value = _fit(exp, calib, run_seed, k)
             _apply(exp, calib, value)
             fitted[exp.name] = value

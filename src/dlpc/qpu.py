@@ -55,14 +55,25 @@ last bits.
 Per-pulse depolarizing noise folds into one coherent fraction per shot,
 f = 1 - 4*rho/3 per pulse, so readout samples from
 c * |psi|^2 + (1 - c) / 2^n.  That keeps shot loops vectorized: the body runs
-once, then the outcome distribution is sampled shot-count times from a
-counter-based stream keyed by (run seed, iteration, section), which is what
-makes the two pipeline modes statistically identical run-for-run.
-``shot_rng`` defines that stream.  The VM builds it once, at its first
-DETECT, and re-keys the same Philox generator for every later section: a
-zero counter, an empty buffer and the section's key are exactly the state
-``shot_rng`` builds, so the draws are the same bits without a new generator
-and its entropy-seeded ``SeedSequence`` per section.
+once, then each section takes one uniform draw per shot from a counter-based
+stream keyed by (run seed, iteration, section), which is what makes the two
+pipeline modes statistically identical run-for-run.  ``shot_rng`` defines
+that stream.  The VM builds it once, at its first DETECT, and re-keys the
+same Philox generator for every later section: a zero counter, an empty
+buffer and the section's key are exactly the state ``shot_rng`` builds, so
+the draws are the same bits without a new generator and its entropy-seeded
+``SeedSequence`` per section.
+
+A draw u reads outcome k when cdf[k-1] <= u < cdf[k], the last CDF entry
+forced to 1.0.  Rather than place each draw by a binary search, the VM sorts
+the draws in place and counts them against the CDF: with below[k] the number
+of draws under cdf[k], outcome k gets below[k] - below[k-1].  That is one
+search per outcome instead of one per shot, and no histogram pass.  The
+counts are the placed ones integer for integer: a cumulative sum of
+non-negative floats never decreases and the forced 1.0 exceeds every draw in
+[0, 1), so "cdf[k] <= u" is monotone in k for every draw, even where rounding
+lifts the second-to-last sum above 1.0.  The placed outcome of u is then the
+number of k with cdf[k] <= u, which is what the differences count.
 """
 
 from __future__ import annotations
@@ -284,8 +295,10 @@ class _Vm:
                 self.rng = shot_rng(self.run_seed, self.iteration, self.section_idx)
             else:
                 rekey(self.rng, self.run_seed, self.iteration, self.section_idx)
-            draws = cdf.searchsorted(self.rng.random(shots), side="right")
-            hist = np.bincount(draws, minlength=len(probs))
+            draws = self.rng.random(shots)
+            draws.sort()
+            hist = draws.searchsorted(cdf)  # hist[k]: draws under cdf[k] ...
+            hist[1:] -= hist[:-1]  # ... less those under cdf[k-1]; numpy buffers the overlap
             (seen,) = hist.nonzero()
             self.sections.append(dict(zip(seen.tolist(), hist[seen].tolist())))
         self.section_idx += 1

@@ -87,9 +87,11 @@ def transpile(c: Circuit) -> MappedCircuit:
     if c.n_qubits > 255:
         raise IrError(f"register of {c.n_qubits} qubits exceeds the u8 encoding")
     native: list[GateOp] = []
+    lowered: dict[int, list[GateOp]] = {}  # id(op) -> its lowering, shared by every repeat
     for g in c.ops:
-        if g.kind == "MEASURE":
-            native.extend(_lower_measure(g, c.n_qubits))
-        else:
-            native.extend(_lower_one(g))
+        ops = lowered.get(id(g))
+        if ops is None:
+            measure = g.kind == "MEASURE"
+            ops = lowered[id(g)] = _lower_measure(g, c.n_qubits) if measure else _lower_one(g)
+        native.extend(ops)
     return MappedCircuit(n_qubits=c.n_qubits, native_ops=native)

@@ -18,6 +18,7 @@ from dlpc.drivers.calibration import (
     sweep_slots,
 )
 from dlpc.pulse import CalibrationDataset
+from dlpc.rpc import ProtocolError
 
 MODEL = CostModel(compile_a=0.354, compile_b=6.0e-3)
 
@@ -162,3 +163,37 @@ def test_fits_track_the_hidden_truth():
     assert after != before
     assert abs(after - before) <= 0.05 * before
     assert set(report.fitted) == {"q0/freq", "q0/amp"}
+
+
+
+def _previous_results(fetch):
+    """``fetch`` answering each call from the second on with the reply before."""
+    replies = []
+
+    def stale(directive):
+        replies.append(fetch(directive))
+        return replies[-2] if len(replies) > 1 else replies[-1]
+
+    return stale
+
+
+@pytest.mark.parametrize("mode", ["baseline", "dlpc"])
+def test_a_repeated_reply_raises_protocol_error(monkeypatch, mode):
+    if mode == "baseline":  # the driver's fetch returns what execute posts
+        real_execute, stale = calibration.execute, _previous_results(lambda r: r)
+
+        def execute(*args, **kwargs):
+            trace = real_execute(*args, **kwargs)
+            trace.results[0] = stale(trace.results[0])
+            return trace
+
+        monkeypatch.setattr(calibration, "execute", execute)
+    else:
+        real_session = calibration.run_session
+        monkeypatch.setattr(
+            calibration,
+            "run_session",
+            lambda kernel, host: real_session(kernel, lambda fetch: host(_previous_results(fetch))),
+        )
+    with pytest.raises(ProtocolError, match=r"^experiment 1 \(q0/amp\): got iteration 0 "):
+        run_calibration(_calib(1), mode, cost_model=MODEL, run_seed=2)

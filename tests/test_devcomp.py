@@ -41,6 +41,7 @@ from dlpc.pulse import (
     DEFAULT_RABI,
     CalibrationDataset,
     LiteralUs,
+    PulseOp,
     PulseSchedule,
     QubitCalibration,
     SlotOverOmega,
@@ -248,6 +249,21 @@ def test_pair_channels_follow_single_qubit_block(calib):
     assert any(
         i.op is Opcode.SET_AMP and i.args[0] == pair_channel for i in k.instructions
     )
+
+
+def test_pair_channels_number_distinct_items_in_first_use_order():
+    def pair(i, j, amp):
+        return PulseOp((i, j), 12.6e6, 0.0, amp, LiteralUs(150.0))
+
+    p12, p01, p02 = pair(1, 2, 0.125), pair(0, 1, 0.25), pair(0, 2, 0.5)
+    scheds = [
+        PulseSchedule([p12, p01, p12, p01, p12]),
+        PulseSchedule([p02, p01, p12, p02]),
+    ]
+    k = compile_partial(scheds, shots=10)
+    assert k.pair_channels == ((1, 2), (0, 1), (0, 2))
+    copies = [PulseSchedule([copy.copy(i) for i in s.items]) for s in scheds]
+    assert compile_partial(copies, shots=10).content_hash == k.content_hash
 
 
 def test_clifford_pool_kernel_shape(calib):

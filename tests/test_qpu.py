@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import objective_worker, run_within
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dlpc import qpu
 from dlpc.cliffords import compose, inverse, native_ops
 from dlpc.devcomp import (
+    ALL_CHANNELS,
     Instr,
     KernelBinary,
     Opcode,
@@ -431,6 +435,112 @@ def test_streamed_kernel_builds_one_sampling_generator(calib, monkeypatch):
             fresh = compile_full(sched, list(x), shots=200)
             want = execute(fresh, run_seed=17, iteration=k, first_section=j).results[0]
             assert trace.results[k].counts[j] == want.counts[0], (k, j)
+
+
+def _placed_counts(state, coherent, channel, shots, key, rng=None) -> dict[int, int]:
+    """Reference readout: place each draw in the CDF by binary search, then histogram."""
+    n = int(math.log2(len(state)))
+    probs = np.abs(state) ** 2
+    if channel != ALL_CHANNELS:
+        mask = (np.arange(2**n) >> channel) & 1
+        probs = np.array([probs[mask == 0].sum(), probs[mask == 1].sum()])
+    probs = coherent * probs + (1.0 - coherent) / len(probs)
+    cdf = probs.cumsum()
+    cdf[-1] = 1.0
+    draws = cdf.searchsorted((rng or qpu.shot_rng(*key)).random(shots), side="right")
+    hist = np.bincount(draws, minlength=len(probs))
+    (seen,) = hist.nonzero()
+    return dict(zip(seen.tolist(), hist[seen].tolist()))
+
+
+def _counted(state, coherent, channel, shots, key, rng=None) -> dict[int, int]:
+    """What ``_Vm._detect`` reads from ``state`` for one section keyed ``key``."""
+    n = int(math.log2(len(state)))
+    run_seed, iteration, section = key
+    vm = qpu._Vm(
+        KernelBinary(n, (Instr(Opcode.HALT, ()),)),
+        endpoint=None, run_seed=run_seed, iteration=iteration, launch=None,
+        rabi_truth=None, depolarizing=0.0, cost_only=False, first_section=section,
+    )
+    vm.state, vm.coherent, vm.rng = state, coherent, rng
+    vm._detect(channel, shots)
+    return vm.sections[0]
+
+
+@st.composite
+def _readouts(draw):
+    n = draw(st.integers(1, 5))
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    amps = np.array(draw(st.lists(magnitude, min_size=2**n, max_size=2**n)), dtype=complex)
+    assume(amps.any())
+    phases = np.array(draw(st.lists(st.floats(0.0, 6.3), min_size=2**n, max_size=2**n)))
+    state = amps * np.exp(1j * phases) / np.linalg.norm(amps)
+    coherent = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    channel = draw(st.one_of(st.just(ALL_CHANNELS), st.integers(0, n - 1)))
+    shots = draw(st.sampled_from([1, 2, 200, 1000]))
+    key = tuple(draw(st.integers(0, 2**40)) for _ in range(3))
+    return state, coherent, channel, shots, key
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_readouts())
+def test_counting_draws_gives_the_counts_placing_them_gives(readout):
+    assert _counted(*readout) == _placed_counts(*readout)
+
+
+@pytest.mark.parametrize("shots", [1, 2, 200, 1000])
+def test_counts_agree_where_the_cdf_tail_rounds_above_one(shots):
+    state = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(3.0)
+    assert (np.abs(state) ** 2).cumsum()[-2] > 1.0
+    for key in [(0, 0, 0), (3, 1, 2), (17, 5, 1)]:
+        readout = (state, 1.0, ALL_CHANNELS, shots, key)
+        assert _counted(*readout) == _placed_counts(*readout)
+
+
+class _FixedDraws:
+    """Stands in for the sampling generator: rekeying it does nothing, it draws ``draws``."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.bit_generator = SimpleNamespace()
+
+    def random(self, shots):
+        return np.array(self.draws[:shots])
+
+
+def test_a_draw_on_a_cdf_entry_counts_where_placing_puts_it():
+    state = np.full(4, 0.5, dtype=complex)  # cdf 0.25, 0.5, 0.75, 1.0, all exact
+    draws = [0.5, 0.0, 0.25, 0.75, 0.5, 0.1]
+    readout = (state, 1.0, ALL_CHANNELS, len(draws), (0, 0, 0), _FixedDraws(draws))
+    assert _counted(*readout) == _placed_counts(*readout) == {0: 2, 1: 1, 2: 2, 3: 1}
+
+
+def test_eight_qubit_streamed_sections_count_as_placing_gives(monkeypatch):
+    """Hundreds of outcomes per 1,000-shot section; tier-1's digests stop at 3 qubits."""
+    n = 8
+    calib = CalibrationDataset.default(n)
+    ops = [op("RY", q, SlotRef(q)) for q in range(n)]
+    ops += [op("XX", (q, q + 1), math.pi / 4) for q in range(n - 1)]
+    ops += [op("RY", q, SlotRef(n + q)) for q in range(n)]
+    scheds = [
+        _schedule(Circuit(n, [*ops, op("MEASURE", (), basis=b)]), calib) for b in ("Z", "X", "Y")
+    ]
+    rng = np.random.default_rng(4)
+    xs = [tuple(math.pi / 4 + rng.uniform(-0.3, 0.3, 2 * n)) for _ in range(3)]
+    want = []
+    detect = qpu._Vm._detect
+
+    def checked(vm, channel, shots):
+        key = (vm.run_seed, vm.iteration, vm.section_idx)
+        want.append(_placed_counts(vm.state, vm.coherent, channel, shots, key))
+        detect(vm, channel, shots)
+
+    monkeypatch.setattr(qpu._Vm, "_detect", checked)
+    kernel = compile_partial(scheds, shots=1000)
+    trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=23, depolarizing=1e-3)
+    got = [section for r in trace.results for section in r.counts]
+    assert len(got) == 9 and min(len(s) for s in got) > 50
+    assert got == want
 
 
 def test_pool_mode_equivalence_exact(calib):

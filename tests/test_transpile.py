@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import max_phase_aligned_deviation, random_circuit
-from dlpc.ir import GATE_ARITY, Circuit, Literal, SlotRef, op, statevector, unitary
+from dlpc import transpile as transpile_module
+from dlpc.ir import GATE_ARITY, Circuit, GateOp, Literal, SlotRef, op, statevector, unitary
 from dlpc.transpile import transpile
 
 CNOT_DENSE = np.array(
@@ -78,6 +79,28 @@ def test_wrapped_literal_ops_pass_through_and_the_rest_are_rebuilt():
         wrapped = [p if isinstance(p, SlotRef) else Literal(p.value % (2 * math.pi)) for p in g.params]
         assert bits(got.params) == bits(wrapped)
     assert mc.native_ops[len(kept) + 2].params[0].value.hex() == "0x0.0p+0"
+
+
+def test_each_distinct_op_is_lowered_once_per_call(monkeypatch):
+    cnot, r, rz = op("CNOT", (0, 1)), op("R", 0, -0.5, 0.0), op("RZ", 1, SlotRef(0))
+    twin = op("R", 0, -0.5, 0.0)  # equal to r, but another object
+    ops = [cnot, r, rz, cnot, r, twin, cnot, op("MEASURE", (), basis="X")]
+    calls = []
+    lower_one = transpile_module._lower_one
+
+    def counting(g):
+        calls.append(g)
+        return lower_one(g)
+
+    monkeypatch.setattr(transpile_module, "_lower_one", counting)
+    mc = transpile(Circuit(2, ops))
+    assert [id(g) for g in calls] == [id(cnot), id(r), id(rz), id(twin)]
+    # repeats share one lowering, which equals what lowering each copy gives
+    assert mc.native_ops[:5] == mc.native_ops[7:12] == mc.native_ops[14:19]
+    assert all(a is b for a, b in zip(mc.native_ops[:5], mc.native_ops[7:12]))
+    monkeypatch.undo()
+    copies = [GateOp(g.kind, g.qubits, g.params, g.basis) for g in ops]
+    assert transpile(Circuit(2, copies)).native_ops == mc.native_ops
 
 
 def test_slots_pass_through_unfolded():
