@@ -1,27 +1,27 @@
-"""Cost roll-up shared by the experiment drivers.
+"""Cost roll-up shared by the experiment drivers and the scenarios.
 
-The ledger type, ``RunCosts``, lives in ``devcomp`` beside ``CostModel``: a
-kernel's price is a one-compile run, and a run's bill is a sum of such
-prices plus its device and RPC time.  A driver's ``CompileLog`` already holds
-the summed price of every kernel it built; ``costs_from`` adds the device busy
-time and RPC stalls of the run's execution traces.  Total time is their sum by
-construction, so comparisons between pipeline modes never depend on a
-stopwatch.
+``RunCosts`` lives in ``devcomp`` beside ``CostModel``: a kernel's price is a
+one-compile run.  ``costs_from`` adds a run's traced device busy time and RPC
+stalls to its ``CompileLog``, so total time is a sum by construction, never a
+stopwatch reading.  ``loop_costs`` is the one writer of the pricing law:
+before device time, a loop that needs the same kernels on every iteration
+costs them once per iteration in the baseline, which rebuilds them, and once
+plus one RPC round trip per iteration in DLPC, which streams values to them.
 
-Whenever two runs do equal device work, as the pipeline modes of one driver
-do, ``speedup(a, b)`` equals ``b.device_fraction / a.device_fraction``
-exactly: both are ``a.total_s / b.total_s``.  A speedup target and a pair of
-device-fraction targets for the same run therefore constrain one number.
+With equal device work, as the two modes of one driver do, ``speedup(a, b)``
+equals ``b.device_fraction / a.device_fraction`` exactly (both are
+``a.total_s / b.total_s``), so a speedup target and a pair of device-fraction
+targets for the same run constrain one number.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..devcomp import CompileLog, RunCosts
+from ..devcomp import RPC_ROUNDTRIP_S, CompileLog, RunCosts, check_mode
 from ..qpu import ExecutionTrace
 
-__all__ = ["RunCosts", "costs_from", "speedup"]
+__all__ = ["RunCosts", "costs_from", "loop_costs", "speedup"]
 
 
 def costs_from(log: CompileLog, traces: Iterable[ExecutionTrace]) -> RunCosts:
@@ -31,6 +31,15 @@ def costs_from(log: CompileLog, traces: Iterable[ExecutionTrace]) -> RunCosts:
         device_us += t.busy_us
         rpc_us += t.rpc_us
     return log.costs + RunCosts(device_s=device_us * 1e-6, rpc_s=rpc_us * 1e-6)
+
+
+def loop_costs(mode: str, kernels: list[RunCosts], iterations: int) -> RunCosts:
+    """What ``iterations`` iterations that each need ``kernels`` cost, before device time."""
+    check_mode(mode)
+    once = sum(kernels, RunCosts())
+    if mode == "baseline":
+        return iterations * once
+    return once + RunCosts(rpc_s=iterations * RPC_ROUNDTRIP_S)
 
 
 def speedup(baseline: RunCosts, other: RunCosts) -> float:

@@ -97,7 +97,7 @@ def two_param_problem() -> VqeProblem:
     cannot all be met by one cost model with the fixed 2 ms RPC round trip:
     ``device_s`` is equal in both modes, so the ratio of 2b's two device
     fractions is this problem's speedup, about 1.66 inside 2b's bands where
-    1b asks for 2.7 (ROADMAP direction 1 records the search).
+    1b asks for 2.7 (the 2b FOUND note in ``CHANGES.md`` records the search).
     """
     c = 1.0 / math.sqrt(3.0)
     ham = Hamiltonian(1, [PauliTerm(c, "X"), PauliTerm(c, "Y"), PauliTerm(c, "Z")])

@@ -3,11 +3,12 @@
 The simulator's free constants are pinned by four anchor numbers measured on
 the reference trap stack: the one-off compile times of the 24-element gate
 pool and of the segmented sweep kernel pin the compile-time line exactly
-(two equations, two unknowns), and the device-busy fractions of the
-single-parameter optimization loop in each pipeline mode pin the combined
-prepare-plus-detect overhead by scalar least squares.  Every kernel size used
-here is produced by the real code generator, so the fitted model stays honest
-against emergent instruction counts.
+(two equations, two unknowns), and the device-busy fractions of one
+``amortize_iterations``-long (25) run of the single-parameter optimization
+loop in each pipeline mode, priced by ``accounting.loop_costs``, pin the
+combined prepare-plus-detect overhead by scalar least squares.  Every kernel
+size used here is produced by the real code generator, so the fitted model
+stays honest against emergent instruction counts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .devcomp import RPC_ROUNDTRIP_S, CostModel, bake, compile_partial
+from .devcomp import CostModel, RunCosts, bake, compile_partial
+from .drivers.accounting import loop_costs
 from .drivers.calibration import build_sweep_partial
 from .drivers.optimizers import bounded_min
 from .drivers.rb import RB_SHOTS, clifford_pool
@@ -31,7 +33,7 @@ class CostAnchors:
     sweep_compile_s: float
     baseline_device_fraction: float
     streamed_device_fraction: float
-    amortize_iterations: int  # loop length the streamed fraction is quoted at
+    amortize_iterations: int  # both fractions are those of one run this long
 
 
 ANCHORS = CostAnchors(
@@ -67,26 +69,24 @@ def fit_cost_model(anchors: CostAnchors = ANCHORS) -> FitResult:
     compile_a = anchors.pool_compile_s - compile_b * n_pool
     model = CostModel(compile_a=compile_a, compile_b=compile_b)
 
-    # Overheads of the single-parameter loop kernels; sizes do not depend on
-    # the readout durations, so both are fixed before the scalar fit.
+    # Prices of the single-parameter loop kernels; sizes do not depend on
+    # the readout durations, so both loops are priced before the scalar fit.
     problem = one_param_problem()
     calib = CalibrationDataset.default(1)
     scheds = section_schedules(problem, calib)
     partial = compile_partial(scheds, problem.shots, n_qubits=1)
     full = bake(partial, problem.x0)
-    oh_full = model.cost_of(full).total_s
-    oh_partial = model.cost_of(partial).total_s
+    iters = anchors.amortize_iterations
+    loops = [
+        loop_costs(mode, [model.cost_of(kernel)], iters)
+        for mode, kernel in (("baseline", full), ("dlpc", partial))
+    ]
     # Quote device time at the canonical pi/2 gate, like the anchors were.
     pulse_us = duration_of(math.pi / 2.0, DEFAULT_RABI)
-    iters = anchors.amortize_iterations
 
-    def fractions(readout_us: float) -> tuple[float, float]:
-        device_s = problem.shots * (readout_us + pulse_us) * 1e-6
-        f_base = device_s / (device_s + oh_full)
-        f_stream = device_s / (
-            device_s + RPC_ROUNDTRIP_S + oh_partial / iters
-        )
-        return f_base, f_stream
+    def fractions(readout_us: float) -> list[float]:
+        device = RunCosts(device_s=iters * problem.shots * (readout_us + pulse_us) * 1e-6)
+        return [(loop + device).device_fraction for loop in loops]
 
     def sse(readout_us: float) -> float:
         f_base, f_stream = fractions(readout_us)

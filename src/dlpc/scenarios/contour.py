@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devcomp import RPC_ROUNDTRIP_S, CostModel, RunCosts, bake, compile_partial
+from ..devcomp import CostModel, RunCosts, bake, compile_partial
 from ..pulse import CalibrationDataset
+from ..drivers.accounting import loop_costs
 from ..drivers.vqe import VqeProblem, section_schedules
 from ..ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
 
@@ -121,12 +122,10 @@ def sweep_machines(
     schedules = section_schedules(problem, calib)
     partial = compile_partial(schedules, problem.shots, n_qubits=problem.ansatz.n_qubits)
     full = bake(partial, problem.x0)
-    # Both ledgers before any device time: the baseline rebuilds every
-    # iteration, the streaming kernel compiles once and pays an RPC per one.
-    base_kernels = iterations * cost_model.cost_of(full)
-    dlpc_kernel = cost_model.cost_of(partial) + RunCosts(
-        rpc_s=iterations * RPC_ROUNDTRIP_S
-    )
+    loops = {
+        mode: loop_costs(mode, [cost_model.cost_of(kernel)], iterations)
+        for mode, kernel in (("baseline", full), ("dlpc", partial))
+    }
 
     n_1q = sum(1 for g in problem.ansatz.ops if g.kind in ("R", "RY", "RX"))
     n_2q = sum(1 for g in problem.ansatz.ops if g.kind == "XX")
@@ -134,7 +133,7 @@ def sweep_machines(
     def ledgers(t1: float, t2: float) -> dict[str, RunCosts]:
         per_shot_us = n_1q * t1 + n_2q * t2
         device = RunCosts(device_s=iterations * problem.shots * per_shot_us * 1e-6)
-        return {"baseline": base_kernels + device, "dlpc": dlpc_kernel + device}
+        return {mode: loop + device for mode, loop in loops.items()}
 
     ratio = np.empty((len(grid_2q), len(grid_1q)))
     f_base_m = np.empty_like(ratio)

@@ -22,14 +22,15 @@ rate are a subset of those at a higher rate for the same sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..devcomp import RPC_ROUNDTRIP_S, CostModel, RunCosts, bake, check_mode, compile_partial
+from ..devcomp import CostModel, RunCosts, bake, check_mode, compile_partial
 from ..ir import Hamiltonian, PauliTerm, Circuit, SlotRef, op
 from ..pulse import CalibrationDataset
 from ..qpu import execute
+from ..drivers.accounting import loop_costs
 from ..drivers.calibration import build_sweep_partial
 from ..drivers.vqe import VqeProblem, section_schedules
 
@@ -202,19 +203,16 @@ def account_sample(
     )
 
     if mode == "baseline":
-        kernels = events.n_evals * prices.circuit_full + n_sweeps * prices.sweep_full
-        n_rpc = 0
+        circuit, sweep = [prices.circuit_full], [prices.sweep_full]
     else:
         # the resident kernel is rebuilt as part of each calibration wrap-up,
         # so the next evaluation always starts hot
-        kernels = (
-            (1 + events.n_cal_events) * prices.circuit_partial
-            + _STANDING_SWEEP_KERNELS * prices.sweep_partial
-        )
-        n_rpc = events.n_evals + n_sweeps
-    return kernels + RunCosts(
-        device_s=events.n_evals * prices.busy_eval_s + probe_s + cal_s,
-        rpc_s=n_rpc * RPC_ROUNDTRIP_S,
+        circuit = [prices.circuit_partial] * (1 + events.n_cal_events)
+        sweep = [prices.sweep_partial] * _STANDING_SWEEP_KERNELS
+    return (
+        loop_costs(mode, circuit, events.n_evals)
+        + loop_costs(mode, sweep, n_sweeps)
+        + RunCosts(device_s=events.n_evals * prices.busy_eval_s + probe_s + cal_s)
     )
 
 
@@ -232,17 +230,7 @@ class DriftAggregate:
     costs: RunCosts  # sum of the drift rate's sample ledgers
 
     def to_json_dict(self) -> dict:
-        return {
-            "drift_rate": self.drift_rate,
-            "mode": self.mode,
-            "mean_cal_s": self.mean_cal_s,
-            "stderr_cal_s": self.stderr_cal_s,
-            "mean_compile_count": self.mean_compile_count,
-            "stderr_compile_count": self.stderr_compile_count,
-            "mean_compile_fraction": self.mean_compile_fraction,
-            "stderr_compile_fraction": self.stderr_compile_fraction,
-            "mean_total_s": self.mean_total_s,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "costs"}
 
 
 @dataclass(slots=True)

@@ -10,20 +10,35 @@ only where the pipelines do different work.
 times in the order a streamed kernel adds its loops' times, from the same
 durations.  ``rpc_s`` is compared to a relative 1e-12, since the VM adds one
 round trip in microseconds per fetch and the ledger converts the sum.
+
+A second test holds ``accounting.loop_costs``, the pricing law the scenarios
+and the cost fit use, to what ``run_vqe`` and ``run_calibration`` bill: the
+drivers add each kernel's price as they build it, the law multiplies.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlpc.devcomp import RPC_ROUNDTRIP_S, CostModel
-from dlpc.drivers.calibration import run_calibration
+from dlpc.devcomp import MODES, RPC_ROUNDTRIP_S, CostModel, bake, compile_full, compile_partial
+from dlpc.drivers.accounting import loop_costs
+from dlpc.drivers.calibration import build_sweep_partial, run_calibration
 from dlpc.drivers.rb import run_rb
-from dlpc.drivers.vqe import VqeProblem, measurement_sections, run_vqe
+from dlpc.drivers.vqe import (
+    VqeProblem,
+    measurement_sections,
+    one_param_problem,
+    run_vqe,
+    section_schedules,
+    two_param_problem,
+)
 from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
 from dlpc.pulse import CalibrationDataset
+from dlpc.scenarios.contour import contour_problem
 
 MODEL = CostModel()
 
@@ -133,3 +148,40 @@ def _check_costs(base, dlpc, round_trips: int) -> None:
 def test_modes_and_transports_change_cost_never_results(seed, depolarizing, data):
     for check in (_check_vqe, _check_rb, _check_calibration):
         check(data, seed, depolarizing)
+
+
+def _vqe_bill(problem: VqeProblem, mode: str):
+    report = run_vqe(problem, mode, cost_model=MODEL)
+    nq = problem.ansatz.n_qubits
+    scheds = section_schedules(problem, CalibrationDataset.default(nq))
+    if mode == "baseline":
+        kernels = [compile_full(s, problem.x0, problem.shots, n_qubits=nq) for s in scheds]
+    else:
+        kernels = [compile_partial(scheds, problem.shots, n_qubits=nq)]
+    return report.costs, kernels, report.n_iterations
+
+
+def _calibration_bill(mode: str):
+    calib = CalibrationDataset.default(2)
+    sweep = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
+    kernel = bake(sweep, (0.0,) * sweep.n_slots) if mode == "baseline" else sweep
+    report = run_calibration(calib, mode, cost_model=MODEL)
+    return report.costs, [kernel], report.n_experiments
+
+
+BILLS = {
+    "one-param": lambda mode: _vqe_bill(one_param_problem(), mode),
+    "two-param": lambda mode: _vqe_bill(two_param_problem(), mode),
+    "contour": lambda mode: _vqe_bill(replace(contour_problem(), max_evals=30), mode),
+    "calibration": _calibration_bill,
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bill", sorted(BILLS))
+def test_loop_costs_is_what_the_drivers_bill(bill, mode):
+    costs, kernels, iterations = BILLS[bill](mode)
+    law = loop_costs(mode, [MODEL.cost_of(k) for k in kernels], iterations)
+    assert costs.n_compiles == law.n_compiles
+    for field in ("compile_s", "upload_s", "schedule_s", "rpc_s"):
+        assert getattr(costs, field) == pytest.approx(getattr(law, field), rel=1e-12, abs=0.0), field

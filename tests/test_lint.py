@@ -15,7 +15,10 @@ under ``src/`` must be referenced the same way somewhere in ``src/``,
 
 A fourth keeps the rendezvous cell behind the session: only ``rpc.py``
 names ``RendezvousCell``, so a driver sees nothing of the protocol but
-``fetch``.
+``fetch``.  Likewise only ``devcomp.py`` (which defines it), ``qpu.py``
+(which charges it per fetch) and ``drivers/accounting.py`` (whose
+``loop_costs`` states the pricing law) name ``RPC_ROUNDTRIP_S``, so a
+scenario cannot write its own copy of the law.
 
 A fifth keeps the per-circuit compile path free of memo caches: no
 function in ``transpile.py``, ``pulse.py`` or ``devcomp.py`` carries a
@@ -177,6 +180,11 @@ def test_scan_flags_an_unreferenced_public_function(tmp_path):
 def test_only_rpc_names_the_rendezvous_cell():
     naming = [p.relative_to(SRC).as_posix() for p in MODULES if "RendezvousCell" in p.read_text()]
     assert naming == ["dlpc/rpc.py"]
+
+
+def test_only_the_vm_and_the_law_name_the_rpc_price():
+    naming = [p.relative_to(SRC).as_posix() for p in MODULES if "RPC_ROUNDTRIP_S" in p.read_text()]
+    assert naming == ["dlpc/devcomp.py", "dlpc/drivers/accounting.py", "dlpc/qpu.py"]
 
 
 PER_CIRCUIT = [SRC / "dlpc" / name for name in ("transpile.py", "pulse.py", "devcomp.py")]

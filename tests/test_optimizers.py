@@ -124,7 +124,7 @@ def test_bounded_min_matches_scipy_on_the_cost_model_fit(monkeypatch):
     fit = fitting.fit_cost_model()
     (f, lo, hi, xatol), = calls
     _brent_pair(f, lo, hi, xatol)
-    assert fit.prep_us == 534.8524739034825
+    assert fit.prep_us == 534.8524739051361
 
 
 def test_package_never_imports_scipy():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dlpc.drivers.accounting import loop_costs
 from dlpc.drivers.vqe import measurement_sections
 from dlpc.fitting import fit_cost_model
 from dlpc.scenarios.optimus import (
@@ -143,6 +144,8 @@ def test_accounting_rejects_unknown_mode(model):
     ev = simulate_sample_events(g, 0.0, n_evals=3, seed=0, sample=0)
     with pytest.raises(ValueError, match="mode"):
         account_sample(ev, g, "turbo", None)
+    with pytest.raises(ValueError, match="mode"):
+        loop_costs("turbo", [], 1)
 
 
 def test_sample_totals_close(model):
