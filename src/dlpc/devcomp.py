@@ -10,7 +10,8 @@ blocks live after HALT and a SELECT instruction replays whichever block
 sequence the host streamed in.  A full kernel is a slot-streaming partial
 kernel passed through ``bake``: the same header and loops with every slot made
 a literal, and a plain HALT for a tail, so a parameter change forces a
-recompile.  ``compile_full`` is ``bake`` applied to ``compile_partial``.
+recompile.  ``compile_full`` is ``bake`` applied to ``compile_partial``, one
+check per kernel: ``bake`` re-checks only loop ends and RPC_SYNC targets.
 
 A kernel's slot count is one more than the highest slot operand it reads, and
 it streams (header mode byte 1) exactly when it holds an RPC instruction; any
@@ -32,6 +33,7 @@ keyed by ``id``, not equality, in a table that lives for one compile call.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
@@ -167,6 +169,7 @@ _FRAME_ROT = Opcode.FRAME_ROT
 _PREP = Opcode.PREP
 # Opcodes whose first operand is a channel and second a real.
 _CHANNEL_OPS = frozenset({Opcode.SET_FREQ, Opcode.SET_PHASE, Opcode.SET_AMP, Opcode.FRAME_ROT})
+_FLOW_OPS = frozenset({_LOOP_SHOTS, _RPC_SYNC, _RPC_ASYNC})
 _SLOT_OPERANDS = (SlotRef, SlotOverOmega)
 
 
@@ -184,6 +187,17 @@ class Instr:
         for (kind, check), arg in zip(checks, self.args):
             if not check(arg):
                 raise CompileError(f"bad {kind} operand for {self.op.name}: {arg!r}")
+
+
+def _flow_streams(pc: int, ins: Instr, n: int) -> bool:
+    """Check a LOOP_SHOTS end or RPC_SYNC target at ``pc`` of ``n``; True for an RPC."""
+    if ins.op is _LOOP_SHOTS:
+        if pc + 1 + ins.args[1] > n:
+            raise CompileError(f"pc {pc}: loop body extends past end of kernel")
+        return False
+    if ins.op is _RPC_SYNC and ins.args[1] >= n:
+        raise CompileError(f"pc {pc}: resume target {ins.args[1]} out of range")
+    return True
 
 
 def _packing(i: Instr) -> tuple[str, list]:
@@ -238,15 +252,10 @@ class KernelBinary:
                 if op is _DETECT:
                     if args[0] != ALL_CHANNELS and args[0] >= self.n_qubits:
                         raise CompileError(f"pc {pc}: detect channel {args[0]} out of range")
-                elif op is _LOOP_SHOTS:
-                    if args[0] < 1:
+                elif op in _FLOW_OPS:
+                    if op is _LOOP_SHOTS and args[0] < 1:
                         raise CompileError(f"pc {pc}: loop needs at least one shot")
-                    if pc + 1 + args[1] > n:
-                        raise CompileError(f"pc {pc}: loop body extends past end of kernel")
-                elif op is _RPC_SYNC or op is _RPC_ASYNC:
-                    streams = True
-                    if op is _RPC_SYNC and args[1] >= n:
-                        raise CompileError(f"pc {pc}: resume target {args[1]} out of range")
+                    streams |= _flow_streams(pc, ins, n)
                 continue
             if not isinstance(operand, _SLOT_OPERANDS):
                 continue
@@ -298,6 +307,14 @@ class KernelBinary:
     def content_hash(self) -> str:
         return blake2b(self.serialized, digest_size=8).hexdigest()
 
+    def check_slot_values(self, values: Sequence[float]) -> None:
+        """Raise ``CompileError`` unless ``values`` fill the slots with finite numbers."""
+        if len(values) != self.n_slots:
+            raise SlotArityError(f"kernel has {self.n_slots} slots, got {len(values)} values")
+        for slot, value in enumerate(values):
+            if not math.isfinite(value):
+                raise CompileError(f"slot {slot} value {value} is not finite")
+
 
 def partial_kernel(
     header: Sequence[Instr],
@@ -339,8 +356,7 @@ def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
         tail[1].args[0] != TAG_PARAMS
     ):
         raise CompileError("only a kernel that ends in a parameter fetch can be baked")
-    if len(slot_values) != kernel.n_slots:
-        raise SlotArityError(f"kernel has {kernel.n_slots} slots, got {len(slot_values)} values")
+    kernel.check_slot_values(slot_values)
 
     def literal(arg):
         if isinstance(arg, SlotRef):
@@ -351,7 +367,12 @@ def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
 
     if kernel.n_slots:  # a slot-free kernel, such as every RB circuit, is only sliced
         body = tuple(Instr(i.op, tuple(map(literal, i.args))) for i in body)
-    return KernelBinary(kernel.n_qubits, (*body, tail[2]), kernel.pair_channels)
+    n = len(body) + 1  # a list, not a generator: ``any`` must not skip a check
+    streams = any([_flow_streams(pc, i, n) for pc, i in enumerate(body) if i.op in _FLOW_OPS])
+    full = object.__new__(KernelBinary)  # operands and channels passed ``kernel``'s check
+    vars(full).update(n_qubits=kernel.n_qubits, instructions=(*body, tail[2]),
+                      pair_channels=kernel.pair_channels, blocks=(), n_slots=0, streams=streams)
+    return full
 
 
 class _Emitter:

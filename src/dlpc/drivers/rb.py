@@ -22,7 +22,7 @@ from ..cliffords import CLIFFORD_COUNT, compose, inverse, n_pulses, native_ops
 from ..devcomp import CompileLog, CostModel, KernelBinary, check_mode, compile_full, compile_pool
 from ..ir import Circuit, op
 from ..pulse import CalibrationDataset, lower_to_pulses
-from ..qpu import ExecutionTrace, execute
+from ..qpu import ExecutionTrace, execute, rekey, shot_rng
 from ..rpc import CircuitBlock, Results, run_session
 from ..transpile import transpile
 from .accounting import RunCosts, costs_from
@@ -60,13 +60,16 @@ def random_circuits(
     lengths: tuple[int, ...] = RB_LENGTHS,
     per_length: int = RB_CIRCUITS_PER_LENGTH,
 ) -> list[RbCircuit]:
-    """Inverse-closed random sequences, keyed so any circuit can be rebuilt."""
+    """Inverse-closed random sequences, keyed so any circuit can be rebuilt.
+
+    One generator, re-keyed per circuit: c of length index i reads the key
+    ``(run_seed, (i << 32) | c)`` of ``qpu.shot_rng(run_seed, i, c)``.
+    """
     circuits = []
+    rng = shot_rng(run_seed, 0, 0)
     for idx_len, m in enumerate(lengths):
         for c in range(per_length):
-            rng = np.random.Generator(
-                np.random.Philox(key=[run_seed, (idx_len << 32) | c])
-            )
+            rekey(rng, run_seed, idx_len, c)
             seq = [int(e) for e in rng.integers(0, CLIFFORD_COUNT, size=m)]
             acc = 0
             for e in seq:

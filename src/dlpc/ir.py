@@ -377,10 +377,13 @@ def _apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: 
     transpose puts the product back.  A plan is ``in_order`` when its
     transposes move only axes of length 1 (any gate on 1 qubit, on the top
     qubit, or on the top two as ``(hi, lo)``): ``state.reshape(2^k, -1)`` then
-    is that operand, so both transposes are skipped with the same bits.
+    is that operand, so both transposes are skipped with the same bits; on a
+    whole-register vector so is the reshape, as NumPy's gemv gives it the column's bits.
     """
     view, perm, split, inverse, in_order = _gate_plan(qubits, n)
     if in_order:
+        if state.shape == (len(mat),):
+            return np.dot(mat, state)
         return np.dot(mat, state.reshape(len(mat), -1)).reshape(state.shape)
     operand = state.reshape(view).transpose(perm).reshape(len(mat), -1)
     out = np.dot(mat, operand)

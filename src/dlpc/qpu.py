@@ -13,18 +13,18 @@ theta = amp * Omega_true * duration: literal durations were computed against
 the calibrated drive strength, so if the device has drifted the applied angle
 is off by Omega_true / Omega_calibrated, exactly the error a stale compile
 produces on hardware.  Pair pulses apply XX(chi) with chi = amp * 2*pi over
-their fixed duration.  Frequency programming is bookkeeping only (pulses are
-assumed resonant), and frame rotations apply an exact, error-free RZ.
+their fixed duration.  SET_FREQ only arms its channel (pulses are assumed
+resonant), and frame rotations apply an exact, error-free RZ.
 
-Each PLAY or FRAME_ROT keeps the gate matrix it last built and reuses it
-while its resolved (kind, params) stay equal, so a literal pulse builds its
-matrix once per kernel lifetime.  When an instruction's (kind, params)
-change, it looks in a table from (kind, params) to matrix shared by every
-instruction before it builds one, so sections that repeat an ansatz build
-each slot-driven matrix once per iteration.  A PARAMS reply empties that
-table; between two of them every slot is fixed, so it holds at most one
-entry per gate instruction.  (Equal by ``==``: a reused matrix differs from
-a fresh one at most in the sign of a zero, which no probability sees.)
+Each PLAY or FRAME_ROT looks up its resolved (kind, params) first in a
+table to matrix shared by every instruction, so sections that repeat an
+ansatz build each slot-driven matrix once per iteration.  A PARAMS reply
+empties that table; between two of them every slot is fixed, so it holds at
+most one entry per gate instruction.  Only on a miss does an instruction
+read the per-pc table, its last built matrix: it carries literal matrices
+across PARAMS, so a literal pulse builds its matrix once per kernel lifetime.
+(Equal by ``==``: a reused matrix differs from a fresh one at most in the
+sign of a zero, which no probability sees.)
 
 Sections of one iteration often repeat an ansatz and differ only in their
 final basis rotations, so the VM also keeps a trie of the states reached
@@ -90,7 +90,6 @@ from .devcomp import (
     Instr,
     KernelBinary,
     Opcode,
-    SlotArityError,
 )
 from .ir import SlotRef, _apply_gate, gate_matrix
 from .pulse import DEFAULT_RABI, SlotOverOmega, duration_of
@@ -204,8 +203,7 @@ class _Vm:
         if n > VM_QUBIT_LIMIT and not cost_only:
             raise TooManyQubits(f"{n} qubits exceeds the {VM_QUBIT_LIMIT}-qubit register")
 
-        self.slots = [0.0] * binary.n_slots
-        self.slot_set = [False] * binary.n_slots
+        self.slots: list[float] | None = None  # every slot is written at once, by PARAMS
         # (kind, params) -> matrix for every pc; emptied when PARAMS rewrites the slots
         self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
         self.circuit_queue: deque[tuple[int, ...]] = deque()
@@ -219,7 +217,6 @@ class _Vm:
             raise VmError("partial kernel requires a host endpoint")
 
         n_channels = n + len(binary.pair_channels)
-        self.freq = [0.0] * n_channels
         self.phase = [0.0] * n_channels
         self.amp = [0.0] * n_channels
         self.armed = 0
@@ -232,7 +229,7 @@ class _Vm:
         self.pulse_survival = max(0.0, 1.0 - 4.0 * depolarizing / 3.0)
 
         self.state = None if cost_only else self._ground(n)
-        # pc -> ((kind, params), matrix) of the last gate that instruction applied
+        # pc -> ((kind, params), matrix) of the last gate that instruction built
         self.matrices: dict[int, tuple[tuple[str, tuple[float, ...]], np.ndarray]] = {}
         # (kind, params, qubits) -> (state, children) from the ground state PREP
         # makes; node holds the children of the current state
@@ -246,7 +243,6 @@ class _Vm:
         self.sections: list[dict[int, int]] = []
         self.first_section = int(first_section)
         self.section_idx = self.first_section
-        self.loop_shots = 1
         self.trace = ExecutionTrace(n_qubits=n)
 
     @staticmethod
@@ -267,13 +263,14 @@ class _Vm:
             if hit is not None:
                 self.state, self.node = hit
                 return
-        key, mat = self.matrices.get(pc, (None, None))
-        if key != (kind, params):
-            key = (kind, params)
-            mat = self.shared.get(key)
-            if mat is None:
-                mat = self.shared[key] = gate_matrix(kind, params)
-            self.matrices[pc] = key, mat
+        key = (kind, params)
+        mat = self.shared.get(key)
+        if mat is None:
+            last, mat = self.matrices.get(pc, (None, None))
+            if last != key:
+                mat = gate_matrix(kind, params)
+                self.matrices[pc] = key, mat
+            self.shared[key] = mat
         self.state = _apply_gate(self.state, mat, qubits, self.binary.n_qubits)
         if node is not None:
             self.node = {}
@@ -305,12 +302,9 @@ class _Vm:
 
     def _exec_window(self, start: int, end: int, shots: int, depth: int = 0) -> float:
         """Run a straight-line window once; returns its per-shot duration."""
-        if depth > 2:
-            raise VmError("block recursion too deep")
         instrs = self.binary.instructions
         n = self.binary.n_qubits
-        freq, phase, amp, rabi = self.freq, self.phase, self.amp, self.rabi
-        slots, slot_set = self.slots, self.slot_set
+        phase, amp, rabi, slots = self.phase, self.amp, self.rabi, self.slots
         apply = self._apply
         survival = self.pulse_survival
         us = 0.0
@@ -320,8 +314,8 @@ class _Vm:
             if op is _PLAY:
                 dur = ins.args[0]
                 if isinstance(dur, SlotOverOmega):
-                    if not slot_set[dur.slot]:
-                        raise UninitializedSlot(f"slot {dur.slot} read before first write")
+                    if slots is None:
+                        raise UninitializedSlot(self._at(pc, f"slot {dur.slot} read before first write"))
                     dur = duration_of(slots[dur.slot], dur.rabi_snapshot)
                 else:
                     dur = dur.value
@@ -335,10 +329,10 @@ class _Vm:
             elif op is _SET_PHASE or op is _SET_AMP or op is _SET_FREQ or op is _FRAME_ROT:
                 ch, value = ins.args
                 if op is _FRAME_ROT and ch >= n:
-                    raise VmError("frame rotation on a pair channel")
+                    raise VmError(self._at(pc, "frame rotation on a pair channel"))
                 if isinstance(value, SlotRef):
-                    if not slot_set[value.index]:
-                        raise UninitializedSlot(f"slot {value.index} read before first write")
+                    if slots is None:
+                        raise UninitializedSlot(self._at(pc, f"slot {value.index} read before first write"))
                     value = slots[value.index]
                 else:
                     value = float(value)
@@ -346,9 +340,7 @@ class _Vm:
                     phase[ch] = value
                 elif op is _SET_AMP:
                     amp[ch] = value
-                elif op is _SET_FREQ:
-                    freq[ch] = value
-                else:
+                elif op is _FRAME_ROT:
                     apply(pc, "RZ", (ch,), (value,))
                     continue  # a frame rotation arms no channel
                 self.armed = ch
@@ -363,13 +355,18 @@ class _Vm:
                 us += ins.args[1]
             elif op is _SELECT:
                 if self.current_circuit is None:
-                    raise VmError("select with no circuit loaded")
+                    raise VmError(self._at(pc, "select with no circuit loaded"))
                 for idx in self.current_circuit:
+                    if depth == 2:
+                        raise VmError(self._at(pc, "block recursion too deep"))
                     bstart, blen = self.binary.blocks[idx]
                     us += self._exec_window(bstart, bstart + blen, shots, depth + 1)
             else:
-                raise VmError(f"{op.name} not allowed inside a shot loop")
+                raise VmError(self._at(pc, f"{op.name} not allowed inside a shot loop"))
         return us
+
+    def _at(self, pc: int, error: str) -> str:  # called only to raise: dispatch pays nothing
+        return f"iteration {self.iteration}, pc {pc}: {error}"
 
     def run(self) -> ExecutionTrace:
         instrs = self.binary.instructions
@@ -425,12 +422,8 @@ class _Vm:
         if isinstance(directive, Params):
             if expected_tag != TAG_PARAMS:
                 raise ProtocolError("kernel expected a circuit block, got parameters")
-            if len(directive.values) != self.binary.n_slots:
-                raise SlotArityError(
-                    f"kernel has {self.binary.n_slots} slots, got {len(directive.values)} values"
-                )
+            self.binary.check_slot_values(directive.values)
             self.slots = [float(v) for v in directive.values]
-            self.slot_set = [True] * self.binary.n_slots
             self.shared.clear()
         elif isinstance(directive, CircuitBlock):
             if expected_tag != TAG_CIRCUIT_BLOCK:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dlpc.cliffords import native_ops
 from dlpc.devcomp import (
+    ALL_CHANNELS,
     SCHEDULE_S,
     CompileError,
     CompileLog,
@@ -25,8 +26,14 @@ from dlpc.devcomp import (
     compile_full,
     compile_partial,
     compile_pool,
+    partial_kernel,
 )
-from dlpc.drivers.calibration import build_sweep_partial, run_calibration
+from dlpc.drivers.calibration import (
+    build_sweep_partial,
+    experiment_plan,
+    run_calibration,
+    sweep_slots,
+)
 from dlpc.drivers.rb import (
     RB_LENGTHS,
     RB_SHOTS,
@@ -438,6 +445,78 @@ def test_amplitude_sweep_kernel_size():
     model = CostModel(compile_a=0.354, compile_b=0.006)
     assert model.compile_time(k.n_instr) == pytest.approx(1.20, abs=1e-9)
     assert k.size_bytes == len(k.serialized)
+
+
+def _freshly_checked(k: KernelBinary) -> KernelBinary:
+    return KernelBinary(k.n_qubits, k.instructions, k.pair_channels, k.blocks)
+
+
+def _rb_full(length: int) -> KernelBinary:
+    (circuit,) = random_circuits(3, (length,), 1)
+    schedule = _sequence_schedule(circuit.elements, CalibrationDataset.default(1))
+    return compile_full(schedule, [], RB_SHOTS, n_qubits=1)
+
+
+def _vqe_full() -> KernelBinary:
+    problem = two_param_problem()
+    scheds = section_schedules(problem, CalibrationDataset.default(1))
+    return compile_full(scheds, problem.x0, problem.shots, n_qubits=1)
+
+
+def _sweep_full() -> KernelBinary:
+    calib = CalibrationDataset.default(2)
+    sweep = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
+    return bake(sweep, sweep_slots(experiment_plan(calib)[-1], calib))
+
+
+BAKED = {
+    **{f"rb {m}": (lambda m=m: _rb_full(m)) for m in RB_LENGTHS},
+    "vqe": _vqe_full,
+    "calibration": _sweep_full,
+    "slotted sections": lambda: compile_full(
+        _slotted_sections(CalibrationDataset.default(2)), [0.3, -1.2, 2.5, 7.0], shots=7
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAKED)
+def test_a_baked_kernel_is_the_kernel_a_full_check_builds(name):
+    baked = BAKED[name]()
+    fresh = _freshly_checked(baked)
+    assert baked == fresh
+    for attr in ("n_slots", "streams", "content_hash", "size_bytes"):
+        assert getattr(baked, attr) == getattr(fresh, attr), attr
+
+
+def _partial_around(body: tuple[Instr, ...]) -> KernelBinary:
+    """``body`` after a PREP, then the parameter-fetch tail; a kernel ``bake`` takes."""
+    return partial_kernel(
+        [Instr(Opcode.PREP, (1.0,))], list(body), n_qubits=1, pair_channels=(), blocks=()
+    )
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        # the loop covers the DETECT and the two RPC instructions bake cuts off
+        ((Instr(Opcode.LOOP_SHOTS, (1, 3)), Instr(Opcode.DETECT, (ALL_CHANNELS, 1.0))),
+         "^pc 1: loop body extends past end of kernel$"),
+        # resumes at the partial kernel's RPC_SYNC, which bake cuts off
+        ((Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 3)),), "^pc 1: resume target 3 out of range$"),
+    ],
+    ids=["loop over the tail", "resume past the end"],
+)
+def test_bake_rechecks_what_cutting_the_tail_breaks(body, error):
+    partial = _partial_around(body)
+    with pytest.raises(CompileError, match=error):
+        KernelBinary(1, (*partial.instructions[:-3], Instr(Opcode.HALT, ())))
+    with pytest.raises(CompileError, match=error):
+        bake(partial, [])
+
+
+def test_a_baked_kernel_streams_when_its_body_holds_an_rpc():
+    baked = bake(_partial_around((Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 0)),)), [])
+    assert baked.streams and _freshly_checked(baked).streams
 
 
 def test_loop_body_window_validated():

@@ -14,17 +14,31 @@ round trip in microseconds per fetch and the ledger converts the sum.
 A second test holds ``accounting.loop_costs``, the pricing law the scenarios
 and the cost fit use, to what ``run_vqe`` and ``run_calibration`` bill: the
 drivers add each kernel's price as they build it, the law multiplies.
+
+A non-finite slot value must fail the same way in both pipelines: the
+baseline's ``bake`` and the streamed kernel's launch and replies reject it,
+naming the slot, before any shot runs on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlpc.devcomp import MODES, RPC_ROUNDTRIP_S, CostModel, bake, compile_full, compile_partial
+from dlpc.devcomp import (
+    MODES,
+    RPC_ROUNDTRIP_S,
+    CompileError,
+    CostModel,
+    bake,
+    compile_full,
+    compile_partial,
+)
+from dlpc.drivers import vqe as vqe_driver
 from dlpc.drivers.accounting import loop_costs
 from dlpc.drivers.calibration import build_sweep_partial, run_calibration
 from dlpc.drivers.rb import run_rb
@@ -38,6 +52,8 @@ from dlpc.drivers.vqe import (
 )
 from dlpc.ir import Circuit, Hamiltonian, PauliTerm, SlotRef, op
 from dlpc.pulse import CalibrationDataset
+from dlpc.qpu import execute
+from dlpc.rpc import Params, run_session
 from dlpc.scenarios.contour import contour_problem
 
 MODEL = CostModel()
@@ -185,3 +201,38 @@ def test_loop_costs_is_what_the_drivers_bill(bill, mode):
     assert costs.n_compiles == law.n_compiles
     for field in ("compile_s", "upload_s", "schedule_s", "rpc_s"):
         assert getattr(costs, field) == pytest.approx(getattr(law, field), rel=1e-12, abs=0.0), field
+
+
+NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@NON_FINITE
+@pytest.mark.parametrize("slot", [0, 1], ids=["RY slot", "RZ slot"])
+def test_a_non_finite_slot_value_raises_in_both_modes(slot, value, mode, monkeypatch):
+    """The baseline rejects it in ``bake``, the streamed kernel when it loads the launch."""
+    energies = []
+    monkeypatch.setattr(vqe_driver, "expectation_from_counts", lambda *a: energies.append(a))
+    x0 = tuple(value if k == slot else 0.5 for k in range(2))
+    problem = replace(two_param_problem(), x0=x0, shots=50, max_evals=1)
+    with pytest.raises(CompileError, match=f"^slot {slot} value {value} is not finite$"):
+        run_vqe(problem, mode, cost_model=MODEL)
+    assert energies == []  # no section's counts reached the host
+
+
+@NON_FINITE
+@pytest.mark.parametrize("slot", [0, 1], ids=["RY slot", "RZ slot"])
+def test_a_non_finite_reply_raises_before_the_kernel_runs_it(slot, value):
+    problem = two_param_problem()
+    kernel = compile_partial(section_schedules(problem, CalibrationDataset.default(1)), 50)
+    results = []
+
+    def host(fetch) -> None:
+        results.append(fetch(Params(problem.x0)))
+        results.append(fetch(Params(tuple(value if k == slot else 0.5 for k in range(2)))))
+
+    with pytest.raises(CompileError, match=f"^slot {slot} value {value} is not finite$"):
+        run_session(
+            lambda handle: execute(kernel, endpoint=handle, launch=Params(problem.x0)), host
+        )
+    assert [r.iteration for r in results] == [0]

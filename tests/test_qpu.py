@@ -587,9 +587,9 @@ def test_pool_mode_equivalence_exact(calib):
     ids=["SET_FREQ", "SET_PHASE", "SET_AMP", "FRAME_ROT", "PLAY"],
 )
 def test_uninitialized_slot_raises(ins):
-    k = KernelBinary(1, (ins, Instr(Opcode.HALT, ())))
-    with pytest.raises(UninitializedSlot, match="^slot 0 read before first write$"):
-        execute(k)
+    k = KernelBinary(1, (Instr(Opcode.SET_PHASE, (0, 0.5)), ins, Instr(Opcode.HALT, ())))
+    with pytest.raises(UninitializedSlot, match="^iteration 3, pc 1: slot 0 read before first write$"):
+        execute(k, iteration=3)
 
 
 def test_frame_rotation_on_a_pair_channel_raises():
@@ -598,7 +598,7 @@ def test_frame_rotation_on_a_pair_channel_raises():
         (Instr(Opcode.FRAME_ROT, (2, 0.5)), Instr(Opcode.HALT, ())),
         pair_channels=((0, 1),),
     )
-    with pytest.raises(VmError, match="^frame rotation on a pair channel$"):
+    with pytest.raises(VmError, match="^iteration 0, pc 0: frame rotation on a pair channel$"):
         execute(k)
 
 
@@ -644,8 +644,27 @@ def test_control_flow_inside_a_shot_loop_raises(ins):
         (Instr(Opcode.LOOP_SHOTS, (1, 1)), ins, Instr(Opcode.HALT, ())),
     )
     # the error comes before the VM touches its endpoint
-    with pytest.raises(VmError, match=f"^{ins.op.name} not allowed inside a shot loop$"):
+    with pytest.raises(VmError, match=f"^iteration 0, pc 1: {ins.op.name} not allowed inside a shot loop$"):
         execute(k, endpoint=object())
+
+
+def test_select_with_no_circuit_loaded_names_its_pc():
+    loop = (Instr(Opcode.LOOP_SHOTS, (1, 2)), Instr(Opcode.PREP, (1.0,)), Instr(Opcode.SELECT, (0,)))
+    k = KernelBinary(1, (*loop, Instr(Opcode.HALT, ())))
+    with pytest.raises(VmError, match="^iteration 7, pc 2: select with no circuit loaded$"):
+        execute(k, iteration=7)
+
+
+def test_block_recursion_names_the_select_that_goes_too_deep():
+    # block 0 selects the current circuit, which is block 0 again
+    k = KernelBinary(
+        1,
+        (Instr(Opcode.LOOP_SHOTS, (1, 1)), Instr(Opcode.SELECT, (0,)), Instr(Opcode.HALT, ()),
+         Instr(Opcode.SELECT, (0,))),
+        blocks=((3, 1),),
+    )
+    with pytest.raises(VmError, match="^iteration 0, pc 3: block recursion too deep$"):
+        execute(k, launch=CircuitBlock(((0,),)))
 
 
 def test_launch_slot_arity_checked(calib):

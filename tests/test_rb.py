@@ -220,3 +220,14 @@ def test_survival_counts_ground_fraction():
 def test_runs_carry_integer_outcome_keys(bitstrings_forbidden, mode):
     report = run_rb(mode, cost_model=MODEL, run_seed=2, lengths=(2, 4, 8), per_length=2, shots=50)
     assert len(report.survivals) == 6
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 1, 7])
+def test_random_circuits_draw_what_a_fresh_generator_per_circuit_draws(seed):
+    lengths, per_length = (2, 4, 8), 3
+    want = []
+    for i, m in enumerate(lengths):
+        for c in range(per_length):
+            rng = np.random.Generator(np.random.Philox(key=[seed, (i << 32) | c]))
+            want.append(tuple(int(e) for e in rng.integers(0, CLIFFORD_COUNT, size=m)))
+    assert [circ.elements[:-1] for circ in random_circuits(seed, lengths, per_length)] == want
