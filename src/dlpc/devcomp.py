@@ -11,11 +11,13 @@ sequence the host streamed in.  A full kernel is a slot-streaming partial
 kernel passed through ``bake``: the same header and loops with every slot made
 a literal, and a plain HALT for a tail, so a parameter change forces a
 recompile.  ``compile_full`` is ``bake`` applied to ``compile_partial``, one
-check per kernel: ``bake`` re-checks only loop ends and RPC_SYNC targets.
+check per kernel: ``bake`` re-checks only loop ends and RPC tags and targets.
 
 A kernel's slot count is one more than the highest slot operand it reads, and
 it streams (header mode byte 1) exactly when it holds an RPC instruction; any
-other kernel posts its one set of results at HALT.
+other kernel posts its one set of results at HALT.  Every RPC_ASYNC posts
+results, and every RPC_SYNC fetches the one kind of directive its kernel takes:
+circuit blocks when it has a gate pool, parameters otherwise.
 
 Instruction operands: channels are u8 literals (255 addresses every channel in
 DETECT), scalar operands are either f64 literals or u32 slot indices resolved
@@ -189,14 +191,21 @@ class Instr:
                 raise CompileError(f"bad {kind} operand for {self.op.name}: {arg!r}")
 
 
-def _flow_streams(pc: int, ins: Instr, n: int) -> bool:
-    """Check a LOOP_SHOTS end or RPC_SYNC target at ``pc`` of ``n``; True for an RPC."""
-    if ins.op is _LOOP_SHOTS:
-        if pc + 1 + ins.args[1] > n:
+def _flow_streams(pc: int, ins: Instr, n: int, pool: bool) -> bool:
+    """Check a LOOP_SHOTS end, or an RPC's tag and resume target, at ``pc`` of ``n``.
+
+    ``pool``: the kernel has a gate pool, so it fetches circuit blocks.  True for an RPC.
+    """
+    op, args = ins.op, ins.args
+    if op is _LOOP_SHOTS:
+        if pc + 1 + args[1] > n:
             raise CompileError(f"pc {pc}: loop body extends past end of kernel")
         return False
-    if ins.op is _RPC_SYNC and ins.args[1] >= n:
-        raise CompileError(f"pc {pc}: resume target {ins.args[1]} out of range")
+    tag = TAG_RESULTS if op is _RPC_ASYNC else TAG_CIRCUIT_BLOCK if pool else TAG_PARAMS
+    if args[0] != tag:
+        raise CompileError(f"pc {pc}: {op.name} tag {args[0]}, expected {tag}")
+    if op is _RPC_SYNC and args[1] >= n:
+        raise CompileError(f"pc {pc}: resume target {args[1]} out of range")
     return True
 
 
@@ -255,7 +264,7 @@ class KernelBinary:
                 elif op in _FLOW_OPS:
                     if op is _LOOP_SHOTS and args[0] < 1:
                         raise CompileError(f"pc {pc}: loop needs at least one shot")
-                    streams |= _flow_streams(pc, ins, n)
+                    streams |= _flow_streams(pc, ins, n, bool(self.blocks))
                 continue
             if not isinstance(operand, _SLOT_OPERANDS):
                 continue
@@ -368,7 +377,7 @@ def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
     if kernel.n_slots:  # a slot-free kernel, such as every RB circuit, is only sliced
         body = tuple(Instr(i.op, tuple(map(literal, i.args))) for i in body)
     n = len(body) + 1  # a list, not a generator: ``any`` must not skip a check
-    streams = any([_flow_streams(pc, i, n) for pc, i in enumerate(body) if i.op in _FLOW_OPS])
+    streams = any([_flow_streams(pc, i, n, False) for pc, i in enumerate(body) if i.op in _FLOW_OPS])
     full = object.__new__(KernelBinary)  # operands and channels passed ``kernel``'s check
     vars(full).update(n_qubits=kernel.n_qubits, instructions=(*body, tail[2]),
                       pair_channels=kernel.pair_channels, blocks=(), n_slots=0, streams=streams)

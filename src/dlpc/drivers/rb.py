@@ -211,7 +211,7 @@ def run_rb(
     if calib is None:
         calib = CalibrationDataset.default(1)
     plan = random_circuits(run_seed, lengths, per_length)
-    blocks = [CircuitBlock((circ.elements,)) for circ in plan]
+    blocks = [CircuitBlock(circ.elements) for circ in plan]
     log = CompileLog()
     counts: list[dict[int, int]] = []
 
@@ -223,9 +223,9 @@ def run_rb(
         traces: list[ExecutionTrace] = []
 
         def fetch(block: CircuitBlock) -> Results:
-            (elements,) = block.circuits
             binary = log.record(
-                compile_full(_sequence_schedule(elements, calib), [], shots, n_qubits=1), cost_model
+                compile_full(_sequence_schedule(block.circuit, calib), [], shots, n_qubits=1),
+                cost_model,
             )
             traces.append(
                 execute(binary, run_seed=run_seed, iteration=len(traces), depolarizing=depolarizing)

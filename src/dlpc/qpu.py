@@ -78,7 +78,6 @@ number of k with cdf[k] <= u, which is what the differences count.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -94,8 +93,6 @@ from .devcomp import (
 from .ir import SlotRef, _apply_gate, gate_matrix
 from .pulse import DEFAULT_RABI, SlotOverOmega, duration_of
 from .rpc import (
-    TAG_CIRCUIT_BLOCK,
-    TAG_PARAMS,
     CircuitBlock,
     KernelHandle,
     Params,
@@ -173,7 +170,6 @@ def rekey(rng: np.random.Generator, run_seed: int, iteration: int, section: int)
 class ExecutionTrace:
     """Simulated-time accounting and results for one kernel execution."""
 
-    n_qubits: int
     n_iterations: int = 0
     busy_us: float = 0.0
     rpc_us: float = 0.0
@@ -185,14 +181,14 @@ class _Vm:
         self,
         binary: KernelBinary,
         *,
-        endpoint: KernelHandle | None,
-        run_seed: int,
-        iteration: int,
-        launch: Params | CircuitBlock | None,
-        rabi_truth: Mapping[int, float] | float | None,
-        depolarizing: float,
-        cost_only: bool,
-        first_section: int,
+        endpoint: KernelHandle | None = None,
+        run_seed: int = 0,
+        iteration: int = 0,
+        launch: Params | CircuitBlock | None = None,
+        rabi_truth: Mapping[int, float] | float | None = None,
+        depolarizing: float = 0.0,
+        cost_only: bool = False,
+        first_section: int = 0,
     ) -> None:
         self.binary = binary
         self.endpoint = endpoint
@@ -206,12 +202,12 @@ class _Vm:
         self.slots: list[float] | None = None  # every slot is written at once, by PARAMS
         # (kind, params) -> matrix for every pc; emptied when PARAMS rewrites the slots
         self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
-        self.circuit_queue: deque[tuple[int, ...]] = deque()
+        # A kernel with a gate pool fetches circuit blocks, any other kernel
+        # parameters: KernelBinary holds every RPC_SYNC tag to that.
+        self.fetched = CircuitBlock if binary.blocks else Params
         self.current_circuit: tuple[int, ...] | None = None
         if launch is not None:
-            # A kernel with a gate pool fetches circuit blocks, any other
-            # kernel parameters: the fetch devcomp.partial_kernel emits.
-            self._load(launch, TAG_CIRCUIT_BLOCK if binary.blocks else TAG_PARAMS)
+            self._load(launch)
 
         if binary.streams and endpoint is None:
             raise VmError("partial kernel requires a host endpoint")
@@ -243,7 +239,7 @@ class _Vm:
         self.sections: list[dict[int, int]] = []
         self.first_section = int(first_section)
         self.section_idx = self.first_section
-        self.trace = ExecutionTrace(n_qubits=n)
+        self.trace = ExecutionTrace()
 
     @staticmethod
     def _ground(n: int) -> np.ndarray:
@@ -409,72 +405,48 @@ class _Vm:
             self.root = {}
 
     def _sync(self, ins: Instr, pc: int) -> int:
-        expected_tag, resume = ins.args
         self.trace.rpc_us += RPC_ROUNDTRIP_S * 1e6
         reply = self.endpoint.await_reply()
         if isinstance(reply, Sentinel):
             return pc + 1
-        self._load(reply, expected_tag)
-        return resume
+        self._load(reply)
+        return ins.args[1]  # the resume pc
 
-    def _load(self, directive: RpcMessage, expected_tag: int) -> None:
-        """Load a launch or a reply: new slot values, or circuits for SELECT."""
-        if isinstance(directive, Params):
-            if expected_tag != TAG_PARAMS:
-                raise ProtocolError("kernel expected a circuit block, got parameters")
+    def _load(self, directive: RpcMessage) -> None:
+        """Load a launch or a reply: new slot values, or the circuit SELECT replays."""
+        if not isinstance(directive, self.fetched):
+            raise ProtocolError(
+                f"kernel fetches {self.fetched.__name__}, got {type(directive).__name__}"
+            )
+        if self.fetched is Params:
             self.binary.check_slot_values(directive.values)
             self.slots = [float(v) for v in directive.values]
             self.shared.clear()
-        elif isinstance(directive, CircuitBlock):
-            if expected_tag != TAG_CIRCUIT_BLOCK:
-                raise ProtocolError("kernel expected parameters, got a circuit block")
-            n_blocks = len(self.binary.blocks)
-            for circ in directive.circuits:
-                for idx in circ:
-                    if not 0 <= idx < n_blocks:
-                        raise VmError(f"circuit references block {idx} of {n_blocks}")
-                self.circuit_queue.append(tuple(int(i) for i in circ))
-            if not self.circuit_queue:
-                raise VmError("empty circuit block")
-            self.current_circuit = self.circuit_queue.popleft()
         else:
-            raise ProtocolError(f"kernel cannot handle {type(directive).__name__}")
+            n_blocks = len(self.binary.blocks)
+            for idx in directive.circuit:
+                if not 0 <= idx < n_blocks:
+                    raise VmError(f"circuit references block {idx} of {n_blocks}")
+            self.current_circuit = tuple(int(i) for i in directive.circuit)
 
 
-def execute(
-    binary: KernelBinary,
-    *,
-    endpoint: KernelHandle | None = None,
-    run_seed: int = 0,
-    iteration: int = 0,
-    launch: Params | CircuitBlock | None = None,
-    rabi_truth: Mapping[int, float] | float | None = None,
-    depolarizing: float = 0.0,
-    cost_only: bool = False,
-    first_section: int = 0,
-) -> ExecutionTrace:
+def execute(binary: KernelBinary, **options) -> ExecutionTrace:
     """Run one kernel to HALT; a streaming kernel iterates until SENTINEL.
 
-    ``launch`` is iteration 0's directive: the slot values, or the circuits
-    for a gate-pool kernel.  The VM loads it exactly as it loads a reply to
-    its synchronous fetch, with the same checks and errors, and only then
-    runs, so the first iteration is never blocked on the host.  A per-pulse
+    The options are keywords, each defaulting to none, zero or False.
+    ``endpoint`` is the ``rpc.KernelHandle`` a streaming kernel talks through;
+    it stays open, and ``rpc.run_session`` closes it however the run ends.
+    ``run_seed`` and ``iteration`` key the first iteration's sampling stream.
+    ``launch`` is iteration 0's directive: the slot values, or the circuit for
+    a gate-pool kernel.  The VM loads it exactly as it loads a reply to its
+    synchronous fetch, with the same checks and errors, and only then runs, so
+    the first iteration is never blocked on the host.  ``rabi_truth`` is the
+    device's drive strength, one value or a qubit -> value map, with
+    ``DEFAULT_RABI`` for any qubit it leaves out.  A per-pulse
     ``depolarizing`` probability outside [0, 1], or NaN, raises ``ValueError``.
-
-    first_section offsets the sampling-stream key of the kernel's sections,
+    ``cost_only`` keeps the clock and reads every shot as outcome 0.
+    ``first_section`` offsets the sampling-stream key of the kernel's sections,
     so a single-section kernel run standalone can reproduce section j of a
     multi-section kernel bit for bit.
-
-    The endpoint stays open; ``rpc.run_session`` closes it however the run ends.
     """
-    return _Vm(
-        binary,
-        endpoint=endpoint,
-        run_seed=run_seed,
-        iteration=iteration,
-        launch=launch,
-        rabi_truth=rabi_truth,
-        depolarizing=depolarizing,
-        cost_only=cost_only,
-        first_section=first_section,
-    ).run()
+    return _Vm(binary, **options).run()

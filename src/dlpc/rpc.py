@@ -3,7 +3,8 @@
 Wire format: every frame is a u32 little-endian length (counting the tag byte),
 a u8 type tag, then the payload.  Reals are 8-byte little-endian IEEE-754;
 counts and indices are u32 little-endian.  SENTINEL is the five bytes
-``01 00 00 00 02``.
+``01 00 00 00 02``.  A CIRCUIT_BLOCK carries one circuit, the next iteration's:
+a u32 count, then that many u32 gate-pool indices.
 
 ``run_session`` is the one way to run a streamed kernel.  A driver writes its
 host loop once, as ``host(fetch)``: ``fetch(directive)`` returns the next
@@ -143,9 +144,12 @@ class Sentinel:
 
 @dataclass(frozen=True, slots=True)
 class CircuitBlock:
-    """One or more circuits, each a sequence of gate-pool indices."""
+    """One circuit for a gate-pool kernel: the pool indices SELECT replays, in order.
 
-    circuits: tuple[tuple[int, ...], ...]
+    An empty circuit is the identity sequence.
+    """
+
+    circuit: tuple[int, ...]
 
 
 RpcMessage = Results | Params | Sentinel | CircuitBlock
@@ -164,10 +168,8 @@ def encode(m: RpcMessage) -> bytes:
     elif isinstance(m, Sentinel):
         payload, tag = b"", TAG_SENTINEL
     elif isinstance(m, CircuitBlock):
-        parts = [struct.pack("<I", len(m.circuits))]
-        for circ in m.circuits:
-            parts.append(struct.pack("<I", len(circ)) + struct.pack(f"<{len(circ)}I", *circ))
-        payload, tag = b"".join(parts), TAG_CIRCUIT_BLOCK
+        payload = struct.pack(f"<I{len(m.circuit)}I", len(m.circuit), *m.circuit)
+        tag = TAG_CIRCUIT_BLOCK
     else:
         raise ProtocolError(f"cannot encode {type(m).__name__}")
     return struct.pack("<I", len(payload) + 1) + bytes([tag]) + payload
@@ -224,13 +226,10 @@ def decode(frame: bytes) -> RpcMessage:
         r.done()
         return Sentinel()
     if tag == TAG_CIRCUIT_BLOCK:
-        (n_circuits,) = r.take("<I")
-        circuits = []
-        for _ in range(n_circuits):
-            (n,) = r.take("<I")
-            circuits.append(r.take(f"<{n}I"))
+        (n,) = r.take("<I")
+        circuit = r.take(f"<{n}I")
         r.done()
-        return CircuitBlock(tuple(circuits))
+        return CircuitBlock(circuit)
     raise ProtocolError(f"unknown message tag {tag}")
 
 

@@ -416,11 +416,9 @@ def _random_message(rng: np.random.Generator):
                 values.append(float(rng.standard_normal()))
         return Params(tuple(values))
     if kind == 2:
-        blocks = tuple(
+        return CircuitBlock(
             tuple(int(w) for w in rng.integers(0, 2**32, size=int(rng.integers(0, 7))))
-            for _ in range(int(rng.integers(0, 5)))
         )
-        return CircuitBlock(blocks)
     n = int(rng.integers(1, 7))
     counts = []
     for _ in range(int(rng.integers(0, 4))):

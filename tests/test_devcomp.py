@@ -535,6 +535,41 @@ def test_resume_target_validated():
         )
 
 
+def _retagged(k: KernelBinary, op: Opcode, tag: int) -> tuple[int, tuple[Instr, ...]]:
+    """The pc of ``k``'s one ``op`` instruction, and ``k``'s instructions with its tag set."""
+    instrs = list(k.instructions)
+    pc = next(pc for pc, i in enumerate(instrs) if i.op is op)
+    instrs[pc] = Instr(op, (tag, *instrs[pc].args[1:]))
+    return pc, tuple(instrs)
+
+
+@pytest.mark.parametrize(
+    "pool, op, tag, expected",
+    [
+        (True, Opcode.RPC_SYNC, TAG_PARAMS, TAG_CIRCUIT_BLOCK),
+        (False, Opcode.RPC_SYNC, TAG_RESULTS, TAG_PARAMS),
+        (False, Opcode.RPC_SYNC, TAG_CIRCUIT_BLOCK, TAG_PARAMS),
+        (True, Opcode.RPC_ASYNC, TAG_CIRCUIT_BLOCK, TAG_RESULTS),
+        (False, Opcode.RPC_ASYNC, TAG_PARAMS, TAG_RESULTS),
+    ],
+    ids=[
+        "pool fetching parameters",
+        "fetching results",
+        "fetching circuits without a pool",
+        "posting a circuit block",
+        "posting parameters",
+    ],
+)
+def test_an_rpc_tag_names_what_its_kernel_posts_or_fetches(calib, pool, op, tag, expected):
+    # each kernel passed the check before RPC tags were checked; the first two
+    # then ran wrongly: the pool kernel replayed its launch circuit on every
+    # PARAMS reply, and the results fetch misreported its PARAMS reply
+    k = clifford_pool(calib, 10) if pool else compile_partial(_vqe_schedule(calib), shots=10)
+    pc, instrs = _retagged(k, op, tag)
+    with pytest.raises(CompileError, match=f"^pc {pc}: {op.name} tag {tag}, expected {expected}$"):
+        KernelBinary(k.n_qubits, instrs, k.pair_channels, k.blocks)
+
+
 @pytest.mark.parametrize(
     "ins",
     [

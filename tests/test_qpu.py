@@ -359,10 +359,10 @@ def test_trie_holds_one_iterations_states_on_a_streamed_rb_kernel(calib, monkeyp
 
     def objective(r: Results):
         nxt = r.iteration + 1
-        return CircuitBlock((circuits[nxt],)) if nxt < len(circuits) else Sentinel()
+        return CircuitBlock(circuits[nxt]) if nxt < len(circuits) else Sentinel()
 
     kernel = _reading_twice(clifford_pool(calib, 50))
-    trace = _stream(kernel, objective, launch=CircuitBlock((tuple(circuits[0]),)), run_seed=6)
+    trace = _stream(kernel, objective, launch=CircuitBlock(circuits[0]), run_seed=6)
     assert len(per_iteration) == len(circuits)
     # the first section adds one node per gate; the second replays every one
     assert all(2 * nodes == ran for nodes, ran in per_iteration)
@@ -385,7 +385,7 @@ def test_one_detect_kernels_build_no_trie(calib, monkeypatch):
         _replay([(0.3, 1.1), (0.5, 0.2)]),
         launch=Params((0.3, 1.1)),
     )
-    _stream(clifford_pool(calib, 10), lambda r: Sentinel(), launch=CircuitBlock(((5, 17),)))
+    _stream(clifford_pool(calib, 10), lambda r: Sentinel(), launch=CircuitBlock((5, 17)))
     execute(compile_full([sched, sched], [0.3, 1.1], shots=10))
     assert [trie for _, trie, _ in seen] == [False] * 4 + [True] * 2
 
@@ -559,10 +559,10 @@ def test_pool_mode_equivalence_exact(calib):
     def objective(r: Results):
         nxt = r.iteration + 1
         if nxt < len(circuits):
-            return CircuitBlock((tuple(circuits[nxt]),))
+            return CircuitBlock(tuple(circuits[nxt]))
         return Sentinel()
 
-    trace = _stream(pool, objective, launch=CircuitBlock((tuple(circuits[0]),)), run_seed=seed)
+    trace = _stream(pool, objective, launch=CircuitBlock(tuple(circuits[0])), run_seed=seed)
 
     for i, seq in enumerate(circuits):
         ops = [g for idx in seq for g in native_ops(idx, 0)]
@@ -573,6 +573,39 @@ def test_pool_mode_equivalence_exact(calib):
     # every streamed sequence ends on the identity: survival is certain
     for r in trace.results:
         assert r.counts[0] == {0: 100}
+
+
+def test_each_reply_runs_its_own_circuit_and_nothing_else(calib):
+    """Launch (0,), then replies (3,) and (4,): three iterations, each its own circuit."""
+    circuits = [(0,), (3,), (4,)]
+    replies = iter([CircuitBlock(c) for c in circuits[1:]])
+    trace = _stream(
+        clifford_pool(calib, 200),
+        lambda r: next(replies, Sentinel()),
+        launch=CircuitBlock(circuits[0]),
+        run_seed=5,
+    )
+    wants = []
+    for i, seq in enumerate(circuits):
+        ops = [g for idx in seq for g in native_ops(idx, 0)]
+        sched = _schedule(Circuit(1, [*ops, op("MEASURE", ())]), calib)
+        full = compile_full(sched, [], shots=200, n_qubits=1)
+        wants.append(execute(full, run_seed=5, iteration=i).results[0])
+    assert trace.results == wants
+    assert wants[2].counts != wants[1].counts  # a replayed earlier circuit would show
+
+
+def test_a_streamed_empty_circuit_reads_every_shot_as_outcome_0(calib):
+    replies = iter([CircuitBlock(())])
+    trace = _stream(
+        clifford_pool(calib, 50),
+        lambda r: next(replies, Sentinel()),
+        launch=CircuitBlock(()),
+        run_seed=3,
+        depolarizing=0.5,  # no pulse, so no noise
+    )
+    assert [r.counts for r in trace.results] == [({0: 50},)] * 2
+    assert trace.busy_us == pytest.approx(2 * 50 * (calib.prep_us + calib.detect_us))
 
 
 @pytest.mark.parametrize(
@@ -664,7 +697,7 @@ def test_block_recursion_names_the_select_that_goes_too_deep():
         blocks=((3, 1),),
     )
     with pytest.raises(VmError, match="^iteration 0, pc 3: block recursion too deep$"):
-        execute(k, launch=CircuitBlock(((0,),)))
+        execute(k, launch=CircuitBlock((0,)))
 
 
 def test_launch_slot_arity_checked(calib):
@@ -684,10 +717,10 @@ def _raised(fn) -> tuple[type, str]:
     "pool, good, bad",
     [
         (False, Params((0.5,)), Params((0.1, 0.2))),  # wrong slot count
-        (True, CircuitBlock(((0,),)), CircuitBlock(((0, 24),))),  # block outside the pool
-        (True, CircuitBlock(((0,),)), CircuitBlock(())),  # empty block
-        (False, Params((0.5,)), CircuitBlock(((0,),))),  # a kind the kernel does not fetch
-        (True, CircuitBlock(((0,),)), Params(())),
+        (True, CircuitBlock((0,)), CircuitBlock((0, 24))),  # block outside the pool
+        (True, CircuitBlock((0,)), CircuitBlock((-1, 0))),  # block below the pool
+        (False, Params((0.5,)), CircuitBlock((0,))),  # a kind the kernel does not fetch
+        (True, CircuitBlock((0,)), Params(())),
     ],
 )
 def test_bad_launch_fails_like_the_same_reply(calib, pool, good, bad):
@@ -770,4 +803,4 @@ def test_wrong_reply_type_raises_protocol_error(calib):
     k = compile_partial(_schedule(c, calib), shots=10)
 
     with pytest.raises(ProtocolError):
-        _stream(k, lambda r: CircuitBlock(((0,),)), launch=Params((0.5,)))
+        _stream(k, lambda r: CircuitBlock((0,)), launch=Params((0.5,)))

@@ -4,13 +4,15 @@ A host-time claim needs paired timing runs on a machine whose speed drifts,
 and a change that claims no gain is never timed.  A call count is exact and
 cheap, so this test pins, for small warm runs, how often each layer does its
 unit of work: kernel and instruction checks, gate matrices and products,
-transpile and pulse lowerings, and readouts.  A count changes only in a
+transpile and pulse lowerings, readouts, and wire frames encoded and decoded.  A count changes only in a
 change that names it and says why, as for the digests.
 
 Calls are counted across all threads by a profile hook that matches code
 objects, so a call is counted however its caller reached the function.  The
 first run in a process fills module caches (``cliffords.native_ops``,
-``ir._gate_plan``), so each workload runs once before it is counted.
+``ir._gate_plan``), so each workload runs once before it is counted.  The
+calibration driver updates its dataset in place, so that workload builds a
+fresh one on every run.
 
 ``python tests/test_work.py`` prints the current counts in the layout of
 ``work_counts.json``.
@@ -25,9 +27,11 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from dlpc import devcomp, ir, pulse, qpu, transpile
+from dlpc import devcomp, ir, pulse, qpu, rpc, transpile
 from dlpc.devcomp import CostModel
+from dlpc.drivers.calibration import run_calibration
 from dlpc.drivers.rb import run_rb
+from dlpc.pulse import CalibrationDataset
 from dlpc.drivers.vqe import run_vqe, two_param_problem
 
 PINNED = Path(__file__).with_name("work_counts.json")
@@ -42,6 +46,8 @@ COUNTED = {
         "transpile._lower_one": transpile._lower_one,
         "pulse._lower_op": pulse._lower_op,
         "qpu._Vm._detect": qpu._Vm._detect,
+        "rpc.encode": rpc.encode,
+        "rpc.decode": rpc.decode,
     }.items()
 }
 
@@ -49,6 +55,17 @@ WORKLOADS = {
     "rb-baseline": lambda: run_rb("baseline", cost_model=CostModel(), run_seed=1, per_length=5),
     "vqe-dlpc-memory": lambda: run_vqe(
         replace(two_param_problem(), max_evals=200), "dlpc", cost_model=CostModel(), run_seed=1
+    ),
+    "vqe-dlpc-socket": lambda: run_vqe(
+        replace(two_param_problem(), max_evals=50),
+        "dlpc",
+        cost_model=CostModel(),
+        run_seed=1,
+        transport="socket",
+    ),
+    "rb-dlpc-memory": lambda: run_rb("dlpc", cost_model=CostModel(), run_seed=1, per_length=5),
+    "calibration-baseline": lambda: run_calibration(
+        CalibrationDataset.default(2), "baseline", cost_model=CostModel(), run_seed=1
     ),
 }
 
