@@ -234,7 +234,7 @@ class KernelBinary:
     pair_channels maps two-qubit drive lines to channel indices: pair k drives
     qubit pair pair_channels[k] on channel n_qubits + k.  blocks is the gate
     pool table, (start, length) instruction windows referenced by SELECT.
-    n_slots and streams are derived in the one pass that checks the instructions.
+    n_slots, streams and n_detects come from the one pass that checks the instructions.
     """
 
     n_qubits: int
@@ -243,10 +243,11 @@ class KernelBinary:
     blocks: tuple[tuple[int, int], ...] = ()
     n_slots: int = field(init=False, compare=False)
     streams: bool = field(init=False, compare=False)
+    n_detects: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.instructions)
-        n_slots = 0
+        n_slots = n_detects = 0
         streams = False
         n_channels = self.n_qubits + len(self.pair_channels)
         for pc, ins in enumerate(self.instructions):
@@ -259,6 +260,7 @@ class KernelBinary:
                 operand = args[0]
             else:
                 if op is _DETECT:
+                    n_detects += 1
                     if args[0] != ALL_CHANNELS and args[0] >= self.n_qubits:
                         raise CompileError(f"pc {pc}: detect channel {args[0]} out of range")
                 elif op in _FLOW_OPS:
@@ -276,8 +278,7 @@ class KernelBinary:
         for start, length in self.blocks:
             if start + length > n:
                 raise CompileError("block table window extends past end of kernel")
-        object.__setattr__(self, "n_slots", n_slots)
-        object.__setattr__(self, "streams", streams)
+        vars(self).update(n_slots=n_slots, streams=streams, n_detects=n_detects)
 
     @property
     def n_instr(self) -> int:
@@ -379,8 +380,8 @@ def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
     n = len(body) + 1  # a list, not a generator: ``any`` must not skip a check
     streams = any([_flow_streams(pc, i, n, False) for pc, i in enumerate(body) if i.op in _FLOW_OPS])
     full = object.__new__(KernelBinary)  # operands and channels passed ``kernel``'s check
-    vars(full).update(n_qubits=kernel.n_qubits, instructions=(*body, tail[2]),
-                      pair_channels=kernel.pair_channels, blocks=(), n_slots=0, streams=streams)
+    vars(full).update(n_qubits=kernel.n_qubits, instructions=(*body, tail[2]), blocks=(), n_slots=0,
+                      pair_channels=kernel.pair_channels, streams=streams, n_detects=kernel.n_detects)
     return full
 
 

@@ -350,76 +350,65 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _gate_plan(qubits: tuple[int, ...], n: int) -> tuple:
-    """``(view, perm, split, inverse, in_order)`` for ``_apply_gate``; see there."""
+    """``(gather, scatter, in_order)`` for ``_apply_gate``; see there."""
     axes = [n - 1 - q for q in qubits]
-    ranked = [-1, *sorted(axes)]
-    # a merged run (2^0 = 1 when empty) before each target axis, then the rest
-    view = [d for lo, hi in zip(ranked, ranked[1:]) for d in (2 ** (hi - lo - 1), 2)] + [-1]
-    front = [2 * ranked.index(a) - 1 for a in axes]
-    perm = front + [i for i in range(len(view)) if i not in front]
-    inverse = [perm.index(i) for i in range(len(perm))]
-    kept = [i for i in perm if view[i] != 1]
-    return tuple(view), tuple(perm), tuple(view[i] for i in perm), tuple(inverse), kept == sorted(kept)
+    order = axes + [a for a in range(n) if a not in axes]
+    gather = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(2 ** len(qubits), -1)
+    scatter = gather.argsort(axis=None)  # the inverse permutation, flattened
+    gather.flags.writeable = scatter.flags.writeable = False  # shared by every caller
+    return gather, scatter, bool((scatter == np.arange(2**n)).all())
 
 
 def _apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a k-qubit gate to the given qubits of a state vector (or unitary columns).
 
-    Qubit q lives on tensor axis n-1-q; extra trailing axes (unitary columns) ride along.
+    Qubit q is bit q of a state row; unitary columns ride along on axis 1.
     The gate's most significant index bit corresponds to qubits[0].
 
-    Every arity takes one path, planned once per ``(qubits, n)``: view the
-    state as the target axes plus merged runs of the others (the lowest run
-    takes the columns), move the target axes to the front in ``qubits`` order
-    and reshape to ``(2^k, -1)``.  ``np.dot`` gets the operand, layout
-    included, that NumPy's tensor-dot contraction builds, so amplitudes are
-    bit for bit those of the reference contraction in the tests; the inverse
-    transpose puts the product back.  A plan is ``in_order`` when its
-    transposes move only axes of length 1 (any gate on 1 qubit, on the top
-    qubit, or on the top two as ``(hi, lo)``): ``state.reshape(2^k, -1)`` then
-    is that operand, so both transposes are skipped with the same bits; on a
-    whole-register vector so is the reshape, as NumPy's gemv gives it the column's bits.
+    Each ``(qubits, n)`` is planned once.  ``gather`` lays the state rows out
+    as ``(2^k, 2^(n-k))``, target bits first in ``qubits`` order, then the
+    other bits in order: the operand, layout included, that NumPy's tensor-dot
+    contraction builds, so amplitudes are bit for bit those of the reference
+    contraction in the tests.  Indexing with ``gather`` copies it out,
+    ``np.dot`` contracts it, and indexing with ``scatter``, the inverse
+    permutation, puts the product back in a fresh array, as every path
+    returns.  A plan is ``in_order`` when ``gather`` is ``range(2^n)`` (a gate
+    on the top qubit, as in any 1-qubit register, or on the top two as
+    ``(hi, lo)``): ``state.reshape(2^k, -1)`` then is that operand, so both
+    copies are skipped with the same bits; on a whole-register vector so is
+    the reshape, as NumPy's gemv gives it the column's bits.
     """
-    view, perm, split, inverse, in_order = _gate_plan(qubits, n)
+    gather, scatter, in_order = _gate_plan(qubits, n)
     if in_order:
         if state.shape == (len(mat),):
             return np.dot(mat, state)
         return np.dot(mat, state.reshape(len(mat), -1)).reshape(state.shape)
-    operand = state.reshape(view).transpose(perm).reshape(len(mat), -1)
-    out = np.dot(mat, operand)
-    return out.reshape(split).transpose(inverse).reshape(state.shape)
+    if state.ndim == 1:
+        return np.dot(mat, state[gather]).ravel()[scatter]
+    return np.dot(mat, state[gather].reshape(len(mat), -1)).reshape(state.shape)[scatter]
+
+
+def _evolve(circuit: Circuit, slot_values: list[float] | None, columns: bool) -> np.ndarray:
+    """|0...0>, or with ``columns`` the identity, through every gate; MEASURE ops ignored."""
+    if circuit.n_qubits > ORACLE_QUBIT_LIMIT:
+        raise OracleTooLarge(f"{circuit.n_qubits} qubits exceeds oracle limit {ORACLE_QUBIT_LIMIT}")
+    c = circuit.bound(slot_values) if slot_values is not None else circuit
+    if c.n_slots:
+        raise IrError(f"{'unitary' if columns else 'statevector'} needs a fully bound circuit")
+    dim = 2**c.n_qubits
+    state = np.eye(dim, dtype=complex) if columns else np.eye(1, dim, dtype=complex)[0]
+    for g in c.ops:
+        if g.kind != "MEASURE":
+            vals = tuple(p.value for p in g.params)  # type: ignore[union-attr]
+            state = _apply_gate(state, gate_matrix(g.kind, vals), g.qubits, c.n_qubits)
+    return state
 
 
 def statevector(circuit: Circuit, slot_values: list[float] | None = None) -> np.ndarray:
     """Final state from |0...0>, ignoring MEASURE ops. Oracle only; <= 10 qubits."""
-    if circuit.n_qubits > ORACLE_QUBIT_LIMIT:
-        raise OracleTooLarge(f"{circuit.n_qubits} qubits exceeds oracle limit {ORACLE_QUBIT_LIMIT}")
-    c = circuit.bound(slot_values) if slot_values is not None else circuit
-    if c.n_slots:
-        raise IrError("statevector needs a fully bound circuit")
-    state = np.zeros(2**c.n_qubits, dtype=complex)
-    state[0] = 1.0
-    for g in c.ops:
-        if g.kind == "MEASURE":
-            continue
-        vals = tuple(p.value for p in g.params)  # type: ignore[union-attr]
-        state = _apply_gate(state, gate_matrix(g.kind, vals), g.qubits, c.n_qubits)
-    return state
+    return _evolve(circuit, slot_values, columns=False)
 
 
 def unitary(circuit: Circuit, slot_values: list[float] | None = None) -> np.ndarray:
     """Dense unitary of the whole circuit, MEASURE ops ignored. Oracle only."""
-    if circuit.n_qubits > ORACLE_QUBIT_LIMIT:
-        raise OracleTooLarge(f"{circuit.n_qubits} qubits exceeds oracle limit {ORACLE_QUBIT_LIMIT}")
-    c = circuit.bound(slot_values) if slot_values is not None else circuit
-    if c.n_slots:
-        raise IrError("unitary needs a fully bound circuit")
-    dim = 2**c.n_qubits
-    u = np.eye(dim, dtype=complex)
-    for g in c.ops:
-        if g.kind == "MEASURE":
-            continue
-        vals = tuple(p.value for p in g.params)  # type: ignore[union-attr]
-        u = _apply_gate(u, gate_matrix(g.kind, vals), g.qubits, c.n_qubits)
-    return u
-
+    return _evolve(circuit, slot_values, columns=True)

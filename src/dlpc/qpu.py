@@ -32,15 +32,16 @@ since PREP.  Each child is keyed by its resolved (kind, params, qubits) step
 and holds the state after it; PREP moves the cursor back to the root, and a
 step found there takes the stored state with no matrix lookup and no
 contraction.  The state after a step depends only on the steps since PREP,
-and ``_apply_gate`` always returns a fresh array that nothing writes to
-later, so a replayed state is the one recomputing would give (again up to
-the sign of a zero).  The per-pulse depolarizing factor and the clock are
-charged on every step, replayed or not.  The trie is emptied once per
-iteration, when the results are posted, so it never holds more nodes than
-the gates that iteration ran; emptying it on PARAMS instead would let it
-grow for the whole run of a circuit-streaming kernel, which never receives
-PARAMS.  A kernel with a single DETECT reads one section per iteration and
-never replays a prefix, so it builds no trie.
+and ``ir._apply_gate``, the VM's one contraction (a gather, ``np.dot`` and a
+scatter), always returns a fresh array that nothing writes to later, so a
+replayed state is the one recomputing would give (again up to the sign of
+a zero).  The per-pulse depolarizing factor and the clock are charged on
+every step, replayed or not.  The trie is emptied once per iteration, when
+the results are posted, so it never holds more nodes than the gates that
+iteration ran; emptying it on PARAMS instead would let it grow for the
+whole run of a circuit-streaming kernel, which never receives PARAMS.  A
+kernel with a single DETECT reads one section per iteration and never
+replays a prefix, so it builds no trie.
 
 The dispatch loop is the VM's own largest cost, so it compares opcodes
 against module aliases (``_PLAY`` and kin), binds the instruction tuple, the
@@ -54,15 +55,16 @@ last bits.
 
 Per-pulse depolarizing noise folds into one coherent fraction per shot,
 f = 1 - 4*rho/3 per pulse, so readout samples from
-c * |psi|^2 + (1 - c) / 2^n.  That keeps shot loops vectorized: the body runs
-once, then each section takes one uniform draw per shot from a counter-based
-stream keyed by (run seed, iteration, section), which is what makes the two
-pipeline modes statistically identical run-for-run.  ``shot_rng`` defines
-that stream.  The VM builds it once, at its first DETECT, and re-keys the
-same Philox generator for every later section: a zero counter, an empty
-buffer and the section's key are exactly the state ``shot_rng`` builds, so
-the draws are the same bits without a new generator and its entropy-seeded
-``SeedSequence`` per section.
+c * |psi|^2 + (1 - c) / 2^n; a noise-free run, c = 1.0, skips the mix, since
+1.0 * p + 0.0 is p for every p >= +0.  That keeps shot loops vectorized: the
+body runs once, then each section takes one uniform draw per shot from a
+counter-based stream keyed by (run seed, iteration, section), which is what
+makes the two pipeline modes statistically identical run-for-run.
+``shot_rng`` defines that stream.  The VM builds it once, at its first
+DETECT, and re-keys the same Philox generator for every later section: a
+zero counter, an empty buffer and the section's key are exactly the state
+``shot_rng`` builds, so the draws are the same bits without a new
+generator and its entropy-seeded ``SeedSequence`` per section.
 
 A draw u reads outcome k when cdf[k-1] <= u < cdf[k], the last CDF entry
 forced to 1.0.  Rather than place each draw by a binary search, the VM sorts
@@ -229,8 +231,7 @@ class _Vm:
         self.matrices: dict[int, tuple[tuple[str, tuple[float, ...]], np.ndarray]] = {}
         # (kind, params, qubits) -> (state, children) from the ground state PREP
         # makes; node holds the children of the current state
-        n_detects = sum(i.op is _DETECT for i in binary.instructions)
-        self.root: dict | None = {} if n_detects > 1 and not cost_only else None
+        self.root: dict | None = {} if binary.n_detects > 1 and not cost_only else None
         self.node = self.root
         self.rng: np.random.Generator | None = None
         self.coherent = 1.0
@@ -281,7 +282,8 @@ class _Vm:
             if channel != ALL_CHANNELS:
                 mask = (np.arange(2**n) >> channel) & 1
                 probs = np.array([probs[mask == 0].sum(), probs[mask == 1].sum()])
-            probs = self.coherent * probs + (1.0 - self.coherent) / len(probs)
+            if self.coherent != 1.0:  # else the mix is a no-op
+                probs = self.coherent * probs + (1.0 - self.coherent) / len(probs)
             cdf = probs.cumsum()
             cdf[-1] = 1.0
             if self.rng is None:

@@ -156,23 +156,46 @@ RpcMessage = Results | Params | Sentinel | CircuitBlock
 
 
 def encode(m: RpcMessage) -> bytes:
-    if isinstance(m, Results):
-        parts = [struct.pack("<IBI", m.iteration, m.n_qubits, len(m.counts))]
-        for section in m.counts:
-            flat = [v for entry in sorted(section.items()) for v in entry]
-            parts.append(struct.pack(f"<I{len(flat)}I", len(section), *flat))
-        payload, tag = b"".join(parts), TAG_RESULTS
-    elif isinstance(m, Params):
-        payload = struct.pack("<I", len(m.values)) + struct.pack(f"<{len(m.values)}d", *m.values)
-        tag = TAG_PARAMS
-    elif isinstance(m, Sentinel):
-        payload, tag = b"", TAG_SENTINEL
-    elif isinstance(m, CircuitBlock):
-        payload = struct.pack(f"<I{len(m.circuit)}I", len(m.circuit), *m.circuit)
-        tag = TAG_CIRCUIT_BLOCK
-    else:
-        raise ProtocolError(f"cannot encode {type(m).__name__}")
+    """One frame; a field its wire format cannot hold raises ``ProtocolError``."""
+    try:
+        if isinstance(m, Results):
+            parts = [struct.pack("<IBI", m.iteration, m.n_qubits, len(m.counts))]
+            for section in m.counts:
+                flat = [v for entry in sorted(section.items()) for v in entry]
+                parts.append(struct.pack(f"<I{len(flat)}I", len(section), *flat))
+            payload, tag = b"".join(parts), TAG_RESULTS
+        elif isinstance(m, Params):
+            payload = struct.pack("<I", len(m.values)) + struct.pack(f"<{len(m.values)}d", *m.values)
+            tag = TAG_PARAMS
+        elif isinstance(m, Sentinel):
+            payload, tag = b"", TAG_SENTINEL
+        elif isinstance(m, CircuitBlock):
+            payload = struct.pack(f"<I{len(m.circuit)}I", len(m.circuit), *m.circuit)
+            tag = TAG_CIRCUIT_BLOCK
+        else:
+            raise ProtocolError(f"cannot encode {type(m).__name__}")
+    except struct.error as e:
+        raise ProtocolError(f"cannot encode {type(m).__name__}: {_misfit(m)}") from e
     return struct.pack("<I", len(payload) + 1) + bytes([tag]) + payload
+
+
+def _misfit(m: Results | Params | CircuitBlock) -> str:
+    """The first field of ``m`` that its wire format cannot hold, with its value."""
+    if isinstance(m, Results):
+        fields = [("iteration", "<I", m.iteration), ("n_qubits", "<B", m.n_qubits)]
+        for s, section in enumerate(m.counts):
+            for k, c in section.items():
+                fields += [(f"counts[{s}] key", "<I", k), (f"counts[{s}][{k!r}]", "<I", c)]
+    elif isinstance(m, Params):
+        fields = [(f"values[{i}]", "<d", v) for i, v in enumerate(m.values)]
+    else:
+        fields = [(f"circuit[{i}]", "<I", v) for i, v in enumerate(m.circuit)]
+    for name, fmt, value in fields:
+        try:
+            struct.pack(fmt, value)
+        except struct.error:
+            return f"{name} = {value!r}"
+    return "a field out of range"
 
 
 class _Reader:
@@ -398,7 +421,8 @@ def run_session(
 
     ``kernel(handle)`` posts results and awaits replies through the handle.
     ``host(fetch)`` is the driver's loop (see the module docstring).  Raises
-    the kernel's error if the kernel failed, else the host's.
+    the kernel's error if the kernel failed, else the host's; a directive the
+    socket cannot encode raises ``ProtocolError`` (in memory the kernel rejects it).
     """
     host_end, handle = _transport_pair(transport)
     results_buffer, parameter_buffer = RendezvousCell(), RendezvousCell()

@@ -484,7 +484,7 @@ def test_a_baked_kernel_is_the_kernel_a_full_check_builds(name):
     baked = BAKED[name]()
     fresh = _freshly_checked(baked)
     assert baked == fresh
-    for attr in ("n_slots", "streams", "content_hash", "size_bytes"):
+    for attr in ("n_slots", "streams", "n_detects", "content_hash", "size_bytes"):
         assert getattr(baked, attr) == getattr(fresh, attr), attr
 
 

@@ -168,6 +168,33 @@ def test_gate_view_matches_tensordot_bit_for_bit(n, columns, seed):
             assert np.array_equal(got, want), (qubits, shape)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_gate_plan_permutes_rows_and_every_path_returns_a_fresh_array(n, columns, seed):
+    """Every 1- and 2-qubit placement: ``scatter`` undoes ``gather``, and no result aliases its input."""
+    rng = np.random.default_rng(seed)
+    rows = np.arange(2**n)
+    placements = [(q,) for q in range(n)] + [(a, b) for a in range(n) for b in range(n) if a != b]
+    paths = set()
+    for qubits in placements:
+        gather, scatter, in_order = _gate_plan(qubits, n)
+        k = len(qubits)
+        assert gather.shape == (2**k, 2 ** (n - k))
+        assert not (gather.flags.writeable or scatter.flags.writeable)  # cached for every caller
+        assert np.array_equal(np.sort(gather, axis=None), rows)
+        assert np.array_equal(gather.ravel()[scatter], rows)
+        assert np.array_equal(scatter[gather.ravel()], rows)
+        assert in_order == np.array_equal(gather.ravel(), rows)
+        paths.add(in_order)
+        mat = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+        for shape in ((2**n,), (2**n, columns)):
+            state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            out = _apply_gate(state, mat, qubits, n)
+            assert out.shape == state.shape
+            assert not np.shares_memory(out, state), (qubits, shape)
+    assert paths == ({True, False} if n > 1 else {True})
+
+
 @given(st.floats(-20.0, 20.0))
 def test_xx_matrix_matches_kron_formula(chi):
     x = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -30,6 +30,11 @@ function, method or lambda) and every dataclass field that ``__init__``
 accepts with a default, under ``src/dlpc``, plus every CLI flag, is counted
 against a pinned number.  An option that is added must be justified and
 pinned; one that is removed lowers the pin.
+
+A seventh keeps the VM's linear algebra in one place: ``qpu.py`` names no
+``dot``, ``matmul``, ``tensordot`` or ``einsum`` and uses no ``@``
+operator, so every contraction goes through ``ir._apply_gate`` and the
+``ir._apply_gate`` entries of ``tests/work_counts.json`` count them all.
 """
 
 from __future__ import annotations
@@ -235,6 +240,43 @@ def test_scan_flags_cache_decorators_but_not_cached_property(tmp_path):
         "        return 0\n"
     )
     assert cache_decorated([module]) == ["m.py:4 a", "m.py:7 b", "m.py:10 c", "m.py:17 e"]
+
+
+CONTRACTIONS = ("dot", "matmul", "tensordot", "einsum")
+
+
+def contractions(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, node.col_offset, "@"))
+        elif isinstance(node, (ast.Attribute, ast.Name)) and name in CONTRACTIONS:
+            found.append((node.lineno, node.col_offset, name))
+    return [f"{path.name}:{line} {name}" for line, _, name in sorted(found)]
+
+
+def test_the_vm_contracts_only_through_apply_gate():
+    assert contractions(SRC / "dlpc" / "qpu.py") == []
+
+
+def test_scan_flags_every_contraction_spelling(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "from dlpc.ir import _apply_gate\n"
+        "a = np.dot(x, y)\n"
+        "b = x @ y\n"
+        "b @= x\n"
+        "c = np.matmul(x, y) + np.tensordot(x, y, 1)\n"
+        "d = einsum('ij,j', x, y) + x.dot(y)\n"
+        "e = _apply_gate(x, y, (0,), 1) * np.abs(x) ** 2\n"
+    )
+    assert contractions(module) == [
+        "m.py:4 dot", "m.py:5 @", "m.py:6 @", "m.py:7 matmul",
+        "m.py:7 tensordot", "m.py:8 einsum", "m.py:8 dot",
+    ]
 
 
 # Pinned counts: change one only with the option it adds or removes.

@@ -735,6 +735,30 @@ def test_bad_launch_fails_like_the_same_reply(calib, pool, good, bad):
     assert _raised(lambda: execute(k, launch=bad)) == as_reply
 
 
+@pytest.mark.parametrize(
+    "transport, error, match",
+    [
+        # in memory the directive reaches the VM, which checks it against the pool
+        ("memory", VmError, "^circuit references block -1 of 24$"),
+        # over the socket it must be encoded first, and a u32 cannot hold -1
+        ("socket", ProtocolError, r"^cannot encode CircuitBlock: circuit\[0\] = -1$"),
+    ],
+    ids=["memory", "socket"],
+)
+def test_a_reply_outside_the_wire_fails_in_each_transports_error(calib, transport, error, match):
+    pool = clifford_pool(calib, 10)
+    host = objective_worker(lambda r: CircuitBlock((-1,)) if r.iteration == 0 else Sentinel())
+    with pytest.raises(error, match=match):
+        run_within(
+            10,
+            lambda: run_session(
+                lambda handle: execute(pool, endpoint=handle, launch=CircuitBlock((0,))),
+                host,
+                transport=transport,
+            ),
+        )
+
+
 def test_kernel_without_rpc_posts_one_result_at_halt():
     # it needs no endpoint, whatever slots it reads
     play = Instr(Opcode.PLAY, (SlotOverOmega(0, DEFAULT_RABI),))

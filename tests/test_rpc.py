@@ -64,6 +64,25 @@ def test_circuit_block_roundtrip():
     assert decode(encode(CircuitBlock(()))) == CircuitBlock(())
 
 
+@pytest.mark.parametrize(
+    "message, field",
+    [
+        (CircuitBlock((-1,)), r"CircuitBlock: circuit\[0\] = -1"),
+        (CircuitBlock((3, 2**32)), r"CircuitBlock: circuit\[1\] = 4294967296"),
+        (Results(0, 2, ({1: 4, -1: 3},)), r"Results: counts\[0\] key = -1"),
+        (Results(0, 2, ({}, {1: -5})), r"Results: counts\[1\]\[1\] = -5"),
+        (Results(-1, 2, ()), r"Results: iteration = -1"),
+        (Results(0, 256, ()), r"Results: n_qubits = 256"),
+        (Params((0.5, "x")), r"Params: values\[1\] = 'x'"),
+    ],
+    ids=["negative-index", "wide-index", "negative-key", "negative-count", "iteration", "n_qubits",
+         "non-float"],
+)
+def test_encode_names_the_field_the_wire_cannot_hold(message, field):
+    with pytest.raises(ProtocolError, match=f"^cannot encode {field}$"):
+        encode(message)
+
+
 def test_truncated_frames_rejected():
     frame = encode(Params((1.0, 2.0)))
     for cut in range(4, len(frame)):
