@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, fields
-from enum import IntEnum
+from enum import IntEnum, global_enum
 from functools import cached_property
 from hashlib import blake2b
 from typing import Sequence
@@ -104,6 +104,9 @@ class SlotArityError(CompileError):
     """Bound parameter vector does not match the kernel's slot count."""
 
 
+# ``global_enum`` also binds every member as a module global, ``PLAY`` for
+# ``Opcode.PLAY``: a global read costs about 15 ns, a member lookup about 125.
+@global_enum
 class Opcode(IntEnum):
     SET_FREQ = 1
     SET_PHASE = 2
@@ -121,18 +124,18 @@ class Opcode(IntEnum):
 
 # Operand kinds per opcode.
 _SCHEMES: dict[Opcode, tuple[str, ...]] = {
-    Opcode.SET_FREQ: ("chan", "real"),
-    Opcode.SET_PHASE: ("chan", "real"),
-    Opcode.SET_AMP: ("chan", "real"),
-    Opcode.PLAY: ("dur",),
-    Opcode.PREP: ("f64",),
-    Opcode.DETECT: ("chan", "f64"),
-    Opcode.LOOP_SHOTS: ("u32", "u32"),
-    Opcode.RPC_SYNC: ("u8", "u32"),
-    Opcode.RPC_ASYNC: ("u8",),
-    Opcode.SELECT: ("u8",),
-    Opcode.HALT: (),
-    Opcode.FRAME_ROT: ("chan", "real"),
+    SET_FREQ: ("chan", "real"),
+    SET_PHASE: ("chan", "real"),
+    SET_AMP: ("chan", "real"),
+    PLAY: ("dur",),
+    PREP: ("f64",),
+    DETECT: ("chan", "f64"),
+    LOOP_SHOTS: ("u32", "u32"),
+    RPC_SYNC: ("u8", "u32"),
+    RPC_ASYNC: ("u8",),
+    SELECT: ("u8",),
+    HALT: (),
+    FRAME_ROT: ("chan", "real"),
 }
 
 # Operand kind -> (check, literal struct format, slot struct format).  Bare
@@ -158,20 +161,9 @@ _HEADER_BYTES = len(MAGIC) + struct.calcsize("<HBBIBII")
 _TAG_LITERAL = 0
 _TAG_SLOT = 1
 
-# Hoisted out of the per-instruction loops below: an ``Opcode.X`` member
-# lookup costs about 125 ns, a global read about 15 ns.
-_DETECT = Opcode.DETECT
-_LOOP_SHOTS = Opcode.LOOP_SHOTS
-_RPC_SYNC = Opcode.RPC_SYNC
-_RPC_ASYNC = Opcode.RPC_ASYNC
-_SET_PHASE = Opcode.SET_PHASE
-_SET_AMP = Opcode.SET_AMP
-_PLAY = Opcode.PLAY
-_FRAME_ROT = Opcode.FRAME_ROT
-_PREP = Opcode.PREP
 # Opcodes whose first operand is a channel and second a real.
-_CHANNEL_OPS = frozenset({Opcode.SET_FREQ, Opcode.SET_PHASE, Opcode.SET_AMP, Opcode.FRAME_ROT})
-_FLOW_OPS = frozenset({_LOOP_SHOTS, _RPC_SYNC, _RPC_ASYNC})
+_CHANNEL_OPS = frozenset({SET_FREQ, SET_PHASE, SET_AMP, FRAME_ROT})
+_FLOW_OPS = frozenset({LOOP_SHOTS, RPC_SYNC, RPC_ASYNC})
 _SLOT_OPERANDS = (SlotRef, SlotOverOmega)
 
 
@@ -197,14 +189,14 @@ def _flow_streams(pc: int, ins: Instr, n: int, pool: bool) -> bool:
     ``pool``: the kernel has a gate pool, so it fetches circuit blocks.  True for an RPC.
     """
     op, args = ins.op, ins.args
-    if op is _LOOP_SHOTS:
+    if op is LOOP_SHOTS:
         if pc + 1 + args[1] > n:
             raise CompileError(f"pc {pc}: loop body extends past end of kernel")
         return False
-    tag = TAG_RESULTS if op is _RPC_ASYNC else TAG_CIRCUIT_BLOCK if pool else TAG_PARAMS
+    tag = TAG_RESULTS if op is RPC_ASYNC else TAG_CIRCUIT_BLOCK if pool else TAG_PARAMS
     if args[0] != tag:
         raise CompileError(f"pc {pc}: {op.name} tag {args[0]}, expected {tag}")
-    if op is _RPC_SYNC and args[1] >= n:
+    if op is RPC_SYNC and args[1] >= n:
         raise CompileError(f"pc {pc}: resume target {args[1]} out of range")
     return True
 
@@ -256,15 +248,15 @@ class KernelBinary:
                 if args[0] >= n_channels:
                     raise CompileError(f"pc {pc}: channel {args[0]} out of range")
                 operand = args[1]
-            elif op is _PLAY:
+            elif op is PLAY:
                 operand = args[0]
             else:
-                if op is _DETECT:
+                if op is DETECT:
                     n_detects += 1
                     if args[0] != ALL_CHANNELS and args[0] >= self.n_qubits:
                         raise CompileError(f"pc {pc}: detect channel {args[0]} out of range")
                 elif op in _FLOW_OPS:
-                    if op is _LOOP_SHOTS and args[0] < 1:
+                    if op is LOOP_SHOTS and args[0] < 1:
                         raise CompileError(f"pc {pc}: loop needs at least one shot")
                     streams |= _flow_streams(pc, ins, n, bool(self.blocks))
                 continue
@@ -344,9 +336,9 @@ def partial_kernel(
     instrs = [
         *header,
         *loops,
-        Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
-        Instr(Opcode.RPC_SYNC, (fetch, len(header))),
-        Instr(Opcode.HALT, ()),
+        Instr(RPC_ASYNC, (TAG_RESULTS,)),
+        Instr(RPC_SYNC, (fetch, len(header))),
+        Instr(HALT, ()),
     ]
     table = []
     for body in blocks:
@@ -362,7 +354,7 @@ def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
     literal value from ``slot_values``, then HALT in place of the RPC tail.
     """
     body, tail = kernel.instructions[:-3], kernel.instructions[-3:]
-    if [i.op for i in tail] != [Opcode.RPC_ASYNC, Opcode.RPC_SYNC, Opcode.HALT] or (
+    if [i.op for i in tail] != [RPC_ASYNC, RPC_SYNC, HALT] or (
         tail[1].args[0] != TAG_PARAMS
     ):
         raise CompileError("only a kernel that ends in a parameter fetch can be baked")
@@ -432,19 +424,19 @@ class _Emitter:
         if isinstance(item, PulseOp):
             ch = self.channel_of(item.channel)
             self.header_freqs.setdefault(ch, item.freq)
-            phase, amp = Instr(_SET_PHASE, (ch, item.phase)), Instr(_SET_AMP, (ch, item.amp))
-            return phase, amp, Instr(_PLAY, (item.duration,))
+            phase, amp = Instr(SET_PHASE, (ch, item.phase)), Instr(SET_AMP, (ch, item.amp))
+            return phase, amp, Instr(PLAY, (item.duration,))
         if isinstance(item, FramePhase):
-            return (Instr(_FRAME_ROT, (self.channel_of(item.channel), item.angle)),)
+            return (Instr(FRAME_ROT, (self.channel_of(item.channel), item.angle)),)
         if isinstance(item, Prep):
-            return (Instr(_PREP, (item.duration_us,)),)
+            return (Instr(PREP, (item.duration_us,)),)
         if isinstance(item, Detect):
-            return (Instr(_DETECT, (ALL_CHANNELS, item.duration_us)),)
+            return (Instr(DETECT, (ALL_CHANNELS, item.duration_us)),)
         raise CompileError(f"cannot lower schedule item {type(item).__name__}")
 
     def kernel(self, loops: list[Instr], blocks: list[list[Instr]]) -> KernelBinary:
         """The partial kernel: a SET_FREQ per channel driven so far, ``loops``, ``blocks``."""
-        header = [Instr(Opcode.SET_FREQ, item) for item in self.header_freqs.items()]
+        header = [Instr(SET_FREQ, item) for item in self.header_freqs.items()]
         return partial_kernel(
             header, loops, n_qubits=self.n_qubits, pair_channels=tuple(self.pairs), blocks=blocks
         )
@@ -475,7 +467,7 @@ def compile_partial(
     loops: list[Instr] = []
     for s in scheds:
         body = em.body(s)
-        loops.append(Instr(_LOOP_SHOTS, (shots, len(body))))
+        loops.append(Instr(LOOP_SHOTS, (shots, len(body))))
         loops.extend(body)
     return em.kernel(loops, [])
 
@@ -503,10 +495,10 @@ def compile_pool(
             raise CompileError("pool blocks cannot contain state preparation or readout")
         blocks.append(em.body(s))
     loop = [
-        Instr(_LOOP_SHOTS, (shots, 3)),
-        Instr(_PREP, (prep_us,)),
-        Instr(Opcode.SELECT, (0,)),
-        Instr(_DETECT, (ALL_CHANNELS, detect_us)),
+        Instr(LOOP_SHOTS, (shots, 3)),
+        Instr(PREP, (prep_us,)),
+        Instr(SELECT, (0,)),
+        Instr(DETECT, (ALL_CHANNELS, detect_us)),
     ]
     kernel = em.kernel(loop, blocks)
     if kernel.n_slots:  # the loop reads no slot, so a block does

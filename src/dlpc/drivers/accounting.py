@@ -1,7 +1,15 @@
-"""Cost roll-up shared by the experiment drivers and the scenarios.
+"""The one runner of both pipelines, and the cost roll-up shared with the scenarios.
+
+A driver writes its host loop once, as ``host(fetch)``, and ``run_loop`` runs
+it on either pipeline.  The baseline rebuilds its kernels for every directive
+and runs each to HALT.  DLPC compiles one streaming kernel, launches it with
+iteration 0's directive and streams it the rest through ``rpc.run_session``.
+Draws are keyed by (run seed, iteration, section), and baseline fetch k runs
+its kernel j as ``iteration=k, first_section=j``, so it draws exactly what
+section j of streamed iteration k draws: one seed, identical counts.
 
 ``RunCosts`` lives in ``devcomp`` beside ``CostModel``: a kernel's price is a
-one-compile run.  ``costs_from`` adds a run's traced device busy time and RPC
+one-compile run.  A run's ledger adds its traced device busy time and RPC
 stalls to its ``CompileLog``, so total time is a sum by construction, never a
 stopwatch reading.  ``loop_costs`` is the one writer of the pricing law:
 before device time, a loop that needs the same kernels on every iteration
@@ -16,21 +24,65 @@ targets for the same run constrain one number.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable
 
-from ..devcomp import RPC_ROUNDTRIP_S, CompileLog, RunCosts, check_mode
-from ..qpu import ExecutionTrace
+from ..devcomp import RPC_ROUNDTRIP_S, CompileLog, CostModel, KernelBinary, RunCosts, check_mode
+from ..qpu import ExecutionTrace, VmError
+from ..rpc import CircuitBlock, Params, Results, RpcError, run_session
 
-__all__ = ["RunCosts", "costs_from", "loop_costs", "speedup"]
+__all__ = ["RunCosts", "run_loop", "loop_costs", "speedup"]
 
 
-def costs_from(log: CompileLog, traces: Iterable[ExecutionTrace]) -> RunCosts:
-    device_us = 0.0
-    rpc_us = 0.0
+def run_loop(
+    mode: str, host: Callable, *, cost_model: CostModel, build: Callable, rebuild: Callable,
+    run: Callable, launch: Params | CircuitBlock, transport: str,
+) -> tuple[RunCosts, int, KernelBinary]:
+    """Run ``host`` on ``mode``'s pipeline; returns its ledger, iterations and last kernel.
+
+    ``build()`` is DLPC's kernel and ``rebuild(directive)`` the baseline's, one
+    per section.  ``run(binary, **options)`` is the driver's own ``execute``
+    with its options.  A ``VmError`` or ``RpcError`` that ends the run gets a
+    note naming the pipeline, and for the baseline the iteration; a
+    ``CompileError`` names a bad kernel or value, the same in either pipeline.
+    """
+    check_mode(mode)
+    log = CompileLog()
+    traces: list[ExecutionTrace] = []
+    binary = None  # the kernel built last
+    fetches = 0
+    try:
+        if mode == "baseline":
+
+            def fetch(directive: Params | CircuitBlock) -> Results:
+                nonlocal binary, fetches
+                k, start = fetches, len(traces)
+                fetches += 1
+                sections = []
+                for j, kernel in enumerate(rebuild(directive)):
+                    binary = log.record(kernel, cost_model)
+                    traces.append(run(binary, iteration=k, first_section=j))
+                    sections += traces[-1].results[0].counts
+                first = traces[start].results[0]  # as posted, so the host can check it
+                return Results(first.iteration, first.n_qubits, tuple(sections))
+
+            host(fetch)
+            n_iterations = fetches
+        else:
+            binary = log.record(build(), cost_model)
+            trace = run_session(
+                lambda h: run(binary, endpoint=h, launch=launch), host, transport=transport
+            )
+            traces.append(trace)
+            n_iterations = trace.n_iterations
+    except (VmError, RpcError) as e:
+        e.add_note(f"in the {mode} pipeline" + (f", iteration {fetches - 1}" if fetches else ""))
+        raise
+    device_us = rpc_us = 0.0
     for t in traces:
         device_us += t.busy_us
         rpc_us += t.rpc_us
-    return log.costs + RunCosts(device_s=device_us * 1e-6, rpc_s=rpc_us * 1e-6)
+    costs = log.costs + RunCosts(device_s=device_us * 1e-6, rpc_s=rpc_us * 1e-6)
+    return costs, n_iterations, binary
 
 
 def loop_costs(mode: str, kernels: list[RunCosts], iterations: int) -> RunCosts:

@@ -25,20 +25,18 @@ import numpy as np
 
 from ..devcomp import (
     ALL_CHANNELS,
-    CompileLog,
     CostModel,
     Instr,
     KernelBinary,
     Opcode,
     bake,
-    check_mode,
     partial_kernel,
 )
 from ..ir import SlotRef
 from ..pulse import CalibrationDataset, LiteralUs
-from ..qpu import ExecutionTrace, execute
-from ..rpc import Params, ProtocolError, Results, run_session
-from .accounting import RunCosts, costs_from
+from ..qpu import execute
+from ..rpc import Params, ProtocolError
+from .accounting import RunCosts, run_loop
 
 __all__ = [
     "SEGMENTS",
@@ -183,10 +181,8 @@ def run_calibration(
 
     Updates calib in place, one version bump per experiment.
     """
-    check_mode(mode)
     plan = experiment_plan(calib)
     version_before = calib.version
-    log = CompileLog()
     fitted: dict[str, float] = {}
     sweep = build_sweep_partial(prep_us=calib.prep_us, detect_us=calib.detect_us)
 
@@ -206,32 +202,11 @@ def run_calibration(
             _apply(exp, calib, value)
             fitted[exp.name] = value
 
-    if mode == "baseline":
-        traces: list[ExecutionTrace] = []
-        binary = None  # the kernel built last
-
-        def fetch(directive: Params) -> Results:
-            nonlocal binary
-            binary = log.record(bake(sweep, directive.values), cost_model)
-            traces.append(execute(binary, run_seed=run_seed, iteration=len(traces), cost_only=True))
-            return traces[-1].results[0]
-
-        host(fetch)
-    else:
-        binary = log.record(sweep, cost_model)
-        traces = [
-            run_session(
-                lambda handle: execute(
-                    binary,
-                    endpoint=handle,
-                    run_seed=run_seed,
-                    launch=Params(sweep_slots(plan[0], calib)),
-                    cost_only=True,
-                ),
-                host,
-            )
-        ]
+    costs, _, kernel = run_loop(
+        mode, host, cost_model=cost_model, launch=Params(sweep_slots(plan[0], calib)),
+        transport="memory", build=lambda: sweep, rebuild=lambda p: [bake(sweep, p.values)],
+        run=lambda k, **kw: execute(k, run_seed=run_seed, cost_only=True, **kw),
+    )
     return CalibrationReport(
-        mode, len(plan), costs_from(log, traces),
-        calib.version - version_before, fitted, len(binary.instructions),
+        mode, len(plan), costs, calib.version - version_before, fitted, len(kernel.instructions)
     )

@@ -2,10 +2,8 @@
 
 The VQE optimizer sees only an evaluate(x) callable, so given identical
 energies both modes trace identical parameter paths.  In ``vqe.run_vqe``
-evaluate is one ``fetch(Params(x))`` of the driver's host loop: the
-baseline's fetch compiles and runs one kernel per section, and the streamed
-mode's, from ``rpc.run_session``, sends x to the running kernel and takes
-back its results.
+evaluate is one ``fetch(Params(x))`` of the driver's host loop, whichever
+pipeline ``accounting.run_loop`` runs it on.
 
 Both searches are ports of scipy's and keep its operation order, so they
 evaluate the same points and return the same bits.

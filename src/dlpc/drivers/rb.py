@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cliffords import CLIFFORD_COUNT, compose, inverse, n_pulses, native_ops
-from ..devcomp import CompileLog, CostModel, KernelBinary, check_mode, compile_full, compile_pool
+from ..devcomp import CostModel, KernelBinary, compile_full, compile_pool
 from ..ir import Circuit, op
 from ..pulse import CalibrationDataset, lower_to_pulses
-from ..qpu import ExecutionTrace, execute, rekey, shot_rng
-from ..rpc import CircuitBlock, Results, run_session
+from ..qpu import execute, rekey, shot_rng
+from ..rpc import CircuitBlock
 from ..transpile import transpile
-from .accounting import RunCosts, costs_from
+from .accounting import RunCosts, run_loop
 from .optimizers import bounded_min
 
 __all__ = [
@@ -206,48 +206,25 @@ def run_rb(
     per_length: int = RB_CIRCUITS_PER_LENGTH,
     shots: int = RB_SHOTS,
 ) -> RbReport:
-    check_mode(mode)
     check_lengths(lengths)
     if calib is None:
         calib = CalibrationDataset.default(1)
     plan = random_circuits(run_seed, lengths, per_length)
     blocks = [CircuitBlock(circ.elements) for circ in plan]
-    log = CompileLog()
     counts: list[dict[int, int]] = []
 
     def host(fetch) -> None:
         for block in blocks:
             counts.append(fetch(block).counts[0])
 
-    if mode == "baseline":
-        traces: list[ExecutionTrace] = []
-
-        def fetch(block: CircuitBlock) -> Results:
-            binary = log.record(
-                compile_full(_sequence_schedule(block.circuit, calib), [], shots, n_qubits=1),
-                cost_model,
-            )
-            traces.append(
-                execute(binary, run_seed=run_seed, iteration=len(traces), depolarizing=depolarizing)
-            )
-            return traces[-1].results[0]
-
-        host(fetch)
-    else:
-        binary = log.record(clifford_pool(calib, shots), cost_model)
-        traces = [
-            run_session(
-                lambda handle: execute(
-                    binary,
-                    endpoint=handle,
-                    run_seed=run_seed,
-                    launch=blocks[0],
-                    depolarizing=depolarizing,
-                ),
-                host,
-            )
-        ]
-
+    costs, n_iterations, _ = run_loop(
+        mode, host, cost_model=cost_model, launch=blocks[0], transport="memory",
+        build=lambda: clifford_pool(calib, shots),
+        rebuild=lambda b: [
+            compile_full(_sequence_schedule(b.circuit, calib), [], shots, n_qubits=1)
+        ],
+        run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
+    )
     survivals = tuple(survival(c) for c in counts)
     by_length: dict[int, list[float]] = {}
     for circ, s in zip(plan, survivals):
@@ -260,6 +237,6 @@ def run_rb(
         survivals=survivals,
         mean_by_length=means,
         fit=fit,
-        costs=costs_from(log, traces),
-        n_iterations=sum(t.n_iterations for t in traces),
+        costs=costs,
+        n_iterations=n_iterations,
     )

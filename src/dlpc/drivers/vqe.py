@@ -5,9 +5,9 @@ device runs one measurement section per commuting group of Hamiltonian terms,
 and counts come back as energies.  The modes differ only in how parameters
 reach the device.  "baseline" bakes them into a fresh kernel per section per
 evaluation; "dlpc" compiles one parameterized kernel up front and streams
-values over the parameter channel.  Given the same seed, both modes sample
-identical counts and therefore trace identical optimization paths, which is
-what makes their cost accounting directly comparable.
+values over the parameter channel.  Both run through ``accounting.run_loop``,
+so given the same seed they sample identical counts and trace identical
+optimization paths, which is what makes their cost accounting comparable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..devcomp import CompileLog, CostModel, check_mode, compile_full, compile_partial
+from ..devcomp import CostModel, compile_full, compile_partial
 from ..ir import (
     BASES,
     Circuit,
@@ -27,10 +27,10 @@ from ..ir import (
     op,
 )
 from ..pulse import CalibrationDataset, PulseSchedule, lower_to_pulses
-from ..qpu import ExecutionTrace, execute
-from ..rpc import Params, Results, run_session
+from ..qpu import execute
+from ..rpc import Params, Results
 from ..transpile import transpile
-from .accounting import RunCosts, costs_from
+from .accounting import RunCosts, run_loop
 from .optimizers import OptResult, nelder_mead
 
 __all__ = [
@@ -178,13 +178,11 @@ def run_vqe(
     transport: str = "memory",
     depolarizing: float = 0.0,
 ) -> VqeReport:
-    check_mode(mode)
     if calib is None:
         calib = CalibrationDataset.default(problem.ansatz.n_qubits)
     sections = measurement_sections(problem.hamiltonian)
     scheds = section_schedules(problem, calib)
     to_energy = _energy_closure(problem.hamiltonian, sections)
-    log = CompileLog()
     trajectory: list[tuple[tuple[float, ...], float]] = []
     optimum: list[OptResult] = []
     nq = problem.ansatz.n_qubits
@@ -198,45 +196,16 @@ def run_vqe(
 
         optimum.append(nelder_mead(evaluate, problem.x0, max_evals=problem.max_evals))
 
-    if mode == "baseline":
-        traces: list[ExecutionTrace] = []
-
-        def fetch(directive: Params) -> Results:
-            k = len(traces) // len(scheds)
-            counts = []
-            for j, sched in enumerate(scheds):
-                binary = log.record(
-                    compile_full(sched, directive.values, problem.shots, n_qubits=nq), cost_model
-                )
-                trace = execute(
-                    binary, run_seed=run_seed, iteration=k, first_section=j, depolarizing=depolarizing
-                )
-                traces.append(trace)
-                counts.append(trace.results[0].counts[0])
-            return Results(k, nq, tuple(counts))
-
-        host(fetch)
-        n_iterations = len(trajectory)
-    else:
-        binary = log.record(compile_partial(scheds, problem.shots, n_qubits=nq), cost_model)
-        traces = [
-            run_session(
-                lambda handle: execute(
-                    binary,
-                    endpoint=handle,
-                    run_seed=run_seed,
-                    launch=Params(problem.x0),
-                    depolarizing=depolarizing,
-                ),
-                host,
-                transport=transport,
-            )
-        ]
-        n_iterations = traces[0].n_iterations
+    costs, n_iterations, _ = run_loop(
+        mode, host, cost_model=cost_model, launch=Params(problem.x0), transport=transport,
+        build=lambda: compile_partial(scheds, problem.shots, n_qubits=nq),
+        rebuild=lambda p: [compile_full(s, p.values, problem.shots, n_qubits=nq) for s in scheds],
+        run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
+    )
     return VqeReport(
         mode=mode,
         result=optimum[0],
         trajectory=tuple(trajectory),
-        costs=costs_from(log, traces),
+        costs=costs,
         n_iterations=n_iterations,
     )

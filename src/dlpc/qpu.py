@@ -44,14 +44,11 @@ kernel with a single DETECT reads one section per iteration and never
 replays a prefix, so it builds no trie.
 
 The dispatch loop is the VM's own largest cost, so it compares opcodes
-against module aliases (``_PLAY`` and kin), binds the instruction tuple, the
-channel and slot registers and ``_apply`` to locals once per window, and
-resolves slot operands inline: on Python 3.11 an ``Opcode.X`` lookup costs
-about 125 ns and a global read about 15 ns, and a streamed iteration runs
-mostly SET_PHASE, SET_AMP and PLAY.  A pulse angle is computed in one fixed
-order, ``amp * rabi * duration * 1e-6`` (``amp * 2.0 * pi`` for a pair
-pulse); reordering the factors would move angles, and so draws, in their
-last bits.
+against ``devcomp``'s module globals (``PLAY`` and kin), binds registers and
+``_apply`` to locals once per window, and resolves slot operands inline.  A
+pulse angle is computed in one fixed order, ``amp * rabi * duration * 1e-6``
+(``amp * 2.0 * pi`` for a pair pulse); reordering the factors would move
+angles, and so draws, in their last bits.
 
 Per-pulse depolarizing noise folds into one coherent fraction per shot,
 f = 1 - 4*rho/3 per pulse, so readout samples from
@@ -85,12 +82,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .devcomp import (
-    ALL_CHANNELS,
-    RPC_ROUNDTRIP_S,
-    Instr,
-    KernelBinary,
-    Opcode,
+from .devcomp import (  # the opcodes are Opcode's members, module globals of devcomp
+    ALL_CHANNELS, DETECT, FRAME_ROT, HALT, LOOP_SHOTS, PLAY, PREP, RPC_ASYNC, RPC_ROUNDTRIP_S,
+    RPC_SYNC, SELECT, SET_AMP, SET_FREQ, SET_PHASE, Instr, KernelBinary,
 )
 from .ir import SlotRef, _apply_gate, gate_matrix
 from .pulse import DEFAULT_RABI, SlotOverOmega, duration_of
@@ -118,20 +112,6 @@ VM_QUBIT_LIMIT = 12
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# Opcode aliases for the dispatch loops (see the module docstring).
-_SET_FREQ = Opcode.SET_FREQ
-_SET_PHASE = Opcode.SET_PHASE
-_SET_AMP = Opcode.SET_AMP
-_PLAY = Opcode.PLAY
-_PREP = Opcode.PREP
-_DETECT = Opcode.DETECT
-_FRAME_ROT = Opcode.FRAME_ROT
-_SELECT = Opcode.SELECT
-_LOOP_SHOTS = Opcode.LOOP_SHOTS
-_RPC_SYNC = Opcode.RPC_SYNC
-_RPC_ASYNC = Opcode.RPC_ASYNC
-_HALT = Opcode.HALT
 
 
 class VmError(RuntimeError):
@@ -309,7 +289,7 @@ class _Vm:
         for pc in range(start, end):
             ins = instrs[pc]
             op = ins.op
-            if op is _PLAY:
+            if op is PLAY:
                 dur = ins.args[0]
                 if isinstance(dur, SlotOverOmega):
                     if slots is None:
@@ -324,9 +304,9 @@ class _Vm:
                     apply(pc, "XX", self.binary.pair_channels[ch - n], (amp[ch] * 2.0 * np.pi,))
                 self.coherent *= survival
                 us += dur
-            elif op is _SET_PHASE or op is _SET_AMP or op is _SET_FREQ or op is _FRAME_ROT:
+            elif op is SET_PHASE or op is SET_AMP or op is SET_FREQ or op is FRAME_ROT:
                 ch, value = ins.args
-                if op is _FRAME_ROT and ch >= n:
+                if op is FRAME_ROT and ch >= n:
                     raise VmError(self._at(pc, "frame rotation on a pair channel"))
                 if isinstance(value, SlotRef):
                     if slots is None:
@@ -334,24 +314,24 @@ class _Vm:
                     value = slots[value.index]
                 else:
                     value = float(value)
-                if op is _SET_PHASE:
+                if op is SET_PHASE:
                     phase[ch] = value
-                elif op is _SET_AMP:
+                elif op is SET_AMP:
                     amp[ch] = value
-                elif op is _FRAME_ROT:
+                elif op is FRAME_ROT:
                     apply(pc, "RZ", (ch,), (value,))
                     continue  # a frame rotation arms no channel
                 self.armed = ch
-            elif op is _PREP:
+            elif op is PREP:
                 if self.state is not None:
                     self.state = self._ground(n)
                 self.node = self.root
                 self.coherent = 1.0
                 us += ins.args[0]
-            elif op is _DETECT:
+            elif op is DETECT:
                 self._detect(ins.args[0], shots)
                 us += ins.args[1]
-            elif op is _SELECT:
+            elif op is SELECT:
                 if self.current_circuit is None:
                     raise VmError(self._at(pc, "select with no circuit loaded"))
                 for idx in self.current_circuit:
@@ -373,17 +353,17 @@ class _Vm:
         while pc < n_instrs:
             ins = instrs[pc]
             op = ins.op
-            if op is _LOOP_SHOTS:
+            if op is LOOP_SHOTS:
                 shots, body_len = ins.args
                 body_us = self._exec_window(pc + 1, pc + 1 + body_len, shots)
                 self.trace.busy_us += shots * body_us
                 pc += 1 + body_len
-            elif op is _RPC_ASYNC:
+            elif op is RPC_ASYNC:
                 self._post_results()
                 pc += 1
-            elif op is _RPC_SYNC:
+            elif op is RPC_SYNC:
                 pc = self._sync(ins, pc)
-            elif op is _HALT:
+            elif op is HALT:
                 break
             else:
                 self.trace.busy_us += self._exec_window(pc, pc + 1, 1)
@@ -418,7 +398,8 @@ class _Vm:
         """Load a launch or a reply: new slot values, or the circuit SELECT replays."""
         if not isinstance(directive, self.fetched):
             raise ProtocolError(
-                f"kernel fetches {self.fetched.__name__}, got {type(directive).__name__}"
+                f"iteration {self.iteration}: kernel fetches {self.fetched.__name__}, "
+                f"got {type(directive).__name__}"
             )
         if self.fetched is Params:
             self.binary.check_slot_values(directive.values)
@@ -428,7 +409,9 @@ class _Vm:
             n_blocks = len(self.binary.blocks)
             for idx in directive.circuit:
                 if not 0 <= idx < n_blocks:
-                    raise VmError(f"circuit references block {idx} of {n_blocks}")
+                    raise VmError(
+                        f"iteration {self.iteration}: circuit references block {idx} of {n_blocks}"
+                    )
             self.current_circuit = tuple(int(i) for i in directive.circuit)
 
 

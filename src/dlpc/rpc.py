@@ -11,8 +11,8 @@ host loop once, as ``host(fetch)``: ``fetch(directive)`` returns the next
 iteration's Results.  The first call sends nothing, because the kernel's
 launch covers iteration 0; every later call first sends its directive
 (PARAMS or CIRCUIT_BLOCK).  When ``host`` returns, the session sends
-SENTINEL.  The baseline pipeline runs the same loop with a ``fetch`` that
-compiles and executes its kernels itself.
+SENTINEL.  ``drivers.accounting.run_loop`` is its one caller, and runs the
+baseline's ``fetch`` too.
 
 The session connects the kernel's handle to the host over a transport
 ("memory": a pair of rendezvous cells; "socket": loopback TCP, bound,

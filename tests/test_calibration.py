@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlpc.devcomp import RPC_ROUNDTRIP_S, CompileLog, CostModel, Opcode, bake
-from dlpc.drivers import calibration
+from dlpc.drivers import accounting, calibration
 from dlpc.drivers.calibration import (
     SEGMENTS,
     build_sweep_partial,
@@ -179,7 +179,7 @@ def _previous_results(fetch):
 
 @pytest.mark.parametrize("mode", ["baseline", "dlpc"])
 def test_a_repeated_reply_raises_protocol_error(monkeypatch, mode):
-    if mode == "baseline":  # the driver's fetch returns what execute posts
+    if mode == "baseline":  # the baseline's fetch returns the iteration execute posts
         real_execute, stale = calibration.execute, _previous_results(lambda r: r)
 
         def execute(*args, **kwargs):
@@ -189,11 +189,15 @@ def test_a_repeated_reply_raises_protocol_error(monkeypatch, mode):
 
         monkeypatch.setattr(calibration, "execute", execute)
     else:
-        real_session = calibration.run_session
+        real_session = accounting.run_session
         monkeypatch.setattr(
-            calibration,
+            accounting,
             "run_session",
-            lambda kernel, host: real_session(kernel, lambda fetch: host(_previous_results(fetch))),
+            lambda kernel, host, *, transport: real_session(
+                kernel, lambda fetch: host(_previous_results(fetch)), transport=transport
+            ),
         )
-    with pytest.raises(ProtocolError, match=r"^experiment 1 \(q0/amp\): got iteration 0 "):
+    with pytest.raises(ProtocolError, match=r"^experiment 1 \(q0/amp\): got iteration 0 ") as info:
         run_calibration(_calib(1), mode, cost_model=MODEL, run_seed=2)
+    at = ", iteration 1" if mode == "baseline" else ""  # the fetch that returned the stale reply
+    assert info.value.__notes__ == [f"in the {mode} pipeline{at}"]

@@ -35,12 +35,18 @@ A seventh keeps the VM's linear algebra in one place: ``qpu.py`` names no
 ``dot``, ``matmul``, ``tensordot`` or ``einsum`` and uses no ``@``
 operator, so every contraction goes through ``ir._apply_gate`` and the
 ``ir._apply_gate`` entries of ``tests/work_counts.json`` count them all.
+
+An eighth keeps the pipeline fork in one place: no module under
+``drivers/`` but ``accounting.py`` names ``run_session``, ``CompileLog``,
+``ExecutionTrace`` or ``costs_from``, so each driver runs both pipelines
+through ``accounting.run_loop`` and holds only its host loop and kernels.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -276,6 +282,38 @@ def test_scan_flags_every_contraction_spelling(tmp_path):
     assert contractions(module) == [
         "m.py:4 dot", "m.py:5 @", "m.py:6 @", "m.py:7 matmul",
         "m.py:7 tensordot", "m.py:8 einsum", "m.py:8 dot",
+    ]
+
+
+RUNNER = re.compile(r"\b(run_session|CompileLog|ExecutionTrace|costs_from)\b")
+
+
+def runner_names(paths: list[Path]) -> list[str]:
+    return [
+        f"{path.name}:{n} {name}"
+        for path in paths
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for name in RUNNER.findall(line)
+    ]
+
+
+def test_only_the_runner_forks_the_pipelines():
+    drivers = sorted((SRC / "dlpc" / "drivers").glob("*.py"))
+    assert {p.name for p in drivers} >= {"accounting.py", "vqe.py", "rb.py", "calibration.py"}
+    assert runner_names([p for p in drivers if p.name != "accounting.py"]) == []
+
+
+def test_scan_flags_every_runner_name_but_not_lookalikes(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from ..rpc import run_session\n"
+        "from ..devcomp import CompileLog, CompileLogger\n"
+        "trace: qpu.ExecutionTrace = run_sessions()\n"
+        "# costs_from(log, traces)\n"
+        "my_costs_from = 1\n"
+    )
+    assert runner_names([module]) == [
+        "m.py:1 run_session", "m.py:2 CompileLog", "m.py:3 ExecutionTrace", "m.py:4 costs_from"
     ]
 
 

@@ -160,20 +160,37 @@ def test_socket_session_closes_both_sockets():
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-@pytest.mark.parametrize("transport", ["memory", "socket"])
-def test_streamed_run_too_wide_for_the_vm_raises_instead_of_hanging(transport):
+def _too_wide_for_the_vm() -> VqeProblem:
     nq = VM_QUBIT_LIMIT + 1
-    problem = VqeProblem(
+    return VqeProblem(
         Hamiltonian(nq, [PauliTerm(1.0, "Z" * nq)]),
         Circuit(nq, [op("RY", 0, SlotRef(0))]),
         (0.5,),
         shots=10,
         max_evals=3,
     )
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_streamed_run_too_wide_for_the_vm_raises_instead_of_hanging(transport):
+    problem = _too_wide_for_the_vm()
     with pytest.raises(TooManyQubits):
         run_within(
             10, lambda: run_vqe(problem, "dlpc", cost_model=MODEL, transport=transport)
         )
+
+
+@pytest.mark.parametrize(
+    "mode, note",
+    [("baseline", "in the baseline pipeline, iteration 0"), ("dlpc", "in the dlpc pipeline")],
+)
+def test_a_failing_kernel_names_its_pipeline(mode, note):
+    problem = _too_wide_for_the_vm()
+    with pytest.raises(TooManyQubits) as info:
+        run_within(10, lambda: run_vqe(problem, mode, cost_model=MODEL))
+    # the message is the VM's, unchanged; the note says where it ended
+    assert str(info.value) == f"{VM_QUBIT_LIMIT + 1} qubits exceeds the {VM_QUBIT_LIMIT}-qubit register"
+    assert info.value.__notes__ == [note]
 
 
 def test_cost_totals_are_itemized_sums():
