@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, fields
-from enum import IntEnum, global_enum
+from enum import IntEnum
 from functools import cached_property
 from hashlib import blake2b
 from typing import Sequence
@@ -104,9 +104,6 @@ class SlotArityError(CompileError):
     """Bound parameter vector does not match the kernel's slot count."""
 
 
-# ``global_enum`` also binds every member as a module global, ``PLAY`` for
-# ``Opcode.PLAY``: a global read costs about 15 ns, a member lookup about 125.
-@global_enum
 class Opcode(IntEnum):
     SET_FREQ = 1
     SET_PHASE = 2
@@ -121,6 +118,21 @@ class Opcode(IntEnum):
     HALT = 12
     FRAME_ROT = 13
 
+
+# Every opcode once more as a module global, for the instruction loops here
+# and in ``qpu``: a global read costs about 15 ns, an ``Opcode.X`` lookup 125.
+SET_FREQ = Opcode.SET_FREQ
+SET_PHASE = Opcode.SET_PHASE
+SET_AMP = Opcode.SET_AMP
+PLAY = Opcode.PLAY
+PREP = Opcode.PREP
+DETECT = Opcode.DETECT
+LOOP_SHOTS = Opcode.LOOP_SHOTS
+RPC_SYNC = Opcode.RPC_SYNC
+RPC_ASYNC = Opcode.RPC_ASYNC
+SELECT = Opcode.SELECT
+HALT = Opcode.HALT
+FRAME_ROT = Opcode.FRAME_ROT
 
 # Operand kinds per opcode.
 _SCHEMES: dict[Opcode, tuple[str, ...]] = {

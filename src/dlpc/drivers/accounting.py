@@ -34,8 +34,15 @@ __all__ = ["RunCosts", "run_loop", "loop_costs", "speedup"]
 
 
 def run_loop(
-    mode: str, host: Callable, *, cost_model: CostModel, build: Callable, rebuild: Callable,
-    run: Callable, launch: Params | CircuitBlock, transport: str,
+    mode: str,
+    host: Callable,
+    *,
+    cost_model: CostModel,
+    build: Callable,
+    rebuild: Callable,
+    run: Callable,
+    launch: Params | CircuitBlock,
+    transport: str,
 ) -> tuple[RunCosts, int, KernelBinary]:
     """Run ``host`` on ``mode``'s pipeline; returns its ledger, iterations and last kernel.
 
@@ -75,7 +82,9 @@ def run_loop(
             traces.append(trace)
             n_iterations = trace.n_iterations
     except (VmError, RpcError) as e:
-        e.add_note(f"in the {mode} pipeline" + (f", iteration {fetches - 1}" if fetches else ""))
+        # ``BaseException.add_note`` does this from Python 3.11; 3.10 is supported.
+        note = f"in the {mode} pipeline" + (f", iteration {fetches - 1}" if fetches else "")
+        e.__notes__ = [*getattr(e, "__notes__", ()), note]
         raise
     device_us = rpc_us = 0.0
     for t in traces:

@@ -203,9 +203,14 @@ def run_calibration(
             fitted[exp.name] = value
 
     costs, _, kernel = run_loop(
-        mode, host, cost_model=cost_model, launch=Params(sweep_slots(plan[0], calib)),
-        transport="memory", build=lambda: sweep, rebuild=lambda p: [bake(sweep, p.values)],
+        mode,
+        host,
+        cost_model=cost_model,
+        build=lambda: sweep,
+        rebuild=lambda p: [bake(sweep, p.values)],
         run=lambda k, **kw: execute(k, run_seed=run_seed, cost_only=True, **kw),
+        launch=Params(sweep_slots(plan[0], calib)),
+        transport="memory",
     )
     return CalibrationReport(
         mode, len(plan), costs, calib.version - version_before, fitted, len(kernel.instructions)

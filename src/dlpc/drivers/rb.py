@@ -218,12 +218,16 @@ def run_rb(
             counts.append(fetch(block).counts[0])
 
     costs, n_iterations, _ = run_loop(
-        mode, host, cost_model=cost_model, launch=blocks[0], transport="memory",
+        mode,
+        host,
+        cost_model=cost_model,
         build=lambda: clifford_pool(calib, shots),
         rebuild=lambda b: [
             compile_full(_sequence_schedule(b.circuit, calib), [], shots, n_qubits=1)
         ],
         run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
+        launch=blocks[0],
+        transport="memory",
     )
     survivals = tuple(survival(c) for c in counts)
     by_length: dict[int, list[float]] = {}

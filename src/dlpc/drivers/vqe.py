@@ -197,10 +197,14 @@ def run_vqe(
         optimum.append(nelder_mead(evaluate, problem.x0, max_evals=problem.max_evals))
 
     costs, n_iterations, _ = run_loop(
-        mode, host, cost_model=cost_model, launch=Params(problem.x0), transport=transport,
+        mode,
+        host,
+        cost_model=cost_model,
         build=lambda: compile_partial(scheds, problem.shots, n_qubits=nq),
         rebuild=lambda p: [compile_full(s, p.values, problem.shots, n_qubits=nq) for s in scheds],
         run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
+        launch=Params(problem.x0),
+        transport=transport,
     )
     return VqeReport(
         mode=mode,

@@ -82,9 +82,23 @@ from typing import Mapping
 
 import numpy as np
 
-from .devcomp import (  # the opcodes are Opcode's members, module globals of devcomp
-    ALL_CHANNELS, DETECT, FRAME_ROT, HALT, LOOP_SHOTS, PLAY, PREP, RPC_ASYNC, RPC_ROUNDTRIP_S,
-    RPC_SYNC, SELECT, SET_AMP, SET_FREQ, SET_PHASE, Instr, KernelBinary,
+from .devcomp import (
+    ALL_CHANNELS,
+    DETECT,
+    FRAME_ROT,
+    HALT,
+    LOOP_SHOTS,
+    PLAY,
+    PREP,
+    RPC_ASYNC,
+    RPC_ROUNDTRIP_S,
+    RPC_SYNC,
+    SELECT,
+    SET_AMP,
+    SET_FREQ,
+    SET_PHASE,
+    Instr,
+    KernelBinary,
 )
 from .ir import SlotRef, _apply_gate, gate_matrix
 from .pulse import DEFAULT_RABI, SlotOverOmega, duration_of
