@@ -10,8 +10,7 @@ blocks live after HALT and a SELECT instruction replays whichever block
 sequence the host streamed in.  A full kernel is a slot-streaming partial
 kernel passed through ``bake``: the same header and loops with every slot made
 a literal, and a plain HALT for a tail, so a parameter change forces a
-recompile.  ``compile_full`` is ``bake`` applied to ``compile_partial``, one
-check per kernel: ``bake`` re-checks only loop ends and RPC tags and targets.
+recompile.  ``bake`` re-checks only loop ends and RPC tags and targets.
 
 A kernel's slot count is one more than the highest slot operand it reads, and
 it streams (header mode byte 1) exactly when it holds an RPC instruction; any
@@ -19,10 +18,10 @@ other kernel posts its one set of results at HALT.  Every RPC_ASYNC posts
 results, and every RPC_SYNC fetches the one kind of directive its kernel takes:
 circuit blocks when it has a gate pool, parameters otherwise.
 
-Instruction operands: channels are u8 literals (255 addresses every channel in
-DETECT), scalar operands are either f64 literals or u32 slot indices resolved
-at runtime, and durations are either literal microseconds or a slot angle
-divided by a drive-strength snapshot taken at compile time.  One table,
+Instruction operands: channels are u8 literals (DETECT's is 255, every qubit),
+scalars are finite f64 literals or u32 slot indices resolved at runtime, and
+durations are finite literal microseconds, never negative, or a slot angle over
+a finite, positive drive-strength snapshot taken at compile time.  One table,
 ``_OPERANDS``, gives each operand kind its check and its packed formats; the
 instruction check, the encoder and the byte counts all read it.  Compile cost
 is affine in the instruction count, including pool blocks.
@@ -66,7 +65,6 @@ __all__ = [
     "Instr",
     "KernelBinary",
     "partial_kernel",
-    "compile_full",
     "compile_partial",
     "compile_pool",
     "bake",
@@ -157,9 +155,11 @@ _OPERANDS = {
     "chan": (lambda a: isinstance(a, int) and 0 <= a <= 255, "B", None),
     "u8": (lambda a: isinstance(a, int) and 0 <= a <= 255, "B", None),
     "u32": (lambda a: isinstance(a, int) and 0 <= a < 2**32, "I", None),
-    "f64": (lambda a: isinstance(a, (float, int)), "d", None),
-    "real": (lambda a: isinstance(a, (float, int, SlotRef)), "Bd", "BI"),
-    "dur": (lambda a: isinstance(a, (LiteralUs, SlotOverOmega)), "Bd", "BId"),
+    "f64": (lambda a: isinstance(a, (float, int)) and 0 <= a < math.inf, "d", None),
+    "real": (lambda a: isinstance(a, SlotRef) or isinstance(a, (float, int)) and math.isfinite(a),
+             "Bd", "BI"),
+    "dur": (lambda a: isinstance(a, LiteralUs)
+            or isinstance(a, SlotOverOmega) and 0 < a.rabi_snapshot < math.inf, "Bd", "BId"),
 }
 # (kind, check) per operand of each opcode: ``Instr`` makes one lookup.
 _CHECKS = {op: tuple((k, _OPERANDS[k][0]) for k in scheme) for op, scheme in _SCHEMES.items()}
@@ -265,8 +265,8 @@ class KernelBinary:
             else:
                 if op is DETECT:
                     n_detects += 1
-                    if args[0] != ALL_CHANNELS and args[0] >= self.n_qubits:
-                        raise CompileError(f"pc {pc}: detect channel {args[0]} out of range")
+                    if args[0] != ALL_CHANNELS:
+                        raise CompileError(f"pc {pc}: detect channel {args[0]}, expected 255")
                 elif op in _FLOW_OPS:
                     if op is LOOP_SHOTS and args[0] < 1:
                         raise CompileError(f"pc {pc}: loop needs at least one shot")
@@ -397,7 +397,7 @@ class _Emitter:
     instruction is built.  ``emitted`` holds each item's instructions by ``id``.
     """
 
-    def __init__(self, schedules: Sequence[PulseSchedule], n_qubits: int | None) -> None:
+    def __init__(self, schedules: Sequence[PulseSchedule], n_qubits: int) -> None:
         pairs: list[tuple[int, int]] = []
         max_qubit = -1
         # each distinct item once, in first-use order, so the pair order is kept
@@ -409,9 +409,7 @@ class _Emitter:
                 max_qubit = max(max_qubit, ch[0], ch[1])
             elif isinstance(ch, int):
                 max_qubit = max(max_qubit, ch)
-        if n_qubits is None:
-            n_qubits = max_qubit + 1
-        elif max_qubit >= n_qubits:
+        if max_qubit >= n_qubits:
             raise CompileError(f"qubit {max_qubit} outside declared {n_qubits} qubits")
         self.n_qubits = n_qubits
         self.pairs = pairs
@@ -454,22 +452,11 @@ class _Emitter:
         )
 
 
-def compile_full(
-    schedules: PulseSchedule | Sequence[PulseSchedule],
-    slot_values: Sequence[float],
-    shots: int,
-    *,
-    n_qubits: int | None = None,
-) -> KernelBinary:
-    """The partial kernel, baked with ``slot_values``."""
-    return bake(compile_partial(schedules, shots, n_qubits=n_qubits), slot_values)
-
-
 def compile_partial(
     schedules: PulseSchedule | Sequence[PulseSchedule],
     shots: int,
     *,
-    n_qubits: int | None = None,
+    n_qubits: int,
 ) -> KernelBinary:
     """One shot loop per schedule, slots live, then the parameter-fetch tail."""
     scheds = [schedules] if isinstance(schedules, PulseSchedule) else list(schedules)
@@ -490,7 +477,7 @@ def compile_pool(
     *,
     prep_us: float,
     detect_us: float,
-    n_qubits: int | None = None,
+    n_qubits: int,
 ) -> KernelBinary:
     """Pre-lower a gate pool; the host streams block index sequences at runtime.
 

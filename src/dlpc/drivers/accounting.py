@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..devcomp import RPC_ROUNDTRIP_S, CompileLog, CostModel, KernelBinary, RunCosts, check_mode
-from ..qpu import ExecutionTrace, VmError
+from ..qpu import VmError
 from ..rpc import CircuitBlock, Params, Results, RpcError, run_session
 
 __all__ = ["RunCosts", "run_loop", "loop_costs", "speedup"]
@@ -54,23 +54,25 @@ def run_loop(
     """
     check_mode(mode)
     log = CompileLog()
-    traces: list[ExecutionTrace] = []
     binary = None  # the kernel built last
     fetches = 0
+    device_us = rpc_us = 0.0  # summed in run order
     try:
         if mode == "baseline":
 
             def fetch(directive: Params | CircuitBlock) -> Results:
-                nonlocal binary, fetches
-                k, start = fetches, len(traces)
+                nonlocal binary, fetches, device_us, rpc_us
+                k, posted = fetches, []
                 fetches += 1
-                sections = []
                 for j, kernel in enumerate(rebuild(directive)):
                     binary = log.record(kernel, cost_model)
-                    traces.append(run(binary, iteration=k, first_section=j))
-                    sections += traces[-1].results[0].counts
-                first = traces[start].results[0]  # as posted, so the host can check it
-                return Results(first.iteration, first.n_qubits, tuple(sections))
+                    trace = run(binary, iteration=k, first_section=j)
+                    device_us += trace.busy_us
+                    rpc_us += trace.rpc_us
+                    posted += trace.results
+                first = posted[0]  # as posted, so the host can check it
+                sections = tuple(c for r in posted for c in r.counts)
+                return Results(first.iteration, first.n_qubits, sections)
 
             host(fetch)
             n_iterations = fetches
@@ -79,17 +81,13 @@ def run_loop(
             trace = run_session(
                 lambda h: run(binary, endpoint=h, launch=launch), host, transport=transport
             )
-            traces.append(trace)
+            device_us, rpc_us = trace.busy_us, trace.rpc_us
             n_iterations = trace.n_iterations
     except (VmError, RpcError) as e:
         # ``BaseException.add_note`` does this from Python 3.11; 3.10 is supported.
         note = f"in the {mode} pipeline" + (f", iteration {fetches - 1}" if fetches else "")
         e.__notes__ = [*getattr(e, "__notes__", ()), note]
         raise
-    device_us = rpc_us = 0.0
-    for t in traces:
-        device_us += t.busy_us
-        rpc_us += t.rpc_us
     costs = log.costs + RunCosts(device_s=device_us * 1e-6, rpc_s=rpc_us * 1e-6)
     return costs, n_iterations, binary
 

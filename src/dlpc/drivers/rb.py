@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cliffords import CLIFFORD_COUNT, compose, inverse, n_pulses, native_ops
-from ..devcomp import CostModel, KernelBinary, compile_full, compile_pool
+from ..devcomp import CostModel, KernelBinary, bake, compile_partial, compile_pool
 from ..ir import Circuit, op
 from ..pulse import CalibrationDataset, lower_to_pulses
 from ..qpu import execute, rekey, shot_rng
@@ -223,7 +223,7 @@ def run_rb(
         cost_model=cost_model,
         build=lambda: clifford_pool(calib, shots),
         rebuild=lambda b: [
-            compile_full(_sequence_schedule(b.circuit, calib), [], shots, n_qubits=1)
+            bake(compile_partial(_sequence_schedule(b.circuit, calib), shots, n_qubits=1), [])
         ],
         run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
         launch=blocks[0],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..devcomp import CostModel, compile_full, compile_partial
+from ..devcomp import CostModel, bake, compile_partial
 from ..ir import (
     BASES,
     Circuit,
@@ -201,7 +201,9 @@ def run_vqe(
         host,
         cost_model=cost_model,
         build=lambda: compile_partial(scheds, problem.shots, n_qubits=nq),
-        rebuild=lambda p: [compile_full(s, p.values, problem.shots, n_qubits=nq) for s in scheds],
+        rebuild=lambda p: [
+            bake(compile_partial(s, problem.shots, n_qubits=nq), p.values) for s in scheds
+        ],
         run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
         launch=Params(problem.x0),
         transport=transport,

@@ -26,6 +26,7 @@ nothing carries over between circuits, and a recalibration takes effect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .ir import GateOp, SlotRef
@@ -140,8 +141,8 @@ class LiteralUs:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value >= 0:
-            raise InvalidCalibration(f"duration must be >= 0, got {self.value}")
+        if not 0 <= self.value < math.inf:
+            raise InvalidCalibration(f"duration must be finite and >= 0, got {self.value}")
 
 
 @dataclass(frozen=True, slots=True)

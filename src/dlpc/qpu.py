@@ -83,7 +83,6 @@ from typing import Mapping
 import numpy as np
 
 from .devcomp import (
-    ALL_CHANNELS,
     DETECT,
     FRAME_ROT,
     HALT,
@@ -164,7 +163,7 @@ def rekey(rng: np.random.Generator, run_seed: int, iteration: int, section: int)
 
 @dataclass(slots=True)
 class ExecutionTrace:
-    """Simulated-time accounting and results for one kernel execution."""
+    """Simulated time of one kernel execution, and its results if no endpoint took them."""
 
     n_iterations: int = 0
     busy_us: float = 0.0
@@ -181,7 +180,7 @@ class _Vm:
         run_seed: int = 0,
         iteration: int = 0,
         launch: Params | CircuitBlock | None = None,
-        rabi_truth: Mapping[int, float] | float | None = None,
+        rabi_truth: Mapping[int, float] | None = None,
         depolarizing: float = 0.0,
         cost_only: bool = False,
         first_section: int = 0,
@@ -212,10 +211,7 @@ class _Vm:
         self.phase = [0.0] * n_channels
         self.amp = [0.0] * n_channels
         self.armed = 0
-        if isinstance(rabi_truth, Mapping):
-            self.rabi = [float(rabi_truth.get(q, DEFAULT_RABI)) for q in range(n)]
-        else:
-            self.rabi = [float(rabi_truth if rabi_truth is not None else DEFAULT_RABI)] * n
+        self.rabi = [float((rabi_truth or {}).get(q, DEFAULT_RABI)) for q in range(n)]
         if not 0.0 <= depolarizing <= 1.0:
             raise ValueError(f"depolarizing must be a probability in [0, 1], got {depolarizing}")
         self.pulse_survival = max(0.0, 1.0 - 4.0 * depolarizing / 3.0)
@@ -229,8 +225,7 @@ class _Vm:
         self.node = self.root
         self.rng: np.random.Generator | None = None
         self.coherent = 1.0
-        # One section per DETECT: outcome key -> count, qubit q on bit q of the
-        # key; a one-channel DETECT reads its channel onto bit 0.
+        # One section per DETECT: outcome key -> count, qubit q on bit q of the key.
         self.sections: list[dict[int, int]] = []
         self.first_section = int(first_section)
         self.section_idx = self.first_section
@@ -267,15 +262,11 @@ class _Vm:
             self.node = {}
             node[step] = self.state, self.node
 
-    def _detect(self, channel: int, shots: int) -> None:
-        n = self.binary.n_qubits
+    def _detect(self, shots: int) -> None:
         if self.cost_only:
             self.sections.append({0: shots})
         else:
             probs = np.abs(self.state) ** 2
-            if channel != ALL_CHANNELS:
-                mask = (np.arange(2**n) >> channel) & 1
-                probs = np.array([probs[mask == 0].sum(), probs[mask == 1].sum()])
             if self.coherent != 1.0:  # else the mix is a no-op
                 probs = self.coherent * probs + (1.0 - self.coherent) / len(probs)
             cdf = probs.cumsum()
@@ -343,7 +334,7 @@ class _Vm:
                 self.coherent = 1.0
                 us += ins.args[0]
             elif op is DETECT:
-                self._detect(ins.args[0], shots)
+                self._detect(shots)
                 us += ins.args[1]
             elif op is SELECT:
                 if self.current_circuit is None:
@@ -390,8 +381,9 @@ class _Vm:
 
     def _post_results(self) -> None:
         msg = Results(self.iteration, self.binary.n_qubits, tuple(self.sections))
-        self.trace.results.append(msg)
-        if self.endpoint is not None:
+        if self.endpoint is None:
+            self.trace.results.append(msg)
+        else:
             self.endpoint.post_results(msg)
         self.trace.n_iterations += 1
         self.iteration += 1
@@ -439,13 +431,12 @@ def execute(binary: KernelBinary, **options) -> ExecutionTrace:
     ``launch`` is iteration 0's directive: the slot values, or the circuit for
     a gate-pool kernel.  The VM loads it exactly as it loads a reply to its
     synchronous fetch, with the same checks and errors, and only then runs, so
-    the first iteration is never blocked on the host.  ``rabi_truth`` is the
-    device's drive strength, one value or a qubit -> value map, with
-    ``DEFAULT_RABI`` for any qubit it leaves out.  A per-pulse
-    ``depolarizing`` probability outside [0, 1], or NaN, raises ``ValueError``.
-    ``cost_only`` keeps the clock and reads every shot as outcome 0.
-    ``first_section`` offsets the sampling-stream key of the kernel's sections,
-    so a single-section kernel run standalone can reproduce section j of a
-    multi-section kernel bit for bit.
+    the first iteration is never blocked on the host.  ``rabi_truth`` maps a
+    qubit to the device's drive strength, ``DEFAULT_RABI`` for any it leaves
+    out.  A per-pulse ``depolarizing`` probability outside [0, 1], or NaN,
+    raises ``ValueError``.  ``cost_only`` keeps the clock and reads every shot
+    as outcome 0.  ``first_section`` offsets the sampling-stream key of the
+    kernel's sections, so a single-section kernel run standalone can reproduce
+    section j of a multi-section kernel bit for bit.
     """
     return _Vm(binary, **options).run()

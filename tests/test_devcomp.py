@@ -23,7 +23,6 @@ from dlpc.devcomp import (
     RunCosts,
     SlotArityError,
     bake,
-    compile_full,
     compile_partial,
     compile_pool,
     partial_kernel,
@@ -47,6 +46,7 @@ from dlpc.ir import Circuit, GateOp, Hamiltonian, Literal, PauliTerm, SlotRef, o
 from dlpc.pulse import (
     DEFAULT_RABI,
     CalibrationDataset,
+    InvalidCalibration,
     LiteralUs,
     PulseOp,
     PulseSchedule,
@@ -89,15 +89,16 @@ def _slotted_sections(calib: CalibrationDataset) -> list[PulseSchedule]:
 @given(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=4, max_size=4))
 def test_full_kernel_is_the_partial_kernel_baked(slot_values):
     scheds = _slotted_sections(CalibrationDataset.default(2))
-    partial = compile_partial(scheds, shots=7)
+    partial = compile_partial(scheds, shots=7, n_qubits=2)
     assert partial.n_slots == 4
     kinds = {type(a) for i in partial.instructions for a in i.args}
     assert {SlotRef, SlotOverOmega} <= kinds
-    assert_baked(compile_full(scheds, slot_values, shots=7), partial, slot_values)
+    full = bake(compile_partial(scheds, shots=7, n_qubits=2), slot_values)
+    assert_baked(full, partial, slot_values)
 
 
 def test_bake_takes_only_a_slot_streaming_partial_kernel(calib):
-    partial = compile_partial(_vqe_schedule(calib), shots=10)
+    partial = compile_partial(_vqe_schedule(calib), shots=10, n_qubits=1)
     with pytest.raises(SlotArityError, match="^kernel has 1 slots, got 2 values$"):
         bake(partial, [0.1, 0.2])
     with pytest.raises(SlotArityError, match="^kernel has 1 slots, got 0 values$"):
@@ -109,7 +110,7 @@ def test_bake_takes_only_a_slot_streaming_partial_kernel(calib):
 
 def test_full_kernel_layout_and_baked_rotation(calib):
     c = Circuit(1, [op("RY", 0, 1.2), op("MEASURE", ())])
-    k = compile_full(lower_to_pulses(transpile(c), calib), [], shots=300)
+    k = bake(compile_partial(lower_to_pulses(transpile(c), calib), shots=300, n_qubits=1), [])
     assert not k.streams
     assert k.n_slots == 0
     ops = [i.op for i in k.instructions]
@@ -134,8 +135,9 @@ def test_full_kernel_layout_and_baked_rotation(calib):
 
 def test_full_kernel_bakes_slot_values(calib):
     sched = _vqe_schedule(calib)
-    k = compile_full(sched, [1.2], shots=300)
-    ref = compile_full(lower_to_pulses(transpile(Circuit(1, [op("RY", 0, 1.2), op("MEASURE", ())])), calib), [], shots=300)
+    k = bake(compile_partial(sched, shots=300, n_qubits=1), [1.2])
+    literal = lower_to_pulses(transpile(Circuit(1, [op("RY", 0, 1.2), op("MEASURE", ())])), calib)
+    ref = bake(compile_partial(literal, shots=300, n_qubits=1), [])
     assert k.instructions == ref.instructions
     assert k.content_hash == ref.content_hash
 
@@ -143,14 +145,14 @@ def test_full_kernel_bakes_slot_values(calib):
 def test_slot_arity_checked(calib):
     sched = _vqe_schedule(calib)
     with pytest.raises(SlotArityError):
-        compile_full(sched, [], shots=300)
+        bake(compile_partial(sched, shots=300, n_qubits=1), [])
     with pytest.raises(SlotArityError):
-        compile_full(sched, [0.1, 0.2], shots=300)
+        bake(compile_partial(sched, shots=300, n_qubits=1), [0.1, 0.2])
 
 
 def test_partial_kernel_keeps_slots_and_appends_rpc_tail(calib):
     sched = _vqe_schedule(calib)
-    k = compile_partial(sched, shots=300)
+    k = compile_partial(sched, shots=300, n_qubits=1)
     assert k.streams
     assert k.n_slots == 1
     tail = k.instructions[-3:]
@@ -165,14 +167,14 @@ def test_partial_kernel_keeps_slots_and_appends_rpc_tail(calib):
 
 def test_partial_same_structure_different_slots_not_recompiled_shape(calib):
     # Two parameter points, one structure: the partial kernel is byte-identical.
-    a = compile_partial(_vqe_schedule(calib), shots=300)
-    b = compile_partial(_vqe_schedule(calib), shots=300)
+    a = compile_partial(_vqe_schedule(calib), shots=300, n_qubits=1)
+    b = compile_partial(_vqe_schedule(calib), shots=300, n_qubits=1)
     assert a.content_hash == b.content_hash
 
 
 def test_multi_section_kernel_counts_sections(calib):
     scheds = [_vqe_schedule(calib) for _ in range(3)]
-    k = compile_partial(scheds, shots=100)
+    k = compile_partial(scheds, shots=100, n_qubits=1)
     loops = [i for i in k.instructions if i.op is Opcode.LOOP_SHOTS]
     assert len(loops) == 3
     assert [i.op for i in k.instructions[-3:]] == [
@@ -211,8 +213,8 @@ def _kernels_of_each_kind() -> dict[str, KernelBinary]:
         "vqe partial": vqe,
         "vqe full": bake(vqe, problem.x0),
         "clifford pool": clifford_pool(calib, RB_SHOTS),
-        "rb circuit": compile_full(
-            _sequence_schedule(circuit.elements, calib), [], RB_SHOTS, n_qubits=1
+        "rb circuit": bake(
+            compile_partial(_sequence_schedule(circuit.elements, calib), RB_SHOTS, n_qubits=1), []
         ),
         "sweep partial": sweep,
         "sweep full": bake(sweep, (0.0,) * sweep.n_slots),
@@ -240,8 +242,8 @@ def test_kernel_bytes_of_each_kind_are_pinned():
 
 
 def test_binary_roundtrip_and_hash_stability(calib):
-    k = compile_partial(_vqe_schedule(calib), shots=300)
-    again = compile_partial(_vqe_schedule(calib), shots=300)
+    k = compile_partial(_vqe_schedule(calib), shots=300, n_qubits=1)
+    again = compile_partial(_vqe_schedule(calib), shots=300, n_qubits=1)
     assert again.serialized == k.serialized
     assert again.content_hash == k.content_hash
     assert k.size_bytes == len(k.serialized)
@@ -250,7 +252,7 @@ def test_binary_roundtrip_and_hash_stability(calib):
 
 def test_pair_channels_follow_single_qubit_block(calib):
     c = Circuit(2, [op("XX", (0, 1), math.pi / 4), op("MEASURE", ())])
-    k = compile_full(lower_to_pulses(transpile(c), calib), [], shots=10)
+    k = bake(compile_partial(lower_to_pulses(transpile(c), calib), shots=10, n_qubits=2), [])
     assert k.pair_channels == ((0, 1),)
     pair_channel = k.n_qubits + 0
     assert any(
@@ -267,10 +269,10 @@ def test_pair_channels_number_distinct_items_in_first_use_order():
         PulseSchedule([p12, p01, p12, p01, p12]),
         PulseSchedule([p02, p01, p12, p02]),
     ]
-    k = compile_partial(scheds, shots=10)
+    k = compile_partial(scheds, shots=10, n_qubits=3)
     assert k.pair_channels == ((1, 2), (0, 1), (0, 2))
     copies = [PulseSchedule([copy.copy(i) for i in s.items]) for s in scheds]
-    assert compile_partial(copies, shots=10).content_hash == k.content_hash
+    assert compile_partial(copies, shots=10, n_qubits=3).content_hash == k.content_hash
 
 
 def test_clifford_pool_kernel_shape(calib):
@@ -307,14 +309,14 @@ def test_pool_rejects_readout_blocks(calib):
     c = Circuit(1, [op("RY", 0, 0.5), op("MEASURE", ())])
     sched = lower_to_pulses(transpile(c), calib)
     with pytest.raises(CompileError):
-        compile_pool([sched], 100, prep_us=100.0, detect_us=200.0)
+        compile_pool([sched], 100, prep_us=100.0, detect_us=200.0, n_qubits=1)
 
 
 @pytest.mark.parametrize("ansatz", [[op("RY", 0, SlotRef(0))], [op("RZ", 0, SlotRef(0))]])
 def test_pool_rejects_slot_blocks(calib, ansatz):
     sched = lower_to_pulses(transpile(Circuit(1, ansatz)), calib)
     with pytest.raises(CompileError, match="^pool blocks must be fully literal$"):
-        compile_pool([sched], 100, prep_us=100.0, detect_us=200.0)
+        compile_pool([sched], 100, prep_us=100.0, detect_us=200.0, n_qubits=1)
 
 
 def _apart(ops: list[GateOp]) -> list[GateOp]:
@@ -332,7 +334,7 @@ def test_rb_kernel_bytes_do_not_depend_on_shared_ops(calib, length):
         assert len({id(i) for i in shared.items}) == len({id(g) for g in ops}) + 1
         assert len({id(i) for i in apart.items}) == len(apart.items)
         assert shared.items == apart.items
-        kernels = [compile_full(s, [], RB_SHOTS, n_qubits=1) for s in (shared, apart)]
+        kernels = [bake(compile_partial(s, RB_SHOTS, n_qubits=1), []) for s in (shared, apart)]
         assert kernels[0].serialized == kernels[1].serialized
 
 
@@ -348,7 +350,8 @@ def test_streamed_kernel_bytes_do_not_depend_on_shared_slot_ops():
     kernels = []
     for native in (ops, _apart(ops)):
         sched = lower_to_pulses(MappedCircuit(2, native), calib)
-        kernels.append((compile_partial(sched, 50), compile_full(sched, [0.5, 1.0, 2.0], 50)))
+        partial = compile_partial(sched, 50, n_qubits=2)
+        kernels.append((partial, bake(partial, [0.5, 1.0, 2.0])))
     (partial, full), (partial_apart, full_apart) = kernels
     assert partial.serialized == partial_apart.serialized
     assert full.serialized == full_apart.serialized
@@ -362,7 +365,7 @@ def test_streamed_kernel_bytes_do_not_depend_on_shared_slot_ops():
 def test_equal_ops_that_encode_differently_are_not_shared(calib):
     # 0.0 == -0.0, so a table keyed by equality would emit the first for both
     ops = [GateOp("RZ", (0,), (Literal(0.0),)), GateOp("RZ", (0,), (Literal(-0.0),))]
-    k = compile_partial(lower_to_pulses(MappedCircuit(1, ops), calib), 1)
+    k = compile_partial(lower_to_pulses(MappedCircuit(1, ops), calib), 1, n_qubits=1)
     angles = [i.args[1] for i in k.instructions if i.op is Opcode.FRAME_ROT]
     assert [math.copysign(1.0, a) for a in angles] == [1.0, -1.0]
 
@@ -379,7 +382,8 @@ def test_recalibration_between_compiles_changes_play_durations(calib):
     (circ,) = random_circuits(2, (32,), per_length=1)
 
     def plays() -> list[float]:
-        k = compile_full(_sequence_schedule(circ.elements, calib), [], RB_SHOTS, n_qubits=1)
+        schedule = _sequence_schedule(circ.elements, calib)
+        k = bake(compile_partial(schedule, RB_SHOTS, n_qubits=1), [])
         return [i.args[0].value for i in k.instructions if i.op is Opcode.PLAY]
 
     before = plays()
@@ -393,14 +397,14 @@ def test_cost_model_examples(calib):
     assert m.compile_time(300) == pytest.approx(0.8)
     assert m.upload_time(10**6) == pytest.approx(0.15)
     assert SCHEDULE_S == pytest.approx(0.1)
-    k = compile_full(_vqe_schedule(calib), [0.3], shots=10)
+    k = bake(compile_partial(_vqe_schedule(calib), shots=10, n_qubits=1), [0.3])
     cost = m.cost_of(k)
     assert cost.total_s == pytest.approx(cost.compile_s + cost.upload_s + 0.1)
 
 
 def test_kernel_price_is_a_one_compile_ledger(calib):
     m = CostModel()
-    k = compile_partial(_vqe_schedule(calib), shots=10)
+    k = compile_partial(_vqe_schedule(calib), shots=10, n_qubits=1)
     cost = m.cost_of(k)
     assert cost == RunCosts(
         1, m.compile_time(k.n_instr), m.upload_time(k.size_bytes), SCHEDULE_S
@@ -421,8 +425,8 @@ def test_ledgers_add_fieldwise_and_scale_by_repetition():
 def test_compile_log_accounting(calib):
     model = CostModel()
     log = CompileLog()
-    k1 = compile_full(_vqe_schedule(calib), [0.1], shots=300)
-    k2 = compile_partial(_vqe_schedule(calib), shots=300)
+    k1 = bake(compile_partial(_vqe_schedule(calib), shots=300, n_qubits=1), [0.1])
+    k2 = compile_partial(_vqe_schedule(calib), shots=300, n_qubits=1)
     assert log.record(k1, model) is k1
     assert log.record(k2, model) is k2
     assert log.costs == model.cost_of(k1) + model.cost_of(k2)
@@ -454,13 +458,13 @@ def _freshly_checked(k: KernelBinary) -> KernelBinary:
 def _rb_full(length: int) -> KernelBinary:
     (circuit,) = random_circuits(3, (length,), 1)
     schedule = _sequence_schedule(circuit.elements, CalibrationDataset.default(1))
-    return compile_full(schedule, [], RB_SHOTS, n_qubits=1)
+    return bake(compile_partial(schedule, RB_SHOTS, n_qubits=1), [])
 
 
 def _vqe_full() -> KernelBinary:
     problem = two_param_problem()
     scheds = section_schedules(problem, CalibrationDataset.default(1))
-    return compile_full(scheds, problem.x0, problem.shots, n_qubits=1)
+    return bake(compile_partial(scheds, problem.shots, n_qubits=1), problem.x0)
 
 
 def _sweep_full() -> KernelBinary:
@@ -473,8 +477,9 @@ BAKED = {
     **{f"rb {m}": (lambda m=m: _rb_full(m)) for m in RB_LENGTHS},
     "vqe": _vqe_full,
     "calibration": _sweep_full,
-    "slotted sections": lambda: compile_full(
-        _slotted_sections(CalibrationDataset.default(2)), [0.3, -1.2, 2.5, 7.0], shots=7
+    "slotted sections": lambda: bake(
+        compile_partial(_slotted_sections(CalibrationDataset.default(2)), shots=7, n_qubits=2),
+        [0.3, -1.2, 2.5, 7.0],
     ),
 }
 
@@ -564,7 +569,10 @@ def test_an_rpc_tag_names_what_its_kernel_posts_or_fetches(calib, pool, op, tag,
     # each kernel passed the check before RPC tags were checked; the first two
     # then ran wrongly: the pool kernel replayed its launch circuit on every
     # PARAMS reply, and the results fetch misreported its PARAMS reply
-    k = clifford_pool(calib, 10) if pool else compile_partial(_vqe_schedule(calib), shots=10)
+    if pool:
+        k = clifford_pool(calib, 10)
+    else:
+        k = compile_partial(_vqe_schedule(calib), shots=10, n_qubits=1)
     pc, instrs = _retagged(k, op, tag)
     with pytest.raises(CompileError, match=f"^pc {pc}: {op.name} tag {tag}, expected {expected}$"):
         KernelBinary(k.n_qubits, instrs, k.pair_channels, k.blocks)
@@ -613,6 +621,37 @@ def test_negative_slot_duration_rejected():
 def test_out_of_range_operand_rejected(op, args, bad):
     with pytest.raises(CompileError, match=f"bad {bad} operand"):
         Instr(op, args)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: Instr(Opcode.SET_AMP, (0, math.nan)), CompileError, "^bad real .* nan$"),
+        (lambda: Instr(Opcode.SET_AMP, (0, math.inf)), CompileError, "^bad real .* inf$"),
+        (lambda: Instr(Opcode.FRAME_ROT, (0, -math.inf)), CompileError, "^bad real .* -inf$"),
+        (lambda: Instr(Opcode.PREP, (math.nan,)), CompileError, "^bad f64 .* nan$"),
+        (lambda: Instr(Opcode.PREP, (math.inf,)), CompileError, "^bad f64 .* inf$"),
+        (lambda: Instr(Opcode.DETECT, (255, -5.0)), CompileError, "^bad f64 .* -5.0$"),
+        (lambda: Instr(Opcode.PLAY, (SlotOverOmega(0, 0.0),)), CompileError, "^bad dur "),
+        (lambda: Instr(Opcode.PLAY, (SlotOverOmega(0, -1.0),)), CompileError, "^bad dur "),
+        (lambda: Instr(Opcode.PLAY, (SlotOverOmega(0, math.nan),)), CompileError, "^bad dur "),
+        (lambda: Instr(Opcode.PLAY, (SlotOverOmega(0, math.inf),)), CompileError, "^bad dur "),
+        (lambda: LiteralUs(math.inf), InvalidCalibration, "^duration must be finite and >= 0"),
+        (
+            lambda: KernelBinary(1, (Instr(Opcode.DETECT, (0, 200.0)), Instr(Opcode.HALT, ()))),
+            CompileError,
+            "^pc 0: detect channel 0, expected 255$",
+        ),
+    ],
+    ids=[
+        "nan amp", "infinite amp", "infinite frame angle", "nan prep", "infinite prep",
+        "negative detect", "zero rabi snapshot", "negative rabi snapshot", "nan rabi snapshot",
+        "infinite rabi snapshot", "infinite literal duration", "one-channel detect",
+    ],
+)
+def test_an_operand_the_vm_cannot_run_fails_when_the_kernel_is_built(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_size_bytes_counts_the_serialized_bytes_of_every_driver_kernel(monkeypatch):

@@ -35,7 +35,6 @@ from dlpc.devcomp import (
     CompileError,
     CostModel,
     bake,
-    compile_full,
     compile_partial,
 )
 from dlpc.drivers import vqe as vqe_driver
@@ -171,7 +170,7 @@ def _vqe_bill(problem: VqeProblem, mode: str):
     nq = problem.ansatz.n_qubits
     scheds = section_schedules(problem, CalibrationDataset.default(nq))
     if mode == "baseline":
-        kernels = [compile_full(s, problem.x0, problem.shots, n_qubits=nq) for s in scheds]
+        kernels = [bake(compile_partial(s, problem.shots, n_qubits=nq), problem.x0) for s in scheds]
     else:
         kernels = [compile_partial(scheds, problem.shots, n_qubits=nq)]
     return report.costs, kernels, report.n_iterations
@@ -224,7 +223,9 @@ def test_a_non_finite_slot_value_raises_in_both_modes(slot, value, mode, monkeyp
 @pytest.mark.parametrize("slot", [0, 1], ids=["RY slot", "RZ slot"])
 def test_a_non_finite_reply_raises_before_the_kernel_runs_it(slot, value):
     problem = two_param_problem()
-    kernel = compile_partial(section_schedules(problem, CalibrationDataset.default(1)), 50)
+    kernel = compile_partial(
+        section_schedules(problem, CalibrationDataset.default(1)), 50, n_qubits=1
+    )
     results = []
 
     def host(fetch) -> None:

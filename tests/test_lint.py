@@ -40,6 +40,13 @@ An eighth keeps the pipeline fork in one place: no module under
 ``drivers/`` but ``accounting.py`` names ``run_session``, ``CompileLog``,
 ``ExecutionTrace`` or ``costs_from``, so each driver runs both pipelines
 through ``accounting.run_loop`` and holds only its host loop and kernels.
+
+A ninth keeps the tree on Python 3.10, the oldest ``requires-python``
+admits: every module under ``src/``, ``tests/`` and ``perfbench/`` parses
+with a 3.10 grammar (no ``except*``), and no name, attribute or import
+under ``src/`` or ``perfbench/`` is one that only 3.11 or later defines,
+such as ``enum.global_enum`` or ``BaseException.add_note``.  It reads the
+AST, so a comment may still name them.
 """
 
 from __future__ import annotations
@@ -318,7 +325,7 @@ def test_scan_flags_every_runner_name_but_not_lookalikes(tmp_path):
 
 
 # Pinned counts: change one only with the option it adds or removes.
-SETTABLE_OPTIONS = 78
+SETTABLE_OPTIONS = 75
 CLI_FLAGS = 42
 
 
@@ -398,3 +405,62 @@ def test_option_scan_counts_defaults_and_init_fields(tmp_path):
     assert settable_options([module]) == [
         "m.py:6 A.y", "m.py:7 A.z", "m.py:11 B.v", "m.py:14 f", "m.py:14 f", "m.py:15 lambda"
     ]
+
+
+# Names that only Python 3.11 or later defines, in the stdlib or as builtins.
+NEWER_THAN_310 = frozenset({
+    "global_enum", "add_note", "StrEnum", "ExceptionGroup", "BaseExceptionGroup",
+    "TaskGroup", "tomllib", "Self", "UTC",
+})
+
+
+def newer_than_310(path: Path, names: bool = True) -> list[str]:
+    """Syntax a 3.10 grammar rejects, else (with ``names``) each 3.11-only name used."""
+    try:
+        tree = ast.parse(path.read_text(), feature_version=(3, 10))
+    except SyntaxError as e:
+        return [f"{path.name}:{e.lineno} {e.msg}"]
+    if not names:
+        return []
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used = [node.id]
+        elif isinstance(node, ast.Attribute):
+            used = [node.attr]
+        elif isinstance(node, ast.alias):
+            used = node.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            used = (node.module or "").split(".")
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in used if name in NEWER_THAN_310]
+    return found
+
+
+def test_the_tree_runs_on_python_3_10():
+    tests = ROOT / "tests"
+    assert [f for path in USERS for f in newer_than_310(path, tests not in path.parents)] == []
+
+
+def test_python_3_10_scan_flags_except_star_and_newer_names(tmp_path):
+    star = tmp_path / "star.py"
+    star.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    module = tmp_path / "names.py"
+    module.write_text(
+        "import enum\n"
+        "import tomllib\n"
+        "from typing import Self\n"
+        "# enum.global_enum, in a comment\n"
+        "@enum.global_enum\n"
+        "class E(enum.IntEnum):\n"
+        "    A = 1\n"
+        "def f(e):\n"
+        "    e.add_note('x')\n"
+    )
+    (found,) = newer_than_310(star, names=False)
+    assert found.startswith("star.py:") and "only supported in Python 3.11" in found
+    assert newer_than_310(module) == [
+        "names.py:2 tomllib", "names.py:3 Self", "names.py:5 global_enum", "names.py:9 add_note"
+    ]
+    assert newer_than_310(module, names=False) == []

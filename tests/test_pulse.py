@@ -68,7 +68,7 @@ def test_slot_rotation_defers_duration():
     sched = lowered(Circuit(1, [op("RY", 0, SlotRef(0))]))
     (p,) = sched.pulse_ops
     assert p.duration == SlotOverOmega(0, DEFAULT_RABI)
-    assert compile_partial(sched, 1).n_slots == 1
+    assert compile_partial(sched, 1, n_qubits=1).n_slots == 1
     assert duration_of(math.pi, p.duration.rabi_snapshot) == pytest.approx(10.0, abs=1e-9)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -15,12 +16,11 @@ from hypothesis import strategies as st
 from dlpc import qpu
 from dlpc.cliffords import compose, inverse, native_ops
 from dlpc.devcomp import (
-    ALL_CHANNELS,
     Instr,
     KernelBinary,
     Opcode,
     SlotArityError,
-    compile_full,
+    bake,
     compile_partial,
 )
 from dlpc.drivers.rb import clifford_pool
@@ -56,20 +56,31 @@ def _schedule(circuit: Circuit, calib: CalibrationDataset):
 
 
 def _stream(binary, objective, **execute_kwargs):
-    """Execute a streamed kernel against objective; returns its trace."""
-    return run_within(
+    """Execute a streamed kernel against objective.
+
+    Returns its trace, holding the results the host received: a streamed
+    trace keeps none itself.
+    """
+    received = []
+
+    def recorded(results):
+        received.append(results)
+        return objective(results)
+
+    trace = run_within(
         10,
         lambda: run_session(
             lambda handle: execute(binary, endpoint=handle, **execute_kwargs),
-            objective_worker(objective),
+            objective_worker(recorded),
         ),
     )
+    return dataclasses.replace(trace, results=received)
 
 
 def test_clock_additivity_example(calib):
     # prep 100 us + pi/2 pulse 5 us + detect 200 us = 305 us per shot
     c = Circuit(1, [op("RY", 0, math.pi / 2), op("MEASURE", ())])
-    k = compile_full(_schedule(c, calib), [], shots=300)
+    k = bake(compile_partial(_schedule(c, calib), shots=300, n_qubits=1), [])
     trace = execute(k, run_seed=1)
     assert trace.busy_us == pytest.approx(300 * 305.0)
     assert trace.rpc_us == 0.0
@@ -78,7 +89,7 @@ def test_clock_additivity_example(calib):
 
 def test_sampling_is_deterministic_per_key(calib):
     c = Circuit(1, [op("RY", 0, 1.1), op("MEASURE", ())])
-    k = compile_full(_schedule(c, calib), [], shots=500)
+    k = bake(compile_partial(_schedule(c, calib), shots=500, n_qubits=1), [])
     a = execute(k, run_seed=42, iteration=3).results[0]
     b = execute(k, run_seed=42, iteration=3).results[0]
     assert a == b
@@ -89,7 +100,7 @@ def test_sampling_is_deterministic_per_key(calib):
 def test_full_kernel_counts_match_statevector(calib):
     theta = 2 * math.asin(math.sqrt(0.25))  # P(1) = 0.25 exactly
     c = Circuit(1, [op("RY", 0, theta), op("MEASURE", ())])
-    k = compile_full(_schedule(c, calib), [], shots=200_000)
+    k = bake(compile_partial(_schedule(c, calib), shots=200_000, n_qubits=1), [])
     (counts,) = execute(k, run_seed=9).results[0].counts
     p1 = counts.get(1, 0) / 200_000
     assert p1 == pytest.approx(0.25, abs=0.005)
@@ -97,7 +108,7 @@ def test_full_kernel_counts_match_statevector(calib):
 
 def test_depolarizing_mixes_toward_uniform(calib):
     c = Circuit(1, [op("RX", 0, math.pi), op("MEASURE", ())])
-    k = compile_full(_schedule(c, calib), [], shots=50_000)
+    k = bake(compile_partial(_schedule(c, calib), shots=50_000, n_qubits=1), [])
     rho = 0.03
     (counts,) = execute(k, run_seed=5, depolarizing=rho).results[0].counts
     f = 1 - 4 * rho / 3
@@ -109,10 +120,10 @@ def test_drift_changes_applied_angle(calib):
     # A pi pulse compiled against the calibrated drive strength misses when
     # the device has drifted: literal durations carry time, not angle.
     c = Circuit(1, [op("RX", 0, math.pi), op("MEASURE", ())])
-    k = compile_full(_schedule(c, calib), [], shots=20_000)
+    k = bake(compile_partial(_schedule(c, calib), shots=20_000, n_qubits=1), [])
     exact = execute(k, run_seed=3).results[0].counts[0]
     assert exact == {1: 20_000}
-    drifted = execute(k, run_seed=3, rabi_truth=1.05 * DEFAULT_RABI).results[0].counts[0]
+    drifted = execute(k, run_seed=3, rabi_truth={0: 1.05 * DEFAULT_RABI}).results[0].counts[0]
     assert 0 < drifted.get(0, 0) < 1000
     expected = math.cos(1.05 * math.pi / 2) ** 2
     assert drifted[0] / 20_000 == pytest.approx(expected, abs=0.005)
@@ -120,7 +131,7 @@ def test_drift_changes_applied_angle(calib):
 
 def test_two_qubit_pair_pulse(calib):
     c = Circuit(2, [op("XX", (0, 1), math.pi / 4), op("MEASURE", ())])
-    k = compile_full(_schedule(c, calib), [], shots=40_000)
+    k = bake(compile_partial(_schedule(c, calib), shots=40_000, n_qubits=2), [])
     trace = execute(k, run_seed=11)
     (counts,) = trace.results[0].counts
     assert set(counts) == {0b00, 0b11}
@@ -131,7 +142,7 @@ def test_two_qubit_pair_pulse(calib):
 
 def test_partial_kernel_iterates_until_sentinel(calib):
     c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
-    k = compile_partial(_schedule(c, calib), shots=300)
+    k = compile_partial(_schedule(c, calib), shots=300, n_qubits=1)
     xs = [0.4, 1.0, 2.2]
 
     def objective(r: Results):
@@ -152,10 +163,10 @@ def test_mode_equivalence_exact(calib):
 
     baseline = []
     for k_iter, x in enumerate(xs):
-        kern = compile_full(_schedule(template, calib), [x], shots=300)
+        kern = bake(compile_partial(_schedule(template, calib), shots=300, n_qubits=1), [x])
         baseline.append(execute(kern, run_seed=seed, iteration=k_iter).results[0])
 
-    partial = compile_partial(_schedule(template, calib), shots=300)
+    partial = compile_partial(_schedule(template, calib), shots=300, n_qubits=1)
 
     def objective(r: Results):
         nxt = r.iteration + 1
@@ -196,11 +207,12 @@ def test_streamed_slots_never_reuse_a_stale_matrix(calib):
     xs = [(0.3, 1.1), (0.3, 2.0), (1.9, 2.0), (0.3, 1.1), (2.6, 0.4)]
     seed = 5
     sched = _schedule(_mixed_template(), calib)
-    kernel = compile_partial(sched, shots=2000)
+    kernel = compile_partial(sched, shots=2000, n_qubits=2)
     trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=seed)
     assert len(trace.results) == len(xs)
     for k, x in enumerate(xs):
-        fresh = execute(compile_full(sched, list(x), shots=2000), run_seed=seed, iteration=k)
+        full = bake(compile_partial(sched, shots=2000, n_qubits=2), list(x))
+        fresh = execute(full, run_seed=seed, iteration=k)
         assert trace.results[k] == fresh.results[0], f"iteration {k} with slots {x}"
 
 
@@ -214,7 +226,7 @@ def test_literal_pulses_build_their_matrix_once_per_kernel(calib, monkeypatch):
 
     monkeypatch.setattr(qpu, "gate_matrix", counting)
     xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0), (2.2, 0.1), (2.6, 0.4)]
-    kernel = compile_partial(_schedule(_mixed_template(), calib), shots=100)
+    kernel = compile_partial(_schedule(_mixed_template(), calib), shots=100, n_qubits=2)
     _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=1)
     # two literal pulses (RX(0.7) and XX) once each, three slot-driven gates per iteration
     assert len(built) == 2 + 3 * len(xs)
@@ -235,7 +247,7 @@ def test_sections_sharing_an_ansatz_build_each_slot_matrix_once_per_iteration(
     monkeypatch.setattr(qpu, "gate_matrix", counting)
     xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0), (2.2, 0.1), (2.6, 0.4)]
     sched = _schedule(_mixed_template(), calib)
-    kernel = compile_partial([sched, sched], shots=100)
+    kernel = compile_partial([sched, sched], shots=100, n_qubits=2)
     trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=3)
     # the second section builds no matrix the first built: two literal
     # pulses once per kernel, three slot-driven gates once per iteration
@@ -243,7 +255,7 @@ def test_sections_sharing_an_ansatz_build_each_slot_matrix_once_per_iteration(
     assert max(Counter(built).values()) == 1
     monkeypatch.undo()
     for k, x in enumerate(xs):
-        fresh = compile_full(sched, list(x), shots=100)
+        fresh = bake(compile_partial(sched, shots=100, n_qubits=2), list(x))
         for j in range(2):
             want = execute(fresh, run_seed=3, iteration=k, first_section=j).results[0]
             assert trace.results[k].counts[j] == want.counts[0], (k, j)
@@ -259,9 +271,9 @@ def _watch_vm(monkeypatch) -> list[tuple[np.ndarray, bool, int]]:
         contractions.append(None)
         return real_apply(*args)
 
-    def detecting(self, channel, shots):
+    def detecting(self, shots):
         seen.append((self.state.copy(), self.root is not None, len(contractions)))
-        real_detect(self, channel, shots)
+        real_detect(self, shots)
 
     monkeypatch.setattr(qpu, "_apply_gate", contracting)
     monkeypatch.setattr(qpu._Vm, "_detect", detecting)
@@ -281,7 +293,7 @@ def _assert_sections_match_full_compiles(trace, seen, scheds, xs, seed, shots, d
     streamed = list(seen)
     for k, x in enumerate(xs):
         for j, sched in enumerate(scheds):
-            fresh = compile_full(sched, list(x), shots=shots)
+            fresh = bake(compile_partial(sched, shots=shots, n_qubits=2), list(x))
             want = execute(
                 fresh, run_seed=seed, iteration=k, first_section=j, depolarizing=depolarizing
             )
@@ -297,7 +309,7 @@ def test_trie_never_replays_a_stale_state(calib, monkeypatch, depolarizing):
     scheds = _bases(calib, _mixed_template())
     seen = _watch_vm(monkeypatch)
     trace = _stream(
-        compile_partial(scheds, shots=500), _replay(xs),
+        compile_partial(scheds, shots=500, n_qubits=2), _replay(xs),
         launch=Params(xs[0]), run_seed=8, depolarizing=depolarizing,
     )
     assert len(seen) == len(scheds) * len(xs) and all(trie for _, trie, _ in seen)
@@ -312,7 +324,10 @@ def test_prefix_diverging_midway_recomputes_from_that_gate(calib, monkeypatch):
     xs = [(0.3, 1.1), (0.8, 1.5), (1.9, 2.0)]
     seen = _watch_vm(monkeypatch)
     trace = _stream(
-        compile_partial(scheds, shots=200), _replay(xs), launch=Params(xs[0]), run_seed=2
+        compile_partial(scheds, shots=200, n_qubits=2),
+        _replay(xs),
+        launch=Params(xs[0]),
+        run_seed=2,
     )
     done = [0] + [contracted for _, _, contracted in seen]
     # a runs all five gates, b only the two after the shared prefix, a again none
@@ -370,7 +385,8 @@ def test_trie_holds_one_iterations_states_on_a_streamed_rb_kernel(calib, monkeyp
     monkeypatch.undo()
     for i, seq in enumerate(circuits):
         ops = [g for idx in seq for g in native_ops(idx, 0)]
-        full = compile_full(_schedule(Circuit(1, [*ops, op("MEASURE", ())]), calib), [], shots=50)
+        sched = _schedule(Circuit(1, [*ops, op("MEASURE", ())]), calib)
+        full = bake(compile_partial(sched, shots=50, n_qubits=1), [])
         for j in range(2):
             want = execute(full, run_seed=6, iteration=i, first_section=j).results[0]
             assert trace.results[i].counts[j] == want.counts[0], (i, j)
@@ -379,14 +395,14 @@ def test_trie_holds_one_iterations_states_on_a_streamed_rb_kernel(calib, monkeyp
 def test_one_detect_kernels_build_no_trie(calib, monkeypatch):
     seen = _watch_vm(monkeypatch)
     sched = _schedule(_mixed_template(), calib)
-    execute(compile_full(sched, [0.3, 1.1], shots=10))
+    execute(bake(compile_partial(sched, shots=10, n_qubits=2), [0.3, 1.1]))
     _stream(
-        compile_partial(sched, shots=10),
+        compile_partial(sched, shots=10, n_qubits=2),
         _replay([(0.3, 1.1), (0.5, 0.2)]),
         launch=Params((0.3, 1.1)),
     )
     _stream(clifford_pool(calib, 10), lambda r: Sentinel(), launch=CircuitBlock((5, 17)))
-    execute(compile_full([sched, sched], [0.3, 1.1], shots=10))
+    execute(bake(compile_partial([sched, sched], shots=10, n_qubits=2), [0.3, 1.1]))
     assert [trie for _, trie, _ in seen] == [False] * 4 + [True] * 2
 
 
@@ -426,24 +442,20 @@ def test_streamed_kernel_builds_one_sampling_generator(calib, monkeypatch):
         _schedule(Circuit(2, [*_mixed_template().ops[:-1], op("MEASURE", (), basis=b)]), calib)
         for b in ("Z", "X", "Y")
     ]
-    kernel = compile_partial(scheds, shots=200)
+    kernel = compile_partial(scheds, shots=200, n_qubits=2)
     trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=17)
     assert calls == [(17, 0, 0)]
     monkeypatch.undo()
     for k, x in enumerate(xs):
         for j, sched in enumerate(scheds):
-            fresh = compile_full(sched, list(x), shots=200)
+            fresh = bake(compile_partial(sched, shots=200, n_qubits=2), list(x))
             want = execute(fresh, run_seed=17, iteration=k, first_section=j).results[0]
             assert trace.results[k].counts[j] == want.counts[0], (k, j)
 
 
-def _placed_counts(state, coherent, channel, shots, key, rng=None) -> dict[int, int]:
+def _placed_counts(state, coherent, shots, key, rng=None) -> dict[int, int]:
     """Reference readout: place each draw in the CDF by binary search, then histogram."""
-    n = int(math.log2(len(state)))
     probs = np.abs(state) ** 2
-    if channel != ALL_CHANNELS:
-        mask = (np.arange(2**n) >> channel) & 1
-        probs = np.array([probs[mask == 0].sum(), probs[mask == 1].sum()])
     probs = coherent * probs + (1.0 - coherent) / len(probs)
     cdf = probs.cumsum()
     cdf[-1] = 1.0
@@ -453,7 +465,7 @@ def _placed_counts(state, coherent, channel, shots, key, rng=None) -> dict[int, 
     return dict(zip(seen.tolist(), hist[seen].tolist()))
 
 
-def _counted(state, coherent, channel, shots, key, rng=None) -> dict[int, int]:
+def _counted(state, coherent, shots, key, rng=None) -> dict[int, int]:
     """What ``_Vm._detect`` reads from ``state`` for one section keyed ``key``."""
     n = int(math.log2(len(state)))
     run_seed, iteration, section = key
@@ -463,7 +475,7 @@ def _counted(state, coherent, channel, shots, key, rng=None) -> dict[int, int]:
         rabi_truth=None, depolarizing=0.0, cost_only=False, first_section=section,
     )
     vm.state, vm.coherent, vm.rng = state, coherent, rng
-    vm._detect(channel, shots)
+    vm._detect(shots)
     return vm.sections[0]
 
 
@@ -476,10 +488,9 @@ def _readouts(draw):
     phases = np.array(draw(st.lists(st.floats(0.0, 6.3), min_size=2**n, max_size=2**n)))
     state = amps * np.exp(1j * phases) / np.linalg.norm(amps)
     coherent = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
-    channel = draw(st.one_of(st.just(ALL_CHANNELS), st.integers(0, n - 1)))
     shots = draw(st.sampled_from([1, 2, 200, 1000]))
     key = tuple(draw(st.integers(0, 2**40)) for _ in range(3))
-    return state, coherent, channel, shots, key
+    return state, coherent, shots, key
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -493,7 +504,7 @@ def test_counts_agree_where_the_cdf_tail_rounds_above_one(shots):
     state = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(3.0)
     assert (np.abs(state) ** 2).cumsum()[-2] > 1.0
     for key in [(0, 0, 0), (3, 1, 2), (17, 5, 1)]:
-        readout = (state, 1.0, ALL_CHANNELS, shots, key)
+        readout = (state, 1.0, shots, key)
         assert _counted(*readout) == _placed_counts(*readout)
 
 
@@ -511,7 +522,7 @@ class _FixedDraws:
 def test_a_draw_on_a_cdf_entry_counts_where_placing_puts_it():
     state = np.full(4, 0.5, dtype=complex)  # cdf 0.25, 0.5, 0.75, 1.0, all exact
     draws = [0.5, 0.0, 0.25, 0.75, 0.5, 0.1]
-    readout = (state, 1.0, ALL_CHANNELS, len(draws), (0, 0, 0), _FixedDraws(draws))
+    readout = (state, 1.0, len(draws), (0, 0, 0), _FixedDraws(draws))
     assert _counted(*readout) == _placed_counts(*readout) == {0: 2, 1: 1, 2: 2, 3: 1}
 
 
@@ -530,13 +541,13 @@ def test_eight_qubit_streamed_sections_count_as_placing_gives(monkeypatch):
     want = []
     detect = qpu._Vm._detect
 
-    def checked(vm, channel, shots):
+    def checked(vm, shots):
         key = (vm.run_seed, vm.iteration, vm.section_idx)
-        want.append(_placed_counts(vm.state, vm.coherent, channel, shots, key))
-        detect(vm, channel, shots)
+        want.append(_placed_counts(vm.state, vm.coherent, shots, key))
+        detect(vm, shots)
 
     monkeypatch.setattr(qpu._Vm, "_detect", checked)
-    kernel = compile_partial(scheds, shots=1000)
+    kernel = compile_partial(scheds, shots=1000, n_qubits=8)
     trace = _stream(kernel, _replay(xs), launch=Params(xs[0]), run_seed=23, depolarizing=1e-3)
     got = [section for r in trace.results for section in r.counts]
     assert len(got) == 9 and min(len(s) for s in got) > 50
@@ -567,7 +578,7 @@ def test_pool_mode_equivalence_exact(calib):
     for i, seq in enumerate(circuits):
         ops = [g for idx in seq for g in native_ops(idx, 0)]
         full_circ = Circuit(1, ops + [op("MEASURE", ())])
-        kern = compile_full(_schedule(full_circ, calib), [], shots=100, n_qubits=1)
+        kern = bake(compile_partial(_schedule(full_circ, calib), shots=100, n_qubits=1), [])
         want = execute(kern, run_seed=seed, iteration=i).results[0]
         assert trace.results[i] == want
     # every streamed sequence ends on the identity: survival is certain
@@ -589,7 +600,7 @@ def test_each_reply_runs_its_own_circuit_and_nothing_else(calib):
     for i, seq in enumerate(circuits):
         ops = [g for idx in seq for g in native_ops(idx, 0)]
         sched = _schedule(Circuit(1, [*ops, op("MEASURE", ())]), calib)
-        full = compile_full(sched, [], shots=200, n_qubits=1)
+        full = bake(compile_partial(sched, shots=200, n_qubits=1), [])
         wants.append(execute(full, run_seed=5, iteration=i).results[0])
     assert trace.results == wants
     assert wants[2].counts != wants[1].counts  # a replayed earlier circuit would show
@@ -702,7 +713,7 @@ def test_block_recursion_names_the_select_that_goes_too_deep():
 
 def test_launch_slot_arity_checked(calib):
     c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
-    k = compile_partial(_schedule(c, calib), shots=10)
+    k = compile_partial(_schedule(c, calib), shots=10, n_qubits=1)
     with pytest.raises(SlotArityError):
         execute(k, launch=Params((0.1, 0.2)))
 
@@ -728,7 +739,7 @@ def test_bad_launch_fails_like_the_same_reply(calib, pool, good, bad):
         k = clifford_pool(calib, 10)
     else:
         c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
-        k = compile_partial(_schedule(c, calib), shots=10)
+        k = compile_partial(_schedule(c, calib), shots=10, n_qubits=1)
     as_reply = _raised(
         lambda: _stream(k, lambda r: bad if r.iteration == 0 else Sentinel(), launch=good)
     )
@@ -777,7 +788,7 @@ def test_kernel_without_rpc_posts_one_result_at_halt():
 
 def test_streaming_kernel_needs_an_endpoint_after_its_launch_loads(calib):
     c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
-    k = compile_partial(_schedule(c, calib), shots=10)
+    k = compile_partial(_schedule(c, calib), shots=10, n_qubits=1)
     with pytest.raises(SlotArityError):
         execute(k, launch=Params((0.1, 0.2)))
     with pytest.raises(VmError, match="^partial kernel requires a host endpoint$"):
@@ -817,7 +828,7 @@ def test_qubit_limit_enforced_and_stub_mode_allows(calib):
 
 def test_cost_only_preserves_clock(calib):
     c = Circuit(1, [op("RY", 0, math.pi / 2), op("MEASURE", ())])
-    k = compile_full(_schedule(c, calib), [], shots=300)
+    k = bake(compile_partial(_schedule(c, calib), shots=300, n_qubits=1), [])
     full = execute(k, run_seed=1)
     stub = execute(k, run_seed=1, cost_only=True)
     assert full.n_iterations == stub.n_iterations == 1
@@ -828,7 +839,43 @@ def test_cost_only_preserves_clock(calib):
 
 def test_wrong_reply_type_raises_protocol_error(calib):
     c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
-    k = compile_partial(_schedule(c, calib), shots=10)
+    k = compile_partial(_schedule(c, calib), shots=10, n_qubits=1)
 
     with pytest.raises(ProtocolError):
         _stream(k, lambda r: CircuitBlock((0,)), launch=Params((0.5,)))
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_a_results_reply_fails_where_the_kernel_loads_it(calib, transport):
+    c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
+    k = compile_partial(_schedule(c, calib), shots=10, n_qubits=1)
+    echo = objective_worker(lambda r: r)  # replies with the Results it was sent
+    with pytest.raises(ProtocolError, match="^iteration 1: kernel fetches Params, got Results$"):
+        run_within(
+            10,
+            lambda: run_session(
+                lambda handle: execute(k, endpoint=handle, launch=Params((0.5,))),
+                echo,
+                transport=transport,
+            ),
+        )
+
+
+def test_a_streamed_run_leaves_its_results_with_the_host(calib):
+    c = Circuit(1, [op("RY", 0, SlotRef(0)), op("MEASURE", ())])
+    k = compile_partial(_schedule(c, calib), shots=10, n_qubits=1)
+    received = []
+
+    def host(fetch) -> None:
+        for x in (0.1, 0.2, 0.3):
+            received.append(fetch(Params((x,))))
+
+    trace = run_within(
+        10,
+        lambda: run_session(
+            lambda handle: execute(k, endpoint=handle, launch=Params((0.1,))), host
+        ),
+    )
+    assert trace.results == []
+    assert trace.n_iterations == len(received) == 3
+    assert [r.iteration for r in received] == [0, 1, 2]

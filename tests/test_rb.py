@@ -63,7 +63,7 @@ def test_fewer_than_three_distinct_lengths_raise_before_any_compile(monkeypatch,
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled a kernel")
 
-    monkeypatch.setattr(rb, "compile_full", no_compile)
+    monkeypatch.setattr(rb, "compile_partial", no_compile)
     monkeypatch.setattr(rb, "clifford_pool", no_compile)
     with pytest.raises(ValueError, match="at least 3 distinct lengths"):
         run_rb(mode, cost_model=MODEL, lengths=lengths, per_length=3, shots=50)
@@ -163,7 +163,7 @@ def test_baseline_compiles_per_sequence():
 def test_baseline_rebuilds_every_circuit(monkeypatch):
     # No cache may skip per-circuit work: each circuit is transpiled, lowered,
     # compiled and executed once.
-    calls = dict.fromkeys(("transpile", "lower_to_pulses", "compile_full", "execute"), 0)
+    calls = dict.fromkeys(("transpile", "lower_to_pulses", "compile_partial", "execute"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):

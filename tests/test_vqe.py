@@ -91,7 +91,7 @@ def test_section_schedules_one_per_basis():
     two = two_param_problem()
     scheds = section_schedules(two, _calib())
     assert len(scheds) == 3
-    assert all(compile_partial(s, 1).n_slots == 2 for s in scheds)
+    assert all(compile_partial(s, 1, n_qubits=1).n_slots == 2 for s in scheds)
 
 
 def test_baseline_recompiles_every_evaluation():
