@@ -236,8 +236,9 @@ class KernelBinary:
     """Compiled kernel: header plus instruction stream.
 
     pair_channels maps two-qubit drive lines to channel indices: pair k drives
-    qubit pair pair_channels[k] on channel n_qubits + k.  blocks is the gate
-    pool table, (start, length) instruction windows referenced by SELECT.
+    qubit pair pair_channels[k], two distinct qubits of the register, on
+    channel n_qubits + k.  blocks is the gate pool table, (start, length)
+    instruction windows referenced by SELECT.
     n_slots, streams and n_detects come from the one pass that checks the instructions.
     """
 
@@ -279,6 +280,9 @@ class KernelBinary:
                 n_slots = slot + 1
             elif slot < 0:
                 raise CompileError(f"pc {pc}: negative slot {slot}")
+        for k, (i, j) in enumerate(self.pair_channels):
+            if i == j or not (0 <= i < self.n_qubits and 0 <= j < self.n_qubits):
+                raise CompileError(f"pair {k}: ({i}, {j}) is not two distinct qubits of {self.n_qubits}")
         for start, length in self.blocks:
             if start + length > n:
                 raise CompileError("block table window extends past end of kernel")

@@ -211,7 +211,13 @@ class _Vm:
         self.phase = [0.0] * n_channels
         self.amp = [0.0] * n_channels
         self.armed = 0
-        self.rabi = [float((rabi_truth or {}).get(q, DEFAULT_RABI)) for q in range(n)]
+        rabi_truth = rabi_truth or {}
+        for q, rabi in rabi_truth.items():
+            if q not in range(n):
+                raise ValueError(f"rabi_truth names qubit {q!r}, outside the {n}-qubit register")
+            if not 0.0 < rabi < np.inf:
+                raise ValueError(f"rabi_truth[{q}] must be finite and > 0, got {rabi}")
+        self.rabi = [float(rabi_truth.get(q, DEFAULT_RABI)) for q in range(n)]
         if not 0.0 <= depolarizing <= 1.0:
             raise ValueError(f"depolarizing must be a probability in [0, 1], got {depolarizing}")
         self.pulse_survival = max(0.0, 1.0 - 4.0 * depolarizing / 3.0)
@@ -433,10 +439,12 @@ def execute(binary: KernelBinary, **options) -> ExecutionTrace:
     synchronous fetch, with the same checks and errors, and only then runs, so
     the first iteration is never blocked on the host.  ``rabi_truth`` maps a
     qubit to the device's drive strength, ``DEFAULT_RABI`` for any it leaves
-    out.  A per-pulse ``depolarizing`` probability outside [0, 1], or NaN,
-    raises ``ValueError``.  ``cost_only`` keeps the clock and reads every shot
-    as outcome 0.  ``first_section`` offsets the sampling-stream key of the
-    kernel's sections, so a single-section kernel run standalone can reproduce
-    section j of a multi-section kernel bit for bit.
+    out; a key that is not a qubit of the register, or a strength that is not
+    finite and > 0, raises ``ValueError``.  A per-pulse ``depolarizing``
+    probability outside [0, 1], or NaN, raises ``ValueError``.  ``cost_only``
+    keeps the clock and reads every shot as outcome 0.  ``first_section``
+    offsets the sampling-stream key of the kernel's sections, so a
+    single-section kernel run standalone can reproduce section j of a
+    multi-section kernel bit for bit.
     """
     return _Vm(binary, **options).run()

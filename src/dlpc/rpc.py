@@ -3,8 +3,11 @@
 Wire format: every frame is a u32 little-endian length (counting the tag byte),
 a u8 type tag, then the payload.  Reals are 8-byte little-endian IEEE-754;
 counts and indices are u32 little-endian.  SENTINEL is the five bytes
-``01 00 00 00 02``.  A CIRCUIT_BLOCK carries one circuit, the next iteration's:
-a u32 count, then that many u32 gate-pool indices.
+``01 00 00 00 02``.  A RESULTS frame is a u32 iteration, a u8 qubit count and a
+u32 section count; each section is a u32 entry count, then one u32 run of
+interleaved (key, count) pairs, keys ascending, little-endian on every host.
+A CIRCUIT_BLOCK carries one circuit, the next iteration's: a u32 count, then
+that many u32 gate-pool indices.
 
 ``run_session`` is the one way to run a streamed kernel.  A driver writes its
 host loop once, as ``host(fetch)``: ``fetch(directive)`` returns the next
@@ -40,8 +43,10 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Protocol, TypeVar
 
@@ -76,6 +81,8 @@ TAG_SENTINEL = 2
 TAG_CIRCUIT_BLOCK = 3
 
 _POLL_S = 0.05
+_BIG_ENDIAN = sys.byteorder == "big"  # a big-endian host swaps each u32 run for the wire
+assert array("I").itemsize == 4, "a results section is one run of u32 words"
 
 # Largest length a socket peer may declare for one frame.  The biggest frame a
 # driver sends, a 12-qubit Results with three 4096-key sections, is about 98 KB.
@@ -124,7 +131,8 @@ class Results:
 
     Each section maps an outcome key to its count; bit q of the key is qubit
     q's readout (``bits_to_key`` and ``key_to_bits`` convert to and from
-    bitstrings).
+    bitstrings).  On the wire a section is one u32 run of (key, count) pairs,
+    keys ascending, little-endian on every host.
     """
 
     iteration: int
@@ -161,8 +169,10 @@ def encode(m: RpcMessage) -> bytes:
         if isinstance(m, Results):
             parts = [struct.pack("<IBI", m.iteration, m.n_qubits, len(m.counts))]
             for section in m.counts:
-                flat = [v for entry in sorted(section.items()) for v in entry]
-                parts.append(struct.pack(f"<I{len(flat)}I", len(section), *flat))
+                keys = sorted(section)
+                run = array("I", bytes(8 * len(keys)))
+                run[0::2], run[1::2] = array("I", keys), array("I", map(section.__getitem__, keys))
+                parts += (struct.pack("<I", len(keys)), _swapped(run).tobytes())
             payload, tag = b"".join(parts), TAG_RESULTS
         elif isinstance(m, Params):
             payload = struct.pack("<I", len(m.values)) + struct.pack(f"<{len(m.values)}d", *m.values)
@@ -174,7 +184,7 @@ def encode(m: RpcMessage) -> bytes:
             tag = TAG_CIRCUIT_BLOCK
         else:
             raise ProtocolError(f"cannot encode {type(m).__name__}")
-    except struct.error as e:
+    except (struct.error, OverflowError, TypeError) as e:
         raise ProtocolError(f"cannot encode {type(m).__name__}: {_misfit(m)}") from e
     return struct.pack("<I", len(payload) + 1) + bytes([tag]) + payload
 
@@ -196,6 +206,11 @@ def _misfit(m: Results | Params | CircuitBlock) -> str:
         except struct.error:
             return f"{name} = {value!r}"
     return "a field out of range"
+
+
+def _swapped(run: array) -> array:
+    """``run`` turned in place between host order and the wire's little-endian order."""
+    return run.byteswap() or run if _BIG_ENDIAN else run
 
 
 class _Reader:
@@ -230,11 +245,12 @@ def decode(frame: bytes) -> RpcMessage:
         sections = []
         for _ in range(n_sections):
             (n_entries,) = r.take("<I")
-            flat = r.take(f"<{2 * n_entries}I")
-            section = dict(zip(flat[0::2], flat[1::2]))
-            top = max(section, default=0)
+            run = _swapped(array("I", *r.take(f"<{8 * n_entries}s")))
+            top = max(run[0::2], default=0)
             if top >> n_qubits:
                 raise ProtocolError(f"outcome key {top} out of range for {n_qubits} qubits")
+            it = iter(run)
+            section = dict(zip(it, it))
             if len(section) != n_entries:
                 raise ProtocolError("duplicate outcome key in a results section")
             sections.append(section)

@@ -532,6 +532,15 @@ def test_loop_body_window_validated():
         )
 
 
+def test_each_pair_channel_names_two_distinct_qubits_of_the_register():
+    # Unchecked, a bad pair would fail only in ``execute``, on numpy's bare axes error.
+    instrs = (Instr(Opcode.PREP, (1.0,)), Instr(Opcode.HALT, ()))
+    for i, j in ((0, 5), (0, 0), (-1, 1)):
+        with pytest.raises(CompileError, match=rf"^pair 1: \({i}, {j}\) is not two distinct qubits of 2$"):
+            KernelBinary(2, instrs, ((0, 1), (i, j)))
+    assert KernelBinary(2, instrs, ((0, 1), (1, 0))).pair_channels == ((0, 1), (1, 0))
+
+
 def test_resume_target_validated():
     with pytest.raises(CompileError):
         KernelBinary(

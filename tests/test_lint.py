@@ -47,6 +47,12 @@ with a 3.10 grammar (no ``except*``), and no name, attribute or import
 under ``src/`` or ``perfbench/`` is one that only 3.11 or later defines,
 such as ``enum.global_enum`` or ``BaseException.add_note``.  It reads the
 AST, so a comment may still name them.
+
+A tenth keeps the wire codec on the standard library: every import in
+``rpc.py`` names a module in ``sys.stdlib_module_names`` or is a relative
+``dlpc`` import.  ``array`` and ``struct`` reject a float or an out-of-range
+field, where a numpy cast such as ``np.asarray(..., dtype=np.uint32)``
+truncates it silently, and a codec must never corrupt a frame silently.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from __future__ import annotations
 import argparse
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -464,3 +471,43 @@ def test_python_3_10_scan_flags_except_star_and_newer_names(tmp_path):
         "names.py:2 tomllib", "names.py:3 Self", "names.py:5 global_enum", "names.py:9 add_note"
     ]
     assert newer_than_310(module, names=False) == []
+
+
+def nonstandard_imports(path: Path) -> list[str]:
+    """Each import in ``path`` of a module outside the standard library; relative ones pass."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {module}"
+            for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_the_wire_codec_imports_only_the_standard_library():
+    assert nonstandard_imports(SRC / "dlpc" / "rpc.py") == []
+
+
+def test_stdlib_scan_flags_numpy_but_not_stdlib_or_relative_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, struct\n"
+        "from array import array\n"
+        "from . import ir\n"
+        "from .devcomp import KernelBinary\n"
+        "import numpy\n"
+        "import numpy as np\n"
+        "from numpy import frombuffer\n"
+        "from dlpc import ir\n"
+    )
+    assert nonstandard_imports(module) == [
+        "m.py:6 numpy", "m.py:7 numpy", "m.py:8 numpy", "m.py:9 dlpc"
+    ]

@@ -803,6 +803,26 @@ def test_depolarizing_outside_a_probability_raises(rho):
     assert execute(k, depolarizing=1.0).n_iterations == 1
 
 
+@pytest.mark.parametrize(
+    "truth, error",
+    [
+        ({0: float("nan")}, r"^rabi_truth\[0\] must be finite and > 0, got nan$"),
+        ({0: float("inf")}, r"^rabi_truth\[0\] must be finite and > 0, got inf$"),
+        ({0: -1e6}, r"^rabi_truth\[0\] must be finite and > 0, got -1000000.0$"),
+        ({0: 0.0}, r"^rabi_truth\[0\] must be finite and > 0, got 0.0$"),
+        ({1: DEFAULT_RABI}, r"^rabi_truth names qubit 1, outside the 1-qubit register$"),
+        ({-1: DEFAULT_RABI}, r"^rabi_truth names qubit -1, outside the 1-qubit register$"),
+    ],
+    ids=["nan", "inf", "negative", "zero", "past-the-register", "negative-qubit"],
+)
+def test_rabi_truth_outside_the_register_or_not_a_positive_rate_raises(truth, error):
+    # Unchecked, NaN would sample from NaN probabilities and inf fail on a bare math domain error.
+    k = KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), Instr(Opcode.HALT, ())))
+    with pytest.raises(ValueError, match=error):
+        execute(k, rabi_truth=truth)
+    assert execute(k, rabi_truth={0: DEFAULT_RABI}).n_iterations == 1
+
+
 def test_select_without_circuit_raises():
     k = KernelBinary(
         1,

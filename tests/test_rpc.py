@@ -6,6 +6,7 @@ import socket
 import struct
 import threading
 
+import numpy as np
 import pytest
 from conftest import SESSION_THREADS, objective_worker, run_within
 from hypothesis import given, settings
@@ -74,13 +75,21 @@ def test_circuit_block_roundtrip():
         (Results(-1, 2, ()), r"Results: iteration = -1"),
         (Results(0, 256, ()), r"Results: n_qubits = 256"),
         (Params((0.5, "x")), r"Params: values\[1\] = 'x'"),
+        (Results(0, 2, ({1: 4, 2.0: 3},)), r"Results: counts\[0\] key = 2.0"),
+        (Results(0, 2, ({2**32: 1},)), r"Results: counts\[0\] key = 4294967296"),
+        (Results(0, 2, ({1: 2**32},)), r"Results: counts\[0\]\[1\] = 4294967296"),
     ],
     ids=["negative-index", "wide-index", "negative-key", "negative-count", "iteration", "n_qubits",
-         "non-float"],
+         "non-float", "float-key", "wide-key", "wide-count"],
 )
 def test_encode_names_the_field_the_wire_cannot_hold(message, field):
     with pytest.raises(ProtocolError, match=f"^cannot encode {field}$"):
         encode(message)
+
+
+def test_numpy_integer_keys_encode_as_ints():
+    section = {np.int64(k): np.int64(9 - k) for k in (3, 0, 2)}
+    assert encode(Results(0, 2, (section,))) == encode(Results(0, 2, ({0: 9, 2: 7, 3: 6},)))
 
 
 def test_truncated_frames_rejected():
@@ -131,11 +140,49 @@ def test_encode_decode_roundtrip(m):
     assert decode(frame) == m
 
 
-def _results_frame(n_qubits: int, section: list[tuple[int, int]]) -> bytes:
-    """One Results frame with a single section of raw (key, count) entries."""
-    payload = struct.pack("<IBI", 0, n_qubits, 1) + struct.pack("<I", len(section))
-    payload += b"".join(struct.pack("<II", key, n) for key, n in section)
+def _results_frame(
+    n_qubits: int, *sections: list[tuple[int, int]], iteration: int = 0, entry: str = "<II"
+) -> bytes:
+    """One Results frame of raw (key, count) entries, each packed on its own by ``entry``."""
+    payload = struct.pack("<IBI", iteration, n_qubits, len(sections))
+    for section in sections:
+        payload += struct.pack("<I", len(section))
+        payload += b"".join(struct.pack(entry, key, n) for key, n in section)
     return struct.pack("<I", len(payload) + 1) + bytes([0]) + payload
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.builds(
+            Results,
+            st.integers(0, 2**32 - 1),
+            st.just(n),
+            st.lists(
+                # each dict is filled in the order its keys are drawn, not sorted
+                st.dictionaries(st.integers(0, 2**n - 1), st.integers(0, 2**32 - 1), max_size=40),
+                max_size=4,
+            ).map(tuple),
+        )
+    )
+)
+def test_results_frame_is_the_per_entry_reference(m):
+    sections = [sorted(section.items()) for section in m.counts]
+    frame = _results_frame(m.n_qubits, *sections, iteration=m.iteration)
+    assert encode(m) == frame
+    assert decode(frame) == m
+
+
+def test_byte_order_flag_swaps_each_run_and_reads_it_back(monkeypatch):
+    m = Results(3, 4, ({5: 7, 1: 2**32 - 2}, {}, {15: 1}))
+    sections = [sorted(section.items()) for section in m.counts]
+    assert encode(m) == _results_frame(4, *sections, iteration=3)
+    # The flag turned over swaps each run's words, and only them: the header
+    # and entry counts stay little-endian.  On a host of either byte order,
+    # the runs then come out big-endian.
+    monkeypatch.setattr(rpc, "_BIG_ENDIAN", not rpc._BIG_ENDIAN)
+    assert encode(m) == _results_frame(4, *sections, iteration=3, entry=">II")
+    assert decode(encode(m)) == m
 
 
 def test_results_key_out_of_range_rejected():
