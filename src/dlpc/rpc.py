@@ -26,6 +26,9 @@ loop puts each result into the results buffer, takes the host's reply
 (PARAMS, CIRCUIT_BLOCK, or SENTINEL) from the parameter buffer, and relays it
 to the kernel.  Both buffers are capacity-1 rendezvous cells, so the control
 flow is strictly alternating and every message is delivered exactly once.
+Every wait is one untimed blocking system call that CPython makes without
+the interpreter lock: a cell waits in ``os.read`` on a pipe and is woken by
+``os.write``, and a socket end waits in one ``recv`` per frame.
 
 The session ends once a SENTINEL has been relayed or the kernel has ended.
 The kernel's handle is closed however the kernel ends, so the loop never waits
@@ -41,11 +44,13 @@ alternation means the next host-to-kernel frame is always the response.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import sys
 import threading
 import time
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Protocol, TypeVar
@@ -80,7 +85,6 @@ TAG_PARAMS = 1
 TAG_SENTINEL = 2
 TAG_CIRCUIT_BLOCK = 3
 
-_POLL_S = 0.05
 _BIG_ENDIAN = sys.byteorder == "big"  # a big-endian host swaps each u32 run for the wire
 assert array("I").itemsize == 4, "a results section is one run of u32 words"
 
@@ -92,6 +96,11 @@ MAX_FRAME_BYTES = 1 << 24
 # arrive within this many seconds.  The wait for a first byte is unbounded: the
 # peer may be computing, and a dead peer closes the stream.
 FRAME_TIMEOUT_S = 10.0
+
+_CLOSING = b"\1"  # a closed cell's byte in both of its pipes
+_RECV_BYTES = 1 << 13  # a socket read's least size; a stream-wide Results frame is 3.6 KB
+_KEY_BYTE = (3, 2, 1, 0) if _BIG_ENDIAN else (0, 1, 2, 3)  # where a u32's byte b lies, b = 0 lowest
+_BELOW = [bytes(range(1 << bits)) for bits in range(8)]  # _BELOW[b]: the byte values under 2**b
 
 T = TypeVar("T")
 
@@ -245,10 +254,12 @@ def decode(frame: bytes) -> RpcMessage:
         sections = []
         for _ in range(n_sections):
             (n_entries,) = r.take("<I")
-            run = _swapped(array("I", *r.take(f"<{8 * n_entries}s")))
-            top = max(run[0::2], default=0)
-            if top >> n_qubits:
-                raise ProtocolError(f"outcome key {top} out of range for {n_qubits} qubits")
+            (raw,) = r.take(f"<{8 * n_entries}s")
+            run = _swapped(array("I", raw))
+            words = run.tobytes()  # byte b of entry i's key is words[8 * i + _KEY_BYTE[b]]
+            if any(words[_KEY_BYTE[b]::8].translate(None, _BELOW[max(n_qubits - 8 * b, 0)])
+                   for b in range(n_qubits // 8, 4)):  # a key bit at or above n_qubits is set
+                raise ProtocolError(f"outcome key {max(run[0::2])} out of range for {n_qubits} qubits")
             it = iter(run)
             section = dict(zip(it, it))
             if len(section) != n_entries:
@@ -275,39 +286,47 @@ def decode(frame: bytes) -> RpcMessage:
 class RendezvousCell:
     """Capacity-1 blocking cell; close() unblocks every waiter with ChannelClosed.
 
-    Two locks carry the hand-off: ``_space`` is held while the cell is full
-    and ``_ready`` while it is empty, and each side releases the other's
-    lock.  A waiter polls the closed flag every ``_POLL_S``; a take returns
-    an item already in the cell before it reports closed.
+    Two pipes carry the hand-off: ``_ready`` holds a byte while the cell is
+    full, ``_space`` one while it is empty.  A wait is one untimed ``os.read``
+    and a wake one ``os.write``, both made without the interpreter lock, so
+    the woken thread runs at once.  ``close`` writes ``_CLOSING`` to both
+    pipes; a waiter that reads it writes it back for the next, and a take
+    returns an item put before it.  The pipes close when the cell is
+    collected, so never while a thread waits on them and their fd may be reused.
     """
 
     def __init__(self) -> None:
         self._item: RpcMessage | None = None
-        self._space = threading.Lock()
-        self._ready = threading.Lock()
-        self._ready.acquire()
-        self._closed = threading.Event()
+        self._closed = False
+        self._ready, self._space = os.pipe(), os.pipe()
+        os.write(self._space[1], b"\0")
+        for fd in (*self._ready, *self._space):
+            weakref.finalize(self, os.close, fd)
 
     def put(self, item: RpcMessage) -> None:
-        while True:
-            if self._closed.is_set():
-                raise ChannelClosed("cell is closed")
-            if self._space.acquire(timeout=_POLL_S):
-                self._item = item
-                self._ready.release()
-                return
+        if self._closed:
+            raise ChannelClosed("cell is closed")
+        self._wait(self._space)
+        self._item = item
+        os.write(self._ready[1], b"\0")
 
     def take(self) -> RpcMessage:
-        while True:
-            if self._ready.acquire(timeout=_POLL_S):
-                item, self._item = self._item, None
-                self._space.release()
-                return item
-            if self._closed.is_set():
-                raise ChannelClosed("cell is closed")
+        self._wait(self._ready)
+        item, self._item = self._item, None
+        os.write(self._space[1], b"\0")
+        return item
 
     def close(self) -> None:
-        self._closed.set()
+        if not self._closed:
+            self._closed = True
+            os.write(self._ready[1], _CLOSING)
+            os.write(self._space[1], _CLOSING)
+
+    @staticmethod
+    def _wait(pipe: tuple[int, int]) -> None:
+        if os.read(pipe[0], 1) == _CLOSING:
+            os.write(pipe[1], _CLOSING)
+            raise ChannelClosed("cell is closed")
 
 
 class _Transport(Protocol):
@@ -336,33 +355,11 @@ class _CellTransport:
         self._rx.close()
 
 
-def _recv_exactly(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
-    """Read n bytes; with a deadline (monotonic clock), a stall raises FrameError."""
-    buf = bytearray()
-    while len(buf) < n:
-        try:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    raise TimeoutError
-                sock.settimeout(remaining)
-            chunk = sock.recv(n - len(buf))
-        except TimeoutError as e:
-            raise FrameError(
-                f"frame incomplete {FRAME_TIMEOUT_S}s after its first byte"
-            ) from e
-        except OSError as e:
-            raise ChannelClosed(f"socket error: {e}") from e
-        if not chunk:
-            raise ChannelClosed("peer closed the stream")
-        buf += chunk
-    return bytes(buf)
-
-
 class _SocketTransport:
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._send_lock = threading.Lock()
+        self._buf = bytearray()  # bytes received past the last frame returned
 
     def send(self, m: RpcMessage) -> None:
         with self._send_lock:
@@ -372,17 +369,34 @@ class _SocketTransport:
                 raise ChannelClosed(f"socket error: {e}") from e
 
     def recv(self) -> RpcMessage:
-        first = _recv_exactly(self._sock, 1)
-        deadline = time.monotonic() + FRAME_TIMEOUT_S
+        """The next frame: one ``recv`` when it arrives whole, with a deadline once it is split."""
+        buf, deadline, end = self._buf, None, 4
         try:
-            prefix = first + _recv_exactly(self._sock, 3, deadline)
-            (length,) = struct.unpack("<I", prefix)
-            if length > MAX_FRAME_BYTES:
-                raise FrameError(f"declared length {length} exceeds {MAX_FRAME_BYTES}")
-            payload = _recv_exactly(self._sock, length, deadline)
+            while True:
+                if len(buf) >= 4:
+                    end = 4 + int.from_bytes(buf[:4], "little")
+                    if end - 4 > MAX_FRAME_BYTES:
+                        raise FrameError(f"declared length {end - 4} exceeds {MAX_FRAME_BYTES}")
+                    if len(buf) >= end:
+                        frame = bytes(buf[:end])
+                        del buf[:end]
+                        return decode(frame)
+                if buf:  # a split frame: the rest is due FRAME_TIMEOUT_S after its first byte
+                    deadline = deadline or time.monotonic() + FRAME_TIMEOUT_S
+                    if (remaining := deadline - time.monotonic()) <= 0.0:
+                        raise TimeoutError
+                    self._sock.settimeout(remaining)
+                chunk = self._sock.recv(max(end - len(buf), _RECV_BYTES))
+                if not chunk:
+                    raise ChannelClosed("peer closed the stream")
+                buf += chunk
+        except TimeoutError as e:
+            raise FrameError(f"frame incomplete {FRAME_TIMEOUT_S}s after its first byte") from e
+        except OSError as e:
+            raise ChannelClosed(f"socket error: {e}") from e
         finally:
-            self._sock.settimeout(None)
-        return decode(prefix + payload)
+            if deadline is not None:
+                self._sock.settimeout(None)
 
     def close(self) -> None:
         try:

@@ -53,6 +53,12 @@ A tenth keeps the wire codec on the standard library: every import in
 ``dlpc`` import.  ``array`` and ``struct`` reject a float or an out-of-range
 field, where a numpy cast such as ``np.asarray(..., dtype=np.uint32)``
 truncates it silently, and a codec must never corrupt a frame silently.
+
+An eleventh keeps the session's waits untimed: no call in ``rpc.py`` passes
+a ``timeout=`` keyword, and ``settimeout`` is called only inside a branch of
+``_SocketTransport.recv``, the split-frame path that arms a frame's deadline
+and disarms it.  A timed wait arms a kernel timer on every hand-off, and a
+poll loop wakes on it for nothing.
 """
 
 from __future__ import annotations
@@ -332,7 +338,7 @@ def test_scan_flags_every_runner_name_but_not_lookalikes(tmp_path):
 
 
 # Pinned counts: change one only with the option it adds or removes.
-SETTABLE_OPTIONS = 75
+SETTABLE_OPTIONS = 74
 CLI_FLAGS = 42
 
 
@@ -511,3 +517,51 @@ def test_stdlib_scan_flags_numpy_but_not_stdlib_or_relative_imports(tmp_path):
     assert nonstandard_imports(module) == [
         "m.py:6 numpy", "m.py:7 numpy", "m.py:8 numpy", "m.py:9 dlpc"
     ]
+
+
+SPLIT_FRAME_READER = "_SocketTransport.recv"
+
+
+def timed_waits(path: Path) -> list[str]:
+    """Calls that pass ``timeout=``, and ``settimeout`` calls off the split-frame path."""
+    found = []
+
+    def visit(node: ast.AST, scope: str, in_branch: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."), False)
+                continue
+            if isinstance(child, ast.Call):
+                if any(k.arg == "timeout" for k in child.keywords):
+                    found.append(f"{path.name}:{child.lineno} timeout=")
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name == "settimeout" and not (scope == SPLIT_FRAME_READER and in_branch):
+                    found.append(f"{path.name}:{child.lineno} settimeout")
+            visit(child, scope, in_branch or isinstance(child, ast.If))
+
+    visit(ast.parse(path.read_text()), "", False)
+    return found
+
+
+def test_session_waits_are_untimed():
+    assert timed_waits(SRC / "dlpc" / "rpc.py") == []
+
+
+def test_timed_wait_scan_flags_timeouts_off_the_split_frame_path(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import threading\n"
+        "lock = threading.Lock()\n"
+        "lock.acquire(timeout=0.05)\n"
+        "lock.acquire()\n"
+        "def read(sock):\n"
+        "    if sock:\n"
+        "        sock.settimeout(1.0)\n"
+        "class _SocketTransport:\n"
+        "    def recv(self):\n"
+        "        self._sock.settimeout(2.0)\n"
+        "        if self._buf:\n"
+        "            self._sock.settimeout(1.0)\n"
+        "        return self._sock.recv(1)\n"
+    )
+    assert timed_waits(module) == ["m.py:3 timeout=", "m.py:7 settimeout", "m.py:10 settimeout"]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +195,34 @@ def test_results_key_out_of_range_rejected():
     assert decode(_results_frame(2, [(1, 10), (3, 3)])).counts == ({1: 10, 3: 3},)
 
 
+@settings(max_examples=300)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(
+                st.one_of(
+                    st.integers(0, 2**32 - 1),
+                    st.integers(0, min(2**n, 2**32) - 1),
+                    # keys either side of the register's top
+                    st.integers(-3, 2).map(lambda d: min(max(2**n + d, 0), 2**32 - 1)),
+                ),
+                max_size=12,
+            ),
+        )
+    )
+)
+def test_decode_rejects_exactly_the_keys_at_or_above_two_to_the_n(case):
+    n_qubits, keys = case
+    frame = _results_frame(n_qubits, [(key, 1) for key in keys])
+    if any(key >= 2**n_qubits for key in keys):
+        message = f"^outcome key {max(keys)} out of range for {n_qubits} qubits$"
+        with pytest.raises(ProtocolError, match=message):
+            decode(frame)
+    else:
+        assert decode(frame).counts == ({key: 1 for key in keys},)
+
+
 def test_results_duplicate_key_rejected():
     with pytest.raises(ProtocolError, match="duplicate"):
         decode(_results_frame(2, [(1, 10), (1, 3)]))
@@ -247,6 +278,46 @@ def test_socket_waits_unbounded_for_a_first_byte(monkeypatch):
             assert run_within(5, _SocketTransport(host).recv) == Params((0.5,))
         finally:
             timer.join()
+
+
+def test_socket_keeps_bytes_past_a_frame_for_the_next_recv():
+    first, second = encode(Params((0.5,))), encode(Results(1, 2, ({3: 4},)))
+    host, kernel = socket.socketpair()
+    with host, kernel:
+        kernel.sendall(first + second)
+        end = _SocketTransport(host)
+        assert run_within(5, end.recv) == Params((0.5,))
+        kernel.close()  # the second frame is already in the reader's buffer
+        assert run_within(5, end.recv) == Results(1, 2, ({3: 4},))
+        with pytest.raises(ChannelClosed, match="peer closed"):
+            run_within(5, end.recv)
+
+
+def test_socket_frame_sent_one_byte_at_a_time_decodes():
+    frame = encode(Results(2, 3, ({0: 1, 5: 9}, {7: 2})))
+    host, kernel = socket.socketpair()
+
+    def trickle():
+        for i in range(len(frame)):
+            kernel.sendall(frame[i : i + 1])
+            time.sleep(0.002)
+
+    with host, kernel:
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        try:
+            assert run_within(5, _SocketTransport(host).recv) == decode(frame)
+        finally:
+            sender.join()
+
+
+def test_socket_frame_length_capped_with_payload_in_the_same_segment():
+    host, kernel = socket.socketpair()
+    with host, kernel:
+        host.settimeout(5)  # a payload read would time out, not raise FrameError
+        kernel.sendall(struct.pack("<IB", MAX_FRAME_BYTES + 1, 0) + bytes(64))
+        with pytest.raises(FrameError, match="exceeds"):
+            _SocketTransport(host).recv()
 
 
 def _scripted_kernel(handle, iterations: int, log: list) -> int:
@@ -403,7 +474,7 @@ def test_second_put_waits_until_a_take_frees_the_cell():
 
     t = threading.Thread(target=second_put)
     t.start()
-    assert not returned.wait(0.3)  # several poll periods: the cell is still full
+    assert not returned.wait(0.3)  # the cell is still full, so the put still waits
     assert cell.take() == Params((1.0,))
     assert returned.wait(5)
     t.join(timeout=5)
@@ -412,6 +483,88 @@ def test_second_put_waits_until_a_take_frees_the_cell():
     assert cell.take() == Params((2.0,))  # an item put before close is still delivered
     with pytest.raises(ChannelClosed):
         cell.take()
+
+
+def _blocked(call) -> tuple[threading.Thread, list]:
+    """Start ``call`` on a thread; the list gets the ``ChannelClosed`` it raises."""
+    errors: list = []
+
+    def target():
+        try:
+            call()
+        except ChannelClosed as e:
+            errors.append(e)
+
+    t = threading.Thread(target=target)
+    t.start()
+    return t, errors
+
+
+def test_closed_cell_unblocks_a_waiting_put():
+    cell = RendezvousCell()
+    cell.put(Params((1.0,)))
+    t, errors = _blocked(lambda: cell.put(Params((2.0,))))
+    assert not errors and t.is_alive()
+    cell.close()
+    t.join(timeout=5)
+    assert not t.is_alive() and len(errors) == 1
+    assert cell.take() == Params((1.0,))
+    with pytest.raises(ChannelClosed):
+        cell.take()
+
+
+@pytest.mark.parametrize("waiters", ["a put and a take", "two takes"])
+def test_close_from_a_third_thread_wakes_every_waiter(waiters):
+    full, empty = RendezvousCell(), RendezvousCell()
+    full.put(Sentinel())
+    calls = [lambda: full.put(Sentinel()), empty.take]
+    if waiters == "two takes":
+        calls = [empty.take, empty.take]
+    blocked = [_blocked(call) for call in calls]
+    time.sleep(0.1)  # both are waiting
+    assert all(t.is_alive() for t, _ in blocked)
+    closer = threading.Thread(target=lambda: (full.close(), empty.close()))
+    closer.start()
+    closer.join(timeout=5)
+    for t, errors in blocked:
+        t.join(timeout=5)
+        assert not t.is_alive() and len(errors) == 1
+
+
+def test_many_putters_and_takers_pass_each_item_exactly_once():
+    cell, per_thread, taken = RendezvousCell(), 200, []
+
+    def putter(p):
+        for i in range(per_thread):
+            cell.put(Params((float(p), float(i))))
+
+    def taker():
+        for _ in range(per_thread):
+            taken.append(cell.take().values)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=taker) for _ in range(4)]
+        threads += [threading.Thread(target=putter, args=(p,)) for p in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        cell.close()
+    assert sorted(taken) == [(float(p), float(i)) for p in range(4) for i in range(per_thread)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("transport, sessions", [("memory", 200), ("socket", 50)])
+def test_sessions_leave_no_file_descriptor_open(transport, sessions):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(sessions):
+        _run_session(lambda r: Sentinel(), transport)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def _protocol_traces(iterations: int):
