@@ -10,21 +10,27 @@ blocks live after HALT and a SELECT instruction replays whichever block
 sequence the host streamed in.  A full kernel is a slot-streaming partial
 kernel passed through ``bake``: the same header and loops with every slot made
 a literal, and a plain HALT for a tail, so a parameter change forces a
-recompile.  ``bake`` re-checks only loop ends and RPC tags and targets.
+recompile.  ``bake`` re-checks only RPC tags and resume targets.
 
 A kernel's slot count is one more than the highest slot operand it reads, and
 it streams (header mode byte 1) exactly when it holds an RPC instruction; any
-other kernel posts its one set of results at HALT.  Every RPC_ASYNC posts
-results, and every RPC_SYNC fetches the one kind of directive its kernel takes:
-circuit blocks when it has a gate pool, parameters otherwise.
+other kernel posts its one set of results at HALT.  ``KernelBinary`` checks a
+kernel's structure once, when it is built, so the VM only executes; a broken
+rule raises ``CompileError``, naming the pc of the instruction that breaks it:
+- a channel operand names a kernel channel, FRAME_ROT's a qubit and DETECT's 255;
+- a shot loop runs at least one shot;
+- a shot-loop body or gate block ends inside the kernel and holds no
+  LOOP_SHOTS, RPC or HALT, and a gate block no SELECT, so it never recurses;
+- RPC_ASYNC posts results, RPC_SYNC fetches blocks with a gate pool, parameters
+  otherwise, and resumes inside the kernel.
 
-Instruction operands: channels are u8 literals (DETECT's is 255, every qubit),
-scalars are finite f64 literals or u32 slot indices resolved at runtime, and
-durations are finite literal microseconds, never negative, or a slot angle over
-a finite, positive drive-strength snapshot taken at compile time.  One table,
-``_OPERANDS``, gives each operand kind its check and its packed formats; the
-instruction check, the encoder and the byte counts all read it.  Compile cost
-is affine in the instruction count, including pool blocks.
+Instruction operands: channels are u8 literals, scalars are finite f64
+literals or u32 slot indices resolved at runtime, and durations are finite
+literal microseconds, never negative, or a slot angle over a finite, positive
+drive-strength snapshot taken at compile time.  One table, ``_OPERANDS``, gives
+each operand kind its check and its packed formats; the instruction check, the
+encoder and the byte counts all read it.  Compile cost is affine in the
+instruction count, including pool blocks.
 
 An emitter builds each distinct schedule item's instructions once and extends a
 body with that tuple on every repeat.  This is exact, as the instructions depend
@@ -175,7 +181,8 @@ _TAG_SLOT = 1
 
 # Opcodes whose first operand is a channel and second a real.
 _CHANNEL_OPS = frozenset({SET_FREQ, SET_PHASE, SET_AMP, FRAME_ROT})
-_FLOW_OPS = frozenset({LOOP_SHOTS, RPC_SYNC, RPC_ASYNC})
+_RPC_OPS = frozenset({RPC_SYNC, RPC_ASYNC})
+_FLOW_OPS = _RPC_OPS | {LOOP_SHOTS, HALT}  # never in a shot loop or a gate block
 _SLOT_OPERANDS = (SlotRef, SlotOverOmega)
 
 
@@ -195,22 +202,14 @@ class Instr:
                 raise CompileError(f"bad {kind} operand for {self.op.name}: {arg!r}")
 
 
-def _flow_streams(pc: int, ins: Instr, n: int, pool: bool) -> bool:
-    """Check a LOOP_SHOTS end, or an RPC's tag and resume target, at ``pc`` of ``n``.
-
-    ``pool``: the kernel has a gate pool, so it fetches circuit blocks.  True for an RPC.
-    """
+def _check_rpc(pc: int, ins: Instr, n: int, pool: bool) -> None:
+    """Check an RPC's tag and an RPC_SYNC's resume target at ``pc`` of ``n``; ``pool``: it fetches blocks."""
     op, args = ins.op, ins.args
-    if op is LOOP_SHOTS:
-        if pc + 1 + args[1] > n:
-            raise CompileError(f"pc {pc}: loop body extends past end of kernel")
-        return False
     tag = TAG_RESULTS if op is RPC_ASYNC else TAG_CIRCUIT_BLOCK if pool else TAG_PARAMS
     if args[0] != tag:
         raise CompileError(f"pc {pc}: {op.name} tag {args[0]}, expected {tag}")
     if op is RPC_SYNC and args[1] >= n:
         raise CompileError(f"pc {pc}: resume target {args[1]} out of range")
-    return True
 
 
 def _packing(i: Instr) -> tuple[str, list]:
@@ -253,6 +252,7 @@ class KernelBinary:
     def __post_init__(self) -> None:
         n = len(self.instructions)
         n_slots = n_detects = 0
+        loop_end = 0  # the pc past the body of the last shot loop
         streams = False
         n_channels = self.n_qubits + len(self.pair_channels)
         for pc, ins in enumerate(self.instructions):
@@ -260,6 +260,8 @@ class KernelBinary:
             if op in _CHANNEL_OPS:
                 if args[0] >= n_channels:
                     raise CompileError(f"pc {pc}: channel {args[0]} out of range")
+                if op is FRAME_ROT and args[0] >= self.n_qubits:
+                    raise CompileError(f"pc {pc}: frame rotation on a pair channel")
                 operand = args[1]
             elif op is PLAY:
                 operand = args[0]
@@ -269,9 +271,17 @@ class KernelBinary:
                     if args[0] != ALL_CHANNELS:
                         raise CompileError(f"pc {pc}: detect channel {args[0]}, expected 255")
                 elif op in _FLOW_OPS:
-                    if op is LOOP_SHOTS and args[0] < 1:
-                        raise CompileError(f"pc {pc}: loop needs at least one shot")
-                    streams |= _flow_streams(pc, ins, n, bool(self.blocks))
+                    if pc < loop_end:
+                        raise CompileError(f"pc {pc}: {op.name} not allowed inside a shot loop")
+                    if op is LOOP_SHOTS:
+                        if args[0] < 1:
+                            raise CompileError(f"pc {pc}: loop needs at least one shot")
+                        loop_end = pc + 1 + args[1]
+                        if loop_end > n:
+                            raise CompileError(f"pc {pc}: loop body extends past end of kernel")
+                    elif op is not HALT:
+                        _check_rpc(pc, ins, n, bool(self.blocks))
+                        streams = True
                 continue
             if not isinstance(operand, _SLOT_OPERANDS):
                 continue
@@ -286,6 +296,10 @@ class KernelBinary:
         for start, length in self.blocks:
             if start + length > n:
                 raise CompileError("block table window extends past end of kernel")
+            for pc in range(start, start + length):
+                op = self.instructions[pc].op
+                if op in _FLOW_OPS or op is SELECT:
+                    raise CompileError(f"pc {pc}: {op.name} not allowed in a gate block")
         vars(self).update(n_slots=n_slots, streams=streams, n_detects=n_detects)
 
     @property
@@ -385,11 +399,12 @@ def bake(kernel: KernelBinary, slot_values: Sequence[float]) -> KernelBinary:
 
     if kernel.n_slots:  # a slot-free kernel, such as every RB circuit, is only sliced
         body = tuple(Instr(i.op, tuple(map(literal, i.args))) for i in body)
-    n = len(body) + 1  # a list, not a generator: ``any`` must not skip a check
-    streams = any([_flow_streams(pc, i, n, False) for pc, i in enumerate(body) if i.op in _FLOW_OPS])
+    rpcs = [(pc, i) for pc, i in enumerate(body) if i.op in _RPC_OPS]
+    for pc, i in rpcs:  # no loop holds the cut tail, but a resume target may point past it
+        _check_rpc(pc, i, len(body) + 1, False)
     full = object.__new__(KernelBinary)  # operands and channels passed ``kernel``'s check
     vars(full).update(n_qubits=kernel.n_qubits, instructions=(*body, tail[2]), blocks=(), n_slots=0,
-                      pair_channels=kernel.pair_channels, streams=streams, n_detects=kernel.n_detects)
+                      pair_channels=kernel.pair_channels, streams=bool(rpcs), n_detects=kernel.n_detects)
     return full
 
 

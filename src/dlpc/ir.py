@@ -1,7 +1,7 @@
 """Gate-level IR: slot-parameterized circuits, Pauli-sum Hamiltonians, exact references.
 
 Contents:
-- ``SlotRef`` / ``Literal``: gate parameters, either bound now or left as runtime slots
+- ``SlotRef``: a gate parameter left as a runtime slot; a bound one is a ``float``
 - ``GateOp`` / ``Circuit``: the input representation accepted by the transpiler
 - ``PauliTerm`` / ``Hamiltonian``: observables measured one term per circuit variant
 - ``expectation_from_counts``: estimator combining per-term counts
@@ -30,7 +30,6 @@ __all__ = [
     "EmptyCounts",
     "OracleTooLarge",
     "SlotRef",
-    "Literal",
     "ParamValue",
     "GateOp",
     "Circuit",
@@ -88,18 +87,11 @@ class SlotRef:
             raise IrError(f"slot index must be >= 0, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    value: float
+ParamValue = SlotRef | float
 
 
-ParamValue = SlotRef | Literal
-
-
-def _as_param(x: ParamValue | float | int) -> ParamValue:
-    if isinstance(x, (SlotRef, Literal)):
-        return x
-    return Literal(float(x))
+def _as_param(x: ParamValue | int) -> ParamValue:
+    return x if isinstance(x, SlotRef) else float(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +152,7 @@ class Circuit:
             raise IrError(f"need {self.n_slots} slot values, got {len(slot_values)}")
         ops = []
         for g in self.ops:
-            ps = tuple(Literal(float(slot_values[p.index])) if isinstance(p, SlotRef) else p for p in g.params)
+            ps = tuple(float(slot_values[p.index]) if isinstance(p, SlotRef) else p for p in g.params)
             ops.append(GateOp(g.kind, g.qubits, ps, basis=g.basis))
         return Circuit(self.n_qubits, ops)
 
@@ -399,8 +391,7 @@ def _evolve(circuit: Circuit, slot_values: list[float] | None, columns: bool) ->
     state = np.eye(dim, dtype=complex) if columns else np.eye(1, dim, dtype=complex)[0]
     for g in c.ops:
         if g.kind != "MEASURE":
-            vals = tuple(p.value for p in g.params)  # type: ignore[union-attr]
-            state = _apply_gate(state, gate_matrix(g.kind, vals), g.qubits, c.n_qubits)
+            state = _apply_gate(state, gate_matrix(g.kind, g.params), g.qubits, c.n_qubits)
     return state
 
 

@@ -254,11 +254,11 @@ def _lower_op(g: GateOp, calib: CalibrationDataset) -> ScheduleItem:
         if isinstance(theta, SlotRef):
             duration: DurationExpr = SlotOverOmega(theta.index, qc.rabi)
         else:
-            duration = LiteralUs(duration_of(theta.value, qc.rabi))
-        return PulseOp(g.qubits[0], qc.omega, qc.phase + phi.value, 1.0, duration)
+            duration = LiteralUs(duration_of(theta, qc.rabi))
+        return PulseOp(g.qubits[0], qc.omega, qc.phase + phi, 1.0, duration)
     if g.kind == "RZ":
         (angle,) = g.params
-        return FramePhase(g.qubits[0], angle if isinstance(angle, SlotRef) else angle.value)
+        return FramePhase(g.qubits[0], angle)
     if g.kind == "XX":
         i, j = g.qubits
         calib.pair_params(i, j)
@@ -266,7 +266,7 @@ def _lower_op(g: GateOp, calib: CalibrationDataset) -> ScheduleItem:
         (chi,) = g.params
         if isinstance(chi, SlotRef):
             raise PulseError("runtime-parameterized entangler angle is not supported")
-        freq, amp = min(qc_i.omega, qc_j.omega), (chi.value % TWO_PI) / TWO_PI
+        freq, amp = min(qc_i.omega, qc_j.omega), (chi % TWO_PI) / TWO_PI
         return PulseOp((min(i, j), max(i, j)), freq, 0.0, amp, LiteralUs(PAIR_PULSE_US))
     if g.kind == "MEASURE":
         return Detect(calib.detect_us)

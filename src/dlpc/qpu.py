@@ -8,23 +8,26 @@ costs kernel time.  A kernel streams exactly when it holds an RPC instruction:
 it then needs a host endpoint and runs until the host sends SENTINEL, and any
 other kernel posts one set of results, at HALT.
 
-Physics lives in the durations.  A drive pulse applies R(theta, phi) with
-theta = amp * Omega_true * duration: literal durations were computed against
-the calibrated drive strength, so if the device has drifted the applied angle
-is off by Omega_true / Omega_calibrated, exactly the error a stale compile
-produces on hardware.  Pair pulses apply XX(chi) with chi = amp * 2*pi over
-their fixed duration.  SET_FREQ only arms its channel (pulses are assumed
-resonant), and frame rotations apply an exact, error-free RZ.
+Physics lives in the durations.  The device drives every qubit at
+``DEFAULT_RABI``, and a drive pulse applies R(theta, phi) with
+theta = amp * DEFAULT_RABI * duration.  A literal duration was computed against
+the drive strength of the calibration its kernel was compiled with, so a kernel
+compiled against a stale calibration applies an angle off by
+DEFAULT_RABI / Omega_calibrated, exactly the error a stale compile produces on
+hardware.  Pair pulses apply XX(chi) with chi = amp * 2*pi over their fixed
+duration.  SET_FREQ only arms its channel (pulses are assumed resonant), and
+frame rotations apply an exact, error-free RZ.
 
-Each PLAY or FRAME_ROT looks up its resolved (kind, params) first in a
-table to matrix shared by every instruction, so sections that repeat an
-ansatz build each slot-driven matrix once per iteration.  A PARAMS reply
-empties that table; between two of them every slot is fixed, so it holds at
-most one entry per gate instruction.  Only on a miss does an instruction
-read the per-pc table, its last built matrix: it carries literal matrices
-across PARAMS, so a literal pulse builds its matrix once per kernel lifetime.
-(Equal by ``==``: a reused matrix differs from a fresh one at most in the
-sign of a zero, which no probability sees.)
+Each PLAY or FRAME_ROT looks up its resolved (kind, params) in one table of
+matrices with two generations: ``shared`` holds this iteration's keys and
+``previous`` the iteration before's.  A PARAMS reply makes ``shared`` the new
+``previous``, and a miss in ``shared`` moves its key over from ``previous``
+before it builds a matrix.  So a literal pulse builds its matrix once per
+kernel lifetime and a slot-driven gate at most once per iteration, whichever
+pc asks, and the table never holds more than two iterations' keys; a pool
+kernel never receives PARAMS and keeps one table for the whole run.  (Equal by
+``==``: a reused matrix differs from a fresh one at most in the sign of a
+zero, which no probability sees.)
 
 Sections of one iteration often repeat an ansatz and differ only in their
 final basis rotations, so the VM also keeps a trie of the states reached
@@ -45,8 +48,10 @@ replays a prefix, so it builds no trie.
 
 The dispatch loop is the VM's own largest cost, so it compares opcodes
 against ``devcomp``'s module globals (``PLAY`` and kin), binds registers and
-``_apply`` to locals once per window, and resolves slot operands inline.  A
-pulse angle is computed in one fixed order, ``amp * rabi * duration * 1e-6``
+``_apply`` to locals once per window, and resolves slot operands inline.  It
+re-checks nothing ``KernelBinary`` checked, and raises only what depends on the
+run: a slot read before PARAMS wrote it, and a SELECT with no circuit loaded.
+A pulse angle is computed in one fixed order, ``amp * rabi * duration * 1e-6``
 (``amp * 2.0 * pi`` for a pair pulse); reordering the factors would move
 angles, and so draws, in their last bits.
 
@@ -78,7 +83,6 @@ number of k with cdf[k] <= u, which is what the differences count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -92,7 +96,6 @@ from .devcomp import (
     RPC_ASYNC,
     RPC_ROUNDTRIP_S,
     RPC_SYNC,
-    SELECT,
     SET_AMP,
     SET_FREQ,
     SET_PHASE,
@@ -180,7 +183,6 @@ class _Vm:
         run_seed: int = 0,
         iteration: int = 0,
         launch: Params | CircuitBlock | None = None,
-        rabi_truth: Mapping[int, float] | None = None,
         depolarizing: float = 0.0,
         cost_only: bool = False,
         first_section: int = 0,
@@ -195,8 +197,9 @@ class _Vm:
             raise TooManyQubits(f"{n} qubits exceeds the {VM_QUBIT_LIMIT}-qubit register")
 
         self.slots: list[float] | None = None  # every slot is written at once, by PARAMS
-        # (kind, params) -> matrix for every pc; emptied when PARAMS rewrites the slots
+        # (kind, params) -> matrix: this iteration's keys, and the iteration before's
         self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
+        self.previous: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
         # A kernel with a gate pool fetches circuit blocks, any other kernel
         # parameters: KernelBinary holds every RPC_SYNC tag to that.
         self.fetched = CircuitBlock if binary.blocks else Params
@@ -211,20 +214,11 @@ class _Vm:
         self.phase = [0.0] * n_channels
         self.amp = [0.0] * n_channels
         self.armed = 0
-        rabi_truth = rabi_truth or {}
-        for q, rabi in rabi_truth.items():
-            if q not in range(n):
-                raise ValueError(f"rabi_truth names qubit {q!r}, outside the {n}-qubit register")
-            if not 0.0 < rabi < np.inf:
-                raise ValueError(f"rabi_truth[{q}] must be finite and > 0, got {rabi}")
-        self.rabi = [float(rabi_truth.get(q, DEFAULT_RABI)) for q in range(n)]
         if not 0.0 <= depolarizing <= 1.0:
             raise ValueError(f"depolarizing must be a probability in [0, 1], got {depolarizing}")
         self.pulse_survival = max(0.0, 1.0 - 4.0 * depolarizing / 3.0)
 
         self.state = None if cost_only else self._ground(n)
-        # pc -> ((kind, params), matrix) of the last gate that instruction built
-        self.matrices: dict[int, tuple[tuple[str, tuple[float, ...]], np.ndarray]] = {}
         # (kind, params, qubits) -> (state, children) from the ground state PREP
         # makes; node holds the children of the current state
         self.root: dict | None = {} if binary.n_detects > 1 and not cost_only else None
@@ -243,9 +237,7 @@ class _Vm:
         state[0] = 1.0
         return state
 
-    def _apply(
-        self, pc: int, kind: str, qubits: tuple[int, ...], params: tuple[float, ...]
-    ) -> None:
+    def _apply(self, kind: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> None:
         if self.state is None:
             return
         node = self.node
@@ -258,10 +250,9 @@ class _Vm:
         key = (kind, params)
         mat = self.shared.get(key)
         if mat is None:
-            last, mat = self.matrices.get(pc, (None, None))
-            if last != key:
+            mat = self.previous.pop(key, None)
+            if mat is None:
                 mat = gate_matrix(kind, params)
-                self.matrices[pc] = key, mat
             self.shared[key] = mat
         self.state = _apply_gate(self.state, mat, qubits, self.binary.n_qubits)
         if node is not None:
@@ -289,11 +280,12 @@ class _Vm:
             self.sections.append(dict(zip(seen.tolist(), hist[seen].tolist())))
         self.section_idx += 1
 
-    def _exec_window(self, start: int, end: int, shots: int, depth: int = 0) -> float:
+    def _exec_window(self, start: int, end: int, shots: int) -> float:
         """Run a straight-line window once; returns its per-shot duration."""
         instrs = self.binary.instructions
         n = self.binary.n_qubits
-        phase, amp, rabi, slots = self.phase, self.amp, self.rabi, self.slots
+        phase, amp, slots = self.phase, self.amp, self.slots
+        rabi = DEFAULT_RABI
         apply = self._apply
         survival = self.pulse_survival
         us = 0.0
@@ -310,15 +302,13 @@ class _Vm:
                     dur = dur.value
                 ch = self.armed
                 if ch < n:
-                    apply(pc, "R", (ch,), (amp[ch] * rabi[ch] * dur * 1e-6, phase[ch]))
+                    apply("R", (ch,), (amp[ch] * rabi * dur * 1e-6, phase[ch]))
                 else:
-                    apply(pc, "XX", self.binary.pair_channels[ch - n], (amp[ch] * 2.0 * np.pi,))
+                    apply("XX", self.binary.pair_channels[ch - n], (amp[ch] * 2.0 * np.pi,))
                 self.coherent *= survival
                 us += dur
             elif op is SET_PHASE or op is SET_AMP or op is SET_FREQ or op is FRAME_ROT:
                 ch, value = ins.args
-                if op is FRAME_ROT and ch >= n:
-                    raise VmError(self._at(pc, "frame rotation on a pair channel"))
                 if isinstance(value, SlotRef):
                     if slots is None:
                         raise UninitializedSlot(self._at(pc, f"slot {value.index} read before first write"))
@@ -330,7 +320,7 @@ class _Vm:
                 elif op is SET_AMP:
                     amp[ch] = value
                 elif op is FRAME_ROT:
-                    apply(pc, "RZ", (ch,), (value,))
+                    apply("RZ", (ch,), (value,))
                     continue  # a frame rotation arms no channel
                 self.armed = ch
             elif op is PREP:
@@ -342,16 +332,12 @@ class _Vm:
             elif op is DETECT:
                 self._detect(shots)
                 us += ins.args[1]
-            elif op is SELECT:
+            else:  # SELECT: no other opcode may stand in a shot loop or a gate block
                 if self.current_circuit is None:
                     raise VmError(self._at(pc, "select with no circuit loaded"))
                 for idx in self.current_circuit:
-                    if depth == 2:
-                        raise VmError(self._at(pc, "block recursion too deep"))
                     bstart, blen = self.binary.blocks[idx]
-                    us += self._exec_window(bstart, bstart + blen, shots, depth + 1)
-            else:
-                raise VmError(self._at(pc, f"{op.name} not allowed inside a shot loop"))
+                    us += self._exec_window(bstart, bstart + blen, shots)
         return us
 
     def _at(self, pc: int, error: str) -> str:  # called only to raise: dispatch pays nothing
@@ -416,7 +402,7 @@ class _Vm:
         if self.fetched is Params:
             self.binary.check_slot_values(directive.values)
             self.slots = [float(v) for v in directive.values]
-            self.shared.clear()
+            self.previous, self.shared = self.shared, {}
         else:
             n_blocks = len(self.binary.blocks)
             for idx in directive.circuit:
@@ -437,14 +423,11 @@ def execute(binary: KernelBinary, **options) -> ExecutionTrace:
     ``launch`` is iteration 0's directive: the slot values, or the circuit for
     a gate-pool kernel.  The VM loads it exactly as it loads a reply to its
     synchronous fetch, with the same checks and errors, and only then runs, so
-    the first iteration is never blocked on the host.  ``rabi_truth`` maps a
-    qubit to the device's drive strength, ``DEFAULT_RABI`` for any it leaves
-    out; a key that is not a qubit of the register, or a strength that is not
-    finite and > 0, raises ``ValueError``.  A per-pulse ``depolarizing``
-    probability outside [0, 1], or NaN, raises ``ValueError``.  ``cost_only``
-    keeps the clock and reads every shot as outcome 0.  ``first_section``
-    offsets the sampling-stream key of the kernel's sections, so a
-    single-section kernel run standalone can reproduce section j of a
+    the first iteration is never blocked on the host.  A per-pulse
+    ``depolarizing`` probability outside [0, 1], or NaN, raises ``ValueError``.
+    ``cost_only`` keeps the clock and reads every shot as outcome 0.
+    ``first_section`` offsets the sampling-stream key of the kernel's sections,
+    so a single-section kernel run standalone can reproduce section j of a
     multi-section kernel bit for bit.
     """
     return _Vm(binary, **options).run()

@@ -127,8 +127,6 @@ class CloudReport:
     jobs_completed: int
     costs: RunCosts  # device_s is the jobs' execution time
     makespan_s: float
-    event_times: list[float]
-    event_cumulative_s: list[float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,7 +153,7 @@ def simulate_cloud(
     t_1q_us: float = 5.0,
     t_2q_us: float = 150.0,
 ) -> CloudReport:
-    """Single-server FIFO over simulated time; returns the compile series."""
+    """Single-server FIFO over simulated time; returns the run's ledger and makespan."""
     check_mode(mode)
     arrivals = workload.arrivals()
     gates = workload.job_gates()
@@ -173,8 +171,6 @@ def simulate_cloud(
     tick_idx = 0
     n_compiles = 0
     compile_total = 0.0
-    event_times: list[float] = []
-    event_cumulative: list[float] = []
 
     for i, (arrival, service) in enumerate(zip(arrivals.tolist(), exec_s.tolist())):
         drained = arrival > free_at
@@ -187,13 +183,11 @@ def simulate_cloud(
             n_compiles += 1
             compile_total += kernel.compile_s
             service += rebuild_s
-            event_times.append(start)
-            event_cumulative.append(compile_total)
         free_at = start + service
 
     costs = RunCosts(
         n_compiles,
-        compile_total,  # the sum the event series ends on
+        compile_total,  # summed per rebuild, not n_compiles * compile_s: the digests pin its bits
         n_compiles * kernel.upload_s,
         n_compiles * kernel.schedule_s,
         device_s=float(np.sum(exec_s)),
@@ -207,6 +201,4 @@ def simulate_cloud(
         jobs_completed=len(arrivals),
         costs=costs,
         makespan_s=free_at,
-        event_times=event_times,
-        event_cumulative_s=event_cumulative,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ir import Circuit, GateOp, IrError, Literal, ParamValue, SlotRef, op
+from .ir import Circuit, GateOp, IrError, ParamValue, SlotRef, op
 
 __all__ = [
     "MappedCircuit",
@@ -39,8 +39,7 @@ class MappedCircuit:
 
 def _is_wrapped(p: ParamValue) -> bool:
     """``p`` is a float literal its wrap into [0, 2pi) keeps bit for bit; -0.0 wraps to 0.0."""
-    v = p.value if type(p) is Literal else None
-    return type(v) is float and v % TWO_PI == v and math.copysign(1.0, v) > 0
+    return type(p) is float and p % TWO_PI == p and math.copysign(1.0, p) > 0
 
 
 def _lower_one(g: GateOp) -> list[GateOp]:
@@ -51,12 +50,12 @@ def _lower_one(g: GateOp) -> list[GateOp]:
     if g.kind in ("R", "RZ", "XX"):
         if g.basis == "Z" and all(map(_is_wrapped, g.params)):
             return [g]
-        wrapped = (p if isinstance(p, SlotRef) else Literal(p.value % TWO_PI) for p in g.params)
+        wrapped = (p if isinstance(p, SlotRef) else p % TWO_PI for p in g.params)
         return [GateOp(g.kind, g.qubits, tuple(wrapped))]
     if g.kind == "RX":
-        return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(0.0))))
+        return _lower_one(GateOp("R", g.qubits, (g.params[0], 0.0)))
     if g.kind == "RY":
-        return _lower_one(GateOp("R", g.qubits, (g.params[0], Literal(math.pi / 2))))
+        return _lower_one(GateOp("R", g.qubits, (g.params[0], math.pi / 2)))
     c, t = g.qubits  # CNOT
     return [
         op("R", c, math.pi / 2, 3 * math.pi / 2),

@@ -108,17 +108,6 @@ def test_saturated_queue_compiles_less(fitted):
     assert dlpc.costs.n_compiles < base.costs.n_compiles // 10
 
 
-def test_compile_series_is_cumulative(fitted):
-    w = CloudWorkload("BURST", "SMALL", n_jobs=600, seed=4)
-    rep = simulate_cloud(w, "dlpc", **fitted)
-    times = np.array(rep.event_times)
-    cum = np.array(rep.event_cumulative_s)
-    assert len(times) == rep.costs.n_compiles
-    assert np.all(np.diff(times) >= 0)
-    assert np.all(np.diff(cum) > 0)
-    assert cum[-1] == pytest.approx(rep.costs.compile_s)
-
-
 def test_size_ordering_at_the_reference_workload(fitted):
     for dist in DISTRIBUTIONS:
         totals = []

@@ -42,7 +42,7 @@ from dlpc.drivers.rb import (
     run_rb,
 )
 from dlpc.drivers.vqe import VqeProblem, run_vqe, section_schedules, two_param_problem
-from dlpc.ir import Circuit, GateOp, Hamiltonian, Literal, PauliTerm, SlotRef, op
+from dlpc.ir import Circuit, GateOp, Hamiltonian, PauliTerm, SlotRef, op
 from dlpc.pulse import (
     DEFAULT_RABI,
     CalibrationDataset,
@@ -340,10 +340,10 @@ def test_rb_kernel_bytes_do_not_depend_on_shared_ops(calib, length):
 
 def test_streamed_kernel_bytes_do_not_depend_on_shared_slot_ops():
     layer = [
-        GateOp("R", (0,), (SlotRef(0), Literal(0.25))),
-        GateOp("R", (1,), (SlotRef(1), Literal(0.0))),
+        GateOp("R", (0,), (SlotRef(0), 0.25)),
+        GateOp("R", (1,), (SlotRef(1), 0.0)),
         GateOp("RZ", (1,), (SlotRef(2),)),
-        GateOp("XX", (0, 1), (Literal(math.pi / 4),)),
+        GateOp("XX", (0, 1), (math.pi / 4,)),
     ]
     ops = [*layer * 3, GateOp("MEASURE", ())]
     calib = CalibrationDataset.default(2)
@@ -364,14 +364,14 @@ def test_streamed_kernel_bytes_do_not_depend_on_shared_slot_ops():
 
 def test_equal_ops_that_encode_differently_are_not_shared(calib):
     # 0.0 == -0.0, so a table keyed by equality would emit the first for both
-    ops = [GateOp("RZ", (0,), (Literal(0.0),)), GateOp("RZ", (0,), (Literal(-0.0),))]
+    ops = [GateOp("RZ", (0,), (0.0,)), GateOp("RZ", (0,), (-0.0,))]
     k = compile_partial(lower_to_pulses(MappedCircuit(1, ops), calib), 1, n_qubits=1)
     angles = [i.args[1] for i in k.instructions if i.op is Opcode.FRAME_ROT]
     assert [math.copysign(1.0, a) for a in angles] == [1.0, -1.0]
 
 
 def test_uncalibrated_qubit_on_a_repeated_op_raises():
-    mc = MappedCircuit(2, [GateOp("R", (1,), (Literal(1.0), Literal(0.0)))] * 4)
+    mc = MappedCircuit(2, [GateOp("R", (1,), (1.0, 0.0))] * 4)
     assert len(lower_to_pulses(mc, CalibrationDataset.default(2)).items) == 4
     one_qubit = CalibrationDataset(qubits={0: QubitCalibration(12.6e6, DEFAULT_RABI)})
     with pytest.raises(UncalibratedQubit, match="^no calibration for qubit 1$"):
@@ -501,22 +501,26 @@ def _partial_around(body: tuple[Instr, ...]) -> KernelBinary:
 
 
 @pytest.mark.parametrize(
-    "body, error",
+    "body, partial_error, error",
     [
-        # the loop covers the DETECT and the two RPC instructions bake cuts off
+        # the loop covers the DETECT and the two RPC instructions bake would cut off,
+        # so the partial kernel is refused when it is built, before any bake
         ((Instr(Opcode.LOOP_SHOTS, (1, 3)), Instr(Opcode.DETECT, (ALL_CHANNELS, 1.0))),
-         "^pc 1: loop body extends past end of kernel$"),
+         "^pc 3: RPC_ASYNC not allowed inside a shot loop$", "^pc 1: loop body extends past end of kernel$"),
         # resumes at the partial kernel's RPC_SYNC, which bake cuts off
-        ((Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 3)),), "^pc 1: resume target 3 out of range$"),
+        ((Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 3)),), None, "^pc 1: resume target 3 out of range$"),
     ],
     ids=["loop over the tail", "resume past the end"],
 )
-def test_bake_rechecks_what_cutting_the_tail_breaks(body, error):
-    partial = _partial_around(body)
+def test_bake_rechecks_what_cutting_the_tail_breaks(body, partial_error, error):
     with pytest.raises(CompileError, match=error):
-        KernelBinary(1, (*partial.instructions[:-3], Instr(Opcode.HALT, ())))
+        KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), *body, Instr(Opcode.HALT, ())))
+    if partial_error is not None:
+        with pytest.raises(CompileError, match=partial_error):
+            _partial_around(body)
+        return
     with pytest.raises(CompileError, match=error):
-        bake(partial, [])
+        bake(_partial_around(body), [])
 
 
 def test_a_baked_kernel_streams_when_its_body_holds_an_rpc():

@@ -12,7 +12,6 @@ from dlpc.ir import (
     GateOp,
     Hamiltonian,
     IrError,
-    Literal,
     MissingMeasurement,
     OracleTooLarge,
     PauliTerm,
@@ -240,7 +239,7 @@ def test_slots_and_binding():
     assert c.n_slots == 2
     b = c.bound([0.0, math.pi])
     assert b.n_slots == 0
-    assert b.ops[0].params[0] == Literal(math.pi)
+    assert b.ops[0].params[0] == math.pi
     with pytest.raises(IrError):
         c.bound([0.0])
     with pytest.raises(IrError):

@@ -59,6 +59,12 @@ a ``timeout=`` keyword, and ``settimeout`` is called only inside a branch of
 ``_SocketTransport.recv``, the split-frame path that arms a frame's deadline
 and disarms it.  A timed wait arms a kernel timer on every hand-off, and a
 poll loop wakes on it for nothing.
+
+A twelfth keeps the VM's dispatch loop a pure executor: ``qpu._Vm._exec_window``
+raises only ``UninitializedSlot`` and the "select with no circuit loaded"
+``VmError``, the two errors that depend on the run and not on the kernel.
+Every structural rule is ``KernelBinary``'s, checked once when a kernel is
+built, so none is re-tested on every dispatch.
 """
 
 from __future__ import annotations
@@ -338,7 +344,7 @@ def test_scan_flags_every_runner_name_but_not_lookalikes(tmp_path):
 
 
 # Pinned counts: change one only with the option it adds or removes.
-SETTABLE_OPTIONS = 74
+SETTABLE_OPTIONS = 72
 CLI_FLAGS = 42
 
 
@@ -565,3 +571,54 @@ def test_timed_wait_scan_flags_timeouts_off_the_split_frame_path(tmp_path):
         "        return self._sock.recv(1)\n"
     )
     assert timed_waits(module) == ["m.py:3 timeout=", "m.py:7 settimeout", "m.py:10 settimeout"]
+
+
+RUN_ERRORS = {"UninitializedSlot": None, "VmError": "select with no circuit loaded"}
+
+
+def dispatch_raises(path: Path) -> list[str]:
+    """Raises in ``_Vm._exec_window`` other than the run errors in ``RUN_ERRORS``."""
+    (loop,) = [
+        fn
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and cls.name == "_Vm"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_exec_window"
+    ]
+    found = []
+    for node in ast.walk(loop):
+        if not isinstance(node, ast.Raise):
+            continue
+        exc = node.exc
+        name = getattr(getattr(exc, "func", None), "id", None)
+        texts = {c.value for c in ast.walk(exc) if isinstance(c, ast.Constant)} if exc else set()
+        if name not in RUN_ERRORS or RUN_ERRORS[name] not in texts | {None}:
+            found.append((node.lineno, ast.unparse(exc) if exc else "raise"))
+    return [f"{path.name}:{line} {text}" for line, text in sorted(found)]
+
+
+def test_the_dispatch_loop_raises_only_run_errors():
+    assert dispatch_raises(SRC / "dlpc" / "qpu.py") == []
+
+
+def test_dispatch_scan_flags_a_structural_raise_in_the_loop_only(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class _Vm:\n"
+        "    def _exec_window(self, start, end, shots):\n"
+        "        if start:\n"
+        "            raise UninitializedSlot(self._at(start, 'slot 0 read before first write'))\n"
+        "        if end:\n"
+        "            raise VmError(self._at(end, 'select with no circuit loaded'))\n"
+        "        for pc in range(start, end):\n"
+        "            raise VmError(self._at(pc, 'frame rotation on a pair channel'))\n"
+        "        raise ValueError('select with no circuit loaded')\n"
+        "        raise\n"
+        "    def run(self):\n"
+        "        raise VmError('kernel ran off the end without HALT')\n"
+    )
+    assert dispatch_raises(module) == [
+        "m.py:8 VmError(self._at(pc, 'frame rotation on a pair channel'))",
+        "m.py:9 ValueError('select with no circuit loaded')",
+        "m.py:10 raise",
+    ]

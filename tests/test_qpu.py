@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from dlpc import qpu
 from dlpc.cliffords import compose, inverse, native_ops
 from dlpc.devcomp import (
+    ALL_CHANNELS,
+    CompileError,
     Instr,
     KernelBinary,
     Opcode,
@@ -34,6 +37,7 @@ from dlpc.pulse import (
 )
 from dlpc.qpu import TooManyQubits, UninitializedSlot, VmError, execute
 from dlpc.rpc import (
+    TAG_CIRCUIT_BLOCK,
     TAG_PARAMS,
     TAG_RESULTS,
     CircuitBlock,
@@ -117,13 +121,15 @@ def test_depolarizing_mixes_toward_uniform(calib):
 
 
 def test_drift_changes_applied_angle(calib):
-    # A pi pulse compiled against the calibrated drive strength misses when
-    # the device has drifted: literal durations carry time, not angle.
+    # The device drives at DEFAULT_RABI, so a pi pulse compiled against a stale
+    # calibration misses: literal durations carry time, not angle.
     c = Circuit(1, [op("RX", 0, math.pi), op("MEASURE", ())])
     k = bake(compile_partial(_schedule(c, calib), shots=20_000, n_qubits=1), [])
     exact = execute(k, run_seed=3).results[0].counts[0]
     assert exact == {1: 20_000}
-    drifted = execute(k, run_seed=3, rabi_truth={0: 1.05 * DEFAULT_RABI}).results[0].counts[0]
+    calib.recalibrate_qubit(0, rabi=DEFAULT_RABI / 1.05)  # the device drifted 5% faster since
+    stale = bake(compile_partial(_schedule(c, calib), shots=20_000, n_qubits=1), [])
+    drifted = execute(stale, run_seed=3).results[0].counts[0]
     assert 0 < drifted.get(0, 0) < 1000
     expected = math.cos(1.05 * math.pi / 2) ** 2
     assert drifted[0] / 20_000 == pytest.approx(expected, abs=0.005)
@@ -259,6 +265,30 @@ def test_sections_sharing_an_ansatz_build_each_slot_matrix_once_per_iteration(
         for j in range(2):
             want = execute(fresh, run_seed=3, iteration=k, first_section=j).results[0]
             assert trace.results[k].counts[j] == want.counts[0], (k, j)
+
+
+def test_a_params_reply_keeps_the_last_iterations_matrices(calib, monkeypatch):
+    """A slot value that moves to another slot reuses the matrix built for it."""
+    built: list[tuple] = []
+    real = qpu.gate_matrix
+
+    def counting(kind, params):
+        built.append((kind, params))
+        return real(kind, params)
+
+    monkeypatch.setattr(qpu, "gate_matrix", counting)
+    x, y, z = 0.3, 1.1, 2.0
+    circuit = Circuit(1, [op("RY", 0, SlotRef(0)), op("RY", 0, SlotRef(1)), op("MEASURE", ())])
+    sched = _schedule(circuit, calib)
+    kernel = compile_partial(sched, shots=200, n_qubits=1)
+    trace = _stream(kernel, _replay([(x, y), (y, z)]), launch=Params((x, y)), run_seed=4)
+    # R(x) and R(y), then R(z): slot 0's R(y) is the matrix slot 1 built an iteration before
+    assert len(built) == 3
+    assert max(Counter(built).values()) == 1
+    monkeypatch.undo()
+    for k, values in enumerate([(x, y), (y, z)]):
+        fresh = execute(bake(kernel, list(values)), run_seed=4, iteration=k).results[0]
+        assert trace.results[k] == fresh, (k, values)
 
 
 def _watch_vm(monkeypatch) -> list[tuple[np.ndarray, bool, int]]:
@@ -472,7 +502,7 @@ def _counted(state, coherent, shots, key, rng=None) -> dict[int, int]:
     vm = qpu._Vm(
         KernelBinary(n, (Instr(Opcode.HALT, ()),)),
         endpoint=None, run_seed=run_seed, iteration=iteration, launch=None,
-        rabi_truth=None, depolarizing=0.0, cost_only=False, first_section=section,
+        depolarizing=0.0, cost_only=False, first_section=section,
     )
     vm.state, vm.coherent, vm.rng = state, coherent, rng
     vm._detect(shots)
@@ -637,25 +667,26 @@ def test_uninitialized_slot_raises(ins):
 
 
 def test_frame_rotation_on_a_pair_channel_raises():
-    k = KernelBinary(
-        2,
-        (Instr(Opcode.FRAME_ROT, (2, 0.5)), Instr(Opcode.HALT, ())),
-        pair_channels=((0, 1),),
-    )
-    with pytest.raises(VmError, match="^iteration 0, pc 0: frame rotation on a pair channel$"):
-        execute(k)
+    # the kernel is refused when it is built, before it is priced or run
+    with pytest.raises(CompileError, match="^pc 0: frame rotation on a pair channel$"):
+        KernelBinary(2, (Instr(Opcode.FRAME_ROT, (2, 0.5)), Instr(Opcode.HALT, ())), ((0, 1),))
+    k = KernelBinary(2, (Instr(Opcode.SET_PHASE, (2, 0.5)), Instr(Opcode.HALT, ())), ((0, 1),))
+    assert execute(k).n_iterations == 1  # any other channel op may name a pair channel
 
 
 def test_play_drives_the_armed_channel_at_amp_rabi_duration(monkeypatch):
-    amp, rabi, dur = 0.415, 1979400.0, 0.1562
-    # values where any other grouping of the product rounds differently
-    assert amp * rabi * dur * 1e-6 not in (amp * (rabi * dur * 1e-6), (amp * rabi) * (dur * 1e-6))
+    amp, rabi, dur = 0.669, DEFAULT_RABI, 15.7956
+    # values where other groupings of the product round differently
+    assert amp * rabi * dur * 1e-6 not in (
+        amp * (rabi * dur * 1e-6), (amp * rabi) * (dur * 1e-6), (amp * dur) * rabi * 1e-6,
+        amp * (rabi * (dur * 1e-6)),
+    )
     applied = []
     apply = qpu._Vm._apply
 
-    def record(vm, pc, kind, qubits, params):
+    def record(vm, kind, qubits, params):
         applied.append((kind, qubits, params))
-        apply(vm, pc, kind, qubits, params)
+        apply(vm, kind, qubits, params)
 
     monkeypatch.setattr(qpu._Vm, "_apply", record)
     k = KernelBinary(
@@ -668,7 +699,7 @@ def test_play_drives_the_armed_channel_at_amp_rabi_duration(monkeypatch):
             Instr(Opcode.HALT, ()),
         ),
     )
-    execute(k, rabi_truth={0: rabi})
+    execute(k)
     assert applied == [("RZ", (1,), (0.5,)), ("R", (0,), (amp * rabi * dur * 1e-6, 0.25))]
 
 
@@ -683,13 +714,10 @@ def test_play_drives_the_armed_channel_at_amp_rabi_duration(monkeypatch):
     ids=lambda ins: ins.op.name,
 )
 def test_control_flow_inside_a_shot_loop_raises(ins):
-    k = KernelBinary(
-        1,
-        (Instr(Opcode.LOOP_SHOTS, (1, 1)), ins, Instr(Opcode.HALT, ())),
-    )
-    # the error comes before the VM touches its endpoint
-    with pytest.raises(VmError, match=f"^iteration 0, pc 1: {ins.op.name} not allowed inside a shot loop$"):
-        execute(k, endpoint=object())
+    with pytest.raises(CompileError, match=f"^pc 1: {ins.op.name} not allowed inside a shot loop$"):
+        KernelBinary(1, (Instr(Opcode.LOOP_SHOTS, (1, 1)), ins, Instr(Opcode.HALT, ())))
+    # the first pc past the body is outside the loop
+    KernelBinary(1, (Instr(Opcode.LOOP_SHOTS, (1, 0)), ins, Instr(Opcode.HALT, ())))
 
 
 def test_select_with_no_circuit_loaded_names_its_pc():
@@ -700,15 +728,104 @@ def test_select_with_no_circuit_loaded_names_its_pc():
 
 
 def test_block_recursion_names_the_select_that_goes_too_deep():
-    # block 0 selects the current circuit, which is block 0 again
-    k = KernelBinary(
-        1,
-        (Instr(Opcode.LOOP_SHOTS, (1, 1)), Instr(Opcode.SELECT, (0,)), Instr(Opcode.HALT, ()),
-         Instr(Opcode.SELECT, (0,))),
-        blocks=((3, 1),),
+    # block 0 would select the current circuit, which is block 0 again
+    loop = (Instr(Opcode.LOOP_SHOTS, (1, 1)), Instr(Opcode.SELECT, (0,)), Instr(Opcode.HALT, ()))
+    with pytest.raises(CompileError, match="^pc 3: SELECT not allowed in a gate block$"):
+        KernelBinary(1, (*loop, Instr(Opcode.SELECT, (0,))), blocks=((3, 1),))
+
+
+@pytest.mark.parametrize(
+    "ins",
+    [
+        Instr(Opcode.LOOP_SHOTS, (1, 0)),
+        Instr(Opcode.RPC_SYNC, (TAG_CIRCUIT_BLOCK, 0)),
+        Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),
+        Instr(Opcode.HALT, ()),
+    ],
+    ids=lambda ins: ins.op.name,
+)
+def test_a_gate_block_holds_no_control_flow(ins):
+    loop = (Instr(Opcode.LOOP_SHOTS, (1, 1)), Instr(Opcode.SELECT, (0,)), Instr(Opcode.HALT, ()))
+    with pytest.raises(CompileError, match=f"^pc 4: {ins.op.name} not allowed in a gate block$"):
+        KernelBinary(1, (*loop, Instr(Opcode.PREP, (1.0,)), ins), blocks=((3, 2),))
+    KernelBinary(1, (*loop, Instr(Opcode.PREP, (1.0,)), ins), blocks=((3, 1),))  # ins is outside
+
+
+_REAL = st.one_of(st.sampled_from([0.0, -0.5, 1.25]), st.builds(SlotRef, st.integers(0, 1)))
+_DURATION = st.one_of(
+    st.builds(LiteralUs, st.sampled_from([0.0, 2.5])),
+    st.builds(SlotOverOmega, st.integers(0, 1), st.just(DEFAULT_RABI)),
+)
+_TAG = st.sampled_from([TAG_PARAMS, TAG_RESULTS, TAG_CIRCUIT_BLOCK])
+
+
+def _instruction(n_channels: int):
+    """Any opcode with operands ``Instr`` accepts; a channel may be one past the kernel's.
+
+    Opcodes a shot-loop body may hold are drawn three times as often as the rest.
+    """
+    chan = st.integers(0, n_channels)
+    body = st.one_of(
+        st.builds(lambda op, ch, v: Instr(op, (ch, v)),
+                  st.sampled_from([Opcode.SET_FREQ, Opcode.SET_PHASE, Opcode.SET_AMP, Opcode.FRAME_ROT]),
+                  chan, _REAL),
+        st.builds(lambda d: Instr(Opcode.PLAY, (d,)), _DURATION),
+        st.just(Instr(Opcode.PREP, (1.0,))),
+        st.builds(lambda ch: Instr(Opcode.DETECT, (ch, 1.0)), st.sampled_from([ALL_CHANNELS, 0])),
+        st.just(Instr(Opcode.SELECT, (0,))),
     )
-    with pytest.raises(VmError, match="^iteration 0, pc 3: block recursion too deep$"):
-        execute(k, launch=CircuitBlock((0,)))
+    flow = st.one_of(
+        st.builds(lambda k, m: Instr(Opcode.LOOP_SHOTS, (k, m)), st.integers(0, 3), st.integers(0, 4)),
+        st.builds(lambda t, pc: Instr(Opcode.RPC_SYNC, (t, pc)), _TAG, st.integers(0, 8)),
+        st.builds(lambda t: Instr(Opcode.RPC_ASYNC, (t,)), _TAG),
+        st.just(Instr(Opcode.HALT, ())),
+    )
+    return st.one_of(body, flow, body, body)
+
+
+# built once: building the strategies on every draw would make the test half again as slow
+_INSTRUCTIONS = {n_channels: _instruction(n_channels) for n_channels in (1, 2, 3)}
+
+
+@st.composite
+def _kernels(draw):
+    """``KernelBinary`` arguments that may break any rule, and a launch of the kind they fetch."""
+    n = draw(st.integers(1, 2))
+    pairs = draw(st.sampled_from([(), ((0, 1),)])) if n == 2 else ()
+    instrs = tuple(draw(st.lists(_INSTRUCTIONS[n + len(pairs)], min_size=1, max_size=8)))
+    windows = st.tuples(st.integers(0, len(instrs)), st.integers(0, 3))
+    blocks = tuple(draw(st.lists(windows, max_size=2)))
+    if blocks:
+        circuit = st.lists(st.integers(0, len(blocks) - 1), max_size=2).map(lambda c: CircuitBlock(tuple(c)))
+        launch = draw(st.one_of(st.none(), circuit))
+    else:
+        launch = draw(st.one_of(st.none(), st.just(Params((0.4, 2.0)))))
+    return (n, instrs, pairs, blocks), launch
+
+
+# A run's own errors, by type: none of them is a fact of the kernel's instructions.
+_RUN_ERRORS = {
+    UninitializedSlot: r"iteration 0, pc \d+: slot \d read before first write$",
+    VmError: r"(iteration 0, pc \d+: select with no circuit loaded|kernel ran off the end without HALT)$",
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_kernels())
+def test_a_kernel_that_builds_runs_into_run_errors_only(case):
+    args, launch = case
+    try:
+        k = KernelBinary(*args)
+    except CompileError:
+        return
+    if k.streams:
+        return
+    if isinstance(launch, Params):
+        launch = Params(launch.values[: k.n_slots])
+    try:
+        execute(k, launch=launch, run_seed=1)
+    except VmError as e:
+        assert type(e) in _RUN_ERRORS and re.match(_RUN_ERRORS[type(e)], str(e)), repr(e)
 
 
 def test_launch_slot_arity_checked(calib):
@@ -801,26 +918,6 @@ def test_depolarizing_outside_a_probability_raises(rho):
     with pytest.raises(ValueError, match="^depolarizing must be a probability in"):
         execute(k, depolarizing=rho)
     assert execute(k, depolarizing=1.0).n_iterations == 1
-
-
-@pytest.mark.parametrize(
-    "truth, error",
-    [
-        ({0: float("nan")}, r"^rabi_truth\[0\] must be finite and > 0, got nan$"),
-        ({0: float("inf")}, r"^rabi_truth\[0\] must be finite and > 0, got inf$"),
-        ({0: -1e6}, r"^rabi_truth\[0\] must be finite and > 0, got -1000000.0$"),
-        ({0: 0.0}, r"^rabi_truth\[0\] must be finite and > 0, got 0.0$"),
-        ({1: DEFAULT_RABI}, r"^rabi_truth names qubit 1, outside the 1-qubit register$"),
-        ({-1: DEFAULT_RABI}, r"^rabi_truth names qubit -1, outside the 1-qubit register$"),
-    ],
-    ids=["nan", "inf", "negative", "zero", "past-the-register", "negative-qubit"],
-)
-def test_rabi_truth_outside_the_register_or_not_a_positive_rate_raises(truth, error):
-    # Unchecked, NaN would sample from NaN probabilities and inf fail on a bare math domain error.
-    k = KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), Instr(Opcode.HALT, ())))
-    with pytest.raises(ValueError, match=error):
-        execute(k, rabi_truth=truth)
-    assert execute(k, rabi_truth={0: DEFAULT_RABI}).n_iterations == 1
 
 
 def test_select_without_circuit_raises():

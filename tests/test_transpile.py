@@ -5,7 +5,7 @@ import pytest
 
 from conftest import max_phase_aligned_deviation, random_circuit
 from dlpc import transpile as transpile_module
-from dlpc.ir import GATE_ARITY, Circuit, GateOp, Literal, SlotRef, op, statevector, unitary
+from dlpc.ir import GATE_ARITY, Circuit, GateOp, SlotRef, op, statevector, unitary
 from dlpc.transpile import transpile
 
 CNOT_DENSE = np.array(
@@ -45,14 +45,14 @@ def test_cnot_decomposes_to_one_xx_and_four_rotations():
 def test_rx_ry_become_r_with_fixed_phase():
     mc = transpile(Circuit(1, [op("RX", 0, 1.3), op("RY", 0, 0.7)]))
     assert [g.kind for g in mc.native_ops] == ["R", "R"]
-    assert mc.native_ops[0].params[1] == Literal(0.0)
-    assert mc.native_ops[1].params[1] == Literal(math.pi / 2)
+    assert mc.native_ops[0].params[1] == 0.0
+    assert mc.native_ops[1].params[1] == math.pi / 2
 
 
 def test_negative_literal_angles_wrap_into_range():
     mc = transpile(Circuit(1, [op("R", 0, -math.pi / 2, 0.0)]))
     (g,) = mc.native_ops
-    assert g.params[0] == Literal(3 * math.pi / 2)
+    assert g.params[0] == 3 * math.pi / 2
     got = statevector(mc.as_circuit())
     want = statevector(Circuit(1, [op("R", 0, -math.pi / 2, 0.0)]))
     assert max_phase_aligned_deviation(got, want) < 1e-12
@@ -70,15 +70,15 @@ def test_wrapped_literal_ops_pass_through_and_the_rest_are_rebuilt():
     ]
 
     def bits(params):  # float.hex tells -0.0 from 0.0
-        return [p if isinstance(p, SlotRef) else p.value.hex() for p in params]
+        return [p if isinstance(p, SlotRef) else p.hex() for p in params]
 
     mc = transpile(Circuit(2, kept + rebuilt))
     assert all(got is g for got, g in zip(mc.native_ops, kept))
     for got, g in zip(mc.native_ops[len(kept):], rebuilt):
         assert got is not g and (got.kind, got.qubits) == (g.kind, g.qubits)
-        wrapped = [p if isinstance(p, SlotRef) else Literal(p.value % (2 * math.pi)) for p in g.params]
+        wrapped = [p if isinstance(p, SlotRef) else p % (2 * math.pi) for p in g.params]
         assert bits(got.params) == bits(wrapped)
-    assert mc.native_ops[len(kept) + 2].params[0].value.hex() == "0x0.0p+0"
+    assert mc.native_ops[len(kept) + 2].params[0].hex() == "0x0.0p+0"
 
 
 def test_each_distinct_op_is_lowered_once_per_call(monkeypatch):
@@ -107,7 +107,7 @@ def test_slots_pass_through_unfolded():
     mc = transpile(Circuit(1, [op("RY", 0, SlotRef(0)), op("RZ", 0, SlotRef(2))]))
     assert mc.native_ops[0].kind == "R"
     assert mc.native_ops[0].params[0] == SlotRef(0)
-    assert mc.native_ops[0].params[1] == Literal(math.pi / 2)
+    assert mc.native_ops[0].params[1] == math.pi / 2
     assert slot_indices(mc.native_ops) == {0, 2}
 
 
