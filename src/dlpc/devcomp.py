@@ -17,12 +17,16 @@ it streams (header mode byte 1) exactly when it holds an RPC instruction; any
 other kernel posts its one set of results at HALT.  ``KernelBinary`` checks a
 kernel's structure once, when it is built, so the VM only executes; a broken
 rule raises ``CompileError``, naming the pc of the instruction that breaks it:
+- the header holds it: 0 to 255 channels, and int slot indices below 2**32 - 1;
 - a channel operand names a kernel channel, FRAME_ROT's a qubit and DETECT's 255;
 - a shot loop runs at least one shot;
 - a shot-loop body or gate block ends inside the kernel and holds no
   LOOP_SHOTS, RPC or HALT, and a gate block no SELECT, so it never recurses;
+- the gate blocks tile the pcs after the first HALT outside a shot loop, in table order;
+- SELECT needs a gate pool, and a pool kernel reads no slot;
 - RPC_ASYNC posts results, RPC_SYNC fetches blocks with a gate pool, parameters
-  otherwise, and resumes inside the kernel.
+  otherwise, and resumes at or before that HALT.
+So every kernel that builds serializes, and runs to HALT given the launch it needs.
 
 Instruction operands: channels are u8 literals, scalars are finite f64
 literals or u32 slot indices resolved at runtime, and durations are finite
@@ -203,7 +207,7 @@ class Instr:
 
 
 def _check_rpc(pc: int, ins: Instr, n: int, pool: bool) -> None:
-    """Check an RPC's tag and an RPC_SYNC's resume target at ``pc`` of ``n``; ``pool``: it fetches blocks."""
+    """Check an RPC's tag and an RPC_SYNC's resume target, below ``n``; ``pool``: it fetches blocks."""
     op, args = ins.op, ins.args
     tag = TAG_RESULTS if op is RPC_ASYNC else TAG_CIRCUIT_BLOCK if pool else TAG_PARAMS
     if args[0] != tag:
@@ -253,8 +257,11 @@ class KernelBinary:
         n = len(self.instructions)
         n_slots = n_detects = 0
         loop_end = 0  # the pc past the body of the last shot loop
-        streams = False
+        halt = -1  # the pc of the first HALT outside a shot loop
+        rpcs = []
         n_channels = self.n_qubits + len(self.pair_channels)
+        if self.n_qubits < 0 or n_channels > ALL_CHANNELS:
+            raise CompileError(f"{self.n_qubits} qubits and {n_channels} channels do not fit the header")
         for pc, ins in enumerate(self.instructions):
             op, args = ins.op, ins.args
             if op in _CHANNEL_OPS:
@@ -280,27 +287,40 @@ class KernelBinary:
                         if loop_end > n:
                             raise CompileError(f"pc {pc}: loop body extends past end of kernel")
                     elif op is not HALT:
-                        _check_rpc(pc, ins, n, bool(self.blocks))
-                        streams = True
+                        rpcs.append((pc, ins))
+                    elif halt < 0:
+                        halt = pc
+                elif op is SELECT and not self.blocks:
+                    raise CompileError(f"pc {pc}: SELECT in a kernel with no gate pool")
                 continue
             if not isinstance(operand, _SLOT_OPERANDS):
                 continue
             slot = operand.index if isinstance(operand, SlotRef) else operand.slot
+            if not (isinstance(slot, int) and 0 <= slot < 2**32 - 1):
+                raise CompileError(f"pc {pc}: slot {slot!r} is not an int in [0, 2**32 - 1)")
             if slot >= n_slots:
                 n_slots = slot + 1
-            elif slot < 0:
-                raise CompileError(f"pc {pc}: negative slot {slot}")
+        if halt < 0:
+            raise CompileError("kernel has no HALT outside a shot loop")
         for k, (i, j) in enumerate(self.pair_channels):
             if i == j or not (0 <= i < self.n_qubits and 0 <= j < self.n_qubits):
                 raise CompileError(f"pair {k}: ({i}, {j}) is not two distinct qubits of {self.n_qubits}")
-        for start, length in self.blocks:
-            if start + length > n:
-                raise CompileError("block table window extends past end of kernel")
-            for pc in range(start, start + length):
-                op = self.instructions[pc].op
-                if op in _FLOW_OPS or op is SELECT:
-                    raise CompileError(f"pc {pc}: {op.name} not allowed in a gate block")
-        vars(self).update(n_slots=n_slots, streams=streams, n_detects=n_detects)
+        end = halt + 1  # each window starts where the last ended
+        for k, (start, length) in enumerate(self.blocks):
+            if start != end or length < 0:
+                raise CompileError(f"block {k}: ({start}, {length}) is not a window from pc {end}")
+            end += length
+        if end != n:
+            raise CompileError(f"gate blocks end at pc {end}, the kernel at {n}")
+        for pc in range(halt + 1, n):
+            op = self.instructions[pc].op
+            if op in _FLOW_OPS or op is SELECT:
+                raise CompileError(f"pc {pc}: {op.name} not allowed in a gate block")
+        if n_slots and self.blocks:
+            raise CompileError("pool blocks must be fully literal")
+        for pc, ins in rpcs:
+            _check_rpc(pc, ins, halt + 1, bool(self.blocks))
+        vars(self).update(n_slots=n_slots, streams=bool(rpcs), n_detects=n_detects)
 
     @property
     def n_instr(self) -> int:
@@ -518,10 +538,7 @@ def compile_pool(
         Instr(SELECT, (0,)),
         Instr(DETECT, (ALL_CHANNELS, detect_us)),
     ]
-    kernel = em.kernel(loop, blocks)
-    if kernel.n_slots:  # the loop reads no slot, so a block does
-        raise CompileError("pool blocks must be fully literal")
-    return kernel
+    return em.kernel(loop, blocks)
 
 
 MODES = ("baseline", "dlpc")

@@ -49,8 +49,8 @@ replays a prefix, so it builds no trie.
 The dispatch loop is the VM's own largest cost, so it compares opcodes
 against ``devcomp``'s module globals (``PLAY`` and kin), binds registers and
 ``_apply`` to locals once per window, and resolves slot operands inline.  It
-re-checks nothing ``KernelBinary`` checked, and raises only what depends on the
-run: a slot read before PARAMS wrote it, and a SELECT with no circuit loaded.
+checks and raises nothing: ``KernelBinary`` checks each kernel and ``__init__``
+its launch, so every window runs and ``run`` always reaches HALT.
 A pulse angle is computed in one fixed order, ``amp * rabi * duration * 1e-6``
 (``amp * 2.0 * pi`` for a pair pulse); reordering the factors would move
 angles, and so draws, in their last bits.
@@ -135,7 +135,7 @@ class VmError(RuntimeError):
 
 
 class UninitializedSlot(VmError):
-    """A slot register was read before any value was written to it."""
+    """A kernel that reads slots or selects gate blocks was started with no launch."""
 
 
 class TooManyQubits(VmError):
@@ -196,16 +196,18 @@ class _Vm:
         if n > VM_QUBIT_LIMIT and not cost_only:
             raise TooManyQubits(f"{n} qubits exceeds the {VM_QUBIT_LIMIT}-qubit register")
 
-        self.slots: list[float] | None = None  # every slot is written at once, by PARAMS
+        self.slots: list[float] = []  # every slot is written at once, by PARAMS
         # (kind, params) -> matrix: this iteration's keys, and the iteration before's
         self.shared: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
         self.previous: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
         # A kernel with a gate pool fetches circuit blocks, any other kernel
         # parameters: KernelBinary holds every RPC_SYNC tag to that.
         self.fetched = CircuitBlock if binary.blocks else Params
-        self.current_circuit: tuple[int, ...] | None = None
         if launch is not None:
             self._load(launch)
+        elif binary.n_slots or binary.blocks:
+            need = f"reads {binary.n_slots} slots" if binary.n_slots else "selects gate blocks"
+            raise UninitializedSlot(f"iteration {iteration}: kernel {need}, launch gives none")
 
         if binary.streams and endpoint is None:
             raise VmError("partial kernel requires a host endpoint")
@@ -295,8 +297,6 @@ class _Vm:
             if op is PLAY:
                 dur = ins.args[0]
                 if isinstance(dur, SlotOverOmega):
-                    if slots is None:
-                        raise UninitializedSlot(self._at(pc, f"slot {dur.slot} read before first write"))
                     dur = duration_of(slots[dur.slot], dur.rabi_snapshot)
                 else:
                     dur = dur.value
@@ -310,8 +310,6 @@ class _Vm:
             elif op is SET_PHASE or op is SET_AMP or op is SET_FREQ or op is FRAME_ROT:
                 ch, value = ins.args
                 if isinstance(value, SlotRef):
-                    if slots is None:
-                        raise UninitializedSlot(self._at(pc, f"slot {value.index} read before first write"))
                     value = slots[value.index]
                 else:
                     value = float(value)
@@ -333,21 +331,15 @@ class _Vm:
                 self._detect(shots)
                 us += ins.args[1]
             else:  # SELECT: no other opcode may stand in a shot loop or a gate block
-                if self.current_circuit is None:
-                    raise VmError(self._at(pc, "select with no circuit loaded"))
                 for idx in self.current_circuit:
                     bstart, blen = self.binary.blocks[idx]
                     us += self._exec_window(bstart, bstart + blen, shots)
         return us
 
-    def _at(self, pc: int, error: str) -> str:  # called only to raise: dispatch pays nothing
-        return f"iteration {self.iteration}, pc {pc}: {error}"
-
     def run(self) -> ExecutionTrace:
         instrs = self.binary.instructions
-        n_instrs = len(instrs)
         pc = 0
-        while pc < n_instrs:
+        while True:  # KernelBinary holds every path to a HALT
             ins = instrs[pc]
             op = ins.op
             if op is LOOP_SHOTS:
@@ -365,8 +357,6 @@ class _Vm:
             else:
                 self.trace.busy_us += self._exec_window(pc, pc + 1, 1)
                 pc += 1
-        else:
-            raise VmError("kernel ran off the end without HALT")
         if not self.binary.streams:
             self._post_results()
         return self.trace
@@ -421,9 +411,10 @@ def execute(binary: KernelBinary, **options) -> ExecutionTrace:
     it stays open, and ``rpc.run_session`` closes it however the run ends.
     ``run_seed`` and ``iteration`` key the first iteration's sampling stream.
     ``launch`` is iteration 0's directive: the slot values, or the circuit for
-    a gate-pool kernel.  The VM loads it exactly as it loads a reply to its
-    synchronous fetch, with the same checks and errors, and only then runs, so
-    the first iteration is never blocked on the host.  A per-pulse
+    a gate-pool kernel, and a kernel that needs one raises ``UninitializedSlot``
+    without it.  The VM loads it exactly as it loads a reply to its synchronous
+    fetch, with the same checks and errors, and only then runs, so the first
+    iteration is never blocked on the host.  A per-pulse
     ``depolarizing`` probability outside [0, 1], or NaN, raises ``ValueError``.
     ``cost_only`` keeps the clock and reads every shot as outcome 0.
     ``first_section`` offsets the sampling-stream key of the kernel's sections,

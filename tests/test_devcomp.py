@@ -185,17 +185,17 @@ def test_multi_section_kernel_counts_sections(calib):
 
 
 @pytest.mark.parametrize(
-    "tail, streams",
+    "tail, blocks, streams",
     [
-        ((), False),
-        ((Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),), True),
-        ((Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 0)),), True),
-        ((Instr(Opcode.SELECT, (0,)),), False),
+        ((), (), False),
+        ((Instr(Opcode.RPC_ASYNC, (TAG_RESULTS,)),), (), True),
+        ((Instr(Opcode.RPC_SYNC, (TAG_PARAMS, 0)),), (), True),
+        ((Instr(Opcode.SELECT, (0,)),), ((3, 0),), False),  # SELECT needs a gate pool
     ],
     ids=["none", "RPC_ASYNC", "RPC_SYNC", "SELECT"],
 )
-def test_a_kernel_streams_iff_it_holds_an_rpc_instruction(tail, streams):
-    k = KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), *tail, Instr(Opcode.HALT, ())))
+def test_a_kernel_streams_iff_it_holds_an_rpc_instruction(tail, blocks, streams):
+    k = KernelBinary(1, (Instr(Opcode.PREP, (1.0,)), *tail, Instr(Opcode.HALT, ())), blocks=blocks)
     assert k.streams is streams
     assert k.serialized[10] == streams  # the header's mode byte
 
@@ -481,11 +481,15 @@ BAKED = {
         compile_partial(_slotted_sections(CalibrationDataset.default(2)), shots=7, n_qubits=2),
         [0.3, -1.2, 2.5, 7.0],
     ),
+    # the baked kinds whose bytes PINNED_KERNELS pins
+    **{kind: (lambda kind=kind: _kernels_of_each_kind()[kind])
+       for kind in ("vqe full", "rb circuit", "sweep full")},
 }
 
 
 @pytest.mark.parametrize("name", BAKED)
 def test_a_baked_kernel_is_the_kernel_a_full_check_builds(name):
+    # bake builds its result without the pass, so no rule may be one a baked kernel breaks
     baked = BAKED[name]()
     fresh = _freshly_checked(baked)
     assert baked == fresh
@@ -616,8 +620,60 @@ def test_slot_outside_the_kernel_rejected(ins, n_slots):
 def test_negative_slot_duration_rejected():
     # SlotOverOmega takes any int; the VM would read slot -1 from the end of the slot file.
     play = Instr(Opcode.PLAY, (SlotOverOmega(-1, DEFAULT_RABI),))
-    with pytest.raises(CompileError, match="^pc 0: negative slot -1$"):
+    with pytest.raises(CompileError, match=r"^pc 0: slot -1 is not an int in \[0, 2\*\*32 - 1\)$"):
         KernelBinary(1, (play, Instr(Opcode.HALT, ())))
+
+
+_HALT = Instr(Opcode.HALT, ())
+_SELECT_LOOP = (Instr(Opcode.LOOP_SHOTS, (1, 1)), Instr(Opcode.SELECT, (0,)), _HALT)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((1, (*_SELECT_LOOP, Instr(Opcode.PREP, (1.0,))), (), ((-1, 1),)),
+         r"^block 0: \(-1, 1\) is not a window from pc 3$"),
+        ((1, (_HALT,), (), ((-2, 3),)), r"^block 0: \(-2, 3\) is not a window from pc 1$"),
+        ((1, (*_SELECT_LOOP, Instr(Opcode.PREP, (1.0,))), (), ((3, 1), (4, -1))),
+         r"^block 1: \(4, -1\) is not a window from pc 4$"),
+        ((256, (_HALT,)), "^256 qubits and 256 channels do not fit the header$"),
+        ((-1, (_HALT,)), "^-1 qubits and -1 channels do not fit the header$"),
+        ((254, (_HALT,), ((0, 1), (1, 2))), "^254 qubits and 256 channels do not fit the header$"),
+        ((1, (Instr(Opcode.PREP, (1.0,)), Instr(Opcode.DETECT, (ALL_CHANNELS, 1.0)))),
+         "^kernel has no HALT outside a shot loop$"),
+        ((1, (_HALT, Instr(Opcode.PREP, (1.0,)))), "^gate blocks end at pc 1, the kernel at 2$"),
+        ((1, (Instr(Opcode.RPC_SYNC, (TAG_CIRCUIT_BLOCK, 2)), _HALT, Instr(Opcode.PREP, (1.0,))), (), ((2, 1),)),
+         "^pc 0: resume target 2 out of range$"),
+        ((1, (Instr(Opcode.SELECT, (0,)), _HALT)), "^pc 0: SELECT in a kernel with no gate pool$"),
+        ((1, (*_SELECT_LOOP, Instr(Opcode.SET_PHASE, (0, SlotRef(0)))), (), ((3, 1),)),
+         "^pool blocks must be fully literal$"),
+        ((1, (Instr(Opcode.SET_PHASE, (0, SlotRef(1.5))), _HALT)),
+         r"^pc 0: slot 1.5 is not an int in \[0, 2\*\*32 - 1\)$"),
+        ((1, (Instr(Opcode.SET_PHASE, (0, SlotRef(2**32 - 1))), _HALT)),
+         r"^pc 0: slot 4294967295 is not an int in \[0, 2\*\*32 - 1\)$"),
+        ((1, (Instr(Opcode.PLAY, (SlotOverOmega(2.5, DEFAULT_RABI),)), _HALT)),
+         r"^pc 0: slot 2.5 is not an int in \[0, 2\*\*32 - 1\)$"),
+    ],
+    ids=[
+        "negative window start", "window before the kernel", "negative window length",
+        "256 qubits", "-1 qubits", "256 channels", "no HALT", "a pc past HALT in no block",
+        "resume past HALT", "SELECT with no pool", "slot in a pool kernel", "fractional slot",
+        "slot count past u32", "fractional duration slot",
+    ],
+)
+def test_a_kernel_the_header_or_the_vm_cannot_hold_fails_when_built(args, match):
+    with pytest.raises(CompileError, match=match):
+        KernelBinary(*args)
+
+
+def test_the_widest_header_and_highest_slot_build_and_serialize():
+    for k in (
+        KernelBinary(255, (_HALT,)),
+        KernelBinary(253, (_HALT,), ((0, 1), (1, 2))),
+        KernelBinary(1, (Instr(Opcode.SET_PHASE, (0, SlotRef(2**32 - 2))), _HALT)),
+    ):
+        assert len(k.serialized) == k.size_bytes
+    assert k.n_slots == 2**32 - 1
 
 
 @pytest.mark.parametrize(

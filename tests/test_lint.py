@@ -61,10 +61,10 @@ and disarms it.  A timed wait arms a kernel timer on every hand-off, and a
 poll loop wakes on it for nothing.
 
 A twelfth keeps the VM's dispatch loop a pure executor: ``qpu._Vm._exec_window``
-raises only ``UninitializedSlot`` and the "select with no circuit loaded"
-``VmError``, the two errors that depend on the run and not on the kernel.
-Every structural rule is ``KernelBinary``'s, checked once when a kernel is
-built, so none is re-tested on every dispatch.
+and ``qpu._Vm.run`` contain no ``raise``.  Every structural rule is
+``KernelBinary``'s, checked once when a kernel is built, and a kernel that
+needs a launch is refused without one before it runs, so nothing is re-tested
+on every dispatch and a run can only end at HALT.
 """
 
 from __future__ import annotations
@@ -573,31 +573,22 @@ def test_timed_wait_scan_flags_timeouts_off_the_split_frame_path(tmp_path):
     assert timed_waits(module) == ["m.py:3 timeout=", "m.py:7 settimeout", "m.py:10 settimeout"]
 
 
-RUN_ERRORS = {"UninitializedSlot": None, "VmError": "select with no circuit loaded"}
-
-
 def dispatch_raises(path: Path) -> list[str]:
-    """Raises in ``_Vm._exec_window`` other than the run errors in ``RUN_ERRORS``."""
-    (loop,) = [
-        fn
+    """Every ``raise`` in ``_Vm._exec_window`` and ``_Vm.run``."""
+    found = [
+        (node.lineno, ast.unparse(node.exc) if node.exc else "raise")
         for cls in ast.parse(path.read_text()).body
         if isinstance(cls, ast.ClassDef) and cls.name == "_Vm"
         for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "_exec_window"
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_exec_window", "run")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise)
     ]
-    found = []
-    for node in ast.walk(loop):
-        if not isinstance(node, ast.Raise):
-            continue
-        exc = node.exc
-        name = getattr(getattr(exc, "func", None), "id", None)
-        texts = {c.value for c in ast.walk(exc) if isinstance(c, ast.Constant)} if exc else set()
-        if name not in RUN_ERRORS or RUN_ERRORS[name] not in texts | {None}:
-            found.append((node.lineno, ast.unparse(exc) if exc else "raise"))
     return [f"{path.name}:{line} {text}" for line, text in sorted(found)]
 
 
 def test_the_dispatch_loop_raises_only_run_errors():
+    # no run error is left: the kernel's structure and its launch are checked before it runs
     assert dispatch_raises(SRC / "dlpc" / "qpu.py") == []
 
 
@@ -607,18 +598,17 @@ def test_dispatch_scan_flags_a_structural_raise_in_the_loop_only(tmp_path):
         "class _Vm:\n"
         "    def _exec_window(self, start, end, shots):\n"
         "        if start:\n"
-        "            raise UninitializedSlot(self._at(start, 'slot 0 read before first write'))\n"
-        "        if end:\n"
-        "            raise VmError(self._at(end, 'select with no circuit loaded'))\n"
-        "        for pc in range(start, end):\n"
-        "            raise VmError(self._at(pc, 'frame rotation on a pair channel'))\n"
-        "        raise ValueError('select with no circuit loaded')\n"
+        "            raise UninitializedSlot('slot 0 read before first write')\n"
         "        raise\n"
+        "    def _load(self, directive):\n"
+        "        raise VmError('circuit references block 24 of 24')\n"
         "    def run(self):\n"
         "        raise VmError('kernel ran off the end without HALT')\n"
+        "def run():\n"
+        "    raise ValueError('not the VM')\n"
     )
     assert dispatch_raises(module) == [
-        "m.py:8 VmError(self._at(pc, 'frame rotation on a pair channel'))",
-        "m.py:9 ValueError('select with no circuit loaded')",
-        "m.py:10 raise",
+        "m.py:4 UninitializedSlot('slot 0 read before first write')",
+        "m.py:5 raise",
+        "m.py:9 VmError('kernel ran off the end without HALT')",
     ]
