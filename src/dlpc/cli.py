@@ -53,12 +53,21 @@ from typing import Any, Callable
 from .devcomp import MODES, CostModel, RunCosts
 from .drivers.accounting import speedup
 from .drivers.calibration import run_calibration
-from .drivers.rb import RB_CIRCUITS_PER_LENGTH, RB_LENGTHS, RB_SHOTS, check_lengths, run_rb
-from .drivers.vqe import one_param_problem, run_vqe, two_param_problem
+from .drivers.rb import (
+    RB_CIRCUITS_PER_LENGTH,
+    RB_DEPOLARIZING,
+    RB_LENGTHS,
+    RB_SHOTS,
+    check_lengths,
+    run_rb,
+)
+from .drivers.vqe import VQE_DEPOLARIZING, one_param_problem, run_vqe, two_param_problem
 from .fitting import FitResult, calibrated_dataset, fit_cost_model
 from .scenarios.cloud import (
     CLOUD_JOBS,
     CLOUD_SHOTS_PER_JOB,
+    CLOUD_T_1Q_US,
+    CLOUD_T_2Q_US,
     DISTRIBUTIONS,
     SIZE_CLASSES,
     CloudWorkload,
@@ -67,6 +76,7 @@ from .scenarios.cloud import (
 from .scenarios.contour import sweep_machines
 from .scenarios.optimus import (
     OPTIMUS_DRIFT_RATES,
+    OPTIMUS_SAMPLES,
     OPTIMUS_SHOTS,
     OPTIMUS_SPSA_STEPS,
     run_optimus,
@@ -116,11 +126,11 @@ _SETTINGS: dict[str, dict[str, tuple[Any, Any, str | None]]] = {
         "problem": (tuple(_PROBLEMS), "one_param", None),
         "shots": (COUNT, None, "shots"),
         "max_evals": (COUNT, None, "iterations"),
-        "depolarizing": (PROBABILITY, 0.0, None),
+        "depolarizing": (PROBABILITY, VQE_DEPOLARIZING, None),
     },
     "calibrate": {"n_qubits": ([COUNT], tuple(range(2, 11)), None)},
     "rb": {
-        "depolarizing": (PROBABILITY, 0.0, None),
+        "depolarizing": (PROBABILITY, RB_DEPOLARIZING, None),
         "shots": (COUNT, RB_SHOTS, "shots"),
         "per_length": (COUNT, RB_CIRCUITS_PER_LENGTH, "iterations"),
         "lengths": ([COUNT], RB_LENGTHS, None),
@@ -130,12 +140,12 @@ _SETTINGS: dict[str, dict[str, tuple[Any, Any, str | None]]] = {
         "size_classes": ([SIZE_CLASSES], SIZE_CLASSES, None),
         "n_jobs": (COUNT, CLOUD_JOBS, "iterations"),
         "shots_per_job": (COUNT, CLOUD_SHOTS_PER_JOB, "shots"),
-        "t_1q_us": (NUMBER, 5.0, None),
-        "t_2q_us": (NUMBER, 150.0, None),
+        "t_1q_us": (NUMBER, CLOUD_T_1Q_US, None),
+        "t_2q_us": (NUMBER, CLOUD_T_2Q_US, None),
     },
     "optimus": {
         "drift_rates": ([NUMBER], OPTIMUS_DRIFT_RATES, None),
-        "n_samples": (COUNT, 100, None),
+        "n_samples": (COUNT, OPTIMUS_SAMPLES, None),
         "n_nodes": (COUNT, None, None),
         "spsa_steps": (COUNT, OPTIMUS_SPSA_STEPS, "iterations"),
         "shots": (COUNT, OPTIMUS_SHOTS, "shots"),

@@ -259,6 +259,8 @@ class KernelBinary:
         loop_end = 0  # the pc past the body of the last shot loop
         halt = -1  # the pc of the first HALT outside a shot loop
         rpcs = []
+        if not isinstance(self.n_qubits, int):
+            raise CompileError(f"{self.n_qubits!r} qubits do not fit the header")
         n_channels = self.n_qubits + len(self.pair_channels)
         if self.n_qubits < 0 or n_channels > ALL_CHANNELS:
             raise CompileError(f"{self.n_qubits} qubits and {n_channels} channels do not fit the header")
@@ -303,11 +305,11 @@ class KernelBinary:
         if halt < 0:
             raise CompileError("kernel has no HALT outside a shot loop")
         for k, (i, j) in enumerate(self.pair_channels):
-            if i == j or not (0 <= i < self.n_qubits and 0 <= j < self.n_qubits):
+            if i == j or not all(isinstance(q, int) and 0 <= q < self.n_qubits for q in (i, j)):
                 raise CompileError(f"pair {k}: ({i}, {j}) is not two distinct qubits of {self.n_qubits}")
         end = halt + 1  # each window starts where the last ended
         for k, (start, length) in enumerate(self.blocks):
-            if start != end or length < 0:
+            if not (isinstance(start, int) and isinstance(length, int)) or start != end or length < 0:
                 raise CompileError(f"block {k}: ({start}, {length}) is not a window from pc {end}")
             end += length
         if end != n:

@@ -2,11 +2,12 @@
 
 A driver writes its host loop once, as ``host(fetch)``, and ``run_loop`` runs
 it on either pipeline.  The baseline rebuilds its kernels for every directive
-and runs each to HALT.  DLPC compiles one streaming kernel, launches it with
-iteration 0's directive and streams it the rest through ``rpc.run_session``.
-Draws are keyed by (run seed, iteration, section), and baseline fetch k runs
-its kernel j as ``iteration=k, first_section=j``, so it draws exactly what
-section j of streamed iteration k draws: one seed, identical counts.
+and runs each to HALT.  DLPC compiles one streaming kernel and streams it the
+directives through ``rpc.run_session``: the first fetch launches the kernel
+with its directive; every later fetch sends its directive first.  Draws are
+keyed by (run seed, iteration, section), and baseline fetch k runs its kernel
+j as ``iteration=k, first_section=j``, so it draws exactly what section j of
+streamed iteration k draws: one seed, identical counts.
 
 ``RunCosts`` lives in ``devcomp`` beside ``CostModel``: a kernel's price is a
 one-compile run.  A run's ledger adds its traced device busy time and RPC
@@ -41,12 +42,12 @@ def run_loop(
     build: Callable,
     rebuild: Callable,
     run: Callable,
-    launch: Params | CircuitBlock,
     transport: str,
 ) -> tuple[RunCosts, int, KernelBinary]:
     """Run ``host`` on ``mode``'s pipeline; returns its ledger, iterations and last kernel.
 
-    ``build()`` is DLPC's kernel and ``rebuild(directive)`` the baseline's, one
+    ``build()`` is DLPC's kernel, which the first fetch launches with its
+    directive, and ``rebuild(directive)`` the baseline's for each fetch, one
     per section.  ``run(binary, **options)`` is the driver's own ``execute``
     with its options.  A ``VmError`` or ``RpcError`` that ends the run gets a
     note naming the pipeline, and for the baseline the iteration; a
@@ -79,7 +80,7 @@ def run_loop(
         else:
             binary = log.record(build(), cost_model)
             trace = run_session(
-                lambda h: run(binary, endpoint=h, launch=launch), host, transport=transport
+                lambda h, first: run(binary, endpoint=h, launch=first), host, transport=transport
             )
             device_us, rpc_us = trace.busy_us, trace.rpc_us
             n_iterations = trace.n_iterations

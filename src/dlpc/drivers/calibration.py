@@ -209,7 +209,6 @@ def run_calibration(
         build=lambda: sweep,
         rebuild=lambda p: [bake(sweep, p.values)],
         run=lambda k, **kw: execute(k, run_seed=run_seed, cost_only=True, **kw),
-        launch=Params(sweep_slots(plan[0], calib)),
         transport="memory",
     )
     return CalibrationReport(

@@ -47,6 +47,7 @@ __all__ = [
 RB_LENGTHS = (2, 4, 8, 16, 32, 64, 128)
 RB_CIRCUITS_PER_LENGTH = 10
 RB_SHOTS = 100
+RB_DEPOLARIZING = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,7 +201,7 @@ def run_rb(
     *,
     cost_model: CostModel,
     calib: CalibrationDataset | None = None,
-    depolarizing: float = 0.01,
+    depolarizing: float = RB_DEPOLARIZING,
     run_seed: int = 0,
     lengths: tuple[int, ...] = RB_LENGTHS,
     per_length: int = RB_CIRCUITS_PER_LENGTH,
@@ -210,12 +211,11 @@ def run_rb(
     if calib is None:
         calib = CalibrationDataset.default(1)
     plan = random_circuits(run_seed, lengths, per_length)
-    blocks = [CircuitBlock(circ.elements) for circ in plan]
     counts: list[dict[int, int]] = []
 
     def host(fetch) -> None:
-        for block in blocks:
-            counts.append(fetch(block).counts[0])
+        for circ in plan:
+            counts.append(fetch(CircuitBlock(circ.elements)).counts[0])
 
     costs, n_iterations, _ = run_loop(
         mode,
@@ -226,7 +226,6 @@ def run_rb(
             bake(compile_partial(_sequence_schedule(b.circuit, calib), shots, n_qubits=1), [])
         ],
         run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
-        launch=blocks[0],
         transport="memory",
     )
     survivals = tuple(survival(c) for c in counts)

@@ -43,6 +43,9 @@ __all__ = [
     "run_vqe",
 ]
 
+VQE_DEPOLARIZING = 0.0
+
+
 @dataclass(frozen=True, slots=True)
 class VqeProblem:
     hamiltonian: Hamiltonian
@@ -176,7 +179,7 @@ def run_vqe(
     calib: CalibrationDataset | None = None,
     run_seed: int = 0,
     transport: str = "memory",
-    depolarizing: float = 0.0,
+    depolarizing: float = VQE_DEPOLARIZING,
 ) -> VqeReport:
     if calib is None:
         calib = CalibrationDataset.default(problem.ansatz.n_qubits)
@@ -205,7 +208,6 @@ def run_vqe(
             bake(compile_partial(s, problem.shots, n_qubits=nq), p.values) for s in scheds
         ],
         run=lambda k, **kw: execute(k, run_seed=run_seed, depolarizing=depolarizing, **kw),
-        launch=Params(problem.x0),
         transport=transport,
     )
     return VqeReport(

@@ -400,6 +400,6 @@ def statevector(circuit: Circuit, slot_values: list[float] | None = None) -> np.
     return _evolve(circuit, slot_values, columns=False)
 
 
-def unitary(circuit: Circuit, slot_values: list[float] | None = None) -> np.ndarray:
+def unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit, MEASURE ops ignored. Oracle only."""
-    return _evolve(circuit, slot_values, columns=True)
+    return _evolve(circuit, None, columns=True)

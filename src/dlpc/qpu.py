@@ -410,12 +410,13 @@ def execute(binary: KernelBinary, **options) -> ExecutionTrace:
     ``endpoint`` is the ``rpc.KernelHandle`` a streaming kernel talks through;
     it stays open, and ``rpc.run_session`` closes it however the run ends.
     ``run_seed`` and ``iteration`` key the first iteration's sampling stream.
-    ``launch`` is iteration 0's directive: the slot values, or the circuit for
-    a gate-pool kernel, and a kernel that needs one raises ``UninitializedSlot``
-    without it.  The VM loads it exactly as it loads a reply to its synchronous
-    fetch, with the same checks and errors, and only then runs, so the first
-    iteration is never blocked on the host.  A per-pulse
-    ``depolarizing`` probability outside [0, 1], or NaN, raises ``ValueError``.
+    ``launch`` is iteration 0's directive, the one a session's first fetch
+    names: the slot values, or the circuit for a gate-pool kernel, and a kernel
+    that needs one raises ``UninitializedSlot`` without it.  The VM loads it
+    exactly as it loads a reply to its synchronous fetch, with the same checks
+    and errors, and only then runs, so the first iteration is never blocked on
+    the host.  A per-pulse ``depolarizing`` probability outside [0, 1], or
+    NaN, raises ``ValueError``.
     ``cost_only`` keeps the clock and reads every shot as outcome 0.
     ``first_section`` offsets the sampling-stream key of the kernel's sections,
     so a single-section kernel run standalone can reproduce section j of a

@@ -11,32 +11,34 @@ that many u32 gate-pool indices.
 
 ``run_session`` is the one way to run a streamed kernel.  A driver writes its
 host loop once, as ``host(fetch)``: ``fetch(directive)`` returns the next
-iteration's Results.  The first call sends nothing, because the kernel's
-launch covers iteration 0; every later call first sends its directive
-(PARAMS or CIRCUIT_BLOCK).  When ``host`` returns, the session sends
-SENTINEL.  ``drivers.accounting.run_loop`` is its one caller, and runs the
-baseline's ``fetch`` too.
+iteration's Results.  The first fetch launches the kernel with its directive
+(a host that returns without one launches it with ``None``); every later fetch
+sends its directive first (PARAMS or CIRCUIT_BLOCK).  When ``host`` returns,
+the session sends SENTINEL.  ``drivers.accounting.run_loop`` is its one
+caller, and runs the baseline's ``fetch`` too.
 
 The session connects the kernel's handle to the host over a transport
 ("memory": a pair of rendezvous cells; "socket": loopback TCP, bound,
 connected and accepted before any thread starts) and runs three execution
-contexts: the kernel on the ``kernel-vm`` thread, the host loop on the
-``host-worker`` thread, and the forwarding loop on the calling thread.  The
-loop puts each result into the results buffer, takes the host's reply
-(PARAMS, CIRCUIT_BLOCK, or SENTINEL) from the parameter buffer, and relays it
-to the kernel.  Both buffers are capacity-1 rendezvous cells, so the control
-flow is strictly alternating and every message is delivered exactly once.
-Every wait is one untimed blocking system call that CPython makes without
-the interpreter lock: a cell waits in ``os.read`` on a pipe and is woken by
-``os.write``, and a socket end waits in one ``recv`` per frame.
+contexts: the kernel on the ``kernel-vm`` thread, which the first fetch
+starts, the host loop on the ``host-worker`` thread, and the forwarding loop
+on the calling thread.  The loop puts each result into the results buffer,
+takes the host's reply (PARAMS, CIRCUIT_BLOCK, or SENTINEL) from the parameter
+buffer, and relays it to the kernel.  Both buffers are capacity-1 rendezvous
+cells, so the control flow is strictly alternating and every message is
+delivered exactly once.  Every wait is one untimed blocking system call that
+CPython makes without the interpreter lock: a cell waits in ``os.read`` on a
+pipe and is woken by ``os.write``, and a socket end waits in one ``recv`` per
+frame.
 
 The session ends once a SENTINEL has been relayed or the kernel has ended.
-The kernel's handle is closed however the kernel ends, so the loop never waits
-on a silent channel, and a host crash also ends in a SENTINEL, so the kernel
-always terminates.  Every endpoint is closed and every thread joined before
-the session returns or raises.  It returns only the kernel's result (the
-VM's ``ExecutionTrace`` counts the iterations); the kernel's error is raised
-first, then the host's.
+The kernel's handle is closed however the kernel ends, or by the session if
+the host raises before its first fetch and so launches nothing, so the loop
+never waits on a silent channel; a later host crash ends in a SENTINEL, so the
+kernel always terminates.  Every endpoint is closed and every started thread
+joined before the session returns or raises.  It returns only the kernel's
+result (the VM's ``ExecutionTrace`` counts the iterations); the kernel's error
+is raised first, then the host's.
 
 The kernel never sends an explicit request frame for its synchronous fetch: the
 alternation means the next host-to-kernel frame is always the response.
@@ -439,34 +441,38 @@ def _transport_pair(transport: str) -> tuple[_Transport, KernelHandle]:
 
 
 def run_session(
-    kernel: Callable[[KernelHandle], T],
+    kernel: Callable[[KernelHandle, Params | CircuitBlock | None], T],
     host: Callable[[Callable[[Params | CircuitBlock], Results]], None],
     *,
     transport: str = "memory",
 ) -> T:
     """Stream one kernel run; returns what ``kernel`` returned.
 
-    ``kernel(handle)`` posts results and awaits replies through the handle.
-    ``host(fetch)`` is the driver's loop (see the module docstring).  Raises
-    the kernel's error if the kernel failed, else the host's; a directive the
+    The first fetch of ``host(fetch)`` launches ``kernel(handle, launch)`` with
+    its directive; every later fetch sends its directive first.  Raises the
+    kernel's error if the kernel failed, else the host's; a directive the
     socket cannot encode raises ``ProtocolError`` (in memory the kernel rejects it).
     """
     host_end, handle = _transport_pair(transport)
     results_buffer, parameter_buffer = RendezvousCell(), RendezvousCell()
     out: dict = {}
-    first = True
+    launched: list[threading.Thread] = []  # the kernel-vm thread, once the host launches it
+
+    def launch(directive: Params | CircuitBlock | None) -> None:
+        t = threading.Thread(target=kernel_main, args=(directive,), name="kernel-vm", daemon=True)
+        t.start()
+        launched.append(t)
 
     def fetch(directive: Params | CircuitBlock) -> Results:
-        nonlocal first
-        if first:
-            first = False  # the kernel's launch covers iteration 0
-        else:
+        if launched:
             parameter_buffer.put(directive)
+        else:
+            launch(directive)
         return results_buffer.take()
 
-    def kernel_main() -> None:
+    def kernel_main(directive: Params | CircuitBlock | None) -> None:
         try:
-            out["result"] = kernel(handle)
+            out["result"] = kernel(handle, directive)
         except BaseException as e:  # noqa: BLE001 - raised from the calling thread
             out["kernel_error"] = e
         finally:
@@ -475,21 +481,21 @@ def run_session(
     def host_main() -> None:
         try:
             host(fetch)
-        except ChannelClosed:
-            return  # session torn down under the host; nothing to report
+            if not launched:
+                launch(None)
         except BaseException as e:  # noqa: BLE001 - must never strand the kernel
-            out["host_error"] = e
+            if not (launched and isinstance(e, ChannelClosed)):  # not a session torn down under it
+                out["host_error"] = e
+        finally:
+            if not launched:
+                handle.close()  # no kernel runs to close it, so the forwarding loop ends
         try:
             parameter_buffer.put(Sentinel())
         except ChannelClosed:
             pass
 
-    threads = [
-        threading.Thread(target=kernel_main, name="kernel-vm", daemon=True),
-        threading.Thread(target=host_main, name="host-worker", daemon=True),
-    ]
-    for t in threads:
-        t.start()
+    host_worker = threading.Thread(target=host_main, name="host-worker", daemon=True)
+    host_worker.start()
     try:
         while True:
             results_buffer.put(host_end.recv())
@@ -498,12 +504,13 @@ def run_session(
             if isinstance(reply, Sentinel):
                 break
     except ChannelClosed:
-        pass  # the kernel has ended; its result or error says how
+        pass  # the kernel has ended, or none was launched; its result or an error says how
     finally:
         results_buffer.close()
         parameter_buffer.close()
         host_end.close()
-        for t in threads:
+        host_worker.join()  # only the host starts the kernel, so after this none can start
+        for t in launched:
             t.join()
     for error in ("kernel_error", "host_error"):
         if error in out:

@@ -46,6 +46,8 @@ HORIZON_S = 24 * 3600.0
 RECALIB_PERIOD_S = 2 * 3600.0
 CLOUD_JOBS = 12000
 CLOUD_SHOTS_PER_JOB = 1200
+CLOUD_T_1Q_US = 5.0
+CLOUD_T_2Q_US = 150.0
 
 DISTRIBUTIONS = ("UNIFORM", "BIMODAL", "BURST")
 SIZE_CLASSES = ("SMALL", "MEDIUM", "LARGE")
@@ -150,8 +152,8 @@ def simulate_cloud(
     cost_model: CostModel,
     prep_us: float,
     detect_us: float,
-    t_1q_us: float = 5.0,
-    t_2q_us: float = 150.0,
+    t_1q_us: float = CLOUD_T_1Q_US,
+    t_2q_us: float = CLOUD_T_2Q_US,
 ) -> CloudReport:
     """Single-server FIFO over simulated time; returns the run's ledger and makespan."""
     check_mode(mode)

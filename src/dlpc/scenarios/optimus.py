@@ -52,6 +52,7 @@ __all__ = [
 OPTIMUS_DRIFT_RATES = (0.0, 0.005, 0.01, 0.02, 0.05)
 OPTIMUS_SPSA_STEPS = 100
 OPTIMUS_SHOTS = 1000
+OPTIMUS_SAMPLES = 100
 OPTIMUS_GRAPH_NODES = 12
 PROBE_COST_FRACTION = 0.1
 _EDGE_PROB = 0.25  # chance that a node depends on each earlier node
@@ -263,7 +264,7 @@ def run_optimus(
     cost_model: CostModel,
     calib: CalibrationDataset | None = None,
     drift_rates: tuple[float, ...] = OPTIMUS_DRIFT_RATES,
-    n_samples: int = 100,
+    n_samples: int = OPTIMUS_SAMPLES,
     n_nodes: int = OPTIMUS_GRAPH_NODES,
     spsa_steps: int = OPTIMUS_SPSA_STEPS,
     shots: int = OPTIMUS_SHOTS,

@@ -118,7 +118,7 @@ def objective_worker(objective):
     """Session host loop that answers each Results with objective(results)."""
 
     def host(fetch) -> None:
-        reply = None  # the first fetch sends nothing
+        reply = None  # the first fetch launches the kernel with None: each kernel names its own
         while not isinstance(reply, Sentinel):
             reply = objective(fetch(reply))
 

@@ -639,6 +639,12 @@ _SELECT_LOOP = (Instr(Opcode.LOOP_SHOTS, (1, 1)), Instr(Opcode.SELECT, (0,)), _H
         ((256, (_HALT,)), "^256 qubits and 256 channels do not fit the header$"),
         ((-1, (_HALT,)), "^-1 qubits and -1 channels do not fit the header$"),
         ((254, (_HALT,), ((0, 1), (1, 2))), "^254 qubits and 256 channels do not fit the header$"),
+        ((1.0, (_HALT,)), "^1.0 qubits do not fit the header$"),
+        ((2, (_HALT,), ((0, 1.0),)), r"^pair 0: \(0, 1.0\) is not two distinct qubits of 2$"),
+        ((1, (*_SELECT_LOOP, Instr(Opcode.PREP, (1.0,))), (), ((3.0, 1),)),
+         r"^block 0: \(3.0, 1\) is not a window from pc 3$"),
+        ((1, (*_SELECT_LOOP, Instr(Opcode.PREP, (1.0,))), (), ((3, 1.0),)),
+         r"^block 0: \(3, 1.0\) is not a window from pc 3$"),
         ((1, (Instr(Opcode.PREP, (1.0,)), Instr(Opcode.DETECT, (ALL_CHANNELS, 1.0)))),
          "^kernel has no HALT outside a shot loop$"),
         ((1, (_HALT, Instr(Opcode.PREP, (1.0,)))), "^gate blocks end at pc 1, the kernel at 2$"),
@@ -656,7 +662,8 @@ _SELECT_LOOP = (Instr(Opcode.LOOP_SHOTS, (1, 1)), Instr(Opcode.SELECT, (0,)), _H
     ],
     ids=[
         "negative window start", "window before the kernel", "negative window length",
-        "256 qubits", "-1 qubits", "256 channels", "no HALT", "a pc past HALT in no block",
+        "256 qubits", "-1 qubits", "256 channels", "float qubits", "float pair qubit",
+        "float window start", "float window length", "no HALT", "a pc past HALT in no block",
         "resume past HALT", "SELECT with no pool", "slot in a pool kernel", "fractional slot",
         "slot count past u32", "fractional duration slot",
     ],

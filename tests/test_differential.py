@@ -234,6 +234,6 @@ def test_a_non_finite_reply_raises_before_the_kernel_runs_it(slot, value):
 
     with pytest.raises(CompileError, match=f"^slot {slot} value {value} is not finite$"):
         run_session(
-            lambda handle: execute(kernel, endpoint=handle, launch=Params(problem.x0)), host
+            lambda handle, launch: execute(kernel, endpoint=handle, launch=launch), host
         )
     assert [r.iteration for r in results] == [0]

@@ -65,6 +65,10 @@ and ``qpu._Vm.run`` contain no ``raise``.  Every structural rule is
 ``KernelBinary``'s, checked once when a kernel is built, and a kernel that
 needs a launch is refused without one before it runs, so nothing is re-tested
 on every dispatch and a run can only end at HALT.
+
+A thirteenth keeps thread start and join in the module that owns the session:
+under ``src/dlpc`` only ``rpc.py`` imports ``threading``, so every thread a run
+starts is one that ``run_session`` joins before it returns or raises.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -344,7 +349,7 @@ def test_scan_flags_every_runner_name_but_not_lookalikes(tmp_path):
 
 
 # Pinned counts: change one only with the option it adds or removes.
-SETTABLE_OPTIONS = 72
+SETTABLE_OPTIONS = 71
 CLI_FLAGS = 42
 
 
@@ -485,8 +490,8 @@ def test_python_3_10_scan_flags_except_star_and_newer_names(tmp_path):
     assert newer_than_310(module, names=False) == []
 
 
-def nonstandard_imports(path: Path) -> list[str]:
-    """Each import in ``path`` of a module outside the standard library; relative ones pass."""
+def imports(path: Path, wanted: Callable[[str], bool]) -> list[str]:
+    """Each absolute import in ``path`` whose top-level package is ``wanted``; relative ones pass."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -498,9 +503,14 @@ def nonstandard_imports(path: Path) -> list[str]:
         found += [
             f"{path.name}:{node.lineno} {module}"
             for module in modules
-            if module.split(".")[0] not in sys.stdlib_module_names
+            if wanted(module.split(".")[0])
         ]
     return found
+
+
+def nonstandard_imports(path: Path) -> list[str]:
+    """Each import in ``path`` of a module outside the standard library; relative ones pass."""
+    return imports(path, lambda top: top not in sys.stdlib_module_names)
 
 
 def test_the_wire_codec_imports_only_the_standard_library():
@@ -571,6 +581,30 @@ def test_timed_wait_scan_flags_timeouts_off_the_split_frame_path(tmp_path):
         "        return self._sock.recv(1)\n"
     )
     assert timed_waits(module) == ["m.py:3 timeout=", "m.py:7 settimeout", "m.py:10 settimeout"]
+
+
+def threading_imports(path: Path) -> list[str]:
+    """Each ``import threading`` or ``from threading import ...`` in ``path``."""
+    return imports(path, lambda top: top == "threading")
+
+
+def test_only_the_session_imports_threading():
+    importing = [p.relative_to(SRC).as_posix() for p in MODULES if threading_imports(p)]
+    assert importing == ["dlpc/rpc.py"]
+
+
+def test_threading_scan_flags_each_import_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import threading\n"
+        "from threading import Thread\n"
+        "import os, threading as th\n"
+        "from concurrent import futures\n"
+        "from . import threading_helpers\n"
+        "import threadpoolctl\n"
+        "# import threading\n"
+    )
+    assert threading_imports(module) == ["m.py:1 threading", "m.py:2 threading", "m.py:3 threading"]
 
 
 def dispatch_raises(path: Path) -> list[str]:

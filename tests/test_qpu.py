@@ -73,7 +73,7 @@ def _stream(binary, objective, **execute_kwargs):
     trace = run_within(
         10,
         lambda: run_session(
-            lambda handle: execute(binary, endpoint=handle, **execute_kwargs),
+            lambda handle, _: execute(binary, endpoint=handle, **execute_kwargs),
             objective_worker(recorded),
         ),
     )
@@ -817,6 +817,8 @@ def _kernels(draw):
     a HALT in four of five kernels, then in half the kernels nothing else and
     no block table; otherwise up to three more instructions, split into two
     windows, the form a pool's table takes, or one time in six any windows.
+    One time in three the register, a pair qubit, or a window's start or length
+    is the equal float, which the header's integer fields cannot hold.
     """
     n = draw(st.one_of(st.integers(1, 2), st.integers(-1, 256)))
     pairs = draw(st.sampled_from([(), ((0, 1),)])) if n >= 2 else ()
@@ -832,6 +834,15 @@ def _kernels(draw):
         windows = st.tuples(st.integers(-2, len(instrs)), st.integers(-1, 3))
         blocks = () if form == "no pool" else tuple(draw(st.lists(windows, min_size=1, max_size=2)))
     circuit = draw(st.lists(st.integers(0, max(len(blocks) - 1, 0)), max_size=2))
+    floated = draw(st.sampled_from(["none"] * 8 + ["register", "pair", "start", "length"]))
+    if floated == "register":
+        n = float(n)
+    elif floated == "pair" and pairs:
+        pairs = ((0, 1.0),)
+    elif floated == "start" and blocks:
+        blocks = ((float(blocks[0][0]), blocks[0][1]), *blocks[1:])
+    elif floated == "length" and blocks:
+        blocks = ((blocks[0][0], float(blocks[0][1])), *blocks[1:])
     return (n, instrs, pairs, blocks), CircuitBlock(tuple(circuit))
 
 
@@ -913,7 +924,7 @@ def test_a_reply_outside_the_wire_fails_in_each_transports_error(calib, transpor
         run_within(
             10,
             lambda: run_session(
-                lambda handle: execute(pool, endpoint=handle, launch=CircuitBlock((0,))),
+                lambda handle, _: execute(pool, endpoint=handle, launch=CircuitBlock((0,))),
                 host,
                 transport=transport,
             ),
@@ -1003,8 +1014,22 @@ def test_a_results_reply_fails_where_the_kernel_loads_it(calib, transport):
         run_within(
             10,
             lambda: run_session(
-                lambda handle: execute(k, endpoint=handle, launch=Params((0.5,))),
+                lambda handle, _: execute(k, endpoint=handle, launch=Params((0.5,))),
                 echo,
+                transport=transport,
+            ),
+        )
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_a_host_that_never_fetches_leaves_a_pool_kernel_without_a_launch(calib, transport):
+    pool = clifford_pool(calib, 10)
+    with pytest.raises(UninitializedSlot, match="^iteration 0: kernel selects gate blocks, launch gives none$"):
+        run_within(
+            10,
+            lambda: run_session(
+                lambda handle, launch: execute(pool, endpoint=handle, launch=launch),
+                lambda fetch: None,
                 transport=transport,
             ),
         )
@@ -1022,7 +1047,7 @@ def test_a_streamed_run_leaves_its_results_with_the_host(calib):
     trace = run_within(
         10,
         lambda: run_session(
-            lambda handle: execute(k, endpoint=handle, launch=Params((0.1,))), host
+            lambda handle, launch: execute(k, endpoint=handle, launch=launch), host
         ),
     )
     assert trace.results == []

@@ -340,7 +340,7 @@ def _run_session(objective, transport: str = "memory"):
     iterations = run_within(
         10,
         lambda: run_session(
-            lambda handle: _scripted_kernel(handle, 100, log),
+            lambda handle, _: _scripted_kernel(handle, 100, log),
             objective_worker(objective),
             transport=transport,
         ),
@@ -378,7 +378,7 @@ def test_worker_exception_still_terminates_kernel():
         run_within(
             10,
             lambda: run_session(
-                lambda handle: _scripted_kernel(handle, 100, log), objective_worker(objective)
+                lambda handle, _: _scripted_kernel(handle, 100, log), objective_worker(objective)
             ),
         )
     assert log == [Sentinel()]
@@ -396,7 +396,7 @@ def test_socket_transport_matches_in_process():
 
 @pytest.mark.parametrize("transport", ["memory", "socket"])
 def test_kernel_failing_before_first_post_ends_session(transport):
-    def kernel(handle):
+    def kernel(handle, launch):
         raise RuntimeError("kernel failed to start")
 
     with pytest.raises(RuntimeError, match="failed to start"):
@@ -419,11 +419,46 @@ def test_host_failing_before_its_first_fetch_ends_session(transport):
         run_within(
             10,
             lambda: run_session(
-                lambda handle: _scripted_kernel(handle, 100, log), host, transport=transport
+                lambda handle, _: _scripted_kernel(handle, 100, log), host, transport=transport
             ),
         )
-    assert log == [Sentinel()]
+    assert log == []
     assert not [t for t in threading.enumerate() if t.name in SESSION_THREADS]
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_the_first_fetch_launches_the_kernel_with_its_directive(transport):
+    launches: list = []
+    log: list = []
+
+    def kernel(handle, launch):
+        launches.append(launch)
+        return _scripted_kernel(handle, 100, log)
+
+    def host(fetch):
+        for x in (0.1, 0.2, 0.3):
+            fetch(Params((x,)))
+
+    iterations = run_within(10, lambda: run_session(kernel, host, transport=transport))
+    assert iterations == 3
+    assert launches == [Params((0.1,))]
+    assert log == [Params((0.2,)), Params((0.3,)), Sentinel()]  # the launch never crosses
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_a_channel_error_the_host_raises_before_its_first_fetch_is_its_own(transport):
+    def host(fetch):
+        raise ChannelClosed("the host's own channel")
+
+    log: list = []
+    with pytest.raises(ChannelClosed, match="^the host's own channel$"):
+        run_within(
+            10,
+            lambda: run_session(
+                lambda handle, _: _scripted_kernel(handle, 100, log), host, transport=transport
+            ),
+        )
+    assert log == []
 
 
 @pytest.mark.parametrize("transport", ["memory", "socket"])
@@ -432,7 +467,7 @@ def test_host_returning_without_a_fetch_runs_only_the_launch(transport):
     iterations = run_within(
         10,
         lambda: run_session(
-            lambda handle: _scripted_kernel(handle, 100, log),
+            lambda handle, _: _scripted_kernel(handle, 100, log),
             lambda fetch: None,
             transport=transport,
         ),

@@ -79,7 +79,7 @@ def test_problem_rejects_measured_ansatz_and_bad_x0():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_empty_budget_rejected_and_one_evaluation_agrees(mode):
-    # with max_evals=0 the baseline ran nothing while DLPC ran its launch iteration
+    # with max_evals=0 the host raises before its first fetch, so neither pipeline runs a kernel
     with pytest.raises(ValueError, match="max_evals"):
         run_vqe(replace(one_param_problem(), max_evals=0), mode, cost_model=MODEL)
     report = run_vqe(replace(one_param_problem(), max_evals=1), mode, cost_model=MODEL)
